@@ -44,18 +44,15 @@ fn bench_annotation(bench: &mut Bench) {
 fn bench_engine_variants(bench: &mut Bench) {
     let cpu = library::microblaze_like(8 << 10, 4 << 10);
     let filter = lower(&mp3::filter_source(0, 1));
-    bench.run("engine/sequential_uncached", || {
+    bench.run("engine/per_block_uncached", || {
         annotate_uncached(black_box(&filter), &cpu).expect("annotates");
     });
-    bench.run("engine/parallel_uncached", || {
+    bench.run("engine/batched_uncached", || {
         annotate_arc_with(Arc::clone(&filter), &cpu, None, true).expect("annotates");
     });
     let cache = ScheduleCache::new();
-    annotate_arc_with(Arc::clone(&filter), &cpu, Some(&cache), false).expect("warms cache");
-    bench.run("engine/sequential_warm_cache", || {
-        annotate_arc_with(Arc::clone(&filter), &cpu, Some(&cache), false).expect("annotates");
-    });
-    bench.run("engine/parallel_warm_cache", || {
+    annotate_arc_with(Arc::clone(&filter), &cpu, Some(&cache), true).expect("warms cache");
+    bench.run("engine/warm_cache", || {
         annotate_arc_with(Arc::clone(&filter), &cpu, Some(&cache), true).expect("annotates");
     });
 }

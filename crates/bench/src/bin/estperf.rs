@@ -10,8 +10,8 @@
 //!    from a fresh [`Pipeline`], whose stage graph prepares each module
 //!    once, shares Algorithm 1 schedules across sweep points (the schedule
 //!    is independent of the statistical memory/branch models, which is all
-//!    a cache sweep changes), and fans blocks out over the available cores
-//!    with the flat-layout kernel.
+//!    a cache sweep changes), and solves each module as one dedup batch on
+//!    the flat-layout kernel.
 //!
 //! Both engines must produce bit-identical delays for every block of every
 //! sweep point; the binary asserts that before reporting — a whole-app
@@ -21,8 +21,8 @@
 //! every block of the app mix: the flat-layout kernel cold (fresh schedule
 //! computation, reused scratch arena), the reference kernel cold, the
 //! batched kernel cold (per-schedule-domain batches: identical-shape
-//! dedup plus lane-sliced lockstep solves), and the warm schedule-cache
-//! hit path.
+//! dedup in front of the flat kernel), and the warm schedule-cache hit
+//! path.
 //! **Session level** — a warm, single-function structural edit through a
 //! [`SessionStore`] (front-end the new source, re-estimate only the dirty
 //! function's rows, splice the rest) against the stateless cold path (a
@@ -53,7 +53,7 @@ use tlm_cdfg::dfg::{block_dfg, schedule_key, Dfg};
 use tlm_cdfg::ir::BlockData;
 use tlm_cdfg::{BlockId, FuncId};
 use tlm_core::annotate::{annotate_reference, annotate_uncached, TimedModule};
-use tlm_core::batch::{batch_stats, key_hash, schedule_batch, BatchItem, OCCUPANCY_BUCKETS};
+use tlm_core::batch::{batch_stats, key_hash, solve_batch, BatchItem};
 use tlm_core::cache::{ScheduleCache, ScheduleDomain};
 use tlm_core::parallel::available_workers;
 use tlm_core::reference::schedule_block_reference;
@@ -176,9 +176,9 @@ fn kernel_bench(jobs: &[Job]) -> KernelBench {
     // jobs whose PUMs share a domain produce identical schedules (the
     // invariant the schedule cache is built on), so their blocks share one
     // batch and identical keys fold across modules. Keys and their hashes
-    // are prepared up front, as the pipeline's prepare stage does;
-    // planning itself (dedup, lane grouping) runs inside the timed region,
-    // exactly as on the production miss path.
+    // are prepared up front, as the pipeline's prepare stage does; the
+    // dedup fold itself runs inside the timed region, exactly as on the
+    // production miss path.
     let mut domains: Vec<String> = Vec::new();
     let mut dom_table: Vec<usize> = Vec::new();
     let mut domain_of_job: Vec<usize> = Vec::with_capacity(jobs.len());
@@ -242,7 +242,7 @@ fn kernel_bench(jobs: &[Job]) -> KernelBench {
             items_by_dom
                 .iter()
                 .enumerate()
-                .map(|(d, items)| schedule_batch(&tables[dom_table[d]], items))
+                .map(|(d, items)| solve_batch(&tables[dom_table[d]], items))
                 .collect::<Vec<_>>()
         });
         batch_out = result;
@@ -266,18 +266,31 @@ fn kernel_bench(jobs: &[Job]) -> KernelBench {
     }
     assert_eq!(cold_out, ref_out, "kernel microbench: flat kernel diverged from reference");
 
-    // Warm path: content-addressed hits in a primed schedule cache. Keys
-    // are the work-list index — unique per block even when jobs share a
-    // schedule domain.
+    // Warm path: content-addressed hits in a primed schedule cache, one
+    // batch per job as the annotate stage submits them. Keys are the
+    // work-list index — unique per block even when jobs share a schedule
+    // domain.
     let cache = ScheduleCache::new();
     let handles: Vec<_> =
         jobs.iter().map(|(_, pum)| cache.domain(&ScheduleDomain::of(pum))).collect();
     let keys: Vec<[u8; 8]> = (0..blocks).map(|i| (i as u64).to_le_bytes()).collect();
+    let mut warm_items: Vec<Vec<BatchItem<'_>>> = vec![Vec::new(); jobs.len()];
+    for (w, key) in work.iter().zip(&keys) {
+        warm_items[w.job].push(BatchItem {
+            key,
+            key_hash: key_hash(key),
+            block: block_of(w),
+            dfg: &w.dfg,
+            heights: &w.heights,
+            func: w.fid,
+            block_id: w.bid,
+        });
+    }
     let demand_all = || {
-        for (w, key) in work.iter().zip(&keys) {
-            handles[w.job]
-                .schedule_keyed(key, &tables[w.job], block_of(w), &w.dfg, &w.heights, w.fid, w.bid)
-                .expect("schedules");
+        for (job, items) in warm_items.iter().enumerate() {
+            for (result, _) in handles[job].schedule_batch_keyed(&tables[job], items) {
+                result.expect("schedules");
+            }
         }
     };
     demand_all(); // prime: all misses
@@ -305,16 +318,6 @@ fn kernel_bench(jobs: &[Job]) -> KernelBench {
     let per_rep = |after: u64, before: u64| (after - before) / REPS as u64;
     let dedup_hits = per_rep(stats_after.dedup_hits, stats_before.dedup_hits);
     let unique_solves = per_rep(stats_after.unique_solves, stats_before.unique_solves);
-    let lane_runs = per_rep(stats_after.lane_runs, stats_before.lane_runs);
-    let mut occupancy = ObjectBuilder::new();
-    for (bucket, label) in OCCUPANCY_BUCKETS.iter().enumerate() {
-        occupancy = occupancy.field(
-            label,
-            Value::Number(
-                per_rep(stats_after.occupancy[bucket], stats_before.occupancy[bucket]) as f64
-            ),
-        );
-    }
 
     let ns = |d: Duration| d.as_nanos() as f64 / blocks as f64;
     let per_sec = |d: Duration| blocks as f64 / d.as_secs_f64().max(1e-9);
@@ -331,7 +334,7 @@ fn kernel_bench(jobs: &[Job]) -> KernelBench {
     println!("  warm cache hit:  {:>9.1} ns/block  ({:.0} blocks/s)", ns(warm), per_sec(warm));
     println!(
         "  batch plan:      {unique_solves} unique solves / {blocks} blocks in {} domains \
-         ({dedup_hits} dedup hits, {lane_runs} lane runs)",
+         ({dedup_hits} dedup hits)",
         domains.len()
     );
     let json = ObjectBuilder::new()
@@ -354,8 +357,6 @@ fn kernel_bench(jobs: &[Job]) -> KernelBench {
         .field("gate_2x", Value::Bool(batch_speedup >= 2.0))
         .field("unique_solves", Value::Number(unique_solves as f64))
         .field("dedup_hits", Value::Number(dedup_hits as f64))
-        .field("lane_runs", Value::Number(lane_runs as f64))
-        .field("occupancy", occupancy.build())
         .build();
     KernelBench { json, batch_json, speedup, batch_speedup }
 }
@@ -527,7 +528,7 @@ fn main() {
     // Production engine: demand every (module, swept PUM) estimate from a
     // fresh pipeline. The stage graph prepares each module once, resolves
     // each PUM's schedule domain once, shares schedules across sweep
-    // points, and fans blocks out over the cores.
+    // points, and solves each module as one dedup batch.
     let mut parallel = Vec::new();
     let mut par_wall = Duration::MAX;
     let mut stats = PipelineStats::default();

@@ -18,7 +18,6 @@ use crate::batch::{solve_batch, BatchItem};
 use crate::cache::{DomainHandle, ScheduleCache, ScheduleDomain};
 use crate::delay::{block_delay_with_costs, BlockDelay, MemoryCosts};
 use crate::error::EstimateError;
-use crate::parallel::par_map;
 use crate::pum::Pum;
 use crate::schedule::{schedule_block_prepared, with_scratch, IssueTable};
 
@@ -52,9 +51,9 @@ pub struct AnnotationReport {
 
 /// Runs Algorithms 1 and 2 over every basic block of `module`.
 ///
-/// Uses the process-wide [`ScheduleCache`] and fans block scheduling out
-/// over the available cores; the result is bit-identical to the sequential
-/// uncached path ([`annotate_uncached`]) — see `tests/parallel_determinism.rs`.
+/// Uses the process-wide [`ScheduleCache`] and the batched engine; the
+/// result is bit-identical to the per-block uncached path
+/// ([`annotate_uncached`]) — see `tests/parallel_determinism.rs`.
 ///
 /// # Errors
 ///
@@ -73,8 +72,8 @@ pub fn annotate_arc(module: Arc<Module>, pum: &Pum) -> Result<TimedModule, Estim
     annotate_arc_with(module, pum, Some(ScheduleCache::global()), true)
 }
 
-/// Reference path: sequential, no memoization. Exists so the cached and
-/// parallel engine has an oracle to be checked against.
+/// Reference path: one block at a time, no memoization, no dedup. Exists
+/// so the cached and batched engine has an oracle to be checked against.
 ///
 /// # Errors
 ///
@@ -94,28 +93,30 @@ pub fn annotate_uncached(module: &Module, pum: &Pum) -> Result<TimedModule, Esti
 /// Same as [`annotate`].
 #[cfg(feature = "reference-kernel")]
 pub fn annotate_reference(module: &Module, pum: &Pum) -> Result<TimedModule, EstimateError> {
-    annotate_inner(&PreparedModule::new(Arc::new(module.clone())), pum, None, false, true)
+    annotate_inner(&PreparedModule::new(Arc::new(module.clone())), pum, Engine::Reference)
 }
 
 /// The fully-general entry point: annotate with an explicit schedule cache
-/// (or none) and with or without parallel fan-out.
+/// (or none). With a cache, or with `batched`, the whole module is one
+/// dedup batch ([`crate::batch`]); without either, every block runs the
+/// per-block kernel on its own — the [`annotate_uncached`] oracle.
 ///
 /// Results are deterministic across all four combinations: the block order,
 /// the delays and the first reported error are identical whether blocks are
-/// scheduled sequentially or concurrently, cached or direct.
+/// batched or scheduled one by one, cached or direct.
 ///
 /// # Errors
 ///
 /// Fails if the PUM is invalid or cannot execute some block. When several
 /// blocks fail, the error of the first failing block in module order is
-/// returned, regardless of thread interleaving.
+/// returned.
 pub fn annotate_arc_with(
     module: Arc<Module>,
     pum: &Pum,
     cache: Option<&ScheduleCache>,
-    parallel: bool,
+    batched: bool,
 ) -> Result<TimedModule, EstimateError> {
-    annotate_prepared(&PreparedModule::new(module), pum, cache, parallel)
+    annotate_prepared(&PreparedModule::new(module), pum, cache, batched)
 }
 
 /// The PUM-invariant half of the estimation inputs: every block's DFG and
@@ -130,8 +131,8 @@ pub fn annotate_arc_with(
 #[derive(Debug)]
 pub struct PreparedModule {
     module: Arc<Module>,
-    /// Flattened block list — load balancing sees every block of every
-    /// function, not one function at a time.
+    /// Flattened block list — one batch sees every block of every
+    /// function, so dedup folds across functions.
     work: Vec<(FuncId, BlockId)>,
     /// Per-`work`-entry DFG.
     dfgs: Vec<Dfg>,
@@ -161,6 +162,24 @@ pub struct PreparedModule {
 }
 
 impl PreparedModule {
+    /// The batch items of the `work` entries in `range`.
+    fn batch_items(&self, range: std::ops::Range<usize>) -> Vec<BatchItem<'_>> {
+        range
+            .map(|i| {
+                let (fid, bid) = self.work[i];
+                BatchItem {
+                    key: &self.keys[i],
+                    key_hash: self.key_hashes[i],
+                    block: &self.module.functions[fid.0 as usize].blocks[bid.0 as usize],
+                    dfg: &self.dfgs[i],
+                    heights: &self.heights[i],
+                    func: fid,
+                    block_id: bid,
+                }
+            })
+            .collect()
+    }
+
     /// Builds the per-block DFGs and schedule keys.
     pub fn new(module: Arc<Module>) -> PreparedModule {
         let work: Vec<(FuncId, BlockId)> = module
@@ -300,7 +319,6 @@ pub fn annotate_function_in_domain(
     pum: &Pum,
     handle: &DomainHandle<'_>,
     func: FuncId,
-    parallel: bool,
 ) -> Result<Vec<BlockDelay>, EstimateError> {
     debug_assert_eq!(
         ScheduleDomain::of(pum).fingerprint(),
@@ -311,28 +329,13 @@ pub fn annotate_function_in_domain(
     pum.validate()?;
     let costs = MemoryCosts::of(pum)?;
     let table: Arc<IssueTable> = handle.issue_table(pum);
-    let module = &prep.module;
-    let range = prep.func_ranges[func.0 as usize].clone();
-    let items: Vec<BatchItem<'_>> = range
-        .map(|i| {
-            let (fid, bid) = prep.work[i];
-            BatchItem {
-                key: &prep.keys[i],
-                key_hash: prep.key_hashes[i],
-                block: &module.functions[fid.0 as usize].blocks[bid.0 as usize],
-                dfg: &prep.dfgs[i],
-                heights: &prep.heights[i],
-                func: fid,
-                block_id: bid,
-            }
-        })
-        .collect();
-    let scheduled = handle.schedule_batch_keyed(&table, &items, parallel);
+    let items = prep.batch_items(prep.func_ranges[func.0 as usize].clone());
+    let scheduled = handle.schedule_batch_keyed(&table, &items);
     items
         .iter()
         .zip(scheduled)
-        .map(|(item, result)| {
-            result.map(|(sched, _hit)| block_delay_with_costs(&costs, item.block, sched.cycles))
+        .map(|(item, (result, _hit))| {
+            result.map(|sched| block_delay_with_costs(&costs, item.block, sched.cycles))
         })
         .collect()
 }
@@ -346,12 +349,17 @@ pub fn annotate_prepared(
     prep: &PreparedModule,
     pum: &Pum,
     cache: Option<&ScheduleCache>,
-    parallel: bool,
+    batched: bool,
 ) -> Result<TimedModule, EstimateError> {
     // Resolve the PUM's schedule domain once; per-block lookups then only
     // hash the block's own key.
     let handle: Option<DomainHandle<'_>> = cache.map(|c| c.domain(&ScheduleDomain::of(pum)));
-    annotate_inner(prep, pum, handle.as_ref(), parallel, false)
+    let engine = if batched || handle.is_some() {
+        Engine::Batched(handle.as_ref())
+    } else {
+        Engine::PerBlock
+    };
+    annotate_inner(prep, pum, engine)
 }
 
 /// [`annotate_prepared`] with the cache's [`DomainHandle`] already resolved.
@@ -370,7 +378,6 @@ pub fn annotate_in_domain(
     prep: &PreparedModule,
     pum: &Pum,
     handle: &DomainHandle<'_>,
-    parallel: bool,
 ) -> Result<TimedModule, EstimateError> {
     debug_assert_eq!(
         ScheduleDomain::of(pum).fingerprint(),
@@ -378,15 +385,27 @@ pub fn annotate_in_domain(
         "PUM {} does not belong to the resolved schedule domain",
         pum.name
     );
-    annotate_inner(prep, pum, Some(handle), parallel, false)
+    annotate_inner(prep, pum, Engine::Batched(Some(handle)))
+}
+
+/// How [`annotate_inner`] runs Algorithm 1.
+enum Engine<'h, 'c> {
+    /// The whole module as one dedup batch, through the cache's domain
+    /// when there is a handle.
+    Batched(Option<&'h DomainHandle<'c>>),
+    /// One block at a time on the production kernel, nothing shared with
+    /// the batched path — the oracle the batched engine is differenced
+    /// against.
+    PerBlock,
+    /// One block at a time on the retained pre-rewrite kernel.
+    #[cfg(feature = "reference-kernel")]
+    Reference,
 }
 
 fn annotate_inner(
     prep: &PreparedModule,
     pum: &Pum,
-    handle: Option<&DomainHandle<'_>>,
-    parallel: bool,
-    reference: bool,
+    engine: Engine<'_, '_>,
 ) -> Result<TimedModule, EstimateError> {
     pum.validate()?;
     let start = Instant::now();
@@ -396,90 +415,59 @@ fn annotate_inner(
     // Algorithm 1's per-domain facts, precompiled once per run (served
     // from the cache's domain entry when there is one, so sweeps share a
     // single table per datapath).
-    let table: Arc<IssueTable> = match handle {
-        Some(handle) => handle.issue_table(pum),
-        None => Arc::new(IssueTable::build(pum)),
+    let table: Arc<IssueTable> = match engine {
+        Engine::Batched(Some(handle)) => handle.issue_table(pum),
+        _ => Arc::new(IssueTable::build(pum)),
     };
-    #[cfg(not(feature = "reference-kernel"))]
-    let _ = reference;
 
-    // The engine paths submit the whole module as one batch: identical
-    // blocks fold into one solve, same-shape blocks lane-slice, and
-    // `par_map` fans out *solve units* instead of blocks (see
-    // [`crate::batch`]). Results stay bit-identical to the sequential
-    // per-block oracle below — asserted by `tests/parallel_determinism.rs`
-    // and the `reference-kernel` differential tests.
-    // The sequential uncached path stays strictly per block, so
-    // `annotate_uncached` remains an oracle with nothing shared with the
-    // batch planner.
-    let batched = !reference && (parallel || handle.is_some());
-    let results: Vec<Result<(BlockDelay, bool), EstimateError>> = if batched {
-        let items: Vec<BatchItem<'_>> = prep
+    let results: Vec<(Result<BlockDelay, EstimateError>, bool)> = match engine {
+        Engine::Batched(handle) => {
+            let items = prep.batch_items(0..prep.work.len());
+            let scheduled = match handle {
+                Some(handle) => handle.schedule_batch_keyed(&table, &items),
+                None => solve_batch(&table, &items).into_iter().map(|r| (r, false)).collect(),
+            };
+            items
+                .iter()
+                .zip(scheduled)
+                .map(|(item, (result, hit))| {
+                    (result.map(|s| block_delay_with_costs(&costs, item.block, s.cycles)), hit)
+                })
+                .collect()
+        }
+        Engine::PerBlock => prep
             .work
             .iter()
             .enumerate()
-            .map(|(i, &(fid, bid))| BatchItem {
-                key: &prep.keys[i],
-                key_hash: prep.key_hashes[i],
-                block: &module.functions[fid.0 as usize].blocks[bid.0 as usize],
-                dfg: &prep.dfgs[i],
-                heights: &prep.heights[i],
-                func: fid,
-                block_id: bid,
+            .map(|(i, &(fid, bid))| {
+                let block = &module.functions[fid.0 as usize].blocks[bid.0 as usize];
+                let sched = with_scratch(|scratch| {
+                    let (dfg, heights) = (&prep.dfgs[i], &prep.heights[i]);
+                    schedule_block_prepared(&table, scratch, block, dfg, heights, fid, bid)
+                });
+                (sched.map(|s| block_delay_with_costs(&costs, block, s.cycles)), false)
             })
-            .collect();
-        let scheduled: Vec<Result<(Arc<crate::schedule::ScheduleResult>, bool), EstimateError>> =
-            match handle {
-                Some(handle) => handle.schedule_batch_keyed(&table, &items, parallel),
-                None => solve_batch(&table, &items, parallel)
-                    .into_iter()
-                    .map(|r| r.map(|sched| (sched, false)))
-                    .collect(),
-            };
-        items
+            .collect(),
+        #[cfg(feature = "reference-kernel")]
+        Engine::Reference => prep
+            .work
             .iter()
-            .zip(scheduled)
-            .map(|(item, result)| {
-                result.map(|(sched, hit)| {
-                    (block_delay_with_costs(&costs, item.block, sched.cycles), hit)
-                })
+            .zip(&prep.dfgs)
+            .map(|(&(fid, bid), dfg)| {
+                let block = &module.functions[fid.0 as usize].blocks[bid.0 as usize];
+                let sched = crate::reference::schedule_block_reference(pum, block, dfg, fid, bid);
+                (sched.map(|s| block_delay_with_costs(&costs, block, s.cycles)), false)
             })
-            .collect()
-    } else {
-        // The reference engine: strictly per block, nothing shared with
-        // the batched path — the oracle the batched engine is differenced
-        // against.
-        let estimate = |&(fid, bid): &(FuncId, BlockId),
-                        dfg: &Dfg,
-                        heights: &[usize]|
-         -> Result<(BlockDelay, bool), EstimateError> {
-            let block = &module.functions[fid.0 as usize].blocks[bid.0 as usize];
-            #[cfg(feature = "reference-kernel")]
-            if reference {
-                let sched = crate::reference::schedule_block_reference(pum, block, dfg, fid, bid)?;
-                return Ok((block_delay_with_costs(&costs, block, sched.cycles), false));
-            }
-            let sched = with_scratch(|scratch| {
-                schedule_block_prepared(&table, scratch, block, dfg, heights, fid, bid)
-            })?;
-            Ok((block_delay_with_costs(&costs, block, sched.cycles), false))
-        };
-        let indices: Vec<usize> = (0..prep.work.len()).collect();
-        let run_one = |&i: &usize| estimate(&prep.work[i], &prep.dfgs[i], &prep.heights[i]);
-        if parallel {
-            par_map(&indices, run_one)
-        } else {
-            indices.iter().map(run_one).collect()
-        }
+            .collect(),
     };
 
     let mut delays: Vec<Vec<BlockDelay>> =
         module.functions.iter().map(|f| Vec::with_capacity(f.blocks.len())).collect();
     let mut report = AnnotationReport::default();
-    // `results` is in `work` order (par_map merges by index), so scanning it
-    // front to back makes the first error deterministic in module order.
-    for (&(fid, _), result) in prep.work.iter().zip(results) {
-        let (delay, hit) = result?;
+    // `results` is in `work` order, so scanning it front to back makes the
+    // first error deterministic in module order.
+    for (&(fid, _), (result, hit)) in prep.work.iter().zip(results) {
+        let delay = result?;
         delays[fid.0 as usize].push(delay);
         if hit {
             report.cache_hits += 1;
@@ -638,21 +626,17 @@ mod tests {
         let reference = annotate_uncached(&module, &pum).expect("annotates");
         let cache = ScheduleCache::new();
         let arc = Arc::new(module.clone());
-        for parallel in [false, true] {
+        for batched in [false, true] {
             for use_cache in [false, true] {
-                let timed = annotate_arc_with(
-                    Arc::clone(&arc),
-                    &pum,
-                    use_cache.then_some(&cache),
-                    parallel,
-                )
-                .expect("annotates");
+                let timed =
+                    annotate_arc_with(Arc::clone(&arc), &pum, use_cache.then_some(&cache), batched)
+                        .expect("annotates");
                 for (fid, func) in module.functions_iter() {
                     for (bid, _) in func.blocks_iter() {
                         assert_eq!(
                             timed.delay(fid, bid),
                             reference.delay(fid, bid),
-                            "parallel={parallel} cache={use_cache} differs at {fid}/{bid}"
+                            "batched={batched} cache={use_cache} differs at {fid}/{bid}"
                         );
                     }
                 }
@@ -689,15 +673,11 @@ mod tests {
         let arc = Arc::new(module);
         let reference = annotate_arc_with(Arc::clone(&arc), &pum, None, false)
             .expect_err("unmapped classes fail");
-        for parallel in [false, true] {
+        for batched in [false, true] {
             for use_cache in [false, true] {
-                let err = annotate_arc_with(
-                    Arc::clone(&arc),
-                    &pum,
-                    use_cache.then_some(&cache),
-                    parallel,
-                )
-                .expect_err("unmapped classes fail");
+                let err =
+                    annotate_arc_with(Arc::clone(&arc), &pum, use_cache.then_some(&cache), batched)
+                        .expect_err("unmapped classes fail");
                 assert_eq!(err, reference);
             }
         }
@@ -788,7 +768,7 @@ mod tests {
         let cache = ScheduleCache::new();
         let handle = cache.domain(&ScheduleDomain::of(&pum));
         for (fid, func) in module.functions_iter() {
-            let rows = annotate_function_in_domain(&prep, &pum, &handle, fid, true)
+            let rows = annotate_function_in_domain(&prep, &pum, &handle, fid)
                 .expect("annotates one function");
             assert_eq!(rows.len(), func.blocks.len());
             for (bid, _) in func.blocks_iter() {

@@ -10,43 +10,35 @@
 //! is computed once per (datapath, block) pair and then served from this
 //! cache.
 //!
-//! Correctness before speed: keys are the full canonical byte encodings,
-//! not hashes of them, so two distinct inputs can never alias an entry. A
-//! cache hit returns the exact [`ScheduleResult`] the direct call would
-//! have produced (asserted bit-identical by `tests/parallel_determinism.rs`
-//! over every app in `crates/apps`).
-//!
 //! The cache is two-level: the (possibly multi-kilobyte) domain encoding is
 //! resolved **once per annotation run** to a [`DomainHandle`]; per-block
-//! lookups then hash only the small block key. That keeps a hit well under
-//! the cost of re-running Algorithm 1 even for three-op glue blocks.
+//! lookups then hash only the small block key. Each domain's entries live
+//! in one [`Store`] — the same exactly-once, full-key, second-chance store
+//! every pipeline stage uses — next to the domain's precompiled
+//! [`IssueTable`]. A hit returns the exact [`ScheduleResult`] the direct
+//! call would have produced (asserted bit-identical by
+//! `tests/parallel_determinism.rs` over every app in `crates/apps`).
 //!
 //! **Byte-budgeted eviction.** An unbounded cache is an OOM under an
 //! adversarial (or merely diverse) client mix, so the cache can carry a
-//! resident-byte budget ([`ScheduleCache::with_budget`]): entries live in
-//! two *generations* per domain, and when the accounted resident bytes
-//! exceed the budget the older generation is dropped and the newer one
-//! ages into its place (second chance — an entry touched since the last
-//! rotation is promoted back to the young generation and survives).
-//! Exactly-once compute holds *within* a generation (the promoted slot
-//! keeps its `OnceLock`, so a survivor never recomputes), and results
-//! stay bit-identical across evictions because Algorithm 1 is a pure
-//! function of the key — an evicted entry is simply recomputed to the
-//! same bytes on next demand (asserted by the eviction tests below).
+//! resident-byte budget ([`ScheduleCache::with_budget`]). The budget spans
+//! all domains: when the resident bytes (domain encodings plus block keys)
+//! exceed it, every domain's store rotates its generations together, and a
+//! domain left with no entries and no live handle is dropped. Results stay
+//! bit-identical across evictions because Algorithm 1 is a pure function of
+//! the key — an evicted entry is simply recomputed to the same bytes on
+//! next demand (asserted by the eviction tests below).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-
-use tlm_cdfg::dfg::{schedule_key, Dfg};
-use tlm_cdfg::ir::BlockData;
-use tlm_cdfg::{BlockId, FuncId};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use crate::batch::{solve_batch, BatchItem};
 use crate::error::EstimateError;
 use crate::fingerprint::fnv1a_64;
 use crate::pum::Pum;
-use crate::schedule::{schedule_block_prepared, with_scratch, IssueTable, ScheduleResult};
+use crate::schedule::{IssueTable, ScheduleResult};
+use crate::store::{over_budget, Store, StoreStats};
 
 /// The precomputed cache key half describing a PUM's schedule-relevant
 /// sub-models. Compute once per annotation run, reuse for every block.
@@ -70,56 +62,13 @@ impl ScheduleDomain {
     }
 }
 
-/// Cache statistics snapshot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheStats {
-    /// Lookups served from the cache.
-    pub hits: u64,
-    /// Lookups that ran Algorithm 1.
-    pub misses: u64,
-    /// Resident entries.
-    pub entries: usize,
-    /// Approximate resident key bytes (domain encodings + block keys).
-    /// Values are excluded: they are shared `Arc`s whose footprint the
-    /// cache does not own exclusively.
-    pub bytes: u64,
-    /// Entries dropped by budget-driven generation rotation.
-    pub evictions: u64,
-}
+/// One schedule result, or the deterministic error Algorithm 1 raised.
+type Scheduled = Result<Arc<ScheduleResult>, EstimateError>;
 
-impl CacheStats {
-    /// Fraction of lookups served from the cache; 0 when idle.
-    pub fn hit_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-/// A slot holds the outcome of the single Algorithm 1 run for its key.
-/// Errors are cached too: they are deterministic properties of the same
-/// inputs, so re-running could not change them.
-type Slot = Arc<OnceLock<Result<Arc<ScheduleResult>, EstimateError>>>;
-
-/// Two generations of one domain's entries (second cache level). Young
-/// holds everything inserted or touched since the last rotation; old is
-/// the previous young, awaiting either a second-chance promotion or the
-/// next rotation.
-#[derive(Debug, Default)]
-struct Generations {
-    young: HashMap<Vec<u8>, Slot>,
-    old: HashMap<Vec<u8>, Slot>,
-    young_bytes: u64,
-    old_bytes: u64,
-}
-
-/// The per-domain entry table (second cache level).
+/// One domain's entries (second cache level) and its issue table.
 #[derive(Debug, Default)]
 struct DomainEntries {
-    entries: Mutex<Generations>,
+    store: Store<Arc<ScheduleResult>, EstimateError>,
     /// The domain's precompiled [`IssueTable`], built on first use. A pure
     /// function of the domain encoding this entry is keyed by, so it never
     /// needs invalidation.
@@ -132,10 +81,8 @@ pub struct ScheduleCache {
     domains: Mutex<HashMap<Arc<str>, Arc<DomainEntries>>>,
     /// Resident-byte budget; `u64::MAX` means unbounded.
     budget: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    key_bytes: AtomicU64,
-    evictions: AtomicU64,
+    /// Counters of domains dropped from the map, so totals survive them.
+    retired: Mutex<StoreStats>,
 }
 
 impl Default for ScheduleCache {
@@ -143,10 +90,7 @@ impl Default for ScheduleCache {
         ScheduleCache {
             domains: Mutex::new(HashMap::new()),
             budget: AtomicU64::new(u64::MAX),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            key_bytes: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            retired: Mutex::new(StoreStats::default()),
         }
     }
 }
@@ -171,55 +115,40 @@ impl ScheduleCache {
         self.budget.store(bytes, Ordering::Relaxed);
     }
 
-    /// Drops every old generation and ages the young ones in their place.
-    /// Called when the resident bytes exceed the budget; may run twice in
-    /// a row if one generation alone exceeds it.
-    fn rotate(&self) {
-        let mut domains = self.domains.lock().expect("schedule cache poisoned");
-        let mut dropped_domains = Vec::new();
-        for (key, domain) in domains.iter() {
-            let mut gens = domain.entries.lock().expect("schedule cache poisoned");
-            let evicted = gens.old.len() as u64;
-            if evicted > 0 {
-                self.evictions.fetch_add(evicted, Ordering::Relaxed);
-                self.key_bytes.fetch_sub(gens.old_bytes, Ordering::Relaxed);
-            }
-            gens.old = std::mem::take(&mut gens.young);
-            gens.old_bytes = std::mem::replace(&mut gens.young_bytes, 0);
-            // Both generations empty and no live handle: the domain is
-            // dead weight. A live handle keeps its table registered —
-            // dropping it would detach the handle's inserts from future
-            // rotations and leak them from the byte accounting.
-            if gens.old.is_empty() && Arc::strong_count(domain) == 1 {
-                dropped_domains.push(Arc::clone(key));
-            }
-        }
-        for key in dropped_domains {
-            self.key_bytes.fetch_sub(key.len() as u64, Ordering::Relaxed);
-            domains.remove(&key);
-        }
+    fn lock(&self) -> MutexGuard<'_, HashMap<Arc<str>, Arc<DomainEntries>>> {
+        self.domains.lock().expect("schedule cache poisoned")
     }
 
-    /// Rotates while the young generations exceed half the budget or the
-    /// resident total exceeds the whole budget — each generation is
-    /// bounded by budget/2, so the resident total stays within the
-    /// budget. At most two rotations (the second empties the cache).
+    /// Rotates every domain's generations. A domain left with no entries
+    /// and no live handle is dropped and its counters retired; a live
+    /// handle keeps its domain registered, so its inserts stay accounted.
+    fn rotate(&self) {
+        let mut retired = self.retired.lock().expect("schedule cache poisoned");
+        self.lock().retain(|_, domain| {
+            domain.store.rotate();
+            let stats = domain.store.stats();
+            let dead = stats.entries == 0 && Arc::strong_count(domain) == 1;
+            if dead {
+                *retired += stats;
+            }
+            !dead
+        });
+    }
+
+    /// Enforces the budget across all domains: resident bytes are every
+    /// domain's block keys plus the domain encodings themselves.
     fn enforce_budget(&self) {
         let budget = self.budget.load(Ordering::Relaxed);
         if budget == u64::MAX {
             return;
         }
         for _ in 0..2 {
-            let (mut young, mut total) = (0u64, 0u64);
-            {
-                let domains = self.domains.lock().expect("schedule cache poisoned");
-                for (key, domain) in domains.iter() {
-                    let gens = domain.entries.lock().expect("schedule cache poisoned");
-                    young += gens.young_bytes;
-                    total += gens.young_bytes + gens.old_bytes + key.len() as u64;
-                }
-            }
-            if young <= budget / 2 && total <= budget {
+            let (young, total) =
+                self.lock().iter().fold((0, 0), |(young, total), (key, domain)| {
+                    let (y, t) = domain.store.resident();
+                    (young + y, total + t + key.len() as u64)
+                });
+            if !over_budget(budget, young, total) {
                 return;
             }
             self.rotate();
@@ -239,62 +168,28 @@ impl ScheduleCache {
     /// the returned handle makes per-block lookups independent of the
     /// domain encoding's size.
     pub fn domain(&self, domain: &ScheduleDomain) -> DomainHandle<'_> {
-        let entries = {
-            let mut domains = self.domains.lock().expect("schedule cache poisoned");
-            if !domains.contains_key(&domain.key) {
-                self.key_bytes.fetch_add(domain.key.len() as u64, Ordering::Relaxed);
-            }
-            Arc::clone(domains.entry(Arc::clone(&domain.key)).or_default())
-        };
+        let entries = Arc::clone(self.lock().entry(Arc::clone(&domain.key)).or_default());
         DomainHandle { cache: self, entries, fingerprint: domain.fingerprint }
     }
 
-    /// One-shot convenience: [`ScheduleCache::domain`] +
-    /// [`DomainHandle::schedule`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`EstimateError`] from Algorithm 1.
-    pub fn schedule(
-        &self,
-        domain: &ScheduleDomain,
-        pum: &Pum,
-        block: &BlockData,
-        dfg: &Dfg,
-        func: FuncId,
-        block_id: BlockId,
-    ) -> Result<(Arc<ScheduleResult>, bool), EstimateError> {
-        self.domain(domain).schedule(pum, block, dfg, func, block_id)
-    }
-
-    /// Snapshot of hit/miss counters and entry count.
-    pub fn stats(&self) -> CacheStats {
-        let entries = self
-            .domains
-            .lock()
-            .expect("schedule cache poisoned")
-            .values()
-            .map(|d| {
-                let gens = d.entries.lock().expect("schedule cache poisoned");
-                gens.young.len() + gens.old.len()
-            })
-            .sum();
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries,
-            bytes: self.key_bytes.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
+    /// Snapshot of the counters, summed over every registered domain (and
+    /// the domains already dropped). `bytes` includes the domain
+    /// encodings.
+    pub fn stats(&self) -> StoreStats {
+        let mut total = *self.retired.lock().expect("schedule cache poisoned");
+        for (key, domain) in self.lock().iter() {
+            total += domain.store.stats();
+            total.bytes += key.len() as u64;
         }
+        total
     }
 
-    /// Drops all entries and resets the counters.
+    /// Drops all entries and resets the counters. A handle resolved
+    /// before the call is detached: what it schedules afterwards is never
+    /// counted here.
     pub fn clear(&self) {
-        self.domains.lock().expect("schedule cache poisoned").clear();
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.key_bytes.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
+        self.lock().clear();
+        *self.retired.lock().expect("schedule cache poisoned") = StoreStats::default();
     }
 }
 
@@ -325,173 +220,35 @@ impl DomainHandle<'_> {
         Arc::clone(self.entries.table.get_or_init(|| Arc::new(IssueTable::build(pum))))
     }
 
-    /// Schedules a block through the cache. Returns the result and whether
-    /// it was served from the cache.
+    /// Schedules a batch of blocks through the cache: resolves every
+    /// item's slot in one pass over the domain's store, then solves all
+    /// still-empty slots together through [`solve_batch`] — identical keys
+    /// share a slot, so duplicates fold into one representative solve.
+    /// Returns one `(result, served-from-cache)` pair per item, in input
+    /// order.
     ///
-    /// Algorithm 1 runs **exactly once** per key, even under concurrency:
-    /// each key owns a [`OnceLock`] slot, so a thread that loses the
-    /// initialization race blocks on the winner and then reads its result
-    /// (counted as a hit — it did not run the algorithm). The miss counter
-    /// therefore always equals the number of resident entries.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`EstimateError`] from Algorithm 1 (errors are cached
-    /// like successes; the same inputs deterministically fail the same
-    /// way).
-    pub fn schedule(
-        &self,
-        pum: &Pum,
-        block: &BlockData,
-        dfg: &Dfg,
-        func: FuncId,
-        block_id: BlockId,
-    ) -> Result<(Arc<ScheduleResult>, bool), EstimateError> {
-        let table = self.issue_table(pum);
-        let heights = dfg.heights();
-        self.schedule_keyed(&schedule_key(block, dfg), &table, block, dfg, &heights, func, block_id)
-    }
-
-    /// [`DomainHandle::schedule`] with the block's canonical key, the
-    /// domain's [`IssueTable`] and the DFG's heights already computed (see
-    /// [`PreparedModule`](crate::annotate::PreparedModule) — all three are
-    /// sweep-invariant, so sweep loops build them once).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`DomainHandle::schedule`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn schedule_keyed(
-        &self,
-        block_key: &[u8],
-        table: &IssueTable,
-        block: &BlockData,
-        dfg: &Dfg,
-        heights: &[usize],
-        func: FuncId,
-        block_id: BlockId,
-    ) -> Result<(Arc<ScheduleResult>, bool), EstimateError> {
-        let mut inserted = false;
-        let slot: Slot = {
-            let mut gens = self.entries.entries.lock().expect("schedule cache poisoned");
-            if let Some(slot) = gens.young.get(block_key) {
-                Arc::clone(slot)
-            } else if let Some(slot) = gens.old.remove(block_key) {
-                // Second chance: a touch since the last rotation promotes
-                // the entry (and its already-initialized slot) back into
-                // the young generation, so it survives the next rotation
-                // without recomputing.
-                gens.old_bytes -= block_key.len() as u64;
-                gens.young_bytes += block_key.len() as u64;
-                gens.young.insert(block_key.to_vec(), Arc::clone(&slot));
-                slot
-            } else {
-                inserted = true;
-                gens.young_bytes += block_key.len() as u64;
-                self.cache.key_bytes.fetch_add(block_key.len() as u64, Ordering::Relaxed);
-                Arc::clone(gens.young.entry(block_key.to_vec()).or_default())
-            }
-        };
-        if inserted {
-            self.cache.enforce_budget();
-        }
-        // Compute outside the map lock: other keys proceed concurrently.
-        let mut ran = false;
-        let outcome = slot.get_or_init(|| {
-            ran = true;
-            with_scratch(|scratch| {
-                schedule_block_prepared(table, scratch, block, dfg, heights, func, block_id)
-            })
-            .map(Arc::new)
-        });
-        if ran {
-            self.cache.misses.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.cache.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        match outcome {
-            Ok(result) => Ok((Arc::clone(result), !ran)),
-            Err(error) => Err(error.clone()),
-        }
-    }
-
-    /// Batch-fill: resolves every item's slot in **one** pass over the
-    /// entry map, then solves all uninitialized slots together through the
-    /// batched kernel ([`crate::batch`]) — identical keys share a slot, so
-    /// duplicates fold into one representative solve, and the surviving
-    /// misses are lane-sliced by shape class. Returns one
-    /// `(result, served-from-cache)` pair per item, in input order, with
-    /// exactly the accounting the per-item [`DomainHandle::schedule_keyed`]
-    /// loop would have produced: every initialized-by-us slot counts one
-    /// miss, everything else (prior entries, in-batch duplicates, lost
-    /// races) counts a hit.
+    /// Algorithm 1 runs **exactly once** per key, even under concurrency,
+    /// so the miss counter always equals the number of results computed.
+    /// Errors are cached like successes: the same inputs deterministically
+    /// fail the same way.
     pub fn schedule_batch_keyed(
         &self,
         table: &IssueTable,
         items: &[BatchItem<'_>],
-        parallel: bool,
-    ) -> Vec<Result<(Arc<ScheduleResult>, bool), EstimateError>> {
-        let mut inserted = false;
-        let slots: Vec<Slot> = {
-            let mut gens = self.entries.entries.lock().expect("schedule cache poisoned");
-            items
-                .iter()
-                .map(|item| {
-                    if let Some(slot) = gens.young.get(item.key) {
-                        Arc::clone(slot)
-                    } else if let Some(slot) = gens.old.remove(item.key) {
-                        gens.old_bytes -= item.key.len() as u64;
-                        gens.young_bytes += item.key.len() as u64;
-                        gens.young.insert(item.key.to_vec(), Arc::clone(&slot));
-                        slot
-                    } else {
-                        inserted = true;
-                        gens.young_bytes += item.key.len() as u64;
-                        self.cache.key_bytes.fetch_add(item.key.len() as u64, Ordering::Relaxed);
-                        Arc::clone(gens.young.entry(item.key.to_vec()).or_default())
-                    }
-                })
-                .collect()
-        };
-        if inserted {
+    ) -> Vec<(Scheduled, bool)> {
+        let out = self.entries.store.get_or_try_many(
+            items,
+            |item| item.key,
+            |misses| {
+                let miss_items: Vec<BatchItem<'_>> = misses.iter().map(|&i| items[i]).collect();
+                solve_batch(table, &miss_items)
+            },
+        );
+        // Only a miss can have inserted an entry, so only a miss can have
+        // pushed the cache past its budget.
+        if out.iter().any(|&(_, hit)| !hit) {
             self.cache.enforce_budget();
         }
-        // Solve the misses as one batch. Duplicate keys appear as multiple
-        // miss items sharing a slot; the batch planner folds them, and only
-        // the first `get_or_init` below wins the slot (counted as the one
-        // miss — the rest are hits, exactly as sequential lookups would
-        // have resolved).
-        let miss_idx: Vec<usize> = (0..items.len()).filter(|&i| slots[i].get().is_none()).collect();
-        let mut ran = vec![false; items.len()];
-        if !miss_idx.is_empty() {
-            let miss_items: Vec<BatchItem<'_>> = miss_idx.iter().map(|&i| items[i]).collect();
-            let solved = solve_batch(table, &miss_items, parallel);
-            for (&i, result) in miss_idx.iter().zip(solved) {
-                slots[i].get_or_init(|| {
-                    ran[i] = true;
-                    result
-                });
-            }
-        }
-        let mut hits = 0u64;
-        let mut misses = 0u64;
-        let out = slots
-            .iter()
-            .zip(&ran)
-            .map(|(slot, &ran)| {
-                if ran {
-                    misses += 1;
-                } else {
-                    hits += 1;
-                }
-                match slot.get().expect("every slot resolved above") {
-                    Ok(result) => Ok((Arc::clone(result), !ran)),
-                    Err(error) => Err(error.clone()),
-                }
-            })
-            .collect();
-        self.cache.hits.fetch_add(hits, Ordering::Relaxed);
-        self.cache.misses.fetch_add(misses, Ordering::Relaxed);
         out
     }
 }
@@ -499,9 +256,11 @@ impl DomainHandle<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::key_hash;
     use crate::library;
-    use tlm_cdfg::dfg::block_dfg;
-    use tlm_cdfg::ir::Module;
+    use tlm_cdfg::dfg::{block_dfg, schedule_key};
+    use tlm_cdfg::ir::{BlockData, Module};
+    use tlm_cdfg::{BlockId, FuncId};
 
     fn module_of(src: &str) -> Module {
         tlm_cdfg::lower::lower(&tlm_minic::parse(src).expect("parses")).expect("lowers")
@@ -509,24 +268,50 @@ mod tests {
 
     const SRC: &str = "int f(int a, int b) { return a * b + a - b; }";
 
+    /// Schedules one block through `handle` as a one-item batch.
+    fn schedule_in(
+        handle: &DomainHandle<'_>,
+        pum: &Pum,
+        block: &BlockData,
+        block_id: BlockId,
+    ) -> (Scheduled, bool) {
+        let dfg = block_dfg(block);
+        let key = schedule_key(block, &dfg);
+        let heights = dfg.heights();
+        let item = BatchItem {
+            key: &key,
+            key_hash: key_hash(&key),
+            block,
+            dfg: &dfg,
+            heights: &heights,
+            func: FuncId(0),
+            block_id,
+        };
+        let mut out = handle.schedule_batch_keyed(&handle.issue_table(pum), &[item]);
+        out.pop().expect("one result per item")
+    }
+
+    /// [`schedule_in`] with the domain resolved from `pum`.
+    fn schedule(cache: &ScheduleCache, pum: &Pum, block: &BlockData) -> (Scheduled, bool) {
+        schedule_in(&cache.domain(&ScheduleDomain::of(pum)), pum, block, BlockId(0))
+    }
+
     #[test]
     fn hit_after_miss_returns_identical_result() {
         let cache = ScheduleCache::new();
         let pum = library::microblaze_like(8 << 10, 4 << 10);
-        let domain = ScheduleDomain::of(&pum);
         let module = module_of(SRC);
         let block = &module.functions[0].blocks[0];
-        let dfg = block_dfg(block);
 
-        let (first, hit1) =
-            cache.schedule(&domain, &pum, block, &dfg, FuncId(0), BlockId(0)).expect("schedules");
-        let (second, hit2) =
-            cache.schedule(&domain, &pum, block, &dfg, FuncId(0), BlockId(0)).expect("schedules");
+        let (first, hit1) = schedule(&cache, &pum, block);
+        let (second, hit2) = schedule(&cache, &pum, block);
         assert!(!hit1, "first lookup is a miss");
         assert!(hit2, "second lookup hits");
+        let (first, second) = (first.expect("schedules"), second.expect("schedules"));
         assert_eq!(*first, *second);
-        let direct = crate::schedule::schedule_block(&pum, block, &dfg, FuncId(0), BlockId(0))
-            .expect("schedules");
+        let direct =
+            crate::schedule::schedule_block(&pum, block, &block_dfg(block), FuncId(0), BlockId(0))
+                .expect("schedules");
         assert_eq!(*second, direct, "cached result identical to direct call");
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
@@ -550,12 +335,8 @@ mod tests {
         );
         let module = module_of(SRC);
         let block = &module.functions[0].blocks[0];
-        let dfg = block_dfg(block);
-        let d1 = ScheduleDomain::of(&small);
-        let d2 = ScheduleDomain::of(&large);
-        cache.schedule(&d1, &small, block, &dfg, FuncId(0), BlockId(0)).expect("schedules");
-        let (_, hit) =
-            cache.schedule(&d2, &large, block, &dfg, FuncId(0), BlockId(0)).expect("schedules");
+        schedule(&cache, &small, block).0.expect("schedules");
+        let (_, hit) = schedule(&cache, &large, block);
         assert!(hit, "sweep configurations share Algorithm 1 results");
     }
 
@@ -572,13 +353,8 @@ mod tests {
         );
         let module = module_of(SRC);
         let block = &module.functions[0].blocks[0];
-        let dfg = block_dfg(block);
-        cache
-            .schedule(&ScheduleDomain::of(&asap), &asap, block, &dfg, FuncId(0), BlockId(0))
-            .expect("schedules");
-        let (_, hit) = cache
-            .schedule(&ScheduleDomain::of(&alap), &alap, block, &dfg, FuncId(0), BlockId(0))
-            .expect("schedules");
+        schedule(&cache, &asap, block).0.expect("schedules");
+        let (_, hit) = schedule(&cache, &alap, block);
         assert!(!hit, "policy is part of the schedule domain");
     }
 
@@ -587,33 +363,24 @@ mod tests {
         let cache = ScheduleCache::new();
         let mut pum = library::custom_hw("hw", 2, 2);
         pum.execution.op_map.clear(); // every op class is now unmapped
-        let domain = ScheduleDomain::of(&pum);
         let module = module_of(SRC);
         let block = &module.functions[0].blocks[0];
-        let dfg = block_dfg(block);
-        let first = cache
-            .schedule(&domain, &pum, block, &dfg, FuncId(0), BlockId(0))
-            .expect_err("unmapped class");
-        let second = cache
-            .schedule(&domain, &pum, block, &dfg, FuncId(0), BlockId(0))
-            .expect_err("unmapped class");
+        let first = schedule(&cache, &pum, block).0.expect_err("unmapped class");
+        let second = schedule(&cache, &pum, block).0.expect_err("unmapped class");
         assert_eq!(first, second);
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1), "error was served from the cache");
     }
 
-    /// Schedules every block of `module` once, returning the results.
+    /// Schedules every block of `module` once, one-item batch per block,
+    /// returning the results.
     fn schedule_all(cache: &ScheduleCache, pum: &Pum, module: &Module) -> Vec<Arc<ScheduleResult>> {
-        let domain = ScheduleDomain::of(pum);
-        let handle = cache.domain(&domain);
+        let handle = cache.domain(&ScheduleDomain::of(pum));
         let mut out = Vec::new();
-        for (f, func) in module.functions.iter().enumerate() {
+        for func in &module.functions {
             for (b, block) in func.blocks.iter().enumerate() {
-                let dfg = block_dfg(block);
-                let (result, _) = handle
-                    .schedule(pum, block, &dfg, FuncId(f as u32), BlockId(b as u32))
-                    .expect("schedules");
-                out.push(result);
+                let (result, _) = schedule_in(&handle, pum, block, BlockId(b as u32));
+                out.push(result.expect("schedules"));
             }
         }
         out
@@ -652,26 +419,21 @@ mod tests {
     fn second_chance_survives_one_rotation() {
         let cache = ScheduleCache::new();
         let pum = library::microblaze_like(8 << 10, 4 << 10);
-        let domain = ScheduleDomain::of(&pum);
         let module = module_of(SRC);
         let block = &module.functions[0].blocks[0];
-        let dfg = block_dfg(block);
-        cache.schedule(&domain, &pum, block, &dfg, FuncId(0), BlockId(0)).expect("schedules");
+        schedule(&cache, &pum, block).0.expect("schedules");
         cache.rotate(); // entry ages into the old generation
         assert_eq!(cache.stats().evictions, 0, "first rotation drops nothing");
-        let (_, hit) =
-            cache.schedule(&domain, &pum, block, &dfg, FuncId(0), BlockId(0)).expect("schedules");
+        let (_, hit) = schedule(&cache, &pum, block);
         assert!(hit, "aged entry is promoted, not recomputed");
         cache.rotate();
         assert_eq!(cache.stats().evictions, 0, "promoted entry survives the next rotation");
-        let (_, hit) =
-            cache.schedule(&domain, &pum, block, &dfg, FuncId(0), BlockId(0)).expect("schedules");
+        let (_, hit) = schedule(&cache, &pum, block);
         assert!(hit, "still resident after two rotations with a touch between");
         cache.rotate();
         cache.rotate(); // two untouched rotations: now it is gone
         assert_eq!(cache.stats().evictions, 1);
-        let (_, hit) =
-            cache.schedule(&domain, &pum, block, &dfg, FuncId(0), BlockId(0)).expect("schedules");
+        let (_, hit) = schedule(&cache, &pum, block);
         assert!(!hit, "evicted entry recomputes");
     }
 
@@ -679,12 +441,29 @@ mod tests {
     fn clear_resets_counters_and_entries() {
         let cache = ScheduleCache::new();
         let pum = library::generic_risc();
-        let domain = ScheduleDomain::of(&pum);
         let module = module_of(SRC);
         let block = &module.functions[0].blocks[0];
-        let dfg = block_dfg(block);
-        cache.schedule(&domain, &pum, block, &dfg, FuncId(0), BlockId(0)).expect("schedules");
+        schedule(&cache, &pum, block).0.expect("schedules");
         cache.clear();
-        assert_eq!(cache.stats(), CacheStats::default());
+        assert_eq!(cache.stats(), StoreStats::default());
+    }
+
+    #[test]
+    fn clear_detaches_live_handles_without_leaking_bytes() {
+        // A handle resolved before `clear` keeps its detached domain; what
+        // it schedules afterwards must not stay accounted once it is gone.
+        let cache = ScheduleCache::new();
+        let pum = library::microblaze_like(8 << 10, 4 << 10);
+        let module = module_of(SRC);
+        let block = &module.functions[0].blocks[0];
+        let handle = cache.domain(&ScheduleDomain::of(&pum));
+        cache.clear();
+        schedule_in(&handle, &pum, block, BlockId(0)).0.expect("schedules");
+        drop(handle);
+        for _ in 0..3 {
+            cache.rotate();
+        }
+        let stats = cache.stats();
+        assert_eq!((stats.entries, stats.bytes), (0, 0), "leaked accounting: {stats:?}");
     }
 }

@@ -55,6 +55,7 @@ pub mod pum;
 pub mod reference;
 pub mod report;
 pub mod schedule;
+pub mod store;
 
 pub use annotate::{annotate, TimedModule};
 pub use cache::ScheduleCache;
@@ -71,7 +72,7 @@ const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<ScheduleCache>();
     assert_send_sync::<cache::ScheduleDomain>();
-    assert_send_sync::<cache::CacheStats>();
+    assert_send_sync::<store::StoreStats>();
     assert_send_sync::<annotate::PreparedModule>();
     assert_send_sync::<TimedModule>();
     assert_send_sync::<Pum>();

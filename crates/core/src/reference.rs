@@ -1,5 +1,5 @@
 //! The original Algorithm 1 kernel, retained verbatim as a differential
-//! oracle (`reference-kernel` feature, default on).
+//! oracle (`reference-kernel` feature, enabled by `tlm-bench`).
 //!
 //! [`crate::schedule::schedule_block`] was rewritten around flat, reusable
 //! data structures (issue table, scratch arena, incremental ready set —

@@ -207,13 +207,6 @@ impl IssueTable {
         }
         table
     }
-
-    /// Total pipeline-0 latency of the class at dense index `ci` (sum of
-    /// its stage durations; 0 for unmapped classes). The batch planner's
-    /// drain-dominance signal.
-    pub(crate) fn class_latency(&self, ci: usize) -> u64 {
-        self.pipe0_latency[ci]
-    }
 }
 
 /// Reusable simulation state for [`schedule_block_prepared`].

@@ -6,10 +6,12 @@
 //! reproduce from the printed seed.
 #![cfg(feature = "reference-kernel")]
 
+use std::sync::Mutex;
+
 use tlm_cdfg::dfg::{block_dfg, schedule_key, Dfg};
 use tlm_cdfg::ir::{ArrayId, BlockData, Op, OpKind, Terminator, VReg};
 use tlm_cdfg::{BlockId, FuncId};
-use tlm_core::batch::{batch_stats, key_hash, schedule_batch, BatchItem, MAX_LANES};
+use tlm_core::batch::{batch_stats, key_hash, solve_batch, BatchItem};
 use tlm_core::pum::{OpBinding, OpClassKey, SchedulingPolicy};
 use tlm_core::reference::schedule_block_reference;
 use tlm_core::schedule::{schedule_block, IssueTable};
@@ -184,7 +186,7 @@ fn assert_batch_matches_reference(base: &Pum, blocks: &[PreparedBlock], picks: &
                 }
             })
             .collect();
-        let batched = schedule_batch(&table, &items);
+        let batched = solve_batch(&table, &items);
         assert_eq!(batched.len(), items.len());
         for (item, got) in items.iter().zip(&batched) {
             let reference =
@@ -200,13 +202,18 @@ fn assert_batch_matches_reference(base: &Pum, blocks: &[PreparedBlock], picks: &
     }
 }
 
+/// Serializes the tests that solve batches, so one can read exact deltas
+/// of the process-wide [`batch_stats`] counters.
+static BATCH_COUNTERS: Mutex<()> = Mutex::new(());
+
 #[test]
 fn batched_kernel_matches_reference_on_random_mixed_batches() {
+    let _counters = BATCH_COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
     let mut rng = Rng(0x0123_4567_89ab_cdef);
     for _round in 0..6 {
         let blocks: Vec<PreparedBlock> = (0..24).map(|_| prepare(random_block(&mut rng))).collect();
-        // Every third block is submitted twice, so the plan mixes lane
-        // solves, scalar singletons and dedup fan-out in one batch.
+        // Every third block is submitted twice, so the batch mixes
+        // singleton solves and dedup fan-out.
         let mut picks: Vec<usize> = (0..blocks.len()).collect();
         picks.extend((0..blocks.len()).step_by(3));
         for base in pums() {
@@ -216,11 +223,10 @@ fn batched_kernel_matches_reference_on_random_mixed_batches() {
 }
 
 /// `count` blocks of six free-input binary ops — two ALU, two multiply,
-/// two shift — in `count` distinct class orders. Same op count, op-class
-/// histogram and (empty) edge structure, so they share a shape class, but
-/// every canonical key is distinct: the planner must fill whole lane units
-/// with them instead of folding. There are 6!/(2!·2!·2!) = 90 orders, so
-/// `count` may exceed [`MAX_LANES`].
+/// two shift — in `count` distinct class orders, plus one divide. Same op
+/// count and op-class histogram, but every canonical key is distinct, so
+/// dedup must not fold any two of them. There are 6!/(2!·2!·2!) = 90
+/// orders.
 fn same_shape_distinct_blocks(count: usize) -> Vec<PreparedBlock> {
     assert!(count <= 90);
     let mut blocks = Vec::with_capacity(count);
@@ -252,8 +258,8 @@ fn same_shape_distinct_blocks(count: usize) -> Vec<PreparedBlock> {
                 }
             })
             .collect();
-        // One long-latency op keeps every block past LANE_MIN_DRAIN, so
-        // the planner actually forms lane units out of these.
+        // One long-latency op keeps the blocks off the closed-form 1-op
+        // fast path and drains past the short ops.
         ops.push(Op {
             kind: OpKind::Bin(BinOp::Div),
             args: vec![VReg(0), VReg(1)],
@@ -268,28 +274,33 @@ fn same_shape_distinct_blocks(count: usize) -> Vec<PreparedBlock> {
 }
 
 #[test]
-fn lane_boundary_batches_match_reference() {
-    // 1 lane (scalar fallback), one short of full, exactly full, one
-    // over (forces a 64 + 1 chunk split) and a 64 + 16 split.
-    let before = batch_stats();
-    for count in [1, MAX_LANES - 1, MAX_LANES, MAX_LANES + 1, MAX_LANES + 16] {
-        let blocks = same_shape_distinct_blocks(count);
-        let picks: Vec<usize> = (0..count).collect();
+fn dedup_boundary_batches_match_reference() {
+    // Batch sizes around the 64-item mark, each over about half as many
+    // distinct keys: every duplicate folds into its representative, every
+    // result matches the reference kernel, and exactly one solve runs per
+    // distinct key (2 PUMs × 4 policies per batch size).
+    let _counters = BATCH_COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
+    for count in [1usize, 63, 64, 65, 80] {
+        let distinct = count.div_ceil(2);
+        let blocks = same_shape_distinct_blocks(distinct);
+        let picks: Vec<usize> = (0..count).map(|i| i % distinct).collect();
+        let before = batch_stats();
         assert_batch_matches_reference(
             &library::microblaze_like(8 << 10, 4 << 10),
             &blocks,
             &picks,
         );
         assert_batch_matches_reference(&library::superscalar2(), &blocks, &picks);
+        let after = batch_stats();
+        let runs = 2 * POLICIES.len() as u64;
+        assert_eq!(
+            after.unique_solves - before.unique_solves,
+            runs * distinct as u64,
+            "one solve per distinct key: {before:?} -> {after:?}"
+        );
+        assert_eq!(after.blocks - before.blocks, runs * count as u64);
+        assert_eq!(after.dedup_hits - before.dedup_hits, runs * (count - distinct) as u64);
     }
-    let after = batch_stats();
-    // The full-size and oversized batches must actually have produced
-    // full 64-lane units (2 PUMs × 4 policies × 3 batch sizes with a full
-    // unit), not quietly fallen back to smaller ones.
-    assert!(
-        after.occupancy[4] >= before.occupancy[4] + 24,
-        "expected full-lane units: {before:?} -> {after:?}"
-    );
 }
 
 #[test]

@@ -10,6 +10,7 @@ use std::error::Error;
 use std::fmt;
 
 use tlm_cdfg::lower::LowerError;
+use tlm_core::store::StoreError;
 use tlm_core::EstimateError;
 use tlm_minic::ParseError;
 use tlm_platform::desc::PlatformError;
@@ -34,7 +35,7 @@ pub enum PipelineError {
     /// A transient, environment-dependent failure — an injected fault, an
     /// I/O hiccup, resource pressure. Retrying the same inputs may well
     /// succeed, so a stage must **not** cache it: caching would poison the
-    /// slot forever (`tests in stage.rs` lock this down).
+    /// slot forever (the store tests in `tlm_core::store` lock this down).
     Transient(String),
 }
 
@@ -51,6 +52,12 @@ impl PipelineError {
     /// Non-deterministic ones must be recomputed on the next demand.
     pub fn is_deterministic(&self) -> bool {
         !matches!(self, PipelineError::Transient(_))
+    }
+}
+
+impl StoreError for PipelineError {
+    fn is_deterministic(&self) -> bool {
+        PipelineError::is_deterministic(self)
     }
 }
 

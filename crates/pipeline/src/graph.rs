@@ -6,7 +6,7 @@
 //!                                   Pum ──► BlockSchedules ─┘
 //! ```
 //!
-//! Each stage is a content-addressed store (`stage::Stage`) keyed by the
+//! Each stage is a content-addressed [`Store`] keyed by the
 //! canonical encoding of its **true** inputs:
 //!
 //! | stage      | key                                          |
@@ -44,6 +44,7 @@ use tlm_core::annotate::{
     annotate_function_in_domain, annotate_in_domain, PreparedModule, TimedModule,
 };
 use tlm_core::cache::ScheduleDomain;
+use tlm_core::store::{Store, StoreStats};
 use tlm_core::{Pum, ScheduleCache};
 use tlm_faults::Kind;
 use tlm_json::Value;
@@ -55,7 +56,14 @@ use tlm_platform::tlm::{run_annotated, AnnotatedPlatform, TlmConfig, TlmReport};
 use crate::design::PreparedDesign;
 use crate::error::PipelineError;
 use crate::report::{BlockReport, EstimateReport, FunctionReport};
-use crate::stage::{Stage, StageStats};
+
+/// One stage's store: artifacts or the deterministic error computing them
+/// raised, every lookup reported to [`crate::observe`].
+type Stage<T> = Store<T, PipelineError>;
+
+fn stage<T: Clone>(name: &'static str) -> Stage<T> {
+    Store::observed(name, crate::observe::emit)
+}
 
 /// A module artifact: the lowered (and optionally optimized) CDFG together
 /// with its content-addressed key.
@@ -86,26 +94,26 @@ impl ModuleArtifact {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PipelineStats {
     /// `Source → Ast` (parse).
-    pub ast: StageStats,
+    pub ast: StoreStats,
     /// `Ast → Module` (lower + optional optimize).
-    pub module: StageStats,
+    pub module: StoreStats,
     /// `Module → PreparedModule` (per-block DFGs and schedule keys).
-    pub prepared: StageStats,
+    pub prepared: StoreStats,
     /// `PreparedModule × domain → BlockSchedules` (Algorithm 1).
-    pub schedules: StageStats,
+    pub schedules: StoreStats,
     /// `PreparedModule × PUM → AnnotatedEstimate` (Algorithm 2).
-    pub annotated: StageStats,
+    pub annotated: StoreStats,
     /// `AnnotatedEstimate → Report`.
-    pub report: StageStats,
+    pub report: StoreStats,
     /// `Function structure × PUM → block delay rows` (the per-function
     /// stage incremental sessions splice reports from).
-    pub rows: StageStats,
+    pub rows: StoreStats,
 }
 
 impl PipelineStats {
     /// The stages with their canonical names, for iteration (metrics
     /// exporters, gates).
-    pub fn stages(&self) -> [(&'static str, StageStats); 7] {
+    pub fn stages(&self) -> [(&'static str, StoreStats); 7] {
         [
             ("ast", self.ast),
             ("module", self.module),
@@ -147,13 +155,13 @@ impl Pipeline {
     /// An empty pipeline.
     pub fn new() -> Pipeline {
         Pipeline {
-            ast: Stage::new("ast"),
-            module: Stage::new("module"),
-            prepared: Stage::new("prepared"),
+            ast: stage("ast"),
+            module: stage("module"),
+            prepared: stage("prepared"),
             schedules: ScheduleCache::new(),
-            annotated: Stage::new("annotated"),
-            report: Stage::new("report"),
-            rows: Stage::new("rows"),
+            annotated: stage("annotated"),
+            report: stage("report"),
+            rows: stage("rows"),
         }
     }
 
@@ -283,7 +291,7 @@ impl Pipeline {
             }
             let prepared = self.prepared(artifact)?;
             let handle = self.schedules.domain(&ScheduleDomain::of(pum));
-            Ok(Arc::new(annotate_in_domain(&prepared, pum, &handle, true)?))
+            Ok(Arc::new(annotate_in_domain(&prepared, pum, &handle)?))
         })
     }
 
@@ -377,7 +385,7 @@ impl Pipeline {
                 }
             }
             let handle = self.schedules.domain(&ScheduleDomain::of(pum));
-            let delays = annotate_function_in_domain(prepared, pum, &handle, func, true)?;
+            let delays = annotate_function_in_domain(prepared, pum, &handle, func)?;
             Ok(Arc::new(
                 delays
                     .iter()
@@ -521,18 +529,11 @@ impl Pipeline {
 
     /// Snapshot of every stage's counters.
     pub fn stats(&self) -> PipelineStats {
-        let s = self.schedules.stats();
         PipelineStats {
             ast: self.ast.stats(),
             module: self.module.stats(),
             prepared: self.prepared.stats(),
-            schedules: StageStats {
-                hits: s.hits,
-                misses: s.misses,
-                entries: s.entries,
-                bytes: s.bytes,
-                evictions: s.evictions,
-            },
+            schedules: self.schedules.stats(),
             annotated: self.annotated.stats(),
             report: self.report.stats(),
             rows: self.rows.stats(),

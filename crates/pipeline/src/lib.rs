@@ -5,9 +5,9 @@
 //! Algorithm 2 statistical delay → annotated TLM → report — and every
 //! stage is a pure function of its inputs. This crate turns that flow
 //! into one stage graph with typed, fingerprint-keyed artifacts
-//! ([`graph`]), generalizing the exactly-once `OnceLock`-slot discipline
-//! and full-key no-aliasing rule of `tlm_core::cache` from the schedule
-//! stage to all of them. A cache-size sweep then reuses everything above
+//! ([`graph`]). Every stage is a `tlm_core::store::Store` — the same
+//! exactly-once, full-key, second-chance store the Algorithm 1 schedule
+//! cache keeps per domain. A cache-size sweep then reuses everything above
 //! Algorithm 2; a platform edit reuses every untouched process's
 //! artifacts end-to-end; a warm server answers repeat requests from the
 //! report stage without touching any upstream stage.
@@ -28,14 +28,13 @@ pub mod graph;
 pub mod observe;
 pub mod report;
 pub mod routing;
-mod stage;
 
 pub use design::{DesignBuilder, PreparedDesign};
 pub use error::PipelineError;
 pub use graph::{ModuleArtifact, Pipeline, PipelineStats};
 pub use observe::set_stage_observer;
 pub use report::EstimateReport;
-pub use stage::StageStats;
+pub use tlm_core::store::StoreStats;
 
 // Compile-time audit: the pipeline and everything it hands out must be
 // shareable across threads (serve workers, bench fan-out).

@@ -2019,26 +2019,19 @@ fn main() -> ExitCode {
 
     // `--batch-stats`: after a cold+warm cycle the batched scheduler must
     // have folded duplicate shapes (the built-in designs repeat small
-    // blocks heavily), and every solve unit lands in an occupancy bucket.
+    // blocks heavily) and run the surviving representative solves.
     let batch_counters = args.batch_stats.then(|| {
         let (status, _, body) = get(addr, "/metrics").expect("metrics reachable");
         assert_eq!(status, 200, "batch-stats: /metrics status");
         let page = String::from_utf8_lossy(&body);
         let dedup = metric(&page, "tlm_serve_kernel_batch_dedup_hits");
-        let occupancy: Vec<(String, u64)> = tlm_core::batch::OCCUPANCY_BUCKETS
-            .iter()
-            .map(|bucket| {
-                let name = format!("tlm_serve_kernel_batch_occupancy{{lanes=\"{bucket}\"}}");
-                (bucket.to_string(), metric(&page, &name))
-            })
-            .collect();
-        let units: u64 = occupancy.iter().map(|(_, n)| n).sum();
+        let solves = metric(&page, "tlm_serve_kernel_batch_unique_solves");
         gates.push(Gate {
             name: "batch_dedup_engaged",
-            pass: dedup > 0 && units > 0,
-            detail: format!("{dedup} dedup hits, {units} solve units"),
+            pass: dedup > 0 && solves > 0,
+            detail: format!("{dedup} dedup hits, {solves} unique solves"),
         });
-        (dedup, occupancy)
+        (dedup, solves)
     });
 
     let phase_rate = |before: &StageSnap, after: &StageSnap| -> f64 {
@@ -2128,16 +2121,12 @@ fn main() -> ExitCode {
         if let Some(sessions) = sessions {
             record = record.field("sessions", sessions);
         }
-        if let Some((dedup, occupancy)) = &batch_counters {
-            let mut occ = ObjectBuilder::new();
-            for (bucket, n) in occupancy {
-                occ = occ.field(bucket, *n);
-            }
+        if let Some((dedup, solves)) = batch_counters {
             record = record.field(
                 "batch",
                 ObjectBuilder::new()
-                    .field("dedup_hits", *dedup)
-                    .field("occupancy", occ.build())
+                    .field("dedup_hits", dedup)
+                    .field("unique_solves", solves)
                     .build(),
             );
         }

@@ -9,7 +9,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use tlm_pipeline::{PipelineStats, StageStats};
+use tlm_pipeline::{PipelineStats, StoreStats};
 use tlm_session::SessionStats;
 
 /// Histogram bucket upper bounds, in seconds.
@@ -589,21 +589,18 @@ impl Metrics {
 
         // Batched-kernel effectiveness (process-wide, same contract as the
         // scratch counters): how many block solves the identical-shape
-        // dedup fold absorbed, and how full the lane-sliced units run.
+        // dedup fold absorbed, and how many representative solves ran.
         let batch = tlm_core::batch::batch_stats();
         counter(
             "tlm_serve_kernel_batch_dedup_hits",
             "Blocks folded into another block's solve by identical-shape dedup.",
             batch.dedup_hits,
         );
-        let _ = writeln!(
-            out,
-            "# HELP tlm_serve_kernel_batch_occupancy Batch solve units by lane-occupancy bucket."
+        counter(
+            "tlm_serve_kernel_batch_unique_solves",
+            "Representative block solves run after identical-shape dedup.",
+            batch.unique_solves,
         );
-        let _ = writeln!(out, "# TYPE tlm_serve_kernel_batch_occupancy counter");
-        for (bucket, count) in tlm_core::batch::OCCUPANCY_BUCKETS.iter().zip(batch.occupancy) {
-            let _ = writeln!(out, "tlm_serve_kernel_batch_occupancy{{lanes=\"{bucket}\"}} {count}");
-        }
 
         let _ = writeln!(out, "# HELP tlm_serve_responses_total Responses by status code.");
         let _ = writeln!(out, "# TYPE tlm_serve_responses_total counter");
@@ -614,7 +611,7 @@ impl Metrics {
 
         let stages = pipeline.stages();
         let mut stage_family =
-            |name: &str, kind: &str, help: &str, pick: fn(&StageStats) -> u64| {
+            |name: &str, kind: &str, help: &str, pick: fn(&StoreStats) -> u64| {
                 let _ = writeln!(out, "# HELP {name} {help}");
                 let _ = writeln!(out, "# TYPE {name} {kind}");
                 for (stage, s) in &stages {
@@ -928,8 +925,8 @@ mod tests {
         m.shard_inflight_rejected();
 
         let stats = PipelineStats {
-            schedules: StageStats { hits: 7, misses: 3, entries: 10, bytes: 640, evictions: 4 },
-            report: StageStats { hits: 1, misses: 2, entries: 2, bytes: 128, evictions: 1 },
+            schedules: StoreStats { hits: 7, misses: 3, entries: 10, bytes: 640, evictions: 4 },
+            report: StoreStats { hits: 1, misses: 2, entries: 2, bytes: 128, evictions: 1 },
             ..Default::default()
         };
         let sessions = SessionStats {
@@ -1069,18 +1066,14 @@ mod tests {
     #[test]
     fn kernel_batch_counters_exported() {
         // Process-wide like the scratch counters, so assert presence and
-        // shape: the dedup counter plus one occupancy sample per bucket.
+        // shape: both dedup counters, each with a numeric sample.
         let text = Metrics::new().render(&PipelineStats::default(), &SessionStats::default(), 1);
-        assert!(
-            text.contains("# TYPE tlm_serve_kernel_batch_dedup_hits counter"),
-            "missing dedup counter"
-        );
-        for bucket in tlm_core::batch::OCCUPANCY_BUCKETS {
-            let prefix = format!("tlm_serve_kernel_batch_occupancy{{lanes=\"{bucket}\"}} ");
+        for name in ["tlm_serve_kernel_batch_dedup_hits", "tlm_serve_kernel_batch_unique_solves"] {
+            assert!(text.contains(&format!("# TYPE {name} counter")), "missing TYPE for {name}");
             let sample = text
                 .lines()
-                .find(|l| l.starts_with(&prefix))
-                .unwrap_or_else(|| panic!("missing occupancy bucket {bucket}"));
+                .find(|l| l.starts_with(name) && l[name.len()..].starts_with(' '))
+                .unwrap_or_else(|| panic!("missing sample for {name}"));
             let value = sample.rsplit(' ').next().unwrap();
             assert!(value.parse::<u64>().is_ok(), "non-numeric sample: {sample}");
         }
