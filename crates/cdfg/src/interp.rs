@@ -10,6 +10,15 @@
 //! Execution hooks observe block entries, branches and memory accesses, so
 //! the timed TLM can accumulate annotated basic-block delays and profilers
 //! can gather statistics without touching the interpreter core.
+//!
+//! The machine does not walk the IR. [`Machine::from_arc`] decodes every
+//! function once into one flat array of small `Copy` instructions: each
+//! block's operations followed by its terminator, register operands as
+//! inline indices, memory accesses with their array's bounds and addresses
+//! resolved, jump targets as instruction indices. The hot loop runs a
+//! frame's straight-line code and its jumps and branches without leaving
+//! the loop; it hands control back only for calls, returns, channel
+//! operations, traps and running out of fuel.
 
 use std::fmt;
 use std::sync::Arc;
@@ -17,7 +26,7 @@ use std::sync::Arc;
 use tlm_minic::ast::{eval_binop, wrap_i32, BinOp, UnOp};
 
 use crate::ir::{
-    ArrayScope, BlockId, ChanId, FuncId, MemoryLayout, Module, OpKind, Terminator, VReg,
+    ArrayId, ArrayScope, BlockId, ChanId, FuncId, MemoryLayout, Module, OpKind, Terminator, VReg,
     GLOBALS_BASE, STACK_BASE, WORD_BYTES,
 };
 
@@ -107,11 +116,237 @@ pub struct ExecStats {
     pub calls: u64,
 }
 
+/// One array access site, resolved at decode time.
+#[derive(Debug, Clone, Copy)]
+struct Mem {
+    /// The array, named only by an out-of-bounds trap.
+    array: u32,
+    /// Element count.
+    len: u32,
+    /// Word index of element 0 in the globals image or in the frame's
+    /// locals.
+    word: u32,
+    /// Byte address of element 0: absolute for a global array, relative to
+    /// the frame base for a local one.
+    addr: u32,
+}
+
+impl Mem {
+    /// The element offset of `index`, or `None` when it is out of bounds.
+    #[inline(always)]
+    fn offset(self, index: i64) -> Option<u32> {
+        (0..i64::from(self.len)).contains(&index).then_some(index as u32)
+    }
+}
+
+/// One decoded instruction. Register operands index the frame's `vregs`.
+#[derive(Debug, Clone, Copy)]
+enum Inst {
+    /// `dst = value`, already wrapped to C `int`.
+    Const {
+        dst: u32,
+        value: i32,
+    },
+    Copy {
+        dst: u32,
+        src: u32,
+    },
+    Un {
+        op: UnOp,
+        dst: u32,
+        a: u32,
+    },
+    /// `Add`, `Mul` and `Lt` are nineteen in twenty of the binary
+    /// operations the MP3 decoder executes, so they skip `Bin`'s second
+    /// dispatch on the operator.
+    Add {
+        dst: u32,
+        a: u32,
+        b: u32,
+    },
+    Mul {
+        dst: u32,
+        a: u32,
+        b: u32,
+    },
+    Lt {
+        dst: u32,
+        a: u32,
+        b: u32,
+    },
+    /// Every other binary operator, through [`eval_binop`].
+    Bin {
+        op: BinOp,
+        dst: u32,
+        a: u32,
+        b: u32,
+    },
+    LoadGlobal {
+        dst: u32,
+        index: u32,
+        mem: Mem,
+    },
+    LoadLocal {
+        dst: u32,
+        index: u32,
+        mem: Mem,
+    },
+    StoreGlobal {
+        index: u32,
+        src: u32,
+        mem: Mem,
+    },
+    StoreLocal {
+        index: u32,
+        src: u32,
+        mem: Mem,
+    },
+    Output {
+        src: u32,
+    },
+    /// The argument registers are `call_args[args..args + argc]`.
+    Call {
+        callee: u32,
+        dst: Option<u32>,
+        args: u32,
+        argc: u32,
+    },
+    Recv {
+        chan: ChanId,
+        dst: Option<u32>,
+    },
+    Send {
+        chan: ChanId,
+        src: u32,
+    },
+    /// Enter `block`, whose first instruction is `pc`.
+    Jump {
+        pc: u32,
+        block: u32,
+    },
+    /// Leave block `from` for `then_bb` or `else_bb` on `cond != 0`.
+    Branch {
+        cond: u32,
+        from: u32,
+        then_pc: u32,
+        then_bb: u32,
+        else_pc: u32,
+        else_bb: u32,
+    },
+    Return {
+        value: Option<u32>,
+    },
+}
+
+/// One function, decoded. Block `b` occupies `insts[start(b)..]` up to and
+/// including its terminator; block 0 starts at 0.
+#[derive(Debug)]
+struct FuncCode {
+    insts: Vec<Inst>,
+    /// Argument register lists of the calls, see [`Inst::Call`].
+    call_args: Vec<u32>,
+    params: Vec<u32>,
+    num_vregs: usize,
+    /// The initial image of one activation's local arrays.
+    locals: Vec<i64>,
+}
+
+impl FuncCode {
+    /// Decodes one function of a module that passes
+    /// [`Module::validate`].
+    fn decode(module: &Module, layout: &MemoryLayout, fid: FuncId) -> FuncCode {
+        let func = module.function(fid);
+        let index = |n: usize| u32::try_from(n).expect("function fits 32-bit instruction indices");
+        let mut starts = Vec::with_capacity(func.blocks.len());
+        let mut next = 0usize;
+        for block in &func.blocks {
+            starts.push(index(next));
+            next += block.ops.len() + 1;
+        }
+        let mem = |array: ArrayId| {
+            let data = module.array(array);
+            let addr = layout.array_base[array.0 as usize];
+            let word = match data.scope {
+                ArrayScope::Global => (addr - GLOBALS_BASE) / WORD_BYTES,
+                ArrayScope::Local(_) => addr / WORD_BYTES,
+            };
+            let len = u32::try_from(data.len).expect("array fits the address space");
+            (data.scope == ArrayScope::Global, Mem { array: array.0, len, word, addr })
+        };
+        let mut insts = Vec::with_capacity(next);
+        let mut call_args = Vec::new();
+        for (bid, block) in func.blocks_iter() {
+            for op in &block.ops {
+                let arg = |i: usize| op.args[i].0;
+                let dst = || op.result.expect("value-producing op has a result").0;
+                insts.push(match op.kind {
+                    OpKind::Const(v) => Inst::Const { dst: dst(), value: wrap_i32(v) as i32 },
+                    OpKind::Copy => Inst::Copy { dst: dst(), src: arg(0) },
+                    OpKind::Un(op) => Inst::Un { op, dst: dst(), a: arg(0) },
+                    OpKind::Bin(op) => {
+                        let (dst, a, b) = (dst(), arg(0), arg(1));
+                        match op {
+                            BinOp::Add => Inst::Add { dst, a, b },
+                            BinOp::Mul => Inst::Mul { dst, a, b },
+                            BinOp::Lt => Inst::Lt { dst, a, b },
+                            _ => Inst::Bin { op, dst, a, b },
+                        }
+                    }
+                    OpKind::Load { array } => match mem(array) {
+                        (true, mem) => Inst::LoadGlobal { dst: dst(), index: arg(0), mem },
+                        (false, mem) => Inst::LoadLocal { dst: dst(), index: arg(0), mem },
+                    },
+                    OpKind::Store { array } => match mem(array) {
+                        (true, mem) => Inst::StoreGlobal { index: arg(0), src: arg(1), mem },
+                        (false, mem) => Inst::StoreLocal { index: arg(0), src: arg(1), mem },
+                    },
+                    OpKind::Output => Inst::Output { src: arg(0) },
+                    OpKind::Call { func: callee } => {
+                        let (args, argc) = (index(call_args.len()), index(op.args.len()));
+                        call_args.extend(op.args.iter().map(|r| r.0));
+                        Inst::Call { callee: callee.0, dst: op.result.map(|r| r.0), args, argc }
+                    }
+                    OpKind::ChanRecv { chan } => Inst::Recv { chan, dst: op.result.map(|r| r.0) },
+                    OpKind::ChanSend { chan } => Inst::Send { chan, src: arg(0) },
+                });
+            }
+            insts.push(match block.term {
+                Terminator::Jump(target) => {
+                    Inst::Jump { pc: starts[target.0 as usize], block: target.0 }
+                }
+                Terminator::Branch { cond, then_bb, else_bb } => Inst::Branch {
+                    cond: cond.0,
+                    from: bid.0,
+                    then_pc: starts[then_bb.0 as usize],
+                    then_bb: then_bb.0,
+                    else_pc: starts[else_bb.0 as usize],
+                    else_bb: else_bb.0,
+                },
+                Terminator::Return(value) => Inst::Return { value: value.map(|r| r.0) },
+            });
+        }
+        let mut locals = vec![0i64; layout.frame_words[fid.0 as usize] as usize];
+        for &aid in &func.local_arrays {
+            let base = (layout.array_base[aid.0 as usize] / WORD_BYTES) as usize;
+            for (j, &v) in module.array(aid).init.iter().enumerate() {
+                locals[base + j] = wrap_i32(v);
+            }
+        }
+        FuncCode {
+            insts,
+            call_args,
+            params: func.params.iter().map(|&VReg(r)| r).collect(),
+            num_vregs: func.num_vregs as usize,
+            locals,
+        }
+    }
+}
+
 #[derive(Debug)]
 struct Frame {
     func: FuncId,
-    block: BlockId,
-    op_idx: usize,
+    /// Index of the next instruction in the function's [`FuncCode`].
+    pc: u32,
     vregs: Vec<i64>,
     /// Storage for this activation's local arrays, laid out per
     /// [`MemoryLayout`].
@@ -119,7 +354,146 @@ struct Frame {
     /// Absolute byte address of this frame's local-array area.
     frame_base: u32,
     /// Where to store the callee's return value in *this* frame.
-    pending_result: Option<VReg>,
+    pending_result: Option<u32>,
+}
+
+/// Why [`run_frame`] handed control back to the machine.
+enum Stop {
+    OutOfFuel,
+    DivByZero,
+    OutOfBounds { array: u32, index: i64 },
+    Call { callee: u32, dst: Option<u32>, args: u32, argc: u32 },
+    Return(Option<i64>),
+    Recv(ChanId),
+    Send(ChanId, i64),
+}
+
+/// [`eval_binop`] of an operator that cannot trap. With `op` a constant
+/// the operator match folds away.
+#[inline(always)]
+fn total(op: BinOp, l: i64, r: i64) -> i64 {
+    eval_binop(op, l, r).expect("only division and remainder trap")
+}
+
+/// Runs the top frame from its `pc` until it calls, returns, touches a
+/// channel, traps or runs out of fuel; `frame.pc` is then the instruction
+/// that stopped it. Every executed operation costs one unit of fuel and
+/// counts in `stats.ops`; terminators are free but, like operations, only
+/// run while fuel is left. A stopping instruction has not executed yet.
+fn run_frame(
+    code: &FuncCode,
+    frame: &mut Frame,
+    globals: &mut [i64],
+    outputs: &mut Vec<i64>,
+    stats: &mut ExecStats,
+    hook: &mut impl ExecHook,
+    fuel: &mut u64,
+) -> Stop {
+    let func = frame.func;
+    let frame_base = frame.frame_base;
+    let regs = &mut frame.vregs[..];
+    let locals = &mut frame.locals[..];
+    let insts = &code.insts[..];
+    let mut pc = frame.pc as usize;
+    let mut left = *fuel;
+    let mut st = *stats;
+    let stop = loop {
+        if left == 0 {
+            break Stop::OutOfFuel;
+        }
+        match insts[pc] {
+            Inst::Const { dst, value } => regs[dst as usize] = i64::from(value),
+            Inst::Copy { dst, src } => regs[dst as usize] = regs[src as usize],
+            Inst::Un { op, dst, a } => {
+                let a = regs[a as usize];
+                regs[dst as usize] = match op {
+                    UnOp::Neg => wrap_i32(a.wrapping_neg()),
+                    UnOp::Not => i64::from(a == 0),
+                    UnOp::BitNot => wrap_i32(!a),
+                };
+            }
+            Inst::Add { dst, a, b } => {
+                regs[dst as usize] = total(BinOp::Add, regs[a as usize], regs[b as usize]);
+            }
+            Inst::Mul { dst, a, b } => {
+                regs[dst as usize] = total(BinOp::Mul, regs[a as usize], regs[b as usize]);
+            }
+            Inst::Lt { dst, a, b } => {
+                regs[dst as usize] = total(BinOp::Lt, regs[a as usize], regs[b as usize]);
+            }
+            Inst::Bin { op, dst, a, b } => {
+                match eval_binop(op, regs[a as usize], regs[b as usize]) {
+                    Some(v) => regs[dst as usize] = v,
+                    None => break Stop::DivByZero,
+                }
+            }
+            Inst::LoadGlobal { dst, index, mem } => {
+                let index = regs[index as usize];
+                let Some(off) = mem.offset(index) else {
+                    break Stop::OutOfBounds { array: mem.array, index };
+                };
+                regs[dst as usize] = globals[(mem.word + off) as usize];
+                st.mem_accesses += 1;
+                hook.on_mem(mem.addr + off * WORD_BYTES, false);
+            }
+            Inst::LoadLocal { dst, index, mem } => {
+                let index = regs[index as usize];
+                let Some(off) = mem.offset(index) else {
+                    break Stop::OutOfBounds { array: mem.array, index };
+                };
+                regs[dst as usize] = locals[(mem.word + off) as usize];
+                st.mem_accesses += 1;
+                hook.on_mem(frame_base + mem.addr + off * WORD_BYTES, false);
+            }
+            Inst::StoreGlobal { index, src, mem } => {
+                let index = regs[index as usize];
+                let Some(off) = mem.offset(index) else {
+                    break Stop::OutOfBounds { array: mem.array, index };
+                };
+                globals[(mem.word + off) as usize] = regs[src as usize];
+                st.mem_accesses += 1;
+                hook.on_mem(mem.addr + off * WORD_BYTES, true);
+            }
+            Inst::StoreLocal { index, src, mem } => {
+                let index = regs[index as usize];
+                let Some(off) = mem.offset(index) else {
+                    break Stop::OutOfBounds { array: mem.array, index };
+                };
+                locals[(mem.word + off) as usize] = regs[src as usize];
+                st.mem_accesses += 1;
+                hook.on_mem(frame_base + mem.addr + off * WORD_BYTES, true);
+            }
+            Inst::Output { src } => outputs.push(regs[src as usize]),
+            Inst::Call { callee, dst, args, argc } => break Stop::Call { callee, dst, args, argc },
+            Inst::Recv { chan, .. } => break Stop::Recv(chan),
+            Inst::Send { chan, src } => break Stop::Send(chan, regs[src as usize]),
+            Inst::Jump { pc: target, block } => {
+                pc = target as usize;
+                st.blocks += 1;
+                hook.on_block(func, BlockId(block));
+                continue;
+            }
+            Inst::Branch { cond, from, then_pc, then_bb, else_pc, else_bb } => {
+                let taken = regs[cond as usize] != 0;
+                let (target, block) = if taken { (then_pc, then_bb) } else { (else_pc, else_bb) };
+                pc = target as usize;
+                st.branches += 1;
+                st.branches_taken += u64::from(taken);
+                st.blocks += 1;
+                hook.on_branch(func, BlockId(from), taken);
+                hook.on_block(func, BlockId(block));
+                continue;
+            }
+            Inst::Return { value } => break Stop::Return(value.map(|r| regs[r as usize])),
+        }
+        left -= 1;
+        pc += 1;
+    };
+    st.ops += *fuel - left;
+    *stats = st;
+    *fuel = left;
+    frame.pc = pc as u32;
+    stop
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,7 +511,8 @@ enum State {
 #[derive(Debug)]
 pub struct Machine {
     module: Arc<Module>,
-    layout: MemoryLayout,
+    /// Per-function decoded code, indexed by [`FuncId`].
+    code: Vec<FuncCode>,
     globals: Vec<i64>,
     frames: Vec<Frame>,
     state: State,
@@ -161,7 +536,9 @@ impl Machine {
         Machine::from_arc(Arc::new(module.clone()), entry, args)
     }
 
-    /// Creates a machine sharing an existing module.
+    /// Creates a machine sharing an existing module, decoding its
+    /// functions for execution. The module must pass [`Module::validate`],
+    /// as lowering guarantees.
     ///
     /// # Panics
     ///
@@ -178,9 +555,13 @@ impl Machine {
                 }
             }
         }
+        let code = module
+            .functions_iter()
+            .map(|(fid, _)| FuncCode::decode(&module, &layout, fid))
+            .collect();
         let mut machine = Machine {
             module,
-            layout,
+            code,
             globals,
             frames: Vec::new(),
             state: State::Running,
@@ -218,6 +599,12 @@ impl Machine {
         &self.module
     }
 
+    /// The instruction the top frame is suspended at.
+    fn suspended_at(&self) -> Inst {
+        let frame = self.frames.last().expect("awaiting machine has a frame");
+        self.code[frame.func.0 as usize].insts[frame.pc as usize]
+    }
+
     /// Delivers the value a pending `ch_recv` was waiting for.
     ///
     /// # Panics
@@ -227,13 +614,14 @@ impl Machine {
         let State::AwaitRecv(_) = self.state else {
             panic!("complete_recv called but machine is not awaiting a receive");
         };
+        let Inst::Recv { dst, .. } = self.suspended_at() else {
+            unreachable!("a pending receive is suspended at a receive");
+        };
         let frame = self.frames.last_mut().expect("awaiting machine has a frame");
-        let func = &self.module.functions[frame.func.0 as usize];
-        let op = &func.blocks[frame.block.0 as usize].ops[frame.op_idx];
-        if let Some(result) = op.result {
-            frame.vregs[result.0 as usize] = wrap_i32(value);
+        if let Some(dst) = dst {
+            frame.vregs[dst as usize] = wrap_i32(value);
         }
-        frame.op_idx += 1;
+        frame.pc += 1;
         self.stats.ops += 1;
         self.state = State::Running;
     }
@@ -248,7 +636,7 @@ impl Machine {
             panic!("complete_send called but machine is not awaiting a send");
         };
         let frame = self.frames.last_mut().expect("awaiting machine has a frame");
-        frame.op_idx += 1;
+        frame.pc += 1;
         self.stats.ops += 1;
         self.state = State::Running;
     }
@@ -265,11 +653,11 @@ impl Machine {
             State::AwaitRecv(ch) => return Exec::RecvPending(ch),
             State::AwaitSend(ch) => {
                 // Re-deliver the pending value.
+                let Inst::Send { src, .. } = self.suspended_at() else {
+                    unreachable!("a pending send is suspended at a send");
+                };
                 let frame = self.frames.last().expect("awaiting machine has a frame");
-                let func = &self.module.functions[frame.func.0 as usize];
-                let op = &func.blocks[frame.block.0 as usize].ops[frame.op_idx];
-                let value = frame.vregs[op.args[0].0 as usize];
-                return Exec::SendPending(ch, value);
+                return Exec::SendPending(ch, frame.vregs[src as usize]);
             }
             State::Finished => return Exec::Done,
             State::Trapped => panic!("running a trapped machine"),
@@ -278,238 +666,91 @@ impl Machine {
             self.entry_pending = false;
             let frame = self.frames.last().expect("machine has an entry frame");
             self.stats.blocks += 1;
-            hook.on_block(frame.func, frame.block);
+            hook.on_block(frame.func, BlockId(0));
         }
         loop {
-            if fuel == 0 {
-                return Exec::OutOfFuel;
-            }
-            let Some(frame) = self.frames.last_mut() else {
-                self.state = State::Finished;
-                return Exec::Done;
-            };
-            let func_id = frame.func;
-            let func = &self.module.functions[func_id.0 as usize];
-            let block = &func.blocks[frame.block.0 as usize];
-
-            if frame.op_idx >= block.ops.len() {
-                // Terminator.
-                match &block.term {
-                    Terminator::Jump(target) => {
-                        frame.block = *target;
-                        frame.op_idx = 0;
-                        self.stats.blocks += 1;
-                        hook.on_block(func_id, *target);
-                    }
-                    Terminator::Branch { cond, then_bb, else_bb } => {
-                        let taken = frame.vregs[cond.0 as usize] != 0;
-                        let from = frame.block;
-                        let target = if taken { *then_bb } else { *else_bb };
-                        frame.block = target;
-                        frame.op_idx = 0;
-                        self.stats.branches += 1;
-                        self.stats.branches_taken += u64::from(taken);
-                        self.stats.blocks += 1;
-                        hook.on_branch(func_id, from, taken);
-                        hook.on_block(func_id, target);
-                    }
-                    Terminator::Return(value) => {
-                        let ret = value.map(|v| frame.vregs[v.0 as usize]);
-                        let finished = self.frames.len() == 1;
-                        let popped = self.frames.pop().expect("frame checked above");
-                        if finished {
-                            self.return_value = ret;
-                            self.state = State::Finished;
-                            return Exec::Done;
-                        }
-                        let _ = popped;
-                        let caller = self.frames.last_mut().expect("caller frame exists");
-                        // pending_result lives on the caller: set by the call op.
-                        if let Some(dest) = caller.pending_result.take() {
-                            caller.vregs[dest.0 as usize] =
-                                ret.expect("callee signature guarantees a value");
-                        }
-                        caller.op_idx += 1;
-                    }
+            let frame = self.frames.last_mut().expect("a running machine has a frame");
+            let code = &self.code[frame.func.0 as usize];
+            let stop = run_frame(
+                code,
+                frame,
+                &mut self.globals,
+                &mut self.outputs,
+                &mut self.stats,
+                hook,
+                &mut fuel,
+            );
+            match stop {
+                Stop::OutOfFuel => return Exec::OutOfFuel,
+                Stop::DivByZero => return self.trap(Trap::DivByZero),
+                Stop::OutOfBounds { array, index } => {
+                    let data = &self.module.arrays[array as usize];
+                    let trap = Trap::OutOfBounds { array: data.name.clone(), index, len: data.len };
+                    return self.trap(trap);
                 }
-                continue;
-            }
-
-            let op = &block.ops[frame.op_idx];
-            fuel -= 1;
-            match &op.kind {
-                OpKind::Const(v) => {
-                    let dest = op.result.expect("const has a result");
-                    frame.vregs[dest.0 as usize] = wrap_i32(*v);
+                Stop::Recv(chan) => {
+                    self.state = State::AwaitRecv(chan);
+                    return Exec::RecvPending(chan);
                 }
-                OpKind::Copy => {
-                    let dest = op.result.expect("copy has a result");
-                    frame.vregs[dest.0 as usize] = frame.vregs[op.args[0].0 as usize];
+                Stop::Send(chan, value) => {
+                    self.state = State::AwaitSend(chan);
+                    return Exec::SendPending(chan, value);
                 }
-                OpKind::Un(un) => {
-                    let a = frame.vregs[op.args[0].0 as usize];
-                    let dest = op.result.expect("unary has a result");
-                    frame.vregs[dest.0 as usize] = match un {
-                        UnOp::Neg => wrap_i32(a.wrapping_neg()),
-                        UnOp::Not => i64::from(a == 0),
-                        UnOp::BitNot => wrap_i32(!a),
-                    };
-                }
-                OpKind::Bin(bin) => {
-                    let a = frame.vregs[op.args[0].0 as usize];
-                    let b = frame.vregs[op.args[1].0 as usize];
-                    let dest = op.result.expect("binary has a result");
-                    match eval_binop(*bin, a, b) {
-                        Some(v) => frame.vregs[dest.0 as usize] = v,
-                        None => {
-                            debug_assert!(matches!(bin, BinOp::Div | BinOp::Rem));
-                            self.state = State::Trapped;
-                            return Exec::Trap(Trap::DivByZero);
-                        }
-                    }
-                }
-                OpKind::Load { array } => {
-                    let index = frame.vregs[op.args[0].0 as usize];
-                    match self.mem_addr(*array, index) {
-                        Ok((addr, slot)) => {
-                            let value = match slot {
-                                Slot::Global(i) => self.globals[i],
-                                Slot::Local(i) => {
-                                    self.frames.last().expect("frame exists").locals[i]
-                                }
-                            };
-                            let frame = self.frames.last_mut().expect("frame exists");
-                            let dest = op.result.expect("load has a result");
-                            frame.vregs[dest.0 as usize] = value;
-                            self.stats.mem_accesses += 1;
-                            hook.on_mem(addr, false);
-                        }
-                        Err(trap) => {
-                            self.state = State::Trapped;
-                            return Exec::Trap(trap);
-                        }
-                    }
-                }
-                OpKind::Store { array } => {
-                    let index = frame.vregs[op.args[0].0 as usize];
-                    let value = frame.vregs[op.args[1].0 as usize];
-                    match self.mem_addr(*array, index) {
-                        Ok((addr, slot)) => {
-                            match slot {
-                                Slot::Global(i) => self.globals[i] = value,
-                                Slot::Local(i) => {
-                                    self.frames.last_mut().expect("frame exists").locals[i] = value
-                                }
-                            }
-                            self.stats.mem_accesses += 1;
-                            hook.on_mem(addr, true);
-                        }
-                        Err(trap) => {
-                            self.state = State::Trapped;
-                            return Exec::Trap(trap);
-                        }
-                    }
-                }
-                OpKind::Output => {
-                    let value = frame.vregs[op.args[0].0 as usize];
-                    self.outputs.push(value);
-                }
-                OpKind::ChanRecv { chan } => {
-                    self.state = State::AwaitRecv(*chan);
-                    return Exec::RecvPending(*chan);
-                }
-                OpKind::ChanSend { chan } => {
-                    let value = frame.vregs[op.args[0].0 as usize];
-                    self.state = State::AwaitSend(*chan);
-                    return Exec::SendPending(*chan, value);
-                }
-                OpKind::Call { func: callee } => {
-                    let callee = *callee;
-                    let args: Vec<i64> =
-                        op.args.iter().map(|a| frame.vregs[a.0 as usize]).collect();
-                    frame.pending_result = op.result;
+                Stop::Call { callee, dst, args, argc } => {
+                    let regs = &code.call_args[args as usize..(args + argc) as usize];
+                    let args: Vec<i64> = regs.iter().map(|&r| frame.vregs[r as usize]).collect();
+                    frame.pending_result = dst;
                     if self.frames.len() >= MAX_FRAMES {
-                        self.state = State::Trapped;
-                        return Exec::Trap(Trap::StackOverflow);
+                        return self.trap(Trap::StackOverflow);
                     }
+                    fuel -= 1;
                     self.stats.ops += 1;
                     self.stats.calls += 1;
-                    self.push_frame(callee, &args);
-                    let new_frame = self.frames.last().expect("just pushed");
+                    self.push_frame(FuncId(callee), &args);
                     self.stats.blocks += 1;
-                    hook.on_block(new_frame.func, new_frame.block);
-                    continue;
+                    hook.on_block(FuncId(callee), BlockId(0));
+                }
+                Stop::Return(ret) => {
+                    self.frames.pop();
+                    let Some(caller) = self.frames.last_mut() else {
+                        self.return_value = ret;
+                        self.state = State::Finished;
+                        return Exec::Done;
+                    };
+                    if let Some(dst) = caller.pending_result.take() {
+                        caller.vregs[dst as usize] =
+                            ret.expect("callee signature guarantees a value");
+                    }
+                    caller.pc += 1;
                 }
             }
-            self.stats.ops += 1;
-            let frame = self.frames.last_mut().expect("frame exists");
-            frame.op_idx += 1;
         }
     }
 
-    fn push_frame(&mut self, func_id: FuncId, args: &[i64]) {
-        let func = &self.module.functions[func_id.0 as usize];
+    fn trap(&mut self, trap: Trap) -> Exec {
+        self.state = State::Trapped;
+        Exec::Trap(trap)
+    }
+
+    fn push_frame(&mut self, func: FuncId, args: &[i64]) {
+        let code = &self.code[func.0 as usize];
         assert_eq!(
             args.len(),
-            func.params.len(),
+            code.params.len(),
             "call to `{}` with wrong argument count",
-            func.name
+            self.module.function(func).name
         );
-        let mut vregs = vec![0i64; func.num_vregs as usize];
-        for (reg, &value) in func.params.iter().zip(args) {
-            vregs[reg.0 as usize] = wrap_i32(value);
+        let mut vregs = vec![0i64; code.num_vregs];
+        for (&reg, &value) in code.params.iter().zip(args) {
+            vregs[reg as usize] = wrap_i32(value);
         }
-        let frame_words = self.layout.frame_words[func_id.0 as usize] as usize;
-        let mut locals = vec![0i64; frame_words];
-        for &aid in &func.local_arrays {
-            let base = (self.layout.array_base[aid.0 as usize] / WORD_BYTES) as usize;
-            for (j, &v) in self.module.arrays[aid.0 as usize].init.iter().enumerate() {
-                locals[base + j] = wrap_i32(v);
-            }
-        }
+        let locals = code.locals.clone();
         // Stack grows down from STACK_BASE; each nested frame sits below its
         // caller. Only used for hook addresses, not for storage.
         let parent_base = self.frames.last().map_or(STACK_BASE, |f| f.frame_base);
-        let frame_base = parent_base - (frame_words as u32) * WORD_BYTES;
-        self.frames.push(Frame {
-            func: func_id,
-            block: func.entry(),
-            op_idx: 0,
-            vregs,
-            locals,
-            frame_base,
-            pending_result: None,
-        });
+        let frame_base = parent_base - (locals.len() as u32) * WORD_BYTES;
+        self.frames.push(Frame { func, pc: 0, vregs, locals, frame_base, pending_result: None });
     }
-
-    /// Resolves an array access to an absolute byte address and a storage
-    /// slot, bounds-checked.
-    fn mem_addr(&self, array: crate::ir::ArrayId, index: i64) -> Result<(u32, Slot), Trap> {
-        let data = &self.module.arrays[array.0 as usize];
-        if index < 0 || index as usize >= data.len {
-            return Err(Trap::OutOfBounds { array: data.name.clone(), index, len: data.len });
-        }
-        let base = self.layout.array_base[array.0 as usize];
-        match data.scope {
-            ArrayScope::Global => {
-                let addr = base + (index as u32) * WORD_BYTES;
-                let slot = ((addr - GLOBALS_BASE) / WORD_BYTES) as usize;
-                Ok((addr, Slot::Global(slot)))
-            }
-            ArrayScope::Local(_) => {
-                let frame = self.frames.last().expect("local access has a frame");
-                let addr = frame.frame_base + base + (index as u32) * WORD_BYTES;
-                let slot = (base / WORD_BYTES) as usize + index as usize;
-                Ok((addr, Slot::Local(slot)))
-            }
-        }
-    }
-}
-
-#[derive(Debug, Clone, Copy)]
-enum Slot {
-    Global(usize),
-    Local(usize),
 }
 
 #[cfg(test)]
@@ -709,6 +950,23 @@ mod tests {
         // Resumable: more fuel continues the loop.
         assert_eq!(m.run_fuel(&mut NoopHook, 10_000), Exec::OutOfFuel);
         assert!(m.stats().ops >= 20_000);
+    }
+
+    #[test]
+    fn terminators_run_only_while_fuel_is_left() {
+        let src = "int main(int a) { int b = a * 3; if (b > 4) { b += 1; } return b; }";
+        let mut whole = machine(src, "main", &[2]);
+        assert_eq!(whole.run(&mut NoopHook), Exec::Done);
+        let total = *whole.stats();
+
+        // Exactly enough fuel for every operation stops before the `then`
+        // arm's jump to the (empty) join block; the jump and the return
+        // cost nothing once fuel is given again.
+        let mut m = machine(src, "main", &[2]);
+        assert_eq!(m.run_fuel(&mut NoopHook, total.ops), Exec::OutOfFuel);
+        assert_eq!(*m.stats(), ExecStats { blocks: total.blocks - 1, ..total });
+        assert_eq!(m.run_fuel(&mut NoopHook, 1), Exec::Done);
+        assert_eq!((*m.stats(), m.return_value()), (total, Some(7)));
     }
 
     #[test]

@@ -242,6 +242,8 @@ pub struct ScheduleScratch {
     pipe_hi: Vec<usize>,
     /// Worklist for the transparent-resolution cascade.
     stack: Vec<u32>,
+    /// This arena's share of the process-wide [`scratch_stats`] counters.
+    counts: ScratchStats,
 }
 
 /// Count of kernel runs whose scratch buffers all fit in place.
@@ -249,7 +251,8 @@ static SCRATCH_REUSES: AtomicU64 = AtomicU64::new(0);
 /// Count of kernel runs that had to grow (or first allocate) a buffer.
 static SCRATCH_ALLOCS: AtomicU64 = AtomicU64::new(0);
 
-/// Scratch-arena allocation-pressure counters (process-wide totals).
+/// Scratch-arena allocation-pressure counters: process-wide totals from
+/// [`scratch_stats`], or one arena's from [`ScheduleScratch::stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ScratchStats {
     /// Kernel runs served entirely from already-allocated scratch buffers.
@@ -287,10 +290,16 @@ impl ScheduleScratch {
         ScheduleScratch::default()
     }
 
+    /// This arena's own reuse/alloc counts. Unlike [`scratch_stats`], no
+    /// other thread moves them.
+    pub fn stats(&self) -> ScratchStats {
+        self.counts
+    }
+
     /// Sizes every buffer for a block of `n` ops with `edges` dependence
     /// edges under `table`'s pipeline geometry, fills `stage_base` and
-    /// returns the total slot capacity; bumps the process-wide
-    /// reuse/alloc counters.
+    /// returns the total slot capacity; bumps the arena's and the
+    /// process-wide reuse/alloc counters.
     fn prepare(&mut self, table: &IssueTable, n: usize, edges: usize) -> usize {
         let mut grew = false;
         let words = n.div_ceil(64);
@@ -313,8 +322,10 @@ impl ScheduleScratch {
         grow(&mut self.words32, 4 * n + 1 + edges + table.fu_quantity.len() + 2 * slots, &mut grew);
         self.stack.clear();
         if grew {
+            self.counts.allocs += 1;
             SCRATCH_ALLOCS.fetch_add(1, Ordering::Relaxed);
         } else {
+            self.counts.reuses += 1;
             SCRATCH_REUSES.fetch_add(1, Ordering::Relaxed);
         }
         slots
@@ -1006,11 +1017,13 @@ mod tests {
         let module = module_of("int f(int a, int b) { return a * b + a - b; }");
         let block = &module.functions[0].blocks[0];
         let dfg = block_dfg(block);
-        let before = scratch_stats();
+        // The calling thread's own arena: kernels that other tests run on
+        // their threads move the process-wide totals, not these.
+        let before = with_scratch(|s| s.stats());
         for _ in 0..3 {
             schedule_block(&pum, block, &dfg, FuncId(0), BlockId(0)).expect("schedules");
         }
-        let after = scratch_stats();
+        let after = with_scratch(|s| s.stats());
         let runs = (after.reuses - before.reuses) + (after.allocs - before.allocs);
         assert_eq!(runs, 3, "every kernel run is counted");
         assert!(after.reuses > before.reuses, "repeat blocks reuse the arena");

@@ -348,6 +348,7 @@ pub fn const_eval(expr: &Expr) -> Option<i64> {
 ///
 /// Returns `None` for division/remainder by zero (callers report it as the
 /// appropriate error kind).
+#[inline]
 pub fn eval_binop(op: BinOp, l: i64, r: i64) -> Option<i64> {
     Some(match op {
         BinOp::Add => wrap_i32(l.wrapping_add(r)),

@@ -1409,8 +1409,10 @@ fn worker_loop(
             }
             service.handle(&item.request, metrics, config.limits.max_body_bytes, item.draining)
         }));
-        metrics.done(start.elapsed());
+        // Idle before counted: a reader that sees the request handled
+        // also sees its worker free.
         metrics.worker_idle();
+        metrics.done(start.elapsed());
         match handled {
             Ok(response) => {
                 // Chaos-build injection point: a latency spike before

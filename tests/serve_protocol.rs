@@ -15,7 +15,7 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use tlm_serve::http::HttpLimits;
 use tlm_serve::protocol::Service;
@@ -122,6 +122,28 @@ fn assert_workers_intact(addr: SocketAddr, workers: u64) {
     assert!(metric(page, "tlm_serve_workers_busy") <= 1, "worker stuck busy:\n{page}");
 }
 
+/// Waits, for at most 30 s, until `/metrics` shows `handled` requests
+/// besides its own polls handled to completion, and fails if they never
+/// are. A hung-up client's request still runs in its worker after the
+/// client is gone; a worker check made before it finishes races it.
+fn await_handled(addr: SocketAddr, handled: u64) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    for polls in 0.. {
+        let resp = send_raw(addr, b"GET /metrics HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n");
+        // Earlier polls are handled; this one is still in its worker.
+        let done = metric(body_of(&resp), "tlm_serve_request_duration_seconds_count");
+        if done >= handled + polls {
+            return;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "only {done} of {} requests handled after 30 s",
+            handled + polls
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
 #[test]
 fn slowloris_header_drip_is_cut_by_the_request_deadline() {
     // Per-op timeout generous, total budget tight: every dripped byte
@@ -177,6 +199,9 @@ fn mid_response_hangup_leaves_no_stuck_worker() {
     // The pool still serves normal clients afterwards.
     let resp = post(addr, "/estimate", r#"{"platform": "image:sw"}"#);
     assert_eq!(status_of(&resp), 200, "got: {resp}");
+    // Every worker is idle once the four abandoned requests and this one
+    // have been handled.
+    await_handled(addr, 5);
     assert_workers_intact(addr, workers as u64);
     handle.shutdown();
 }
