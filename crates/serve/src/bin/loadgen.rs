@@ -72,7 +72,6 @@
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
@@ -143,15 +142,6 @@ fn request_body(seed: u64, i: u64) -> String {
 /// part of [`tlm_core::Pum::schedule_domain`]); the per-request source
 /// defeats the front-end stages the same way.
 fn cold_platform_body(seed: u64, i: u64) -> String {
-    cold_body_with(seed, i, 0, 1)
-}
-
-/// The shared builder behind [`cold_platform_body`] and
-/// [`heavy_cold_body`]: `stmts` extra unrolled statements in the loop
-/// body scale the front-end (parse + lower) and kernel cost, and
-/// `points` sweeps that many distinct cache configurations. `(0, 1)`
-/// reproduces [`cold_platform_body`] byte for byte.
-fn cold_body_with(seed: u64, i: u64, stmts: u64, points: u64) -> String {
     let mut rng = Rng::new(seed ^ 0x0c1d_0c1d ^ (i + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15));
     let mut pum = tlm_core::library::generic_risc();
     pum.name = format!("cold-risc-{i}");
@@ -164,36 +154,14 @@ fn cold_body_with(seed: u64, i: u64, stmts: u64, points: u64) -> String {
     let pum_json = pum.to_value().to_compact();
     let accum = rng.below(1 << 16);
     let trips = 4 + rng.below(12);
-    let mut unrolled = String::new();
-    for t in 0..stmts {
-        unrolled.push_str(&format!("s = s * 3 + k + {t}; "));
-    }
-    let sweep: Vec<String> = (0..points.max(1))
-        .map(|p| {
-            format!(
-                "{{\"icache\": {}, \"dcache\": {}}}",
-                1024 << ((p + 2) % 4),
-                1024 << ((p / 4 + 2) % 4)
-            )
-        })
-        .collect();
     format!(
         "{{\"platform\": {{\"name\": \"cold-{i}\", \
            \"pes\": [{{\"name\": \"pe0\", \"pum\": {pum_json}}}], \
            \"processes\": [{{\"name\": \"main\", \"pe\": \"pe0\", \"source\": \
            \"void main() {{ int s = {accum}; \
-            for (int k = 0; k < {trips}; k++) {{ s = s + k + {i}; {unrolled}}} out(s); }}\"}}]}}, \
-         \"sweep\": [{}]}}",
-        sweep.join(", ")
+            for (int k = 0; k < {trips}; k++) {{ s = s + k + {i}; }} out(s); }}\"}}]}}, \
+         \"sweep\": [{{\"icache\": 4096, \"dcache\": 4096}}]}}"
     )
-}
-
-/// A deliberately expensive cold request (~5 ms of shard CPU on the CI
-/// box): a 512-statement unique source swept over four cache
-/// configurations. These are the in-flight forwards the head-of-line
-/// probe must overtake.
-fn heavy_cold_body(seed: u64, i: u64) -> String {
-    cold_body_with(seed, i, 512, 4)
 }
 
 /// One HTTP reply: status, the `Retry-After` seconds if the server sent
@@ -488,13 +456,7 @@ fn cold_platforms_phase(
     }
     let wall = started.elapsed();
     latencies.sort_unstable();
-    let percentile = |p: f64| -> u64 {
-        let last = latencies.len().saturating_sub(1);
-        latencies
-            .get(((last as f64) * p).round() as usize)
-            .map_or(0, |d| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX))
-    };
-    let (p50, p99) = (percentile(0.50), percentile(0.99));
+    let (p50, p99) = (percentile_ns(&latencies, 0.50), percentile_ns(&latencies, 0.99));
     gates.push(Gate {
         name: "cold_platforms_all_ok",
         pass: failures.is_empty(),
@@ -866,14 +828,109 @@ fn keep_alive_get(stream: &mut TcpStream, target: &str) -> Result<(u16, Vec<u8>)
     keep_alive_request(stream, &format!("GET {target} HTTP/1.1\r\nHost: loadgen\r\n\r\n"), b"")
 }
 
-/// The `--connections` phase: `connections` concurrent keep-alive
-/// connections open simultaneously (a barrier holds every client thread
-/// until the whole fleet is connected), then each fires a short train of
-/// warm estimation requests down its one connection. Gates: every
-/// response is a `200` (the server is sized for the fleet, so nothing
-/// may drop or shed), p99 latency stays bounded, and the event loop's
-/// open-connection peak gauge proves the whole fleet really was open at
-/// once.
+/// The `p`-quantile of ascending `sorted` latencies, in nanoseconds
+/// (nearest rank; `0` when empty).
+fn percentile_ns(sorted: &[Duration], p: f64) -> u64 {
+    let last = sorted.len().saturating_sub(1);
+    sorted
+        .get(((last as f64) * p).round() as usize)
+        .map_or(0, |d| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX))
+}
+
+/// The first four failures joined for a gate detail, with a count of
+/// the rest.
+fn first_failures(failures: &[String]) -> String {
+    let mut detail = failures[..failures.len().min(4)].join("; ");
+    if failures.len() > 4 {
+        detail.push_str(&format!("; ... {} more", failures.len() - 4));
+    }
+    detail
+}
+
+/// Outcome of one [`fleet`] run.
+struct Fleet {
+    wall: Duration,
+    /// Per answered request, ascending.
+    latencies: Vec<Duration>,
+    /// Per answered request, the reply body hash, in request order.
+    hashes: Vec<u64>,
+    /// One entry per connection whose train broke off.
+    failures: Vec<String>,
+}
+
+/// A keep-alive fleet: `connections` concurrent connections open at once
+/// (a barrier holds every client thread until the whole fleet is
+/// connected), then each fires a train of `per_conn` `POST /estimate`
+/// requests down its one connection. Request `k` on connection `c` is
+/// request `c * per_conn + k` and carries `body_for` of that index. A
+/// transport error or a status other than `200` ends that connection's
+/// train as a failure.
+fn fleet(addr: SocketAddr, connections: u64, per_conn: u64, body_for: fn(u64) -> String) -> Fleet {
+    let started = Instant::now();
+    let barrier = Arc::new(Barrier::new(connections as usize));
+    let mut threads = Vec::new();
+    for c in 0..connections {
+        let barrier = Arc::clone(&barrier);
+        threads.push(std::thread::spawn(move || -> Result<Vec<(Duration, u64)>, String> {
+            let mut stream =
+                TcpStream::connect(addr).map_err(|e| format!("conn {c}: connect: {e}"))?;
+            stream
+                .set_read_timeout(Some(Duration::from_secs(120)))
+                .and_then(|()| stream.set_write_timeout(Some(Duration::from_secs(120))))
+                .map_err(|e| format!("conn {c}: timeout setup: {e}"))?;
+            // Everyone connects before anyone sends — the server must
+            // see the whole fleet open at the same time.
+            barrier.wait();
+            let mut out = Vec::with_capacity(per_conn as usize);
+            for k in 0..per_conn {
+                let body = body_for(c * per_conn + k);
+                let head = format!(
+                    "POST /estimate HTTP/1.1\r\nHost: loadgen\r\n\
+                     Content-Type: application/json\r\nContent-Length: {}\r\n\r\n",
+                    body.len()
+                );
+                let t0 = Instant::now();
+                let (status, reply) = keep_alive_request(&mut stream, &head, body.as_bytes())
+                    .map_err(|e| format!("conn {c} request {k}: {e}"))?;
+                if status != 200 {
+                    return Err(format!(
+                        "conn {c} request {k}: status {status}: {}",
+                        String::from_utf8_lossy(&reply[..reply.len().min(120)])
+                    ));
+                }
+                out.push((t0.elapsed(), fnv1a(&reply)));
+            }
+            Ok(out)
+        }));
+    }
+    let mut run = Fleet {
+        wall: Duration::ZERO,
+        latencies: Vec::new(),
+        hashes: Vec::new(),
+        failures: Vec::new(),
+    };
+    for t in threads {
+        match t.join().expect("fleet thread") {
+            Ok(rows) => {
+                for (latency, hash) in rows {
+                    run.latencies.push(latency);
+                    run.hashes.push(hash);
+                }
+            }
+            Err(e) => run.failures.push(e),
+        }
+    }
+    run.wall = started.elapsed();
+    run.latencies.sort_unstable();
+    run
+}
+
+/// The `--connections` phase: a [`fleet`] of `connections` keep-alive
+/// connections, each firing a short train of warm estimation requests.
+/// Gates: every response is a `200` (the server is sized for the fleet,
+/// so nothing may drop or shed), p99 latency stays bounded, and the
+/// event loop's open-connection peak gauge proves the whole fleet really
+/// was open at once.
 fn connections_phase(connections: u64, gates: &mut Vec<Gate>) -> Value {
     const REQUESTS_PER_CONN: u64 = 4;
     const BODY: &str = "{\"platform\": \"image:sw\", \"sweep\": [\"0k/0k\"]}";
@@ -898,60 +955,9 @@ fn connections_phase(connections: u64, gates: &mut Vec<Gate>) -> Value {
     let (status, _, reply) = post_estimate(addr, BODY).expect("prime request");
     assert_eq!(status, 200, "prime: {}", String::from_utf8_lossy(&reply));
 
-    let started = Instant::now();
-    let barrier = Arc::new(Barrier::new(connections as usize));
-    let mut threads = Vec::new();
-    for c in 0..connections {
-        let barrier = Arc::clone(&barrier);
-        threads.push(std::thread::spawn(move || -> Result<Vec<Duration>, String> {
-            let mut stream =
-                TcpStream::connect(addr).map_err(|e| format!("conn {c}: connect: {e}"))?;
-            stream
-                .set_read_timeout(Some(Duration::from_secs(120)))
-                .and_then(|()| stream.set_write_timeout(Some(Duration::from_secs(120))))
-                .map_err(|e| format!("conn {c}: timeout setup: {e}"))?;
-            // Everyone connects before anyone sends — the peak gauge
-            // must see the whole fleet open at the same time.
-            barrier.wait();
-            let head = format!(
-                "POST /estimate HTTP/1.1\r\nHost: loadgen\r\n\
-                 Content-Type: application/json\r\nContent-Length: {}\r\n\r\n",
-                BODY.len()
-            );
-            let mut latencies = Vec::with_capacity(REQUESTS_PER_CONN as usize);
-            for k in 0..REQUESTS_PER_CONN {
-                let t0 = Instant::now();
-                let (status, reply) = keep_alive_request(&mut stream, &head, BODY.as_bytes())
-                    .map_err(|e| format!("conn {c} request {k}: {e}"))?;
-                if status != 200 {
-                    return Err(format!(
-                        "conn {c} request {k}: status {status}: {}",
-                        String::from_utf8_lossy(&reply[..reply.len().min(120)])
-                    ));
-                }
-                latencies.push(t0.elapsed());
-            }
-            Ok(latencies)
-        }));
-    }
-    let mut failures = Vec::new();
-    let mut latencies: Vec<Duration> = Vec::new();
-    for t in threads {
-        match t.join().expect("connection thread") {
-            Ok(l) => latencies.extend(l),
-            Err(e) => failures.push(e),
-        }
-    }
-    let wall = started.elapsed();
-    let ok = latencies.len() as u64;
-    latencies.sort_unstable();
-    let percentile = |p: f64| -> u64 {
-        let last = latencies.len().saturating_sub(1);
-        latencies
-            .get(((last as f64) * p).round() as usize)
-            .map_or(0, |d| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX))
-    };
-    let (p50, p99) = (percentile(0.50), percentile(0.99));
+    let run = fleet(addr, connections, REQUESTS_PER_CONN, |_| BODY.to_string());
+    let (wall, ok) = (run.wall, run.latencies.len() as u64);
+    let (p50, p99) = (percentile_ns(&run.latencies, 0.50), percentile_ns(&run.latencies, 0.99));
 
     let page = get(addr, "/metrics")
         .map(|(_, _, b)| String::from_utf8_lossy(&b).into_owned())
@@ -963,18 +969,14 @@ fn connections_phase(connections: u64, gates: &mut Vec<Gate>) -> Value {
     let expected = connections * REQUESTS_PER_CONN;
     gates.push(Gate {
         name: "connections_all_ok",
-        pass: failures.is_empty() && ok == expected,
-        detail: if failures.is_empty() {
+        pass: run.failures.is_empty() && ok == expected,
+        detail: if run.failures.is_empty() {
             format!(
                 "{connections} concurrent connections x {REQUESTS_PER_CONN} requests, \
                  {ok}/{expected} answered 200 in {wall:.2?}"
             )
         } else {
-            let mut detail = failures[..failures.len().min(4)].join("; ");
-            if failures.len() > 4 {
-                detail.push_str(&format!("; ... {} more", failures.len() - 4));
-            }
-            detail
+            first_failures(&run.failures)
         },
     });
     gates.push(Gate {
@@ -1189,166 +1191,29 @@ fn shard_phase(
         .build()
 }
 
-/// The multiplexed-RPC throughput phase: the same keep-alive fleet is
-/// fired at two sharded fronts that differ only in RPC discipline — the
-/// pooled baseline ([`Service::with_router_pooled`]: every forward
-/// borrows a pooled connection and parks a worker thread on the round
-/// trip) versus the multiplexed event loop ([`Service::with_router`]:
-/// one persistent connection per shard carrying many id-tagged frames,
-/// zero parked workers). Both fronts share the same two shard
-/// processes and identical configurations, so the measured gap is the
-/// transport discipline alone. The speedup probe runs warm forwarded
-/// requests while expensive cache-defeating forwards
-/// ([`cold_platform_body`], disjoint seeds per tier) are in flight —
-/// with the pooled discipline the probe queues behind parked workers
-/// for multiple full shard round trips, while the multiplexed loop
-/// forwards it the moment it is parsed and its completion frame
-/// overtakes the slow ones. Gates: probe forwarded-request throughput
-/// ≥ 2× the pooled path, every fleet reply bit-identical to the
-/// in-process bytes for the same body, the in-flight peak proving
-/// frames really ride a connection concurrently, and bounded tail
-/// latency.
+/// The multiplexed-RPC phase: a keep-alive [`fleet`] of
+/// cache-defeating [`cold_platform_body`] requests fired at a two-shard
+/// front, whose event loop forwards every request over one persistent
+/// connection per shard carrying many id-tagged frames, with no worker
+/// thread parked on a round trip. The same fleet first runs against a
+/// plain in-process server for the reference bytes. Gates: every fleet
+/// reply bit-identical to the in-process bytes for the same body, the
+/// in-flight peak proving frames really ride a connection concurrently,
+/// and bounded tail latency.
 fn shards_mux_phase(connections: u64, gates: &mut Vec<Gate>) -> Value {
     const SHARDS: usize = 2;
     const REQUESTS_PER_CONN: u64 = 4;
     const P99_BOUND: Duration = Duration::from_secs(10);
-    /// Disjoint body seeds: the tiers share shard processes, so reusing
-    /// bodies across tiers would hand the second tier a warm cache.
-    const TIER_SEEDS: [u64; 2] = [0x0070_01ed, 0x0070_0a11];
+    /// Seed of the fleet's unique cold platforms.
+    const SEED: u64 = 0x0070_0a11;
+    let body_for: fn(u64) -> String = |g| cold_platform_body(SEED, g);
 
     let expected = connections * REQUESTS_PER_CONN;
-    struct Fleet {
-        wall: Duration,
-        latencies: Vec<Duration>,
-        /// `(request index, body hash)` per answered request.
-        hashes: Vec<(u64, u64)>,
-        failures: Vec<String>,
-    }
-    let fleet = |addr: SocketAddr, seed: u64| -> Fleet {
-        let started = Instant::now();
-        let barrier = Arc::new(Barrier::new(connections as usize));
-        let mut threads = Vec::new();
-        for c in 0..connections {
-            let barrier = Arc::clone(&barrier);
-            threads.push(std::thread::spawn(
-                move || -> Result<Vec<(u64, Duration, u64)>, String> {
-                    let mut stream =
-                        TcpStream::connect(addr).map_err(|e| format!("conn {c}: connect: {e}"))?;
-                    stream
-                        .set_read_timeout(Some(Duration::from_secs(120)))
-                        .and_then(|()| stream.set_write_timeout(Some(Duration::from_secs(120))))
-                        .map_err(|e| format!("conn {c}: timeout setup: {e}"))?;
-                    barrier.wait();
-                    let mut out = Vec::with_capacity(REQUESTS_PER_CONN as usize);
-                    for k in 0..REQUESTS_PER_CONN {
-                        let g = c * REQUESTS_PER_CONN + k;
-                        let body = cold_platform_body(seed, g);
-                        let head = format!(
-                            "POST /estimate HTTP/1.1\r\nHost: loadgen\r\n\
-                             Content-Type: application/json\r\nContent-Length: {}\r\n\r\n",
-                            body.len()
-                        );
-                        let t0 = Instant::now();
-                        let (status, reply) =
-                            keep_alive_request(&mut stream, &head, body.as_bytes())
-                                .map_err(|e| format!("conn {c} request {k}: {e}"))?;
-                        if status != 200 {
-                            return Err(format!(
-                                "conn {c} request {k}: status {status}: {}",
-                                String::from_utf8_lossy(&reply[..reply.len().min(120)])
-                            ));
-                        }
-                        out.push((g, t0.elapsed(), fnv1a(&reply)));
-                    }
-                    Ok(out)
-                },
-            ));
-        }
-        let mut run = Fleet {
-            wall: Duration::ZERO,
-            latencies: Vec::new(),
-            hashes: Vec::new(),
-            failures: Vec::new(),
-        };
-        for t in threads {
-            match t.join().expect("fleet thread") {
-                Ok(rows) => {
-                    for (g, latency, hash) in rows {
-                        run.latencies.push(latency);
-                        run.hashes.push((g, hash));
-                    }
-                }
-                Err(e) => run.failures.push(e),
-            }
-        }
-        run.wall = started.elapsed();
-        run
-    };
     let fail = |gates: &mut Vec<Gate>, detail: String| {
-        gates.push(Gate { name: "shards_mux_speedup", pass: false, detail });
+        gates.push(Gate { name: "shards_mux_bit_identical", pass: false, detail });
         ObjectBuilder::new().field("phase", "shards_mux").field("boot_failed", true).build()
     };
-
-    // The in-process reference bytes the fleet replies must reproduce,
-    // per tier and request index. Computed against a plain in-process
-    // server with a few client threads — the bodies are unique, so this
-    // is the true cold path there too.
-    let reference: Vec<Vec<u64>> = {
-        let config = ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            workers: 8,
-            queue: expected as usize,
-            io_timeout: Duration::from_secs(120),
-            request_deadline: Duration::from_secs(120),
-            ..ServerConfig::default()
-        };
-        let queue = config.queue;
-        let handle = Server::start(config, Service::new(queue)).expect("reference server starts");
-        let addr = handle.addr();
-        let mut refs = vec![vec![0u64; expected as usize]; TIER_SEEDS.len()];
-        let mut failures = Vec::new();
-        let clients = 8;
-        let mut threads = Vec::new();
-        for c in 0..clients {
-            threads.push(std::thread::spawn(move || {
-                let mut rows = Vec::new();
-                for (tier, seed) in TIER_SEEDS.iter().enumerate() {
-                    let mut g = c;
-                    while g < expected {
-                        rows.push((tier, g, post_estimate(addr, &cold_platform_body(*seed, g))));
-                        g += clients;
-                    }
-                }
-                rows
-            }));
-        }
-        for t in threads {
-            for (tier, g, reply) in t.join().expect("reference thread") {
-                match reply {
-                    Ok((200, _, bytes)) => refs[tier][g as usize] = fnv1a(&bytes),
-                    other => failures.push(format!("tier {tier} request {g}: {other:?}")),
-                }
-            }
-        }
-        handle.shutdown();
-        if !failures.is_empty() {
-            return fail(
-                gates,
-                format!(
-                    "in-process reference requests failed: {}",
-                    failures[..2.min(failures.len())].join("; ")
-                ),
-            );
-        }
-        refs
-    };
-
-    let router = match ShardRouter::spawn(&ShardConfig { shards: SHARDS, ..ShardConfig::default() })
-    {
-        Ok(router) => Arc::new(router),
-        Err(e) => return fail(gates, format!("spawning {SHARDS} shard processes failed: {e}")),
-    };
-    let front_config = || ServerConfig {
+    let config = || ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         workers: 2,
         queue: connections as usize,
@@ -1358,171 +1223,59 @@ fn shards_mux_phase(connections: u64, gates: &mut Vec<Gate>) -> Value {
         max_connections: connections as usize + 64,
         ..ServerConfig::default()
     };
-    // The speedup measurement: forwarded-request throughput of a warm
-    // probe client while expensive cold forwards are in flight. The
-    // pooled discipline parks a front worker thread for every round
-    // trip, so with more blockers than workers the probe waits in the
-    // dispatch queue for *multiple full shard round trips* before its
-    // own forward even starts; the multiplexed loop forwards the probe
-    // the moment it is parsed and its completion frame overtakes the
-    // slow ones. (A pure closed-loop mix cannot see this on a small
-    // box: both disciplines are work-conserving, so a saturated CPU
-    // pins their throughput to total CPU per request. Head-of-line
-    // wait is the quantity the discipline actually changes.)
-    const PROBES: u64 = 64;
-    const BLOCKERS: u64 = 4;
-    struct Hol {
-        probe_mean: Duration,
-        probe_wall: Duration,
-        blockers: u64,
-        failures: Vec<String>,
-    }
-    let head_of_line = |addr: SocketAddr, seed: u64| -> Hol {
-        let probe_body = format!("{{\"platform\": \"{}\", \"sweep\": [\"0k/0k\"]}}", DESIGNS[0]);
-        let mut hol = Hol {
-            probe_mean: Duration::ZERO,
-            probe_wall: Duration::ZERO,
-            blockers: 0,
-            failures: Vec::new(),
-        };
-        // Warm the probe's artifacts shard-side so every measured probe
-        // is a pure forward of cached work.
-        match post_estimate(addr, &probe_body) {
-            Ok((200, _, _)) => {}
-            other => {
-                hol.failures.push(format!("probe warmup: {other:?}"));
-                return hol;
-            }
-        }
-        let stop = Arc::new(AtomicBool::new(false));
-        let mut blocker_threads = Vec::new();
-        for b in 0..BLOCKERS {
-            let stop = Arc::clone(&stop);
-            blocker_threads.push(std::thread::spawn(move || -> (u64, Vec<String>) {
-                let (mut n, mut failures) = (0u64, Vec::new());
-                while !stop.load(Ordering::Relaxed) {
-                    let body = heavy_cold_body(seed ^ 0x001d_5a17, b + n * BLOCKERS);
-                    match post_estimate(addr, &body) {
-                        Ok((200, _, _)) => {}
-                        Ok((status, _, _)) => {
-                            failures.push(format!("blocker {b} request {n}: status {status}"));
-                        }
-                        Err(e) => failures.push(format!("blocker {b} request {n}: {e}")),
-                    }
-                    n += 1;
-                }
-                (n, failures)
-            }));
-        }
-        let started = Instant::now();
-        let mut latency_total = Duration::ZERO;
-        for p in 0..PROBES {
-            let t0 = Instant::now();
-            match post_estimate(addr, &probe_body) {
-                Ok((200, _, _)) => latency_total += t0.elapsed(),
-                Ok((status, _, body)) => hol.failures.push(format!(
-                    "probe {p}: status {status}: {}",
-                    String::from_utf8_lossy(&body[..body.len().min(120)])
-                )),
-                Err(e) => hol.failures.push(format!("probe {p}: {e}")),
-            }
-        }
-        hol.probe_wall = started.elapsed();
-        stop.store(true, Ordering::Relaxed);
-        for t in blocker_threads {
-            let (n, failures) = t.join().expect("blocker thread");
-            hol.blockers += n;
-            hol.failures.extend(failures);
-        }
-        hol.probe_mean = latency_total / u32::try_from(PROBES.max(1)).unwrap_or(1);
-        hol
-    };
-    let run_front = |service: Service, seed: u64| -> (Hol, Fleet, u64) {
-        let handle = Server::start(front_config(), service).expect("shard front starts");
-        let addr = handle.addr();
-        let mix = head_of_line(addr, seed);
-        let run = fleet(addr, seed);
-        let page = get(addr, "/metrics")
-            .map(|(_, _, b)| String::from_utf8_lossy(&b).into_owned())
-            .unwrap_or_default();
-        let inflight_peak = (0..SHARDS)
-            .map(|s| metric(&page, &format!("tlm_serve_shard_inflight_peak{{shard=\"{s}\"}}")))
-            .max()
-            .unwrap_or(0);
-        handle.shutdown();
-        (mix, run, inflight_peak)
-    };
-
     let queue = connections as usize;
-    let (mux_mix, mux, inflight_peak) =
-        run_front(Service::new(queue).with_router(Arc::clone(&router)), TIER_SEEDS[1]);
-    let (pooled_mix, pooled, _) =
-        run_front(Service::new(queue).with_router_pooled(Arc::clone(&router)), TIER_SEEDS[0]);
+
+    // The in-process reference bytes, request by request. The bodies
+    // are unique, so this is the true cold path there too.
+    let handle = Server::start(config(), Service::new(queue)).expect("reference server starts");
+    let reference = fleet(handle.addr(), connections, REQUESTS_PER_CONN, body_for);
+    handle.shutdown();
+    if !reference.failures.is_empty() {
+        return fail(
+            gates,
+            format!(
+                "in-process reference requests failed: {}",
+                first_failures(&reference.failures)
+            ),
+        );
+    }
+
+    let router = match ShardRouter::spawn(&ShardConfig { shards: SHARDS, ..ShardConfig::default() })
+    {
+        Ok(router) => Arc::new(router),
+        Err(e) => return fail(gates, format!("spawning {SHARDS} shard processes failed: {e}")),
+    };
+    let service = Service::new(queue).with_router(Arc::clone(&router));
+    let handle = Server::start(config(), service).expect("shard front starts");
+    let addr = handle.addr();
+    let run = fleet(addr, connections, REQUESTS_PER_CONN, body_for);
+    let page = get(addr, "/metrics")
+        .map(|(_, _, b)| String::from_utf8_lossy(&b).into_owned())
+        .unwrap_or_default();
+    let inflight_peak = (0..SHARDS)
+        .map(|s| metric(&page, &format!("tlm_serve_shard_inflight_peak{{shard=\"{s}\"}}")))
+        .max()
+        .unwrap_or(0);
+    handle.shutdown();
     router.shutdown();
 
-    let probe_rps = |hol: &Hol| PROBES as f64 / hol.probe_wall.as_secs_f64().max(1e-9);
-    let (pooled_probe_rps, mux_probe_rps) = (probe_rps(&pooled_mix), probe_rps(&mux_mix));
-    let speedup = mux_probe_rps / pooled_probe_rps.max(1e-9);
-    let rps = |run: &Fleet| run.hashes.len() as f64 / run.wall.as_secs_f64().max(1e-9);
-    let (pooled_rps, mux_rps) = (rps(&pooled), rps(&mux));
-    let mut mux_latencies = mux.latencies.clone();
-    mux_latencies.sort_unstable();
-    let percentile = |p: f64| -> u64 {
-        let last = mux_latencies.len().saturating_sub(1);
-        mux_latencies
-            .get(((last as f64) * p).round() as usize)
-            .map_or(0, |d| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX))
-    };
-    let (p50, p99) = (percentile(0.50), percentile(0.99));
-
-    let failures: Vec<&String> = pooled
-        .failures
-        .iter()
-        .chain(&mux.failures)
-        .chain(&pooled_mix.failures)
-        .chain(&mux_mix.failures)
-        .collect();
-    let reference = &reference;
-    let diverged = [(&pooled, 0usize), (&mux, 1usize)]
-        .iter()
-        .flat_map(|&(run, tier)| {
-            run.hashes.iter().filter(move |(g, h)| reference[tier][*g as usize] != *h)
-        })
-        .count();
-    let identical = failures.is_empty()
-        && diverged == 0
-        && pooled.hashes.len() as u64 == expected
-        && mux.hashes.len() as u64 == expected;
+    let rps = run.hashes.len() as f64 / run.wall.as_secs_f64().max(1e-9);
+    let (p50, p99) = (percentile_ns(&run.latencies, 0.50), percentile_ns(&run.latencies, 0.99));
+    let complete = run.hashes.len() as u64 == expected;
+    let diverged = reference.hashes.iter().zip(&run.hashes).filter(|(a, b)| a != b).count();
+    let identical = run.failures.is_empty() && complete && diverged == 0;
     gates.push(Gate {
         name: "shards_mux_bit_identical",
         pass: identical,
         detail: if identical {
-            format!(
-                "{expected} pooled + {expected} multiplexed fleet replies match the \
-                 in-process bytes; every probe and blocker request answered 200"
-            )
-        } else if failures.is_empty() && diverged > 0 {
-            format!("{diverged} fleet replies diverged from the in-process reference")
-        } else if failures.is_empty() {
-            "a fleet run dropped replies without reporting a failure".to_string()
+            format!("all {expected} multiplexed fleet replies match the in-process bytes")
+        } else if !run.failures.is_empty() {
+            first_failures(&run.failures)
+        } else if !complete {
+            "the fleet dropped replies without reporting a failure".to_string()
         } else {
-            let mut detail =
-                failures.iter().take(4).map(|s| s.as_str()).collect::<Vec<_>>().join("; ");
-            if failures.len() > 4 {
-                detail.push_str(&format!("; ... {} more", failures.len() - 4));
-            }
-            detail
+            format!("{diverged} fleet replies diverged from the in-process reference")
         },
-    });
-    gates.push(Gate {
-        name: "shards_mux_speedup",
-        pass: speedup >= 2.0,
-        detail: format!(
-            "multiplexed {mux_probe_rps:.0} req/s (mean {:.2?}) vs pooled \
-             {pooled_probe_rps:.0} req/s (mean {:.2?}) — {speedup:.2}x, gate 2.00x; \
-             {PROBES} warm forwards probed behind {BLOCKERS} cold in-flight forwards",
-            mux_mix.probe_mean, pooled_mix.probe_mean
-        ),
     });
     gates.push(Gate {
         name: "shards_mux_pipelined",
@@ -1542,21 +1295,10 @@ fn shards_mux_phase(connections: u64, gates: &mut Vec<Gate>) -> Value {
     ObjectBuilder::new()
         .field("phase", "shards_mux")
         .field("shards", SHARDS as u64)
-        .field("probes", PROBES)
-        .field("blocker_clients", BLOCKERS)
-        .field("pooled_blocker_requests", pooled_mix.blockers)
-        .field("mux_blocker_requests", mux_mix.blockers)
-        .field("pooled_probe_mean_latency_ns", pooled_mix.probe_mean.as_nanos() as u64)
-        .field("pooled_probe_throughput_rps", pooled_probe_rps)
-        .field("mux_probe_mean_latency_ns", mux_mix.probe_mean.as_nanos() as u64)
-        .field("mux_probe_throughput_rps", mux_probe_rps)
-        .field("speedup", speedup)
         .field("connections", connections)
         .field("requests_per_conn", REQUESTS_PER_CONN)
-        .field("pooled_fleet_wall_ns", pooled.wall.as_nanos() as u64)
-        .field("pooled_fleet_throughput_rps", pooled_rps)
-        .field("mux_fleet_wall_ns", mux.wall.as_nanos() as u64)
-        .field("mux_fleet_throughput_rps", mux_rps)
+        .field("mux_fleet_wall_ns", run.wall.as_nanos() as u64)
+        .field("mux_fleet_throughput_rps", rps)
         .field("mux_fleet_p50_latency_ns", p50)
         .field("mux_fleet_p99_latency_ns", p99)
         .field("shard_inflight_peak", inflight_peak)
@@ -1753,11 +1495,12 @@ fn chaos_phase(gates: &mut Vec<Gate>, chaos_seed: u64, requests: u64, clients: u
 }
 
 /// The `--chaos` ladder's shard rung: a two-shard front under forced
-/// short reads on both sides of the RPC frame. The pooled-connection
-/// retry means two forced reads exhaust both attempts, so the front
-/// must answer `503` with `Retry-After` (never hang, never 500), the
-/// front workers must stay alive, and — faults cleared — the same
-/// requests must reproduce their pre-chaos bytes through the shards.
+/// short reads on both sides of the RPC frame. The multiplexed
+/// connection has no retry, so one forced short read must answer `503`
+/// with `Retry-After` (never hang, never 500) and the next forward must
+/// reconnect; the front workers must stay alive, and — faults cleared —
+/// the same requests must reproduce their pre-chaos bytes through the
+/// shards.
 #[cfg(feature = "faults")]
 fn chaos_shard_rung(gates: &mut Vec<Gate>) -> Value {
     use tlm_faults::Kind;

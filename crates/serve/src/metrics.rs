@@ -70,13 +70,8 @@ pub struct Metrics {
     queue_depth_peak: AtomicU64,
     /// Requests currently being estimated.
     inflight: AtomicU64,
-    /// Latency histogram: cumulative-style counts are derived at render
-    /// time; these are per-bucket counts, with one extra slot for +Inf.
-    latency_buckets: [AtomicU64; LATENCY_BUCKETS.len() + 1],
-    /// Total latency in nanoseconds, for `_sum`.
-    latency_sum_ns: AtomicU64,
-    /// Number of observations, for `_count`.
-    latency_count: AtomicU64,
+    /// Request handling latency.
+    latency: Histogram,
     /// Request-handler panics caught and isolated (each answered `500`).
     worker_panics_total: AtomicU64,
     /// Worker threads respawned by their supervisor after a panic.
@@ -103,24 +98,14 @@ pub struct Metrics {
     shard_rx_bytes: [AtomicU64; MAX_SHARDS],
     /// Shard RPC exchanges that failed (answered 503 locally).
     shard_rpc_errors_total: AtomicU64,
-    /// Shard RPC round-trip latency histogram (all shards aggregated),
-    /// per-bucket counts with one extra slot for +Inf.
-    rpc_latency_buckets: [AtomicU64; LATENCY_BUCKETS.len() + 1],
-    /// Total RPC round-trip latency in nanoseconds, for `_sum`.
-    rpc_latency_sum_ns: AtomicU64,
-    /// Number of RPC observations, for `_count`.
-    rpc_latency_count: AtomicU64,
+    /// Shard RPC round-trip latency (all shards aggregated).
+    rpc_latency: Histogram,
     /// Queue-wait component of shard RPCs: dispatch until the request
-    /// frame is fully flushed to the shard socket (pool-checkout plus
-    /// send time on the pooled path).
-    rpc_queue_buckets: [AtomicU64; LATENCY_BUCKETS.len() + 1],
-    rpc_queue_sum_ns: AtomicU64,
-    rpc_queue_count: AtomicU64,
+    /// frame is fully flushed to the shard socket.
+    rpc_queue: Histogram,
     /// On-wire component of shard RPCs: frame flushed until the
     /// completion frame is decoded.
-    rpc_wire_buckets: [AtomicU64; LATENCY_BUCKETS.len() + 1],
-    rpc_wire_sum_ns: AtomicU64,
-    rpc_wire_count: AtomicU64,
+    rpc_wire: Histogram,
     /// Requests currently in flight on each shard's multiplexed
     /// connection.
     shard_inflight: [AtomicU64; MAX_SHARDS],
@@ -212,17 +197,43 @@ pub fn render_shard_stats(slots: &[(usize, ShardStatsSnapshot)]) -> String {
     out
 }
 
-fn observe(
-    buckets: &[AtomicU64; LATENCY_BUCKETS.len() + 1],
-    sum_ns: &AtomicU64,
-    count: &AtomicU64,
-    elapsed: Duration,
-) {
-    let secs = elapsed.as_secs_f64();
-    let bucket = LATENCY_BUCKETS.iter().position(|&le| secs <= le).unwrap_or(LATENCY_BUCKETS.len());
-    buckets[bucket].fetch_add(1, Ordering::Relaxed);
-    sum_ns.fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
-    count.fetch_add(1, Ordering::Relaxed);
+/// One latency histogram over [`LATENCY_BUCKETS`]: per-bucket counts
+/// with one extra slot for `+Inf` (cumulative counts are derived at
+/// render time), the total in nanoseconds for `_sum`, and the number of
+/// observations for `_count`.
+#[derive(Debug, Default)]
+struct Histogram {
+    buckets: [AtomicU64; LATENCY_BUCKETS.len() + 1],
+    sum_ns: AtomicU64,
+    count: AtomicU64,
+}
+
+impl Histogram {
+    fn observe(&self, elapsed: Duration) {
+        let secs = elapsed.as_secs_f64();
+        let bucket =
+            LATENCY_BUCKETS.iter().position(|&le| secs <= le).unwrap_or(LATENCY_BUCKETS.len());
+        self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
+        self.sum_ns.fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Appends the family in the Prometheus text format.
+    fn render(&self, out: &mut String, name: &str, help: &str) {
+        use std::fmt::Write;
+
+        let _ = writeln!(out, "# HELP {name} {help}");
+        let _ = writeln!(out, "# TYPE {name} histogram");
+        let mut cumulative = 0u64;
+        for (bucket, le) in self.buckets.iter().zip(LATENCY_BUCKETS) {
+            cumulative += bucket.load(Ordering::Relaxed);
+            let _ = writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cumulative}");
+        }
+        cumulative += self.buckets[LATENCY_BUCKETS.len()].load(Ordering::Relaxed);
+        let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {cumulative}");
+        let _ = writeln!(out, "{name}_sum {}", self.sum_ns.load(Ordering::Relaxed) as f64 / 1e9);
+        let _ = writeln!(out, "{name}_count {}", self.count.load(Ordering::Relaxed));
+    }
 }
 
 impl Metrics {
@@ -279,12 +290,7 @@ impl Metrics {
     /// Completes [`Metrics::begin`] and records the request latency.
     pub fn done(&self, elapsed: Duration) {
         self.inflight.fetch_sub(1, Ordering::Relaxed);
-        let secs = elapsed.as_secs_f64();
-        let bucket =
-            LATENCY_BUCKETS.iter().position(|&le| secs <= le).unwrap_or(LATENCY_BUCKETS.len());
-        self.latency_buckets[bucket].fetch_add(1, Ordering::Relaxed);
-        self.latency_sum_ns.fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
-        self.latency_count.fetch_add(1, Ordering::Relaxed);
+        self.latency.observe(elapsed);
     }
 
     /// Counts one caught-and-isolated request-handler panic.
@@ -397,12 +403,7 @@ impl Metrics {
             self.shard_tx_bytes[shard].fetch_add(tx_bytes, Ordering::Relaxed);
             self.shard_rx_bytes[shard].fetch_add(rx_bytes, Ordering::Relaxed);
         }
-        let secs = elapsed.as_secs_f64();
-        let bucket =
-            LATENCY_BUCKETS.iter().position(|&le| secs <= le).unwrap_or(LATENCY_BUCKETS.len());
-        self.rpc_latency_buckets[bucket].fetch_add(1, Ordering::Relaxed);
-        self.rpc_latency_sum_ns.fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
-        self.rpc_latency_count.fetch_add(1, Ordering::Relaxed);
+        self.rpc_latency.observe(elapsed);
     }
 
     /// Counts one failed shard RPC exchange.
@@ -420,8 +421,8 @@ impl Metrics {
     /// (flushed until the completion frame arrived). The total is
     /// recorded separately through [`Metrics::shard_request`].
     pub fn shard_rpc_split(&self, queue: Duration, wire: Duration) {
-        observe(&self.rpc_queue_buckets, &self.rpc_queue_sum_ns, &self.rpc_queue_count, queue);
-        observe(&self.rpc_wire_buckets, &self.rpc_wire_sum_ns, &self.rpc_wire_count, wire);
+        self.rpc_queue.observe(queue);
+        self.rpc_wire.observe(wire);
     }
 
     /// Records a request entering a shard's multiplexed connection.
@@ -798,89 +799,28 @@ impl Metrics {
             self.shard_rpc_errors_total.load(Ordering::Relaxed)
         );
 
-        let _ = writeln!(
-            out,
-            "# HELP tlm_serve_shard_rpc_duration_seconds Shard RPC round-trip latency."
+        self.rpc_latency.render(
+            &mut out,
+            "tlm_serve_shard_rpc_duration_seconds",
+            "Shard RPC round-trip latency.",
         );
-        let _ = writeln!(out, "# TYPE tlm_serve_shard_rpc_duration_seconds histogram");
-        let mut rpc_cumulative = 0u64;
-        for (i, le) in LATENCY_BUCKETS.iter().enumerate() {
-            rpc_cumulative += self.rpc_latency_buckets[i].load(Ordering::Relaxed);
-            let _ = writeln!(
-                out,
-                "tlm_serve_shard_rpc_duration_seconds_bucket{{le=\"{le}\"}} {rpc_cumulative}"
-            );
-        }
-        rpc_cumulative += self.rpc_latency_buckets[LATENCY_BUCKETS.len()].load(Ordering::Relaxed);
-        let _ = writeln!(
-            out,
-            "tlm_serve_shard_rpc_duration_seconds_bucket{{le=\"+Inf\"}} {rpc_cumulative}"
-        );
-        let rpc_sum_ns = self.rpc_latency_sum_ns.load(Ordering::Relaxed);
-        let _ =
-            writeln!(out, "tlm_serve_shard_rpc_duration_seconds_sum {}", rpc_sum_ns as f64 / 1e9);
-        let _ = writeln!(
-            out,
-            "tlm_serve_shard_rpc_duration_seconds_count {}",
-            self.rpc_latency_count.load(Ordering::Relaxed)
-        );
-
         // The round trip split into its two halves: time a dispatched
         // frame waited to reach the socket vs time spent between flush
-        // and completion. The pooled path hid checkout time inside the
-        // total; the split makes the mux win (queue ≈ 0) observable.
-        let mut histogram = |name: &str,
-                             help: &str,
-                             buckets: &[AtomicU64; LATENCY_BUCKETS.len() + 1],
-                             sum_ns: &AtomicU64,
-                             count: &AtomicU64| {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} histogram");
-            let mut cumulative = 0u64;
-            for (i, le) in LATENCY_BUCKETS.iter().enumerate() {
-                cumulative += buckets[i].load(Ordering::Relaxed);
-                let _ = writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cumulative}");
-            }
-            cumulative += buckets[LATENCY_BUCKETS.len()].load(Ordering::Relaxed);
-            let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {cumulative}");
-            let _ = writeln!(out, "{name}_sum {}", sum_ns.load(Ordering::Relaxed) as f64 / 1e9);
-            let _ = writeln!(out, "{name}_count {}", count.load(Ordering::Relaxed));
-        };
-        histogram(
+        // and completion.
+        self.rpc_queue.render(
+            &mut out,
             "tlm_serve_shard_rpc_queue_seconds",
             "Shard RPC queue-wait: dispatch until the request frame reached the socket.",
-            &self.rpc_queue_buckets,
-            &self.rpc_queue_sum_ns,
-            &self.rpc_queue_count,
         );
-        histogram(
+        self.rpc_wire.render(
+            &mut out,
             "tlm_serve_shard_rpc_wire_seconds",
             "Shard RPC on-wire time: frame flushed until the completion frame arrived.",
-            &self.rpc_wire_buckets,
-            &self.rpc_wire_sum_ns,
-            &self.rpc_wire_count,
         );
-
-        let _ =
-            writeln!(out, "# HELP tlm_serve_request_duration_seconds Request handling latency.");
-        let _ = writeln!(out, "# TYPE tlm_serve_request_duration_seconds histogram");
-        let mut cumulative = 0u64;
-        for (i, le) in LATENCY_BUCKETS.iter().enumerate() {
-            cumulative += self.latency_buckets[i].load(Ordering::Relaxed);
-            let _ = writeln!(
-                out,
-                "tlm_serve_request_duration_seconds_bucket{{le=\"{le}\"}} {cumulative}"
-            );
-        }
-        cumulative += self.latency_buckets[LATENCY_BUCKETS.len()].load(Ordering::Relaxed);
-        let _ =
-            writeln!(out, "tlm_serve_request_duration_seconds_bucket{{le=\"+Inf\"}} {cumulative}");
-        let sum_ns = self.latency_sum_ns.load(Ordering::Relaxed);
-        let _ = writeln!(out, "tlm_serve_request_duration_seconds_sum {}", sum_ns as f64 / 1e9);
-        let _ = writeln!(
-            out,
-            "tlm_serve_request_duration_seconds_count {}",
-            self.latency_count.load(Ordering::Relaxed)
+        self.latency.render(
+            &mut out,
+            "tlm_serve_request_duration_seconds",
+            "Request handling latency.",
         );
         out
     }
@@ -1011,6 +951,85 @@ mod tests {
         assert!(text.contains("tlm_serve_shard_inflight_rejected_total 1"));
         assert_eq!(m.shard_inflight_peak(1), 2);
     }
+
+    /// The four latency histograms for fixed observations, pinned byte
+    /// for byte (family order included): they close the page, in the
+    /// order round trip, queue wait, wire time, request latency.
+    #[test]
+    fn histogram_families_render_byte_identically() {
+        let m = Metrics::new();
+        for elapsed in
+            [Duration::from_micros(500), Duration::from_millis(3), Duration::from_secs(7)]
+        {
+            m.begin();
+            m.done(elapsed);
+        }
+        m.shard_request(0, 1, 1, Duration::from_millis(20));
+        m.shard_request(1, 1, 1, Duration::from_secs(2));
+        m.shard_rpc_split(Duration::from_micros(100), Duration::from_millis(40));
+        m.shard_rpc_split(Duration::from_millis(2), Duration::from_millis(300));
+        let text = m.render(&PipelineStats::default(), &SessionStats::default(), 1);
+        let start = text.find("# HELP tlm_serve_shard_rpc_duration_seconds ").expect("rpc family");
+        assert_eq!(&text[start..], HISTOGRAM_FAMILIES);
+    }
+
+    const HISTOGRAM_FAMILIES: &str = r#"# HELP tlm_serve_shard_rpc_duration_seconds Shard RPC round-trip latency.
+# TYPE tlm_serve_shard_rpc_duration_seconds histogram
+tlm_serve_shard_rpc_duration_seconds_bucket{le="0.001"} 0
+tlm_serve_shard_rpc_duration_seconds_bucket{le="0.005"} 0
+tlm_serve_shard_rpc_duration_seconds_bucket{le="0.01"} 0
+tlm_serve_shard_rpc_duration_seconds_bucket{le="0.025"} 1
+tlm_serve_shard_rpc_duration_seconds_bucket{le="0.05"} 1
+tlm_serve_shard_rpc_duration_seconds_bucket{le="0.1"} 1
+tlm_serve_shard_rpc_duration_seconds_bucket{le="0.25"} 1
+tlm_serve_shard_rpc_duration_seconds_bucket{le="1"} 1
+tlm_serve_shard_rpc_duration_seconds_bucket{le="5"} 2
+tlm_serve_shard_rpc_duration_seconds_bucket{le="+Inf"} 2
+tlm_serve_shard_rpc_duration_seconds_sum 2.02
+tlm_serve_shard_rpc_duration_seconds_count 2
+# HELP tlm_serve_shard_rpc_queue_seconds Shard RPC queue-wait: dispatch until the request frame reached the socket.
+# TYPE tlm_serve_shard_rpc_queue_seconds histogram
+tlm_serve_shard_rpc_queue_seconds_bucket{le="0.001"} 1
+tlm_serve_shard_rpc_queue_seconds_bucket{le="0.005"} 2
+tlm_serve_shard_rpc_queue_seconds_bucket{le="0.01"} 2
+tlm_serve_shard_rpc_queue_seconds_bucket{le="0.025"} 2
+tlm_serve_shard_rpc_queue_seconds_bucket{le="0.05"} 2
+tlm_serve_shard_rpc_queue_seconds_bucket{le="0.1"} 2
+tlm_serve_shard_rpc_queue_seconds_bucket{le="0.25"} 2
+tlm_serve_shard_rpc_queue_seconds_bucket{le="1"} 2
+tlm_serve_shard_rpc_queue_seconds_bucket{le="5"} 2
+tlm_serve_shard_rpc_queue_seconds_bucket{le="+Inf"} 2
+tlm_serve_shard_rpc_queue_seconds_sum 0.0021
+tlm_serve_shard_rpc_queue_seconds_count 2
+# HELP tlm_serve_shard_rpc_wire_seconds Shard RPC on-wire time: frame flushed until the completion frame arrived.
+# TYPE tlm_serve_shard_rpc_wire_seconds histogram
+tlm_serve_shard_rpc_wire_seconds_bucket{le="0.001"} 0
+tlm_serve_shard_rpc_wire_seconds_bucket{le="0.005"} 0
+tlm_serve_shard_rpc_wire_seconds_bucket{le="0.01"} 0
+tlm_serve_shard_rpc_wire_seconds_bucket{le="0.025"} 0
+tlm_serve_shard_rpc_wire_seconds_bucket{le="0.05"} 1
+tlm_serve_shard_rpc_wire_seconds_bucket{le="0.1"} 1
+tlm_serve_shard_rpc_wire_seconds_bucket{le="0.25"} 1
+tlm_serve_shard_rpc_wire_seconds_bucket{le="1"} 2
+tlm_serve_shard_rpc_wire_seconds_bucket{le="5"} 2
+tlm_serve_shard_rpc_wire_seconds_bucket{le="+Inf"} 2
+tlm_serve_shard_rpc_wire_seconds_sum 0.34
+tlm_serve_shard_rpc_wire_seconds_count 2
+# HELP tlm_serve_request_duration_seconds Request handling latency.
+# TYPE tlm_serve_request_duration_seconds histogram
+tlm_serve_request_duration_seconds_bucket{le="0.001"} 1
+tlm_serve_request_duration_seconds_bucket{le="0.005"} 2
+tlm_serve_request_duration_seconds_bucket{le="0.01"} 2
+tlm_serve_request_duration_seconds_bucket{le="0.025"} 2
+tlm_serve_request_duration_seconds_bucket{le="0.05"} 2
+tlm_serve_request_duration_seconds_bucket{le="0.1"} 2
+tlm_serve_request_duration_seconds_bucket{le="0.25"} 2
+tlm_serve_request_duration_seconds_bucket{le="1"} 2
+tlm_serve_request_duration_seconds_bucket{le="5"} 2
+tlm_serve_request_duration_seconds_bucket{le="+Inf"} 3
+tlm_serve_request_duration_seconds_sum 7.0035
+tlm_serve_request_duration_seconds_count 3
+"#;
 
     #[test]
     fn shard_stats_snapshots_render_per_shard_families() {

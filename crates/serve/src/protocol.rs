@@ -453,14 +453,10 @@ pub struct Service {
     pub sessions: SessionStore,
     /// Capacity of the accept queue, exported through `/metrics`.
     pub queue_capacity: usize,
-    /// When present, estimation and session requests are forwarded to
-    /// the shard tier instead of running in-process (see
+    /// When present, the event loop forwards estimation and session
+    /// requests to the shard tier ([`Service::shard_plan`], see
     /// [`crate::shard`]). Probes and `/metrics` always answer locally.
     router: Option<Arc<ShardRouter>>,
-    /// `true` when forwarded traffic rides the event loop's multiplexed
-    /// shard connections ([`Service::shard_plan`]); `false` keeps the
-    /// blocking per-worker checkout pool in [`ShardRouter::forward`].
-    mux: bool,
     /// Front-assigned session ids. The front allocates the id *before*
     /// forwarding a create so it can place the session on the ring by id
     /// ([`ShardRouter::route_session`]); every later `/session/{id}`
@@ -520,7 +516,6 @@ impl Service {
             sessions: SessionStore::new(session_budget, session_ttl),
             queue_capacity,
             router: None,
-            mux: false,
             next_session: AtomicU64::new(1),
         }
     }
@@ -534,18 +529,6 @@ impl Service {
     #[must_use]
     pub fn with_router(mut self, router: Arc<ShardRouter>) -> Service {
         self.router = Some(router);
-        self.mux = true;
-        self
-    }
-
-    /// Like [`Service::with_router`] but forwards through the blocking
-    /// per-worker connection pool instead of the multiplexed event-loop
-    /// path — one shard round trip parks one worker thread. Kept as the
-    /// measurable baseline the mux path is benchmarked against.
-    #[must_use]
-    pub fn with_router_pooled(mut self, router: Arc<ShardRouter>) -> Service {
-        self.router = Some(router);
-        self.mux = false;
         self
     }
 
@@ -594,17 +577,14 @@ impl Service {
         (0, None)
     }
 
-    /// Plans the multiplexed forwarding of one request, or `None` when
-    /// the request must run locally: no router, pooled mode, a traced
+    /// Plans the forwarding of one request to its owning shard, or
+    /// `None` when the request must run locally: no router, a traced
     /// estimate (the ring is per-process), or a path the front answers
     /// itself. The event loop calls this at dispatch; a `Some` plan
     /// becomes an id-tagged frame on the owning shard's connection
     /// instead of a work-queue item.
     #[must_use]
     pub fn shard_plan(&self, req: &Request, max_body: usize, draining: bool) -> Option<ShardPlan> {
-        if !self.mux {
-            return None;
-        }
         let router = self.router.as_ref()?;
         let (path, query) = match req.target.split_once('?') {
             Some((path, query)) => (path, Some(query)),
@@ -663,35 +643,6 @@ impl Service {
             keep_alive: false,
         };
         self.handle(&http_req, metrics, max_body, req.draining)
-    }
-
-    /// Forwards one request to its owning shard; an unreachable shard
-    /// answers the same retryable `503` contract as a full queue.
-    fn forward(
-        &self,
-        router: &ShardRouter,
-        req: &Request,
-        path: &str,
-        metrics: &Metrics,
-        max_body: usize,
-        draining: bool,
-    ) -> Response {
-        let (shard, assign) =
-            self.shard_for(router, &req.method, path, &req.body, max_body, draining);
-        let rpc_req = RpcRequest {
-            method: req.method.clone(),
-            target: req.target.clone(),
-            body: req.body.clone(),
-            draining,
-            assign_session: assign,
-        };
-        match router.forward(shard, &rpc_req, metrics) {
-            Ok(resp) => resp,
-            Err(e) => {
-                Response::error(503, &format!("shard {shard} unavailable ({e}), retry shortly"))
-                    .with_header("Retry-After", "1")
-            }
-        }
     }
 
     /// Decodes and runs `POST /estimate`.
@@ -934,7 +885,7 @@ impl Service {
         let (trace_id, _trace_guard) = crate::trace::ensure_current();
         crate::trace::record("request", "begin", format!("{} {}", req.method, path));
         let want_trace = query.is_some_and(|q| q.split('&').any(|p| p == "trace=1"));
-        let resp = self.route(req, path, metrics, max_body, draining, want_trace);
+        let resp = self.route(req, path, metrics, max_body, draining);
         crate::trace::record("request", "end", crate::trace::status_detail(resp.status));
         if want_trace && path == "/estimate" && req.method == "POST" {
             // The estimate ran normally (recording events); answer its
@@ -949,9 +900,8 @@ impl Service {
         resp
     }
 
-    /// Dispatches one request by `(method, path)`; `want_trace` keeps a
-    /// traced estimate local (the ring is per-process, so a forwarded
-    /// request would record on the shard instead).
+    /// Dispatches one request by `(method, path)`, always in-process:
+    /// forwarding to a shard happens earlier, in the event loop.
     fn route(
         &self,
         req: &Request,
@@ -959,19 +909,7 @@ impl Service {
         metrics: &Metrics,
         max_body: usize,
         draining: bool,
-        want_trace: bool,
     ) -> Response {
-        if let Some(router) = &self.router {
-            if !want_trace
-                && (path == "/estimate" || path == "/session" || path.starts_with("/session/"))
-            {
-                // The pooled fallback. In mux mode the event loop
-                // intercepts these paths at dispatch via
-                // [`Service::shard_plan`]; direct callers (tests, shard
-                // workers) still forward correctly through the pool.
-                return self.forward(router, req, path, metrics, max_body, draining);
-            }
-        }
         match (req.method.as_str(), path) {
             ("POST", "/estimate") => self.estimate(&req.body, max_body),
             ("POST", "/session") => {
@@ -1212,7 +1150,7 @@ mod tests {
         ]
     }, "sweep": [{"icache": 2048, "dcache": 2048}]}"#;
 
-    fn roundtrip(resp: &Response) -> (u16, Value) {
+    fn decoded(resp: &Response) -> (u16, Value) {
         let text = std::str::from_utf8(&resp.body).expect("utf8 body");
         (resp.status, tlm_json::parse(text).expect("json body"))
     }
@@ -1220,7 +1158,7 @@ mod tests {
     #[test]
     fn session_create_edit_get_delete_roundtrip() {
         let svc = service();
-        let (status, v) = roundtrip(&svc.session_create(TINY_SESSION.as_bytes(), 1 << 20));
+        let (status, v) = decoded(&svc.session_create(TINY_SESSION.as_bytes(), 1 << 20));
         assert_eq!(status, 200, "body: {}", v.to_compact());
         assert_eq!(v.get("session").and_then(Value::as_u64), Some(1));
         let cold = v.get("report").expect("report").to_compact();
@@ -1228,7 +1166,7 @@ mod tests {
         let rows_before = svc.pipeline.stats().rows;
         let edit = r#"{"process": "main",
             "patch": {"find": "x * 3 + 1", "replace": "x << 3"}}"#;
-        let (status, v) = roundtrip(&svc.session_edit(1, edit.as_bytes(), 1 << 20));
+        let (status, v) = decoded(&svc.session_edit(1, edit.as_bytes(), 1 << 20));
         assert_eq!(status, 200, "body: {}", v.to_compact());
         let dirty = v.get("edit").and_then(|e| e.get("dirty_functions")).and_then(Value::as_u64);
         assert_eq!(dirty, Some(1), "only `helper` structurally changed");
@@ -1243,14 +1181,14 @@ mod tests {
             "exactly the dirty function recomputed"
         );
 
-        let (status, v) = roundtrip(&svc.session_route("GET", "/session/1", b"", 1 << 20));
+        let (status, v) = decoded(&svc.session_route("GET", "/session/1", b"", 1 << 20));
         assert_eq!(status, 200);
         assert_eq!(v.get("report").expect("report").to_compact(), warm, "view replays the edit");
 
-        let (status, v) = roundtrip(&svc.session_route("DELETE", "/session/1", b"", 1 << 20));
+        let (status, v) = decoded(&svc.session_route("DELETE", "/session/1", b"", 1 << 20));
         assert_eq!(status, 200);
         assert_eq!(v.get("closed").and_then(Value::as_bool), Some(true));
-        let (status, _) = roundtrip(&svc.session_route("GET", "/session/1", b"", 1 << 20));
+        let (status, _) = decoded(&svc.session_route("GET", "/session/1", b"", 1 << 20));
         assert_eq!(status, 404);
     }
 
@@ -1260,7 +1198,7 @@ mod tests {
         let body = r#"{"platform": "image:sw", "sweep": ["2k/2k"], "report": "blocks"}"#;
         let (status, stateless) = estimate(&svc, body);
         assert_eq!(status, 200);
-        let (status, v) = roundtrip(&svc.session_create(body.as_bytes(), 1 << 20));
+        let (status, v) = decoded(&svc.session_create(body.as_bytes(), 1 << 20));
         assert_eq!(status, 200, "body: {}", v.to_compact());
         assert_eq!(
             v.get("report").expect("report").to_compact(),
@@ -1272,7 +1210,7 @@ mod tests {
     #[test]
     fn session_errors_name_the_problem() {
         let svc = service();
-        let (_, _) = roundtrip(&svc.session_create(TINY_SESSION.as_bytes(), 1 << 20));
+        let (_, _) = decoded(&svc.session_create(TINY_SESSION.as_bytes(), 1 << 20));
         let cases = [
             (r#"{"patch": {"find": "a", "replace": "b"}}"#, 400, "missing `process`"),
             (r#"{"process": "nope", "source": "void main() {}"}"#, 400, "unknown process"),
@@ -1291,13 +1229,13 @@ mod tests {
             ),
         ];
         for (body, want, needle) in cases {
-            let (status, v) = roundtrip(&svc.session_edit(1, body.as_bytes(), 1 << 20));
+            let (status, v) = decoded(&svc.session_edit(1, body.as_bytes(), 1 << 20));
             assert_eq!(status, want, "body `{body}`: {}", v.to_compact());
             let msg = v.get("error").and_then(Value::as_str).unwrap_or_default();
             assert!(msg.contains(needle), "`{msg}` should mention `{needle}`");
         }
         let edit = r#"{"process": "main", "source": "void main() { out(1); }"}"#;
-        let (status, _) = roundtrip(&svc.session_edit(99, edit.as_bytes(), 1 << 20));
+        let (status, _) = decoded(&svc.session_edit(99, edit.as_bytes(), 1 << 20));
         assert_eq!(status, 404, "editing a nonexistent session");
     }
 
@@ -1305,7 +1243,7 @@ mod tests {
     fn drain_rejects_creation_but_serves_existing_sessions() {
         let svc = service();
         let metrics = Metrics::new();
-        let (_, v) = roundtrip(&svc.session_create(TINY_SESSION.as_bytes(), 1 << 20));
+        let (_, v) = decoded(&svc.session_create(TINY_SESSION.as_bytes(), 1 << 20));
         let id = v.get("session").and_then(Value::as_u64).expect("id");
         let request = |method: &str, target: &str, body: &[u8]| Request {
             method: method.into(),
@@ -1333,17 +1271,95 @@ mod tests {
         assert_eq!(resp.status, 200, "views keep serving during drain");
     }
 
-    #[test]
-    fn trace_export_is_opt_in_and_reexportable_by_id() {
-        let svc = service();
-        let metrics = Metrics::new();
-        let request = |method: &str, target: &str, body: &[u8]| Request {
+    fn request(method: &str, target: &str, body: &[u8]) -> Request {
+        Request {
             method: method.into(),
             target: target.into(),
             headers: Vec::new(),
             body: body.to_vec(),
             keep_alive: false,
+        }
+    }
+
+    /// A routed service over four shard addresses nothing listens on:
+    /// planning never dials, so any address will do.
+    fn routed() -> (Service, Arc<ShardRouter>) {
+        let dead = vec!["127.0.0.1:1".parse().expect("addr"); 4];
+        let router = Arc::new(ShardRouter::connect(&dead));
+        (Service::new(8).with_router(Arc::clone(&router)), router)
+    }
+
+    #[test]
+    fn shard_plan_routes_estimates_and_sessions_to_their_owners() {
+        let (svc, router) = routed();
+        let plan = |method: &str, target: &str, body: &[u8], draining: bool| {
+            svc.shard_plan(&request(method, target, body), 1 << 20, draining)
+                .map(|p| (p.shard, p.request.assign_session))
         };
+        let body = br#"{"platform": "mp3:sw"}"#;
+        let owner = router.route_estimate(body, 1 << 20);
+        assert_eq!(plan("POST", "/estimate", body, false), Some((owner, None)));
+        let forwarded = svc.shard_plan(&request("POST", "/estimate", body), 1 << 20, true);
+        let frame = forwarded.expect("planned").request;
+        assert_eq!((frame.method.as_str(), frame.target.as_str()), ("POST", "/estimate"));
+        assert_eq!((frame.body.as_slice(), frame.draining), (&body[..], true));
+
+        // Creates take sequential front-assigned ids and land on the
+        // shard that owns each id; a draining create burns no id.
+        for id in 1..=3 {
+            let planned = plan("POST", "/session", b"{}", false);
+            assert_eq!(planned, Some((router.route_session(id), Some(id))));
+        }
+        assert_eq!(plan("POST", "/session", b"{}", true), Some((0, None)));
+        assert_eq!(plan("GET", "/session/abc", b"", false), Some((0, None)));
+        let planned = plan("POST", "/session", b"{}", false);
+        assert_eq!(planned, Some((router.route_session(4), Some(4))));
+        let planned = plan("POST", "/session/7/edit", b"{}", false);
+        assert_eq!(planned, Some((router.route_session(7), None)));
+        assert_eq!(plan("GET", "/session/7", b"", false), Some((router.route_session(7), None)));
+    }
+
+    #[test]
+    fn shard_plan_keeps_traces_probes_and_unrouted_services_local() {
+        let (svc, _router) = routed();
+        let local = Service::new(8);
+        let body = br#"{"platform": "mp3:sw"}"#;
+        for (method, target) in [
+            ("POST", "/estimate?trace=1"),
+            ("GET", "/metrics"),
+            ("GET", "/healthz"),
+            ("GET", "/readyz"),
+            ("GET", "/trace/5"),
+        ] {
+            assert!(svc.shard_plan(&request(method, target, body), 1 << 20, false).is_none());
+        }
+        for (method, target) in [
+            ("POST", "/estimate"),
+            ("POST", "/session"),
+            ("GET", "/session/1"),
+            ("POST", "/session/1/edit"),
+            ("GET", "/metrics"),
+        ] {
+            assert!(local.shard_plan(&request(method, target, body), 1 << 20, false).is_none());
+        }
+    }
+
+    /// Forwarding is the event loop's job: `handle` on a routed service
+    /// answers in-process and never touches the (unreachable) shards.
+    #[test]
+    fn handle_on_a_routed_service_answers_in_process() {
+        let (svc, _router) = routed();
+        let metrics = Metrics::new();
+        let body = br#"{"platform": "image:sw", "sweep": ["0k/0k"]}"#;
+        let resp = svc.handle(&request("POST", "/estimate", body), &metrics, 1 << 20, false);
+        assert_eq!(resp.status, 200, "body: {}", String::from_utf8_lossy(&resp.body));
+        assert_eq!(resp.body, service().estimate(body, 1 << 20).body);
+    }
+
+    #[test]
+    fn trace_export_is_opt_in_and_reexportable_by_id() {
+        let svc = service();
+        let metrics = Metrics::new();
         let body = br#"{"platform": "image:sw", "sweep": ["0k/0k"]}"#;
 
         // `?trace=1` answers the request's ring events as Chrome trace

@@ -28,11 +28,12 @@
 //! one connection with several worker threads, so **many requests ride
 //! one connection concurrently** and responses return in completion
 //! order, not request order. The front's event loop demultiplexes them
-//! by id (see `crate::server`); the pooled blocking path here
-//! ([`ShardRouter::forward`]) remains as the control-plane idiom and
-//! the measured baseline the mux gate compares against. Responses are
-//! **bit-identical** to single-process mode because a shard runs the
-//! identical [`Service::handle`] against its own pipeline, and the
+//! by id (see `crate::server`): its one multiplexed connection per shard
+//! is the only path a client request takes to a shard. Control traffic
+//! (the `STATS` scrape and the drain `SHUTDOWN`) uses short-lived
+//! connections of its own. Responses are **bit-identical** to
+//! single-process mode because a shard runs the identical
+//! [`Service::handle`] against its own pipeline, and the
 //! response is reconstructed field-for-field on the front — the
 //! loadgen's differential phase and the CI `shard-smoke` job both gate
 //! on this.
@@ -60,8 +61,8 @@ use crate::http::Response;
 use crate::metrics::{Metrics, ShardStatsSnapshot};
 use crate::protocol::Service;
 use crate::rpc::{
-    self, RpcRequest, CONTROL_ID, TAG_REQUEST, TAG_RESPONSE, TAG_SHUTDOWN, TAG_SHUTDOWN_OK,
-    TAG_STATS, TAG_STATS_OK,
+    self, CONTROL_ID, TAG_REQUEST, TAG_RESPONSE, TAG_SHUTDOWN, TAG_SHUTDOWN_OK, TAG_STATS,
+    TAG_STATS_OK,
 };
 
 /// Virtual nodes per shard on the hash ring — enough that the keyspace
@@ -262,14 +263,11 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// One spawned shard process and the front's connections to it.
+/// One shard process: where it listens, and the child handle when the
+/// front spawned it. The event loop owns the multiplexed stream to it.
 #[derive(Debug)]
 struct Shard {
     addr: ShardAddr,
-    /// Idle pooled connections for the blocking path (the pooled
-    /// baseline and the control plane; the mux path owns its own
-    /// nonblocking stream inside the event loop).
-    pool: Mutex<Vec<ShardStream>>,
     /// The child process, present until [`ShardRouter::shutdown`] reaps
     /// it. `None` for externally-managed shards (tests).
     child: Mutex<Option<Child>>,
@@ -277,8 +275,8 @@ struct Shard {
     _stdout: Option<ChildStdout>,
 }
 
-/// The front's view of the shard tier: the hash ring plus per-shard
-/// connection pools.
+/// The front's view of the shard tier: the hash ring plus each shard's
+/// address (and child process, when spawned).
 #[derive(Debug)]
 pub struct ShardRouter {
     shards: Vec<Shard>,
@@ -357,12 +355,7 @@ impl ShardRouter {
     pub fn connect_addrs(addrs: Vec<ShardAddr>) -> ShardRouter {
         let shards = addrs
             .into_iter()
-            .map(|addr| Shard {
-                addr,
-                pool: Mutex::new(Vec::new()),
-                child: Mutex::new(None),
-                _stdout: None,
-            })
+            .map(|addr| Shard { addr, child: Mutex::new(None), _stdout: None })
             .collect::<Vec<_>>();
         ShardRouter { ring: build_ring(shards.len()), shards }
     }
@@ -414,81 +407,11 @@ impl ShardRouter {
         Ok(stream)
     }
 
-    /// Forwards one request to `shard` over the blocking pooled path and
-    /// returns its response. Connections are pooled; a stale pooled
-    /// connection gets one retry on a fresh one. Counts per-shard
-    /// traffic, RPC latency and its queue/wire split into `metrics`
-    /// (errors too). The mux path in `crate::server` supersedes this for
-    /// forwarded client traffic; this remains the baseline and the
-    /// control-plane idiom.
-    ///
-    /// # Errors
-    ///
-    /// Connect or round-trip failure after the retry.
-    pub fn forward(
-        &self,
-        shard: usize,
-        req: &RpcRequest,
-        metrics: &Metrics,
-    ) -> io::Result<Response> {
-        let start = Instant::now();
-        let (id, _trace_guard) = crate::trace::ensure_current();
-        let payload = rpc::encode_request(req);
-        let slot = &self.shards[shard];
-        let mut attempt = 0;
-        loop {
-            let (mut stream, pooled) = match slot.pool.lock().expect("pool poisoned").pop() {
-                Some(stream) => (stream, true),
-                None => match ShardStream::connect(&slot.addr) {
-                    Ok(stream) => (stream, false),
-                    Err(e) => {
-                        metrics.shard_rpc_error();
-                        return Err(e);
-                    }
-                },
-            };
-            // Pooled queue-wait is connection-checkout time; everything
-            // after this instant is on the wire.
-            let queued = start.elapsed();
-            crate::trace::record(
-                "rpc",
-                "send",
-                format!("shard {shard} id {id} frame {} bytes", payload.len() + 13),
-            );
-            match roundtrip(&mut stream, id, &payload) {
-                Ok((resp, rx_bytes)) => {
-                    crate::trace::record("rpc", "recv", format!("shard {shard} {rx_bytes} bytes"));
-                    slot.pool.lock().expect("pool poisoned").push(stream);
-                    metrics.shard_request(
-                        shard,
-                        (payload.len() + 13) as u64,
-                        rx_bytes as u64,
-                        start.elapsed(),
-                    );
-                    metrics.shard_rpc_split(queued, start.elapsed().saturating_sub(queued));
-                    return Ok(resp);
-                }
-                Err(e) => {
-                    crate::trace::record("rpc", "error", format!("shard {shard}: {e}"));
-                    drop(stream);
-                    if pooled && attempt == 0 {
-                        // The pooled connection may have idled out while
-                        // unused; one fresh connection decides for real.
-                        attempt += 1;
-                        continue;
-                    }
-                    metrics.shard_rpc_error();
-                    return Err(e);
-                }
-            }
-        }
-    }
-
     /// Fetches one shard's own counters over a short-lived control
     /// connection (a `STATS` frame), for aggregation into the front's
-    /// `/metrics` page. Deliberately not pooled: a stats scrape must
-    /// never inherit — or leave behind — a forward's socket state, and a
-    /// hung shard only stalls the scrape for the 2 s timeout.
+    /// `/metrics` page. A connection of its own: a stats scrape never
+    /// shares socket state with forwarded traffic, and a hung shard only
+    /// stalls the scrape for the 2 s timeout.
     ///
     /// # Errors
     ///
@@ -507,21 +430,12 @@ impl ShardRouter {
         decode_stats(&payload)
     }
 
-    /// Sends every shard a drain frame, waits for the acknowledgement,
-    /// and reaps the child processes. Idempotent.
+    /// Sends every shard a drain frame over a fresh control connection,
+    /// waits for the acknowledgement, and reaps the child processes.
+    /// Idempotent.
     pub fn shutdown(&self) {
         for shard in &self.shards {
-            // Drop every pooled connection before draining: the shard
-            // joins its per-connection threads on the way out, and
-            // those threads sit in a blocking read until the front
-            // side closes. Keep one back for the drain frame itself.
-            let stream = {
-                let mut pool = shard.pool.lock().expect("pool poisoned");
-                let keep = pool.pop();
-                pool.clear();
-                keep.map_or_else(|| ShardStream::connect(&shard.addr), Ok)
-            };
-            if let Ok(mut stream) = stream {
+            if let Ok(mut stream) = ShardStream::connect(&shard.addr) {
                 let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
                 if rpc::write_frame(&mut stream, TAG_SHUTDOWN, CONTROL_ID, &[]).is_ok() {
                     // Wait for the ack so the child has logged its drain
@@ -534,27 +448,6 @@ impl ShardRouter {
             }
         }
     }
-}
-
-/// One forwarded round trip on an established connection. Returns the
-/// response and the received byte count.
-fn roundtrip(stream: &mut ShardStream, id: u64, payload: &[u8]) -> io::Result<(Response, usize)> {
-    rpc::write_frame(stream, TAG_REQUEST, id, payload)?;
-    let (tag, resp_id, resp_payload) = rpc::read_frame(stream)?;
-    if tag != TAG_RESPONSE {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("expected response frame, got tag {tag}"),
-        ));
-    }
-    if resp_id != id {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("response id {resp_id} does not match request id {id}"),
-        ));
-    }
-    let resp = rpc::decode_response(&resp_payload)?;
-    Ok((resp, resp_payload.len() + 13))
 }
 
 fn spawn_shard(command: &mut Command) -> io::Result<Shard> {
@@ -580,12 +473,7 @@ fn spawn_shard(command: &mut Command) -> io::Result<Shard> {
                 format!("shard did not announce an address: {line:?}"),
             )
         })?;
-    Ok(Shard {
-        addr,
-        pool: Mutex::new(Vec::new()),
-        child: Mutex::new(Some(child)),
-        _stdout: Some(reader.into_inner()),
-    })
+    Ok(Shard { addr, child: Mutex::new(Some(child)), _stdout: Some(reader.into_inner()) })
 }
 
 /// Routing material of an `/estimate` body: per job, the built-in design

@@ -9,17 +9,22 @@
 //! hammering the same requests from many threads receive bit-identical
 //! bodies regardless of interleaving — and graceful shutdown: in-flight
 //! work finishes, `/readyz` flips to `503` the moment draining starts
-//! while `/healthz` keeps answering `200`, and no worker is left stuck
-//! or leaked behind a misbehaving client (checked via the worker
-//! gauges).
+//! while `/healthz` keeps answering `200`, new sessions are refused
+//! while edits to existing ones finish, and no worker is left stuck or
+//! leaked behind a misbehaving client (checked via the worker gauges).
+//! `/metrics` is checked for the pipeline, batch-dedup, event-loop and
+//! shard families; the process-wide counters are asserted as monotonic
+//! deltas around a request.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use tlm_serve::http::HttpLimits;
 use tlm_serve::protocol::Service;
 use tlm_serve::server::{Server, ServerConfig, ServerHandle};
+use tlm_serve::shard::ShardRouter;
 
 fn start(mut config: ServerConfig) -> ServerHandle {
     config.addr = "127.0.0.1:0".to_string();
@@ -43,12 +48,45 @@ fn send_raw(addr: SocketAddr, raw: &[u8]) -> String {
     String::from_utf8_lossy(&out).into_owned()
 }
 
-fn post(addr: SocketAddr, target: &str, body: &str) -> String {
+/// One request on a fresh connection: `head` is `"METHOD /target"`.
+fn request(addr: SocketAddr, head: &str, body: &str) -> String {
     let raw = format!(
-        "POST {target} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        "{head} HTTP/1.1\r\nHost: t\r\nContent-Type: application/json\r\n\
+         Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
     );
     send_raw(addr, raw.as_bytes())
+}
+
+/// One request over an already-open keep-alive stream, reading exactly
+/// one response (head plus `Content-Length` body) so the connection
+/// stays usable for the next request.
+fn keep_alive_request(stream: &mut TcpStream, head: &str, body: &str) -> String {
+    write!(
+        stream,
+        "{head} HTTP/1.1\r\nHost: t\r\nContent-Type: application/json\r\n\
+         Content-Length: {}\r\nConnection: keep-alive\r\n\r\n{body}",
+        body.len()
+    )
+    .expect("writes");
+    let mut header = Vec::new();
+    let mut byte = [0u8; 1];
+    while !header.ends_with(b"\r\n\r\n") {
+        assert_ne!(stream.read(&mut byte).expect("reads"), 0, "closed mid-header");
+        header.push(byte[0]);
+        assert!(header.len() <= 16 * 1024, "runaway response head");
+    }
+    let header = String::from_utf8(header).expect("utf8 header");
+    let length = header
+        .lines()
+        .find_map(|line| {
+            let (name, value) = line.split_once(':')?;
+            name.eq_ignore_ascii_case("content-length").then(|| value.trim().parse().ok())?
+        })
+        .unwrap_or(0usize);
+    let mut body = vec![0u8; length];
+    stream.read_exact(&mut body).expect("reads body");
+    format!("{header}{}", String::from_utf8_lossy(&body))
 }
 
 fn status_of(response: &str) -> u16 {
@@ -59,12 +97,13 @@ fn body_of(response: &str) -> &str {
     response.split_once("\r\n\r\n").map_or("", |(_, b)| b)
 }
 
-/// Reads one sample (possibly labeled) from a Prometheus text page.
+/// Reads one sample by its full name (label set included, if any) from
+/// a Prometheus text page.
 fn metric(page: &str, name: &str) -> u64 {
     page.lines()
         .find(|l| l.starts_with(name) && l[name.len()..].starts_with(' '))
         .and_then(|l| l[name.len()..].trim().parse().ok())
-        .unwrap_or_else(|| panic!("metric {name} missing"))
+        .unwrap_or_else(|| panic!("metric {name} missing:\n{page}"))
 }
 
 #[test]
@@ -72,13 +111,13 @@ fn malformed_json_and_malformed_http_answer_400() {
     let handle = start_default();
     let addr = handle.addr();
 
-    let resp = post(addr, "/estimate", "this is not json");
+    let resp = request(addr, "POST /estimate", "this is not json");
     assert_eq!(status_of(&resp), 400, "got: {resp}");
     assert!(body_of(&resp).contains("invalid JSON"), "got: {resp}");
 
     // Deep nesting trips the parser's recursion budget, not the stack.
     let bomb = format!("{}{}", "[".repeat(4096), "]".repeat(4096));
-    let resp = post(addr, "/estimate", &bomb);
+    let resp = request(addr, "POST /estimate", &bomb);
     assert_eq!(status_of(&resp), 400, "got: {resp}");
 
     // Broken HTTP framing.
@@ -115,7 +154,7 @@ fn truncated_body_times_out_with_408() {
 /// alive, and nobody stuck busy beyond the one serving this very
 /// `/metrics` request.
 fn assert_workers_intact(addr: SocketAddr, workers: u64) {
-    let resp = send_raw(addr, b"GET /metrics HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n");
+    let resp = request(addr, "GET /metrics", "");
     assert_eq!(status_of(&resp), 200, "got: {resp}");
     let page = body_of(&resp);
     assert_eq!(metric(page, "tlm_serve_workers_alive"), workers, "worker leaked or died");
@@ -129,7 +168,7 @@ fn assert_workers_intact(addr: SocketAddr, workers: u64) {
 fn await_handled(addr: SocketAddr, handled: u64) {
     let deadline = Instant::now() + Duration::from_secs(30);
     for polls in 0.. {
-        let resp = send_raw(addr, b"GET /metrics HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n");
+        let resp = request(addr, "GET /metrics", "");
         // Earlier polls are handled; this one is still in its worker.
         let done = metric(body_of(&resp), "tlm_serve_request_duration_seconds_count");
         if done >= handled + polls {
@@ -197,7 +236,7 @@ fn mid_response_hangup_leaves_no_stuck_worker() {
     }
 
     // The pool still serves normal clients afterwards.
-    let resp = post(addr, "/estimate", r#"{"platform": "image:sw"}"#);
+    let resp = request(addr, "POST /estimate", r#"{"platform": "image:sw"}"#);
     assert_eq!(status_of(&resp), 200, "got: {resp}");
     // Every worker is idle once the four abandoned requests and this one
     // have been handled.
@@ -239,7 +278,7 @@ fn unknown_endpoints_and_wrong_methods() {
     assert_eq!(status_of(&resp), 405, "got: {resp}");
     assert!(resp.contains("Allow: POST"), "got: {resp}");
 
-    let resp = post(addr, "/metrics", "{}");
+    let resp = request(addr, "POST /metrics", "{}");
     assert_eq!(status_of(&resp), 405, "got: {resp}");
     assert!(resp.contains("Allow: GET"), "got: {resp}");
 
@@ -251,7 +290,7 @@ fn estimation_over_the_wire_matches_the_paper_sweep_shape() {
     let handle = start_default();
     let addr = handle.addr();
 
-    let resp = post(addr, "/estimate", r#"{"platform": "image:sw"}"#);
+    let resp = request(addr, "POST /estimate", r#"{"platform": "image:sw"}"#);
     assert_eq!(status_of(&resp), 200, "got: {resp}");
     let v = tlm_json::parse(body_of(&resp)).expect("json body");
     let sweep = v.get("sweep").and_then(tlm_json::Value::as_array).expect("sweep");
@@ -269,7 +308,7 @@ fn metrics_expose_per_stage_pipeline_counters() {
     let handle = start_default();
     let addr = handle.addr();
     let get_metrics = || {
-        let resp = send_raw(addr, b"GET /metrics HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n");
+        let resp = request(addr, "GET /metrics", "");
         assert_eq!(status_of(&resp), 200, "got: {resp}");
         body_of(&resp).to_string()
     };
@@ -289,7 +328,7 @@ fn metrics_expose_per_stage_pipeline_counters() {
 
     // A cold request computes: misses land on the estimation stages, and
     // the legacy schedule-cache counters mirror the `schedules` stage.
-    let resp = post(addr, "/estimate", r#"{"platform": "mp3:sw"}"#);
+    let resp = request(addr, "POST /estimate", r#"{"platform": "mp3:sw"}"#);
     assert_eq!(status_of(&resp), 200, "got: {resp}");
     let cold = get_metrics();
     let report_misses = metric(&cold, "tlm_serve_pipeline_stage_misses_total{stage=\"report\"}");
@@ -303,7 +342,7 @@ fn metrics_expose_per_stage_pipeline_counters() {
     // The identical request hits the report stage and short-circuits the
     // graph: no stage gains a single miss, and the upstream stages see no
     // lookups at all.
-    let resp = post(addr, "/estimate", r#"{"platform": "mp3:sw"}"#);
+    let resp = request(addr, "POST /estimate", r#"{"platform": "mp3:sw"}"#);
     assert_eq!(status_of(&resp), 200, "got: {resp}");
     let warm = get_metrics();
     assert!(
@@ -339,7 +378,7 @@ fn concurrent_clients_get_bit_identical_responses() {
     ];
     // Sequential references first.
     let reference: Vec<String> =
-        bodies.iter().map(|b| body_of(&post(addr, "/estimate", b)).to_string()).collect();
+        bodies.iter().map(|b| body_of(&request(addr, "POST /estimate", b)).to_string()).collect();
 
     let mut threads = Vec::new();
     for t in 0..6usize {
@@ -347,7 +386,7 @@ fn concurrent_clients_get_bit_identical_responses() {
         threads.push(std::thread::spawn(move || {
             (0..3)
                 .map(|_| {
-                    let resp = post(addr, "/estimate", &body);
+                    let resp = request(addr, "POST /estimate", &body);
                     assert_eq!(status_of(&resp), 200, "got: {resp}");
                     body_of(&resp).to_string()
                 })
@@ -364,32 +403,6 @@ fn concurrent_clients_get_bit_identical_responses() {
     handle.shutdown();
 }
 
-/// One request on an already-open keep-alive connection: writes a GET,
-/// reads one `Content-Length`-framed response, leaves the socket open.
-fn keep_alive_get(stream: &mut TcpStream, target: &str) -> (u16, String) {
-    stream
-        .write_all(format!("GET {target} HTTP/1.1\r\nHost: t\r\n\r\n").as_bytes())
-        .expect("writes");
-    let mut head = Vec::new();
-    let mut byte = [0u8; 1];
-    while !head.ends_with(b"\r\n\r\n") {
-        assert_ne!(stream.read(&mut byte).expect("reads"), 0, "closed mid-header");
-        head.push(byte[0]);
-        assert!(head.len() <= 16 * 1024, "runaway response head");
-    }
-    let text = String::from_utf8_lossy(&head).into_owned();
-    let length: usize = text
-        .lines()
-        .find_map(|l| {
-            let (name, value) = l.split_once(':')?;
-            name.eq_ignore_ascii_case("content-length").then(|| value.trim().parse().ok())?
-        })
-        .unwrap_or(0);
-    let mut body = vec![0u8; length];
-    stream.read_exact(&mut body).expect("body");
-    (status_of(&text), text)
-}
-
 #[test]
 fn half_closed_client_still_gets_its_response_and_leaks_no_connection() {
     let handle = start(ServerConfig { workers: 2, ..ServerConfig::default() });
@@ -399,7 +412,7 @@ fn half_closed_client_still_gets_its_response_and_leaks_no_connection() {
     // itself is open while the page renders, so a quiescent server
     // reads 1.
     let open_connections = || {
-        let resp = send_raw(addr, b"GET /metrics HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n");
+        let resp = request(addr, "GET /metrics", "");
         assert_eq!(status_of(&resp), 200, "got: {resp}");
         metric(body_of(&resp), "tlm_serve_open_connections")
     };
@@ -452,22 +465,19 @@ fn drain_flips_readyz_immediately_while_healthz_stays_up() {
     for conn in [&mut conn_a, &mut conn_b] {
         conn.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
     }
-    assert_eq!(keep_alive_get(&mut conn_a, "/readyz").0, 200, "ready before drain");
-    assert_eq!(keep_alive_get(&mut conn_b, "/healthz").0, 200);
+    assert_eq!(status_of(&keep_alive_request(&mut conn_a, "GET /readyz", "")), 200);
+    assert_eq!(status_of(&keep_alive_request(&mut conn_b, "GET /healthz", "")), 200);
 
     handle.request_shutdown();
 
     // The very next request sees the flip: readiness gone (with a
     // Retry-After hint for the balancer), liveness intact — draining is
     // not dying.
-    let (ready_status, ready_head) = keep_alive_get(&mut conn_a, "/readyz");
-    assert_eq!(ready_status, 503, "got: {ready_head}");
-    assert!(
-        ready_head.to_ascii_lowercase().contains("retry-after"),
-        "503 carries Retry-After: {ready_head}"
-    );
-    let (health_status, health_head) = keep_alive_get(&mut conn_b, "/healthz");
-    assert_eq!(health_status, 200, "got: {health_head}");
+    let ready = keep_alive_request(&mut conn_a, "GET /readyz", "");
+    assert_eq!(status_of(&ready), 503, "got: {ready}");
+    assert!(ready.to_ascii_lowercase().contains("retry-after"), "503 carries Retry-After: {ready}");
+    let health = keep_alive_request(&mut conn_b, "GET /healthz", "");
+    assert_eq!(status_of(&health), 200, "got: {health}");
 
     // While draining, keep-alive is not renewed: both connections are
     // closed after their in-flight response, and the listener accepts
@@ -494,7 +504,7 @@ fn graceful_shutdown_finishes_in_flight_requests() {
     // Put a request in flight on the only worker, then shut down while
     // it is (possibly) still being served.
     let client = std::thread::spawn(move || {
-        post(addr, "/estimate", r#"{"platform": "image:sw", "sweep": ["0k/0k", "2k/2k"]}"#)
+        request(addr, "POST /estimate", r#"{"platform": "image:sw", "sweep": ["0k/0k", "2k/2k"]}"#)
     });
     std::thread::sleep(Duration::from_millis(30));
     handle.shutdown();
@@ -505,4 +515,141 @@ fn graceful_shutdown_finishes_in_flight_requests() {
         TcpStream::connect_timeout(&addr, Duration::from_millis(200)).is_err(),
         "port is closed after drain"
     );
+}
+
+#[test]
+fn estimate_traffic_reports_batch_dedup_on_metrics() {
+    let handle = start_default();
+    let addr = handle.addr();
+
+    let before = request(addr, "GET /metrics", "");
+    assert_eq!(status_of(&before), 200);
+    let dedup_before = metric(&before, "tlm_serve_kernel_batch_dedup_hits");
+    let solves_before = metric(&before, "tlm_serve_kernel_batch_unique_solves");
+
+    // A cold estimate over a built-in design: the annotate stage submits
+    // whole-module batches, and the MP3 modules repeat small blocks
+    // heavily, so the dedup fold must absorb some solves.
+    let resp = request(addr, "POST /estimate", r#"{"platform": "mp3:sw"}"#);
+    assert_eq!(status_of(&resp), 200, "estimate failed: {resp}");
+
+    let after = request(addr, "GET /metrics", "");
+    assert_eq!(status_of(&after), 200);
+    assert!(
+        metric(&after, "tlm_serve_kernel_batch_dedup_hits") > dedup_before,
+        "no dedup hits from a cold mp3 estimate:\n{after}"
+    );
+    assert!(
+        metric(&after, "tlm_serve_kernel_batch_unique_solves") > solves_before,
+        "no unique solves accounted:\n{after}"
+    );
+
+    // A warm repeat answers from the cache without growing the batch
+    // counters — dedup is a property of cold solves, not of serving.
+    let cold_blocks = metric(&after, "tlm_serve_kernel_batch_dedup_hits");
+    let resp = request(addr, "POST /estimate", r#"{"platform": "mp3:sw"}"#);
+    assert_eq!(status_of(&resp), 200, "warm estimate failed: {resp}");
+    let warm = request(addr, "GET /metrics", "");
+    assert_eq!(metric(&warm, "tlm_serve_kernel_batch_dedup_hits"), cold_blocks);
+
+    handle.shutdown();
+}
+
+/// The event-loop and shard observability families must render on
+/// `/metrics` — the gauges over a live connection, the epoll wakeup
+/// counter, one connection-state sample per state, and the shard tier's
+/// counters. A front pointed at an unreachable shard must answer the
+/// same `503` + `Retry-After` contract as a full queue and count the
+/// RPC failure.
+#[test]
+fn event_loop_and_shard_observability_render_on_metrics() {
+    let handle = start_default();
+    let addr = handle.addr();
+
+    let page = request(addr, "GET /metrics", "");
+    assert_eq!(status_of(&page), 200);
+    // The scrape's own connection is open while the page renders.
+    assert!(metric(&page, "tlm_serve_open_connections") >= 1, "gauge misses the scrape itself");
+    assert!(metric(&page, "tlm_serve_open_connections_peak") >= 1);
+    assert!(metric(&page, "tlm_serve_epoll_wakeups_total") >= 1, "event loop never woke");
+    for state in ["reading", "dispatched", "writing", "closing"] {
+        metric(&page, &format!("tlm_serve_connection_states{{state=\"{state}\"}}"));
+    }
+    assert_eq!(metric(&page, "tlm_serve_shards_configured"), 0, "default is in-process");
+    metric(&page, "tlm_serve_shard_rpc_errors_total");
+    metric(&page, "tlm_serve_shard_rpc_duration_seconds_count");
+    handle.shutdown();
+
+    // A front routing to an unreachable shard tier: the client sees the
+    // standard backpressure contract, and the failure is counted.
+    let dead: SocketAddr = "127.0.0.1:1".parse().expect("addr");
+    let config =
+        ServerConfig { addr: "127.0.0.1:0".to_string(), workers: 2, ..ServerConfig::default() };
+    let service = Service::new(8).with_router(Arc::new(ShardRouter::connect(&[dead, dead])));
+    let handle = Server::start(config, service).expect("server starts");
+    let addr = handle.addr();
+
+    let resp = request(addr, "POST /estimate", r#"{"platform": "mp3:sw"}"#);
+    assert_eq!(status_of(&resp), 503, "unreachable shard answers 503: {resp}");
+    assert!(resp.contains("Retry-After"), "carries Retry-After: {resp}");
+    assert!(resp.contains("unavailable"), "names the failure: {resp}");
+
+    let page = request(addr, "GET /metrics", "");
+    assert_eq!(metric(&page, "tlm_serve_shards_configured"), 2);
+    assert!(metric(&page, "tlm_serve_shard_rpc_errors_total") >= 1, "rpc failure not counted");
+    handle.shutdown();
+}
+
+/// A one-process inline platform for the session drain test: `helper`
+/// can be patched structurally (multiply → shift) without touching
+/// `main`, so an edit during drain exercises the delta path.
+const TINY_SESSION: &str = r#"{"platform": {
+    "name": "tiny",
+    "pes": [{"name": "cpu", "pum": "microblaze"}],
+    "processes": [
+        {"name": "main", "pe": "cpu",
+         "source": "int helper(int x) { return x * 3 + 1; } void main() { int s = 0; for (int i = 0; i < 8; i++) { s = s + helper(i); } out(s); }"}
+    ]
+}, "sweep": [{"icache": 2048, "dcache": 2048}]}"#;
+
+/// Drain ordering over a real socket: once shutdown is requested, new
+/// session creation answers `503` with a `Retry-After` hint, while edits
+/// against an existing session keep completing until the drain finishes.
+#[test]
+fn drain_rejects_new_sessions_while_inflight_edits_finish() {
+    let handle = start_default();
+    let addr = handle.addr();
+
+    // Two keep-alive connections, each already owned by a worker before
+    // the drain begins: one holds the session, the other will attempt a
+    // fresh creation mid-drain.
+    let mut editor = TcpStream::connect(addr).expect("connects");
+    let mut creator = TcpStream::connect(addr).expect("connects");
+    for stream in [&editor, &creator] {
+        stream.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
+    }
+
+    let created = keep_alive_request(&mut editor, "POST /session", TINY_SESSION);
+    assert_eq!(status_of(&created), 200, "session create failed: {created}");
+    assert!(created.contains("\"session\":1"), "ids are sequential: {created}");
+    let ping = keep_alive_request(&mut creator, "GET /healthz", "");
+    assert_eq!(status_of(&ping), 200);
+
+    handle.request_shutdown();
+
+    // Existing-session traffic still flows during the drain ...
+    let edit = r#"{"process": "main", "patch": {"find": "x * 3 + 1", "replace": "x << 3"}}"#;
+    let edited = keep_alive_request(&mut editor, "POST /session/1/edit", edit);
+    assert_eq!(status_of(&edited), 200, "in-flight edit must finish during drain: {edited}");
+    assert!(edited.contains("\"dirty_functions\":1"), "delta path engaged: {edited}");
+
+    // ... while new session creation is refused with a retry hint.
+    let refused = keep_alive_request(&mut creator, "POST /session", TINY_SESSION);
+    assert_eq!(status_of(&refused), 503, "creation must be rejected during drain: {refused}");
+    assert!(refused.contains("Retry-After"), "rejection carries Retry-After: {refused}");
+    assert!(refused.contains("not accepting new sessions"), "names the reason: {refused}");
+
+    drop(editor);
+    drop(creator);
+    handle.shutdown();
 }
