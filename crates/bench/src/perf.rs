@@ -1,12 +1,9 @@
 //! Benchmark timing and the `BENCH_estimation.json` emitter.
 //!
-//! The build environment is offline, so instead of criterion this module
-//! carries a deliberately small measurement harness: a [`Bench`] runs each
-//! closure for a calibrated number of iterations and reports best/mean wall
-//! time; [`bench_json_path`] and [`write_bench_json`] implement the
-//! `--bench-json` flag the experiment binaries share, emitting a
-//! machine-readable performance record (`BENCH_estimation.json` by default)
-//! next to the human-readable tables.
+//! [`time`] measures one call; [`bench_json_path`] and [`write_bench_json`]
+//! implement the `--bench-json` flag the experiment binaries share,
+//! emitting a machine-readable performance record (`BENCH_estimation.json`
+//! by default) next to the human-readable tables.
 
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -40,93 +37,9 @@ pub fn time<R>(f: impl FnOnce() -> R) -> (R, Duration) {
     (result, start.elapsed())
 }
 
-/// The measured timing of one benchmark case.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Sample {
-    /// Timed iterations.
-    pub iters: u32,
-    /// Fastest iteration.
-    pub best: Duration,
-    /// Mean over all timed iterations.
-    pub mean: Duration,
-}
-
-impl Sample {
-    fn to_value(self) -> Value {
-        ObjectBuilder::new()
-            .field("iters", Value::Number(f64::from(self.iters)))
-            .field("best_ns", Value::Number(self.best.as_nanos() as f64))
-            .field("mean_ns", Value::Number(self.mean.as_nanos() as f64))
-            .build()
-    }
-}
-
-/// A group of benchmark cases sharing a name, printed as they run and
-/// collectable into a JSON report.
-#[derive(Debug)]
-pub struct Bench {
-    name: String,
-    target: Duration,
-    max_iters: u32,
-    rows: Vec<(String, Sample)>,
-}
-
-impl Bench {
-    /// A group targeting ~0.5 s of measurement per case.
-    pub fn new(name: &str) -> Bench {
-        Bench::with_target(name, Duration::from_millis(500))
-    }
-
-    /// A group with an explicit per-case measurement budget.
-    pub fn with_target(name: &str, target: Duration) -> Bench {
-        Bench { name: name.into(), target, max_iters: 1000, rows: Vec::new() }
-    }
-
-    /// Measures `f`: one warm-up call calibrates the iteration count for the
-    /// group's time budget, then each timed call is measured individually.
-    pub fn run(&mut self, label: &str, mut f: impl FnMut()) -> Sample {
-        let (_, once) = time(&mut f);
-        let iters = if once.is_zero() {
-            self.max_iters
-        } else {
-            (self.target.as_nanos() / once.as_nanos().max(1)) as u32
-        }
-        .clamp(1, self.max_iters);
-        let mut best = Duration::MAX;
-        let mut total = Duration::ZERO;
-        for _ in 0..iters {
-            let (_, elapsed) = time(&mut f);
-            best = best.min(elapsed);
-            total += elapsed;
-        }
-        let sample = Sample { iters, best, mean: total / iters };
-        println!(
-            "{}/{label}: mean {:>12.3?}  best {:>12.3?}  ({iters} iters)",
-            self.name, sample.mean, sample.best
-        );
-        self.rows.push((label.into(), sample));
-        sample
-    }
-
-    /// All cases measured so far, as a JSON object keyed by label.
-    pub fn to_value(&self) -> Value {
-        let mut b = ObjectBuilder::new();
-        for (label, sample) in &self.rows {
-            b = b.field(label, sample.to_value());
-        }
-        b.build()
-    }
-
-    /// The group name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-}
-
 /// Parses the shared `--bench-json` flag from the process arguments:
 /// `--bench-json` alone selects `BENCH_estimation.json`, `--bench-json=P`
-/// or `--bench-json P` selects `P`. Unrelated arguments (e.g. the `--bench`
-/// cargo passes to harness-less benches) are ignored.
+/// or `--bench-json P` selects `P`. Unrelated arguments are ignored.
 pub fn bench_json_path() -> Option<PathBuf> {
     bench_json_path_in(std::env::args().skip(1))
 }
@@ -181,17 +94,5 @@ mod tests {
             Some(PathBuf::from("BENCH_estimation.json")),
             "a following flag is not a path"
         );
-    }
-
-    #[test]
-    fn bench_runs_and_reports() {
-        let mut bench = Bench::with_target("t", Duration::from_millis(5));
-        let sample = bench.run("noop", || {
-            std::hint::black_box(1 + 1);
-        });
-        assert!(sample.iters >= 1);
-        assert!(sample.best <= sample.mean);
-        let json = bench.to_value();
-        assert!(json.get("noop").is_some());
     }
 }

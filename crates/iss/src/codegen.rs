@@ -66,18 +66,6 @@ pub struct Program {
     pub func_entry: Vec<usize>,
 }
 
-impl Program {
-    /// Renders the whole program as assembly text.
-    pub fn disassemble(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        for (i, inst) in self.insts.iter().enumerate() {
-            let _ = writeln!(out, "{i:6}: {}", inst.mnemonic());
-        }
-        out
-    }
-}
-
 /// A code-generation failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CodegenError {
@@ -879,13 +867,5 @@ mod tests {
             tlm_cdfg::lower::lower(&tlm_minic::parse(too_many).expect("parses")).expect("lowers");
         let id = module.function_id("f").expect("f");
         assert!(build_program(&module, id, &[0; 9]).is_err());
-    }
-
-    #[test]
-    fn disassembly_is_renderable() {
-        let p = compile("void main() { out(1); }", "main", &[]);
-        let text = p.disassemble();
-        assert!(text.contains("halt"));
-        assert!(text.contains("out "));
     }
 }

@@ -2,12 +2,9 @@
 //! channel extensions.
 //!
 //! Instructions are kept in structured (pre-decoded) form for simulation
-//! speed; [`Inst::mnemonic`] renders assembly text for diagnostics and
-//! golden tests. Branch and call targets are absolute instruction indices —
-//! an idealization of a real encoding's PC-relative immediates that changes
+//! speed. Branch and call targets are absolute instruction indices — an
+//! idealization of a real encoding's PC-relative immediates that changes
 //! nothing about timing behaviour.
-
-use std::fmt;
 
 /// A register number, `r0`..`r31`. `r0` is hardwired to zero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -33,12 +30,6 @@ impl Reg {
 
     /// Number of argument registers.
     pub const N_ARGS: usize = 4;
-}
-
-impl fmt::Display for Reg {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "r{}", self.0)
-    }
 }
 
 /// Three-operand ALU operations.
@@ -203,55 +194,6 @@ impl Inst {
     pub fn is_cond_branch(&self) -> bool {
         matches!(self, Inst::Branch { .. })
     }
-
-    /// Assembly-like rendering.
-    pub fn mnemonic(&self) -> String {
-        match self {
-            Inst::Alu { op, rd, rs1, rs2 } => {
-                format!("{} {rd}, {rs1}, {rs2}", alu_name(*op))
-            }
-            Inst::AluI { op, rd, rs1, imm } => {
-                format!("{}i {rd}, {rs1}, {imm}", alu_name(*op))
-            }
-            Inst::Lw { rd, base, offset } => format!("lw {rd}, {offset}({base})"),
-            Inst::Sw { rs, base, offset } => format!("sw {rs}, {offset}({base})"),
-            Inst::Lwx { rd, base, index } => format!("lwx {rd}, {base}[{index}]"),
-            Inst::Swx { rs, base, index } => format!("swx {rs}, {base}[{index}]"),
-            Inst::Branch { cond, rs1, rs2, target } => {
-                let name = match cond {
-                    BrCond::Eq => "beq",
-                    BrCond::Ne => "bne",
-                };
-                format!("{name} {rs1}, {rs2}, @{target}")
-            }
-            Inst::Jump { target } => format!("j @{target}"),
-            Inst::Jal { target } => format!("jal @{target}"),
-            Inst::Jr { rs } => format!("jr {rs}"),
-            Inst::CRecv { rd, chan } => format!("crecv {rd}, ch{chan}"),
-            Inst::CSend { rs, chan } => format!("csend {rs}, ch{chan}"),
-            Inst::Out { rs } => format!("out {rs}"),
-            Inst::Halt => "halt".to_string(),
-        }
-    }
-}
-
-fn alu_name(op: AluOp) -> &'static str {
-    match op {
-        AluOp::Add => "add",
-        AluOp::Sub => "sub",
-        AluOp::Mul => "mul",
-        AluOp::Div => "div",
-        AluOp::Rem => "rem",
-        AluOp::And => "and",
-        AluOp::Or => "or",
-        AluOp::Xor => "xor",
-        AluOp::Sll => "sll",
-        AluOp::Sra => "sra",
-        AluOp::Slt => "slt",
-        AluOp::Sle => "sle",
-        AluOp::Seq => "seq",
-        AluOp::Sne => "sne",
-    }
 }
 
 /// Applies an ALU op with 32-bit wrapping semantics.
@@ -300,15 +242,6 @@ mod tests {
         assert_eq!(alu_eval(AluOp::Sll, 1, 33), Some(2));
         assert_eq!(alu_eval(AluOp::Slt, 1, 2), Some(1));
         assert_eq!(alu_eval(AluOp::Sne, 3, 3), Some(0));
-    }
-
-    #[test]
-    fn mnemonics_render() {
-        let inst = Inst::Alu { op: AluOp::Add, rd: Reg(3), rs1: Reg(4), rs2: Reg(5) };
-        assert_eq!(inst.mnemonic(), "add r3, r4, r5");
-        assert_eq!(Inst::Halt.mnemonic(), "halt");
-        assert_eq!(Inst::Lw { rd: Reg(2), base: Reg::SP, offset: 8 }.mnemonic(), "lw r2, 8(r29)");
-        assert_eq!(Inst::CRecv { rd: Reg(2), chan: 3 }.mnemonic(), "crecv r2, ch3");
     }
 
     #[test]

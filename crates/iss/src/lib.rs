@@ -3,8 +3,7 @@
 //! This crate provides the reference execution engines the paper compares
 //! its timed TLMs against:
 //!
-//! - [`isa`] — a 32-register RISC instruction set with channel extensions,
-//!   and [`encode`], its lossless binary image format;
+//! - [`isa`] — a 32-register RISC instruction set with channel extensions;
 //! - [`codegen`] — a back-end from the CDFG IR to the ISA, with linear-scan
 //!   register allocation, so instruction counts resemble compiled code;
 //! - [`cpu`] — a functional (untimed) core, resumable at channel ops just
@@ -36,12 +35,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod asm;
 pub mod branch;
 pub mod cache;
 pub mod codegen;
 pub mod cpu;
-pub mod encode;
 pub mod isa;
 pub mod microarch;
 pub mod timing;

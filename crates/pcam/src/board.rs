@@ -4,9 +4,8 @@
 //! the `tlm-desim` kernel and synchronizes at transaction boundaries. The
 //! difference is fidelity — between boundaries each process executes on a
 //! cycle-accurate engine ([`crate::engine`]), so the cycles applied to PE
-//! clocks are *measured*, not estimated. Bus transfers reserve the bus
-//! exactly as the RTL arbiter serializes them (validated in
-//! [`crate::rtl`]'s tests).
+//! clocks are *measured*, not estimated. Bus transfers reserve the shared
+//! [`BusClock`], which serializes contending bursts back to back.
 //!
 //! [`run_board`] is the ground truth of Tables 2/3; [`run_iss`] swaps in
 //! the coarse vendor-ISS timing and, like the paper, refuses designs with

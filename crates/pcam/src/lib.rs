@@ -5,11 +5,6 @@
 //! no board available, this crate provides the cycle-accurate golden model
 //! that plays both roles:
 //!
-//! - [`rtl`] — a small cycle-based structural RTL layer (wires, clocked
-//!   components) used for the bus arbiter and as the validation substrate
-//!   for the transaction-grain bus cost model; [`rtl_dct`] realizes the
-//!   paper's Fig. 4 DCT datapath on it and proves it bit-exact against the
-//!   software kernels;
 //! - [`engine`] — per-PE execution engines: the cycle-accurate
 //!   [`tlm_iss::microarch::MicroArch`] core for processors, a scheduled-FSM
 //!   sequencer for custom hardware, and the deliberately coarse vendor-ISS
@@ -27,8 +22,5 @@
 
 pub mod board;
 pub mod engine;
-pub mod rtl;
-pub mod rtl_dct;
-pub mod vcd;
 
 pub use board::{run_board, run_iss, BoardConfig, BoardReport};

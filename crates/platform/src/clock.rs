@@ -178,5 +178,21 @@ mod tests {
             "second transfer queues"
         );
         assert_eq!(bus.borrow().transfers(), 2);
+
+        // Two equal 6-word bursts requested together serialize back to back:
+        // the pair ends after exactly twice one burst's occupancy, and the
+        // bus is busy for all of it (no overlap, no gap). With no sync
+        // overhead and one cycle per word that is the 12 cycles a
+        // round-robin arbiter needs to grant 2 x 6-cycle bursts.
+        for (sync, per_word) in [(0, 1), (4, 2)] {
+            let period = SimTime::from_ns(10);
+            let burst = sync + 6 * per_word;
+            let bus = BusClock::new(period, sync, per_word);
+            let first = bus.borrow_mut().reserve(SimTime::ZERO, 6);
+            let second = bus.borrow_mut().reserve(SimTime::ZERO, 6);
+            assert_eq!(first, SimTime::from_cycles(burst, period));
+            assert_eq!(second, SimTime::from_cycles(2 * burst, period));
+            assert_eq!(bus.borrow().busy(), second, "bursts neither overlap nor leave a gap");
+        }
     }
 }

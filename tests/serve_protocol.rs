@@ -18,7 +18,8 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::Arc;
+use std::ops::Deref;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
 use std::time::{Duration, Instant};
 
 use tlm_serve::http::HttpLimits;
@@ -26,13 +27,44 @@ use tlm_serve::protocol::Service;
 use tlm_serve::server::{Server, ServerConfig, ServerHandle};
 use tlm_serve::shard::ShardRouter;
 
-fn start(mut config: ServerConfig) -> ServerHandle {
+/// The kernel batch counters on `/metrics` are process-wide, so every
+/// server in this binary holds a shared guard for its lifetime, and the
+/// test that asserts exact deltas on those counters holds it exclusively:
+/// no other test's cold solves can land between its reads.
+static PROCESS_COUNTERS: RwLock<()> = RwLock::new(());
+
+/// A running server plus its shared guard on [`PROCESS_COUNTERS`].
+struct TestServer {
+    handle: ServerHandle,
+    _shared: RwLockReadGuard<'static, ()>,
+}
+
+impl TestServer {
+    fn shutdown(self) {
+        self.handle.shutdown();
+    }
+}
+
+impl Deref for TestServer {
+    type Target = ServerHandle;
+
+    fn deref(&self) -> &ServerHandle {
+        &self.handle
+    }
+}
+
+fn launch(mut config: ServerConfig) -> ServerHandle {
     config.addr = "127.0.0.1:0".to_string();
     let queue = config.queue;
     Server::start(config, Service::new(queue)).expect("server starts")
 }
 
-fn start_default() -> ServerHandle {
+fn start(config: ServerConfig) -> TestServer {
+    let shared = PROCESS_COUNTERS.read().unwrap_or_else(PoisonError::into_inner);
+    TestServer { handle: launch(config), _shared: shared }
+}
+
+fn start_default() -> TestServer {
     start(ServerConfig { workers: 2, ..ServerConfig::default() })
 }
 
@@ -519,7 +551,8 @@ fn graceful_shutdown_finishes_in_flight_requests() {
 
 #[test]
 fn estimate_traffic_reports_batch_dedup_on_metrics() {
-    let handle = start_default();
+    let _exclusive = PROCESS_COUNTERS.write().unwrap_or_else(PoisonError::into_inner);
+    let handle = launch(ServerConfig { workers: 2, ..ServerConfig::default() });
     let addr = handle.addr();
 
     let before = request(addr, "GET /metrics", "");
