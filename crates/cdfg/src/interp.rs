@@ -15,8 +15,10 @@
 //! function once into one flat array of small `Copy` instructions: each
 //! block's operations followed by its terminator, register operands as
 //! inline indices, memory accesses with their array's bounds and addresses
-//! resolved, jump targets as instruction indices. The hot loop runs a
-//! frame's straight-line code and its jumps and branches without leaving
+//! resolved, jump targets as instruction indices. A peephole then fuses a
+//! `Const` with the `Mul` it feeds, and a loop header's compare against a
+//! constant with its branch, into one instruction each. The hot loop runs
+//! a frame's straight-line code and its jumps and branches without leaving
 //! the loop; it hands control back only for calls, returns, channel
 //! operations, traps and running out of fuel.
 
@@ -139,6 +141,16 @@ impl Mem {
     }
 }
 
+/// The operands of a fused instruction: `Const k = value` and the operation
+/// it feeds, `dst = a <op> k`. See [`fuse`].
+#[derive(Debug, Clone, Copy)]
+struct Imm {
+    k: u32,
+    value: i32,
+    dst: u32,
+    a: u32,
+}
+
 /// One decoded instruction. Register operands index the frame's `vregs`.
 #[derive(Debug, Clone, Copy)]
 enum Inst {
@@ -236,6 +248,39 @@ enum Inst {
     Return {
         value: Option<u32>,
     },
+    /// `Const k; Mul dst = a * k`, fused.
+    MulImm(Imm),
+    /// A loop header, `Const k; Lt dst = a < k; Branch dst`, fused. The
+    /// targets are read from the split `Branch` two slots on.
+    LtBranch(Imm),
+}
+
+// A fused terminator keeps its targets in its shadow slot, so fusion does
+// not grow the instruction array's stride.
+const _: () = assert!(std::mem::size_of::<Inst>() == 28);
+
+/// The decode-time peephole: overwrites the first slot of every fusible
+/// sequence with its fused form and leaves the later components in the
+/// following slots, split. Jumps land on block starts and so on the fused
+/// slot; a resume (after a call, a channel operation or running out of
+/// fuel) lands on a later component and runs it split. A fused form also
+/// writes the `Const`'s register, so no liveness analysis is needed.
+fn fuse(insts: &mut [Inst]) {
+    // A block ends in a terminator, so a `Const` followed by an operation
+    // always has a third slot.
+    for i in 0..insts.len().saturating_sub(2) {
+        let Inst::Const { dst: k, value } = insts[i] else { continue };
+        insts[i] = match (insts[i + 1], insts[i + 2]) {
+            // `Mul` commutes, so the constant may be either operand.
+            (Inst::Mul { dst, a, b }, _) if b == k || a == k => {
+                Inst::MulImm(Imm { k, value, dst, a: if b == k { a } else { b } })
+            }
+            (Inst::Lt { dst, a, b }, Inst::Branch { cond, .. }) if b == k && cond == dst => {
+                Inst::LtBranch(Imm { k, value, dst, a })
+            }
+            _ => continue,
+        };
+    }
 }
 
 /// One function, decoded. Block `b` occupies `insts[start(b)..]` up to and
@@ -325,6 +370,7 @@ impl FuncCode {
                 Terminator::Return(value) => Inst::Return { value: value.map(|r| r.0) },
             });
         }
+        fuse(&mut insts);
         let mut locals = vec![0i64; layout.frame_words[fid.0 as usize] as usize];
         for &aid in &func.local_arrays {
             let base = (layout.array_base[aid.0 as usize] / WORD_BYTES) as usize;
@@ -375,11 +421,37 @@ fn total(op: BinOp, l: i64, r: i64) -> i64 {
     eval_binop(op, l, r).expect("only division and remainder trap")
 }
 
+/// Resolves the conditional branch `branch` on `taken`; returns the pc of
+/// the block it enters.
+#[inline(always)]
+fn branch(
+    func: FuncId,
+    branch: Inst,
+    taken: bool,
+    st: &mut ExecStats,
+    hook: &mut impl ExecHook,
+) -> usize {
+    let Inst::Branch { from, then_pc, then_bb, else_pc, else_bb, .. } = branch else {
+        unreachable!("a fused branch's shadow slot holds its split form");
+    };
+    let (target, block) = if taken { (then_pc, then_bb) } else { (else_pc, else_bb) };
+    st.branches += 1;
+    st.branches_taken += u64::from(taken);
+    st.blocks += 1;
+    hook.on_branch(func, BlockId(from), taken);
+    hook.on_block(func, BlockId(block));
+    target as usize
+}
+
 /// Runs the top frame from its `pc` until it calls, returns, touches a
 /// channel, traps or runs out of fuel; `frame.pc` is then the instruction
 /// that stopped it. Every executed operation costs one unit of fuel and
 /// counts in `stats.ops`; terminators are free but, like operations, only
 /// run while fuel is left. A stopping instruction has not executed yet.
+/// A fused form runs whole only when the fuel its split form would use is
+/// left, one unit per operation plus one if it ends in a terminator;
+/// otherwise it runs its `Const` alone and leaves the rest to the split
+/// slots that follow it.
 fn run_frame(
     code: &FuncCode,
     frame: &mut Frame,
@@ -473,18 +545,30 @@ fn run_frame(
                 hook.on_block(func, BlockId(block));
                 continue;
             }
-            Inst::Branch { cond, from, then_pc, then_bb, else_pc, else_bb } => {
-                let taken = regs[cond as usize] != 0;
-                let (target, block) = if taken { (then_pc, then_bb) } else { (else_pc, else_bb) };
-                pc = target as usize;
-                st.branches += 1;
-                st.branches_taken += u64::from(taken);
-                st.blocks += 1;
-                hook.on_branch(func, BlockId(from), taken);
-                hook.on_block(func, BlockId(block));
+            inst @ Inst::Branch { cond, .. } => {
+                pc = branch(func, inst, regs[cond as usize] != 0, &mut st, hook);
                 continue;
             }
             Inst::Return { value } => break Stop::Return(value.map(|r| regs[r as usize])),
+            Inst::MulImm(f) if left >= 2 => {
+                regs[f.k as usize] = i64::from(f.value);
+                regs[f.dst as usize] = total(BinOp::Mul, regs[f.a as usize], i64::from(f.value));
+                left -= 2;
+                pc += 2;
+                continue;
+            }
+            Inst::LtBranch(f) if left >= 3 => {
+                regs[f.k as usize] = i64::from(f.value);
+                let lt = total(BinOp::Lt, regs[f.a as usize], i64::from(f.value));
+                regs[f.dst as usize] = lt;
+                left -= 2;
+                pc = branch(func, insts[pc + 2], lt != 0, &mut st, hook);
+                continue;
+            }
+            // Too little fuel for the whole form: its `Const` alone.
+            Inst::MulImm(f) | Inst::LtBranch(f) => {
+                regs[f.k as usize] = i64::from(f.value);
+            }
         }
         left -= 1;
         pc += 1;
@@ -1044,5 +1128,98 @@ mod tests {
         m.run(&mut NoopHook);
         assert_eq!(m.stats().branches, 11);
         assert_eq!(m.stats().branches_taken, 10);
+    }
+
+    #[test]
+    fn loop_header_and_constant_multiply_decode_to_fused_slots() {
+        let m = machine(
+            "int t[64];
+             int main(int j) {
+                int s = 0;
+                for (int i = 0; i < 8; i++) s += t[i * 8 + j];
+                return s;
+             }",
+            "main",
+            &[1],
+        );
+        let insts = &m.code[0].insts;
+        let fused = |is: fn(&Inst) -> bool| {
+            let at: Vec<usize> = (0..insts.len()).filter(|&i| is(&insts[i])).collect();
+            assert_eq!(at.len(), 1, "{insts:#?}");
+            at[0]
+        };
+        // Each fused slot is followed by its components, split.
+        let h = fused(|i| matches!(i, Inst::LtBranch(_)));
+        let Inst::LtBranch(f) = insts[h] else { unreachable!() };
+        assert_eq!(f.value, 8);
+        assert!(matches!(insts[h + 1], Inst::Lt { dst, a, b } if (dst, a, b) == (f.dst, f.a, f.k)));
+        assert!(matches!(insts[h + 2], Inst::Branch { cond, .. } if cond == f.dst));
+        let x = fused(|i| matches!(i, Inst::MulImm(_)));
+        let Inst::MulImm(f) = insts[x] else { unreachable!() };
+        assert_eq!(f.value, 8);
+        assert!(
+            matches!(insts[x + 1], Inst::Mul { dst, a, b } if (dst, a, b) == (f.dst, f.a, f.k))
+        );
+        // The latch `i++` stays split: fusing it did not pay.
+        let latch = insts.len() - 4;
+        assert!(matches!(
+            insts[latch..],
+            [Inst::Const { value: 1, .. }, Inst::Add { .. }, Inst::Jump { pc, .. }, Inst::Return { .. }]
+                if pc as usize == h
+        ));
+    }
+
+    /// Records every hook callback in order.
+    #[derive(Debug, Default, PartialEq)]
+    struct Events(Vec<(u8, u32, u32)>);
+
+    impl ExecHook for Events {
+        fn on_block(&mut self, f: FuncId, b: BlockId) {
+            self.0.push((0, f.0, b.0));
+        }
+        fn on_mem(&mut self, addr: u32, is_store: bool) {
+            self.0.push((1, addr, u32::from(is_store)));
+        }
+        fn on_branch(&mut self, f: FuncId, b: BlockId, taken: bool) {
+            self.0.push((2, f.0, b.0 << 1 | u32::from(taken)));
+        }
+    }
+
+    #[test]
+    fn fused_forms_stop_where_their_split_forms_do() {
+        let src = "int t[64];
+             int dot(int j) {
+                int s = 0;
+                for (int i = 0; i < 8; i++) s += t[i * 8 + j];
+                return s;
+             }
+             void main() {
+                for (int j = 0; j < 8; j++) { t[j * 9] = j + 3; out(dot(j)); }
+             }";
+        for fuel in 1..=8 {
+            let mut fused = machine(src, "main", &[]);
+            let mut split = machine(src, "main", &[]);
+            let mut unfused = 0;
+            for code in &mut split.code {
+                for inst in &mut code.insts {
+                    if let Inst::MulImm(f) | Inst::LtBranch(f) = *inst {
+                        *inst = Inst::Const { dst: f.k, value: f.value };
+                        unfused += 1;
+                    }
+                }
+            }
+            assert_eq!(unfused, 4, "2 loop headers, `i * 8` and `j * 9`");
+            let (mut fused_events, mut split_events) = (Events::default(), Events::default());
+            loop {
+                let exec = fused.run_fuel(&mut fused_events, fuel);
+                assert_eq!(exec, split.run_fuel(&mut split_events, fuel), "fuel {fuel}");
+                assert_eq!(fused.stats(), split.stats(), "fuel {fuel}");
+                assert_eq!(fused_events, split_events, "fuel {fuel}");
+                if exec == Exec::Done {
+                    break;
+                }
+            }
+            assert_eq!(fused.outputs(), split.outputs());
+        }
     }
 }

@@ -394,7 +394,6 @@ fn parse_args() -> Args {
             // The shared --bench-json flag (and any following path) is
             // parsed by tlm_bench's own scan of the argument list.
             s if s == "--bench-json" || s.starts_with("--bench-json=") => {}
-            "--bench" => {} // passed by `cargo bench`-style invocations
             other if other.starts_with('-') => {
                 eprintln!("unknown argument `{other}`");
                 std::process::exit(2)

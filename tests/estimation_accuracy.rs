@@ -1,8 +1,9 @@
 //! Accuracy guardrails: after characterization on a training input, the
 //! timed-TLM estimate of a *different* input must stay close to the
 //! cycle-accurate board measurement — the paper's headline result (its
-//! averages are 6–9%; we gate at a slightly looser 10% so the test is not
-//! brittle to workload tweaks).
+//! averages are 6–9%). Every cell measured within 1.1% when these gates
+//! were set, so each is gated at its own [`envelope`] around that recorded
+//! error rather than at the paper's band.
 
 use tlm_apps::{Mp3Design, Mp3Params};
 use tlm_bench::{characterize_cpu, characterized_design, end_time_cycles, error_pct};
@@ -18,15 +19,24 @@ fn evaluation() -> Mp3Params {
     Mp3Params { seed: 0x6b43_a9b5, frames: 2 }
 }
 
+/// The bound on |error| of a cell that measured `recorded` percent:
+/// max(2 × |recorded|, |recorded| + 1 pp).
+fn envelope(recorded: f64) -> f64 {
+    (2.0 * recorded.abs()).max(recorded.abs() + 1.0)
+}
+
 #[test]
 fn sw_estimate_tracks_board_within_ten_percent() {
     let chr = characterize_cpu(Mp3Design::Sw, training());
-    for (ic, dc) in [(0u32, 0u32), (8 << 10, 4 << 10), (32 << 10, 16 << 10)] {
+    // (icache, dcache, recorded error %).
+    let cells = [(0u32, 0u32, 1.0810), (8 << 10, 4 << 10, 0.3775), (32 << 10, 16 << 10, 0.3021)];
+    for (ic, dc, recorded) in cells {
         let design = characterized_design(Mp3Design::Sw, evaluation(), ic, dc, &chr);
         let board = run_board(&design.platform, &BoardConfig::default()).expect("board runs");
         let tlm = Pipeline::global().run_timed(&design, &TlmConfig::default()).expect("TLM runs");
         let err = error_pct(end_time_cycles(tlm.end_time), end_time_cycles(board.end_time));
-        assert!(err.abs() < 10.0, "SW at {ic}/{dc}: estimate off by {err:.2}%");
+        let bound = envelope(recorded);
+        assert!(err.abs() < bound, "SW at {ic}/{dc}: estimate off by {err:.2}% (gate {bound:.2}%)");
     }
 }
 
@@ -37,7 +47,9 @@ fn hw_design_estimate_tracks_board_within_ten_percent() {
     let board = run_board(&design.platform, &BoardConfig::default()).expect("board runs");
     let tlm = Pipeline::global().run_timed(&design, &TlmConfig::default()).expect("TLM runs");
     let err = error_pct(end_time_cycles(tlm.end_time), end_time_cycles(board.end_time));
-    assert!(err.abs() < 10.0, "SW+4: estimate off by {err:.2}%");
+    // Recorded error: 0.1416 %.
+    let bound = envelope(0.1416);
+    assert!(err.abs() < bound, "SW+4: estimate off by {err:.2}% (gate {bound:.2}%)");
 }
 
 #[test]

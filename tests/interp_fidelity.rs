@@ -6,7 +6,12 @@
 //! followed by the final [`ExecStats`] and the output stream. The values
 //! below were recorded with the original IR-walking interpreter; the
 //! pre-decoded interpreter must reproduce them exactly, so they are the
-//! differential reference for any change to `tlm_cdfg::interp`.
+//! differential reference for any change to `tlm_cdfg::interp`. They also
+//! guard its fused forms (`Const; Mul` and a loop header's
+//! `Const; Lt; Branch`, each one dispatch): the kernels run under every
+//! fuel slice from 1 to 8, so a budget runs out at every offset of a 2- and
+//! 3-slot form and the split form behind it must finish the sequence with
+//! the same callbacks and counters.
 //!
 //! Multi-process designs are run process by process under a small
 //! round-robin driver with unbounded channels. Each process is a
@@ -249,7 +254,7 @@ fn kernels_match_pinned_fingerprints_under_any_fuel_slicing() {
         let artifact = Pipeline::global().frontend(&kernel.source).expect("compiles");
         let module = artifact.module();
         let whole = fingerprint_module(module, None);
-        for fuel in [1, 3, 7, 64] {
+        for fuel in (1..=8).chain([64]) {
             let sliced = fingerprint_module(module, Some(fuel));
             assert_eq!(sliced, whole, "{} at fuel {fuel}", kernel.name);
         }
