@@ -14,7 +14,7 @@
 //! ```
 //! use tlm_faults::{point, Kind};
 //!
-//! tlm_faults::install(7); // seed the plan (loadgen --chaos 7)
+//! tlm_faults::install(7); // seed the plan (one chaosfuzz fault seed)
 //! if let Some(fault) = point("serve.worker.handle", &[Kind::Panic, Kind::Delay]) {
 //!     fault.fire(); // panics, sleeps, or pressures the allocator
 //! }

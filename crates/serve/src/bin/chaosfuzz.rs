@@ -16,7 +16,13 @@
 //!   holds (no status outside {200, 500, 503}), `200` bodies never
 //!   diverge from the fault-free reference, workers and connections
 //!   recover, and the cleared-faults mix reproduces the reference bytes
-//!   bit-identically.
+//!   bit-identically. Before the seeded trials a scripted prelude runs
+//!   the same trial once per rung of the ladder — a forced worker panic,
+//!   and with shards a frame cut at `serve.rpc.send` and at
+//!   `serve.rpc.recv` — and each forced injection must fire. The front
+//!   and every shard run under a small pipeline byte budget, so the
+//!   gates hold across cache evictions (in-process, the campaign also
+//!   requires that the mix evicted).
 //!
 //! Any hit is **shrunk** to a minimal reproducer. Fault hits shrink to
 //! the shortest scripted-injection plan (via [`tlm_faults::force`]) that
@@ -343,12 +349,13 @@ fn order_invariance_fuzz(order_seeds: u64) -> u64 {
 
 #[cfg(feature = "faults")]
 mod faultfuzz {
-    use std::io::{Read, Write};
-    use std::net::{SocketAddr, TcpStream};
+    use std::net::SocketAddr;
     use std::sync::Arc;
     use std::time::{Duration, Instant};
 
+    use tlm_core::fingerprint::fnv1a_64;
     use tlm_faults::Kind;
+    use tlm_serve::client;
     use tlm_serve::protocol::Service;
     use tlm_serve::server::{Server, ServerConfig, ServerHandle};
     use tlm_serve::shard::{ShardConfig, ShardRouter, Transport};
@@ -368,27 +375,31 @@ mod faultfuzz {
     const KINDS: [Kind; 5] =
         [Kind::Panic, Kind::Delay, Kind::ShortRead, Kind::AllocPressure, Kind::Transient];
 
-    /// The deterministic request mix: request `i` always asks for the
-    /// same design/sweep, so fault-free response bytes are a fixed
-    /// reference to diff every trial against.
-    const MIX: [(&str, &str); 4] = [
-        ("image:sw", "0k/0k"),
-        ("image:hw", "2k/2k"),
-        ("image:sw", "8k/4k"),
-        ("image:hw", "0k/0k"),
+    /// The deterministic request mix: request `i` always sends the same
+    /// request, so fault-free response bytes are a fixed reference to
+    /// diff every trial against. The `/healthz` probe is answered by a
+    /// front worker even when the estimates are forwarded to shards, so
+    /// `serve.worker.handle` faults have a request to strike either way.
+    const MIX: [(&str, &str); 5] = [
+        ("GET /healthz", ""),
+        ("POST /estimate", r#"{"platform": "image:sw", "sweep": ["0k/0k"]}"#),
+        ("POST /estimate", r#"{"platform": "image:hw", "sweep": ["2k/2k"]}"#),
+        ("POST /estimate", r#"{"platform": "image:sw", "sweep": ["8k/4k"]}"#),
+        ("POST /estimate", r#"{"platform": "image:hw", "sweep": ["0k/0k"]}"#),
     ];
 
-    fn mix_body(i: u64) -> String {
-        let (design, sweep) = MIX[(i % MIX.len() as u64) as usize];
-        format!("{{\"platform\": \"{design}\", \"sweep\": [\"{sweep}\"]}}")
-    }
+    /// Pipeline byte budget of the front and of every shard: small enough
+    /// that the mix evicts, so every trial's divergence gates run across
+    /// evictions.
+    const CACHE_BUDGET: u64 = 24 << 10;
 
     /// An injection plan for one trial. (The fault-free reference trial
     /// is just [`run_mix`] after a [`tlm_faults::clear`], no plan.)
     pub enum Plan {
         /// The seeded schedule — the fuzzer's search space.
         Seeded(u64),
-        /// A scripted plan — the shrinker's candidate reproducers.
+        /// A scripted plan — the prelude's rungs and the shrinker's
+        /// candidate reproducers.
         Script(Vec<(&'static str, Kind, u64)>),
     }
 
@@ -423,66 +434,9 @@ mod faultfuzz {
         pub detail: String,
     }
 
-    // -- minimal HTTP client (loadgen's one-shot idiom) -------------------
-
-    fn exchange(addr: SocketAddr, head: &str, body: &[u8]) -> Result<(u16, Vec<u8>), String> {
-        let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
-        stream
-            .set_read_timeout(Some(Duration::from_secs(60)))
-            .and_then(|()| stream.set_write_timeout(Some(Duration::from_secs(60))))
-            .map_err(|e| format!("timeout setup: {e}"))?;
-        stream
-            .write_all(head.as_bytes())
-            .and_then(|()| stream.write_all(body))
-            .map_err(|e| format!("send: {e}"))?;
-        let mut raw = Vec::new();
-        stream.read_to_end(&mut raw).map_err(|e| format!("recv: {e}"))?;
-        let header_end = raw
-            .windows(4)
-            .position(|w| w == b"\r\n\r\n")
-            .ok_or_else(|| format!("no header terminator in {} bytes", raw.len()))?;
-        let head_text =
-            std::str::from_utf8(&raw[..header_end]).map_err(|e| format!("head: {e}"))?;
-        let status: u16 = head_text
-            .split_whitespace()
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| format!("bad status line: {head_text}"))?;
-        Ok((status, raw[header_end + 4..].to_vec()))
-    }
-
-    fn post_estimate(addr: SocketAddr, body: &str) -> Result<(u16, Vec<u8>), String> {
-        let head = format!(
-            "POST /estimate HTTP/1.1\r\nHost: chaosfuzz\r\nContent-Type: application/json\r\n\
-             Content-Length: {}\r\nConnection: close\r\n\r\n",
-            body.len()
-        );
-        exchange(addr, &head, body.as_bytes())
-    }
-
-    fn get(addr: SocketAddr, target: &str) -> Result<(u16, Vec<u8>), String> {
-        exchange(
-            addr,
-            &format!("GET {target} HTTP/1.1\r\nHost: chaosfuzz\r\nConnection: close\r\n\r\n"),
-            b"",
-        )
-    }
-
-    fn metric(page: &str, name: &str) -> u64 {
-        page.lines()
-            .find(|l| l.starts_with(name) && l[name.len()..].starts_with(' '))
-            .and_then(|l| l.rsplit(' ').next())
-            .and_then(|v| v.parse::<f64>().ok())
-            .map_or(0, |v| v as u64)
-    }
-
-    fn fnv1a(bytes: &[u8]) -> u64 {
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        for &b in bytes {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        hash
+    /// A sample off a `/metrics` page; `0` when it is missing.
+    fn sample(page: &str, name: &str) -> u64 {
+        client::metric(page, name).unwrap_or(0)
     }
 
     /// Runs the mix once. A `503` or a transport error (a chaos-cut
@@ -493,19 +447,19 @@ mod faultfuzz {
     fn run_mix(addr: SocketAddr, requests: u64) -> Vec<Result<(u16, u64), String>> {
         let mut out = Vec::with_capacity(requests as usize);
         for i in 0..requests {
-            let body = mix_body(i);
+            let (line, body) = MIX[(i % MIX.len() as u64) as usize];
             let mut attempt = 0u32;
             let reply = loop {
-                let reply = post_estimate(addr, &body);
+                let reply = client::request(addr, line, body);
                 match &reply {
-                    Ok((503, _)) | Err(_) if attempt < 4 => {
+                    Ok((503, _, _)) | Err(_) if attempt < 4 => {
                         attempt += 1;
                         std::thread::sleep(Duration::from_millis(50 << attempt));
                     }
                     _ => break reply,
                 }
             };
-            out.push(reply.map(|(status, bytes)| (status, fnv1a(&bytes))));
+            out.push(reply.map(|(status, _, bytes)| (status, fnv1a_64(&bytes))));
         }
         out
     }
@@ -563,12 +517,10 @@ mod faultfuzz {
         // as observed from a scrape, not 0.
         let deadline = Instant::now() + SETTLE;
         let (alive, busy, open) = loop {
-            let page = get(addr, "/metrics")
-                .map(|(_, b)| String::from_utf8_lossy(&b).into_owned())
-                .unwrap_or_default();
-            let alive = metric(&page, "tlm_serve_workers_alive");
-            let busy = metric(&page, "tlm_serve_workers_busy");
-            let open = metric(&page, "tlm_serve_open_connections");
+            let page = client::scrape(addr);
+            let alive = sample(&page, "tlm_serve_workers_alive");
+            let busy = sample(&page, "tlm_serve_workers_busy");
+            let open = sample(&page, "tlm_serve_open_connections");
             if (alive == workers && busy <= 1 && open <= 1) || Instant::now() >= deadline {
                 break (alive, busy, open);
             }
@@ -588,7 +540,7 @@ mod faultfuzz {
                 detail: format!("{open} connections still open {SETTLE:?} after clear"),
             });
         }
-        if get(addr, "/healthz").map(|(s, _)| s) != Ok(200) {
+        if !matches!(client::request(addr, "GET /healthz", ""), Ok((200, _, _))) {
             violations.push(Violation {
                 class: "no-health",
                 detail: "/healthz not 200 after clear".to_string(),
@@ -648,13 +600,19 @@ mod faultfuzz {
     }
 
     /// Boots the server under test (optionally fronting `shards` shard
-    /// processes) and returns the handle plus the router to keep alive.
+    /// processes), front and shards under [`CACHE_BUDGET`], and returns
+    /// the handle plus the router to keep alive.
     fn boot(
         shards: usize,
         transport: Transport,
     ) -> Result<(ServerHandle, Option<Arc<ShardRouter>>), String> {
         let router = if shards > 0 {
-            let config = ShardConfig { shards, transport, ..ShardConfig::default() };
+            let config = ShardConfig {
+                shards,
+                transport,
+                cache_budget: CACHE_BUDGET,
+                ..ShardConfig::default()
+            };
             Some(Arc::new(ShardRouter::spawn(&config).map_err(|e| format!("shard spawn: {e}"))?))
         } else {
             None
@@ -667,7 +625,7 @@ mod faultfuzz {
             ..ServerConfig::default()
         };
         let queue = config.queue;
-        let mut service = Service::new(queue);
+        let mut service = Service::with_cache_budget(queue, CACHE_BUDGET);
         if let Some(router) = &router {
             service = service.with_router(Arc::clone(router));
         }
@@ -705,7 +663,38 @@ mod faultfuzz {
             return 1;
         }
 
+        // The scripted prelude: one forced injection per rung of the
+        // degradation ladder — a worker panic, and with shards a frame
+        // cut on each side of the RPC path — each of which must fire.
+        let mut rungs = vec![("serve.worker.handle", Kind::Panic)];
+        if shards > 0 {
+            rungs
+                .extend([("serve.rpc.send", Kind::ShortRead), ("serve.rpc.recv", Kind::ShortRead)]);
+        }
         let mut total_violations = 0u64;
+        for (site, kind) in rungs {
+            let plan = Plan::Script(vec![(site, kind, 1)]);
+            let (mut violations, snapshot) = trial(addr, workers, &plan, &reference);
+            if !snapshot.iter().any(|&(s, k, n)| s == site && k == kind && n > 0) {
+                violations.push(Violation {
+                    class: "prelude-not-fired",
+                    detail: "the forced injection never fired".to_string(),
+                });
+            }
+            if violations.is_empty() {
+                println!("fault-campaign prelude {}: OK (fired)", plan.describe());
+            }
+            for v in &violations {
+                println!(
+                    "VIOLATION fault-campaign prelude {} [{}]: {}",
+                    plan.describe(),
+                    v.class,
+                    v.detail
+                );
+            }
+            total_violations += violations.len() as u64;
+        }
+
         for seed in 1..=fault_seeds {
             let plan = Plan::Seeded(seed);
             let (violations, snapshot) = trial(addr, workers, &plan, &reference);
@@ -761,6 +750,18 @@ mod faultfuzz {
             break; // one shrunk reproducer per run keeps the hunt bounded
         }
 
+        // In-process, the budget must actually have evicted: otherwise
+        // the divergence gates above never ran across an eviction.
+        if shards == 0 {
+            let evictions = sample(&client::scrape(addr), "tlm_serve_cache_evictions_total");
+            println!(
+                "fault-campaign: {evictions} cache evictions under a {CACHE_BUDGET}-byte budget"
+            );
+            if evictions == 0 {
+                println!("VIOLATION fault-campaign [no-evictions]: the mix never evicted");
+                total_violations += 1;
+            }
+        }
         handle.shutdown();
         if let Some(router) = router {
             router.shutdown();

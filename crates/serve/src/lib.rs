@@ -43,7 +43,9 @@
 //!   shard RPC frames, exportable per request as Chrome trace JSON
 //!   (`GET /trace/{id}`, `POST /estimate?trace=1`);
 //! - [`signal`] — SIGINT/SIGTERM latching for graceful drain-then-exit,
-//!   with a self-pipe so waiters park instead of polling.
+//!   with a self-pipe so waiters park instead of polling;
+//! - [`client`] — the small blocking HTTP client the bundled tools and
+//!   the integration tests drive a server with.
 //!
 //! Three binaries ship with the crate: `tlm-serve` (the daemon),
 //! `loadgen` (a fixed-seed load generator that doubles as the
@@ -53,6 +55,7 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod client;
 pub mod epoll;
 pub mod http;
 pub mod metrics;

@@ -54,6 +54,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use tlm_core::fingerprint::fnv1a_64;
 use tlm_json::{ParseLimits, Value};
 use tlm_pipeline::routing::{platform_routing_material, session_routing_material};
 
@@ -253,16 +254,6 @@ impl Default for ShardConfig {
     }
 }
 
-/// 64-bit FNV-1a — the ring's hash. Stable across processes and runs.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// One shard process: where it listens, and the child handle when the
 /// front spawned it. The event loop owns the multiplexed stream to it.
 #[derive(Debug)]
@@ -291,7 +282,7 @@ fn build_ring(n: usize) -> Vec<(u64, usize)> {
             let mut key = [0u8; 16];
             key[..8].copy_from_slice(&(shard as u64).to_le_bytes());
             key[8..].copy_from_slice(&(vnode as u64).to_le_bytes());
-            ring.push((fnv1a(&key), shard));
+            ring.push((fnv1a_64(&key), shard));
         }
     }
     ring.sort_unstable();
@@ -369,7 +360,7 @@ impl ShardRouter {
     /// The shard that owns `material` (clockwise successor on the ring).
     #[must_use]
     pub fn route_material(&self, material: &[u8]) -> usize {
-        let point = fnv1a(material);
+        let point = fnv1a_64(material);
         match self.ring.binary_search(&(point, usize::MAX)) {
             Ok(i) | Err(i) => self.ring[i % self.ring.len()].1,
         }

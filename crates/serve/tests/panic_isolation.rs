@@ -9,34 +9,12 @@
 
 #![cfg(feature = "faults")]
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 use tlm_faults::Kind;
+use tlm_serve::client;
 use tlm_serve::protocol::Service;
 use tlm_serve::server::{Server, ServerConfig};
-
-fn get(addr: SocketAddr, target: &str) -> String {
-    let mut stream = TcpStream::connect(addr).expect("connects");
-    stream.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
-    write!(stream, "GET {target} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")
-        .expect("writes");
-    let mut out = String::new();
-    stream.read_to_string(&mut out).expect("reads");
-    out
-}
-
-fn status_of(response: &str) -> u16 {
-    response.split_whitespace().nth(1).and_then(|s| s.parse().ok()).unwrap_or(0)
-}
-
-fn metric(page: &str, name: &str) -> u64 {
-    page.lines()
-        .find(|l| l.starts_with(name) && l[name.len()..].starts_with(' '))
-        .and_then(|l| l[name.len()..].trim().parse().ok())
-        .unwrap_or_else(|| panic!("metric {name} missing"))
-}
 
 #[test]
 fn injected_worker_panic_gets_500_and_the_worker_respawns() {
@@ -49,20 +27,21 @@ fn injected_worker_panic_gets_500_and_the_worker_respawns() {
     // Script exactly one panic at the request-handling point; a
     // forced-only plan performs no other injections.
     tlm_faults::force("serve.worker.handle", Kind::Panic, 1);
-    let resp = get(addr, "/healthz");
-    assert_eq!(status_of(&resp), 500, "panicking handler answers 500: {resp}");
-    assert!(resp.contains("panicked"), "got: {resp}");
+    let (status, _, body) = client::request(addr, "GET /healthz", "").expect("exchange");
+    let body = String::from_utf8_lossy(&body);
+    assert_eq!(status, 500, "panicking handler answers 500: {body}");
+    assert!(body.contains("panicked"), "got: {body}");
 
     // The supervisor notices the dead worker asynchronously; wait for
     // the respawn to land in the metrics.
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        let page = get(addr, "/metrics");
-        assert_eq!(status_of(&page), 200);
-        if metric(&page, "tlm_serve_worker_respawns_total") == 1
-            && metric(&page, "tlm_serve_workers_alive") == workers
+        let page = client::scrape(addr);
+        let metric = |name| client::metric(&page, name);
+        if metric("tlm_serve_worker_respawns_total") == Some(1)
+            && metric("tlm_serve_workers_alive") == Some(workers)
         {
-            assert_eq!(metric(&page, "tlm_serve_worker_panics_total"), 1);
+            assert_eq!(metric("tlm_serve_worker_panics_total"), Some(1));
             break;
         }
         assert!(Instant::now() < deadline, "worker never respawned:\n{page}");
@@ -70,8 +49,8 @@ fn injected_worker_panic_gets_500_and_the_worker_respawns() {
     }
 
     // Full capacity restored: the next request succeeds.
-    let resp = get(addr, "/healthz");
-    assert_eq!(status_of(&resp), 200, "service recovered: {resp}");
+    let recovered = client::request(addr, "GET /healthz", "").map(|(status, _, _)| status);
+    assert_eq!(recovered, Ok(200), "service recovered");
     assert_eq!(tlm_faults::injected("serve.worker.handle", Kind::Panic), 1);
 
     tlm_faults::clear();

@@ -12,12 +12,12 @@
 //! which a real estimation shard cannot guarantee.
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::os::unix::net::UnixListener;
 use std::sync::{mpsc, Arc};
 use std::thread;
-use std::time::Duration;
 
+use tlm_serve::client;
 use tlm_serve::http::Response;
 use tlm_serve::protocol::Service;
 use tlm_serve::rpc::{self, CONTROL_ID, TAG_REQUEST, TAG_RESPONSE, TAG_STATS, TAG_STATS_OK};
@@ -28,23 +28,12 @@ fn config() -> ServerConfig {
     ServerConfig { addr: "127.0.0.1:0".to_string(), workers: 2, ..ServerConfig::default() }
 }
 
-fn post_estimate(addr: SocketAddr, body: &str) -> String {
-    let mut stream = TcpStream::connect(addr).expect("connects");
-    stream.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
-    write!(
-        stream,
-        "POST /estimate HTTP/1.1\r\nHost: t\r\nContent-Type: application/json\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    )
-    .expect("writes");
-    let mut out = String::new();
-    stream.read_to_string(&mut out).expect("reads");
-    out
-}
-
-fn status_of(response: &str) -> u16 {
-    response.split_whitespace().nth(1).and_then(|s| s.parse().ok()).unwrap_or(0)
+/// `POST /estimate` on a fresh connection: the status, whether the reply
+/// carries `Retry-After`, and the body text.
+fn post_estimate(addr: SocketAddr, body: &str) -> (u16, bool, String) {
+    let (status, retry_after, body) =
+        client::request(addr, "POST /estimate", body).expect("exchange");
+    (status, retry_after.is_some(), String::from_utf8_lossy(&body).into_owned())
 }
 
 /// Reads one `TAG_REQUEST` frame and returns `(id, request body bytes)`.
@@ -87,8 +76,11 @@ fn out_of_order_completions_resolve_their_own_ids() {
         .collect();
     for client in clients {
         let (body, response) = client.join().expect("client thread");
-        assert_eq!(status_of(&response), 200, "got: {response}");
-        assert!(response.contains(body), "response for `{body}` got someone else's: {response}");
+        assert_eq!(response.0, 200, "got: {response:?}");
+        assert!(
+            response.2.contains(body),
+            "response for `{body}` got someone else's: {response:?}"
+        );
     }
     shard.join().expect("shard thread");
     assert_eq!(
@@ -125,14 +117,13 @@ fn shard_killed_mid_flight_fails_every_inflight_id_then_reconnects() {
         .into_iter()
         .map(|body| thread::spawn(move || post_estimate(addr, body)))
         .collect();
-    let responses: Vec<String> = clients.into_iter().map(|c| c.join().expect("client")).collect();
-    let oks = responses.iter().filter(|r| status_of(r) == 200).count();
-    let failed: Vec<&String> = responses.iter().filter(|r| status_of(r) == 503).collect();
+    let responses: Vec<_> = clients.into_iter().map(|c| c.join().expect("client")).collect();
+    let oks = responses.iter().filter(|r| r.0 == 200).count();
+    let failed: Vec<_> = responses.iter().filter(|r| r.0 == 503).collect();
     assert_eq!(oks, 1, "exactly the answered frame succeeds: {responses:?}");
     assert_eq!(failed.len(), 2, "both unanswered in-flight ids fail: {responses:?}");
     for resp in failed {
-        assert!(resp.contains("unavailable"), "got: {resp}");
-        assert!(resp.contains("Retry-After"), "got: {resp}");
+        assert!(resp.1 && resp.2.contains("unavailable"), "got: {resp:?}");
     }
     assert!(
         handle.metrics().shard_rpc_errors() >= 2,
@@ -141,8 +132,8 @@ fn shard_killed_mid_flight_fails_every_inflight_id_then_reconnects() {
 
     // Lazy reconnect: the very next forward opens a fresh connection.
     let recovered = post_estimate(addr, "delta");
-    assert_eq!(status_of(&recovered), 200, "got: {recovered}");
-    assert!(recovered.contains("delta"), "got: {recovered}");
+    assert_eq!(recovered.0, 200, "got: {recovered:?}");
+    assert!(recovered.2.contains("delta"), "got: {recovered:?}");
     shard.join().expect("shard thread");
     handle.shutdown();
 }
@@ -171,14 +162,13 @@ fn inflight_cap_declines_overflow_inline_with_503() {
     // The window is full: the second forward is declined inline without
     // ever touching the shard connection.
     let declined = post_estimate(addr, "bravo");
-    assert_eq!(status_of(&declined), 503, "got: {declined}");
-    assert!(declined.contains("in-flight capacity"), "got: {declined}");
-    assert!(declined.contains("Retry-After"), "got: {declined}");
+    assert_eq!((declined.0, declined.1), (503, true), "got: {declined:?}");
+    assert!(declined.2.contains("in-flight capacity"), "got: {declined:?}");
     assert_eq!(handle.metrics().shard_inflight_rejections(), 1);
 
     release_tx.send(()).expect("releases");
     let response = first.join().expect("first client");
-    assert_eq!(status_of(&response), 200, "got: {response}");
+    assert_eq!(response.0, 200, "got: {response:?}");
     shard.join().expect("shard thread");
     handle.shutdown();
 }
@@ -223,14 +213,10 @@ fn unix_transport_carries_frames_and_aggregated_stats() {
     let addr = handle.addr();
 
     let response = post_estimate(addr, "over-unix");
-    assert_eq!(status_of(&response), 200, "got: {response}");
-    assert!(response.contains("over-unix"), "got: {response}");
+    assert_eq!(response.0, 200, "got: {response:?}");
+    assert!(response.2.contains("over-unix"), "got: {response:?}");
 
-    let mut stream = TcpStream::connect(addr).expect("connects");
-    write!(stream, "GET /metrics HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")
-        .expect("writes");
-    let mut page = String::new();
-    stream.read_to_string(&mut page).expect("reads");
+    let page = client::scrape(addr);
     assert!(
         page.contains("tlm_serve_shard_stage_hits_total{shard=\"0\",stage=\"ast\"} 3"),
         "aggregated shard stats missing:\n{page}"

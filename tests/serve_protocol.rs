@@ -14,7 +14,8 @@
 //! leaked behind a misbehaving client (checked via the worker gauges).
 //! `/metrics` is checked for the pipeline, batch-dedup, event-loop and
 //! shard families; the process-wide counters are asserted as monotonic
-//! deltas around a request.
+//! deltas around a request. A byte-budgeted pipeline must evict without
+//! changing a single response byte.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -22,6 +23,7 @@ use std::ops::Deref;
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
 use std::time::{Duration, Instant};
 
+use tlm_serve::client;
 use tlm_serve::http::HttpLimits;
 use tlm_serve::protocol::Service;
 use tlm_serve::server::{Server, ServerConfig, ServerHandle};
@@ -90,35 +92,11 @@ fn request(addr: SocketAddr, head: &str, body: &str) -> String {
     send_raw(addr, raw.as_bytes())
 }
 
-/// One request over an already-open keep-alive stream, reading exactly
-/// one response (head plus `Content-Length` body) so the connection
-/// stays usable for the next request.
-fn keep_alive_request(stream: &mut TcpStream, head: &str, body: &str) -> String {
-    write!(
-        stream,
-        "{head} HTTP/1.1\r\nHost: t\r\nContent-Type: application/json\r\n\
-         Content-Length: {}\r\nConnection: keep-alive\r\n\r\n{body}",
-        body.len()
-    )
-    .expect("writes");
-    let mut header = Vec::new();
-    let mut byte = [0u8; 1];
-    while !header.ends_with(b"\r\n\r\n") {
-        assert_ne!(stream.read(&mut byte).expect("reads"), 0, "closed mid-header");
-        header.push(byte[0]);
-        assert!(header.len() <= 16 * 1024, "runaway response head");
-    }
-    let header = String::from_utf8(header).expect("utf8 header");
-    let length = header
-        .lines()
-        .find_map(|line| {
-            let (name, value) = line.split_once(':')?;
-            name.eq_ignore_ascii_case("content-length").then(|| value.trim().parse().ok())?
-        })
-        .unwrap_or(0usize);
-    let mut body = vec![0u8; length];
-    stream.read_exact(&mut body).expect("reads body");
-    format!("{header}{}", String::from_utf8_lossy(&body))
+/// One request over an already-open keep-alive stream: the status, the
+/// `Retry-After` header and the body text.
+fn keep_alive_request(stream: &mut TcpStream, line: &str, body: &str) -> (u16, bool, String) {
+    let (status, retry_after, body) = client::keep_alive(stream, line, body).expect("exchange");
+    (status, retry_after.is_some(), String::from_utf8_lossy(&body).into_owned())
 }
 
 fn status_of(response: &str) -> u16 {
@@ -132,10 +110,7 @@ fn body_of(response: &str) -> &str {
 /// Reads one sample by its full name (label set included, if any) from
 /// a Prometheus text page.
 fn metric(page: &str, name: &str) -> u64 {
-    page.lines()
-        .find(|l| l.starts_with(name) && l[name.len()..].starts_with(' '))
-        .and_then(|l| l[name.len()..].trim().parse().ok())
-        .unwrap_or_else(|| panic!("metric {name} missing:\n{page}"))
+    client::metric(page, name).unwrap_or_else(|| panic!("metric {name} missing:\n{page}"))
 }
 
 #[test]
@@ -186,11 +161,9 @@ fn truncated_body_times_out_with_408() {
 /// alive, and nobody stuck busy beyond the one serving this very
 /// `/metrics` request.
 fn assert_workers_intact(addr: SocketAddr, workers: u64) {
-    let resp = request(addr, "GET /metrics", "");
-    assert_eq!(status_of(&resp), 200, "got: {resp}");
-    let page = body_of(&resp);
-    assert_eq!(metric(page, "tlm_serve_workers_alive"), workers, "worker leaked or died");
-    assert!(metric(page, "tlm_serve_workers_busy") <= 1, "worker stuck busy:\n{page}");
+    let page = client::scrape(addr);
+    assert_eq!(metric(&page, "tlm_serve_workers_alive"), workers, "worker leaked or died");
+    assert!(metric(&page, "tlm_serve_workers_busy") <= 1, "worker stuck busy:\n{page}");
 }
 
 /// Waits, for at most 30 s, until `/metrics` shows `handled` requests
@@ -200,9 +173,8 @@ fn assert_workers_intact(addr: SocketAddr, workers: u64) {
 fn await_handled(addr: SocketAddr, handled: u64) {
     let deadline = Instant::now() + Duration::from_secs(30);
     for polls in 0.. {
-        let resp = request(addr, "GET /metrics", "");
         // Earlier polls are handled; this one is still in its worker.
-        let done = metric(body_of(&resp), "tlm_serve_request_duration_seconds_count");
+        let done = metric(&client::scrape(addr), "tlm_serve_request_duration_seconds_count");
         if done >= handled + polls {
             return;
         }
@@ -339,11 +311,7 @@ fn estimation_over_the_wire_matches_the_paper_sweep_shape() {
 fn metrics_expose_per_stage_pipeline_counters() {
     let handle = start_default();
     let addr = handle.addr();
-    let get_metrics = || {
-        let resp = request(addr, "GET /metrics", "");
-        assert_eq!(status_of(&resp), 200, "got: {resp}");
-        body_of(&resp).to_string()
-    };
+    let get_metrics = || client::scrape(addr);
 
     // Before any estimation every stage is present and zero.
     let page = get_metrics();
@@ -443,11 +411,7 @@ fn half_closed_client_still_gets_its_response_and_leaks_no_connection() {
     // The gauge as seen from a fresh scrape connection: the scrape
     // itself is open while the page renders, so a quiescent server
     // reads 1.
-    let open_connections = || {
-        let resp = request(addr, "GET /metrics", "");
-        assert_eq!(status_of(&resp), 200, "got: {resp}");
-        metric(body_of(&resp), "tlm_serve_open_connections")
-    };
+    let open_connections = || metric(&client::scrape(addr), "tlm_serve_open_connections");
     let baseline = open_connections();
 
     // Send a full request, then shut down the write half (SHUT_WR)
@@ -497,8 +461,8 @@ fn drain_flips_readyz_immediately_while_healthz_stays_up() {
     for conn in [&mut conn_a, &mut conn_b] {
         conn.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
     }
-    assert_eq!(status_of(&keep_alive_request(&mut conn_a, "GET /readyz", "")), 200);
-    assert_eq!(status_of(&keep_alive_request(&mut conn_b, "GET /healthz", "")), 200);
+    assert_eq!(keep_alive_request(&mut conn_a, "GET /readyz", "").0, 200);
+    assert_eq!(keep_alive_request(&mut conn_b, "GET /healthz", "").0, 200);
 
     handle.request_shutdown();
 
@@ -506,10 +470,9 @@ fn drain_flips_readyz_immediately_while_healthz_stays_up() {
     // Retry-After hint for the balancer), liveness intact — draining is
     // not dying.
     let ready = keep_alive_request(&mut conn_a, "GET /readyz", "");
-    assert_eq!(status_of(&ready), 503, "got: {ready}");
-    assert!(ready.to_ascii_lowercase().contains("retry-after"), "503 carries Retry-After: {ready}");
+    assert_eq!((ready.0, ready.1), (503, true), "503 carries Retry-After: {ready:?}");
     let health = keep_alive_request(&mut conn_b, "GET /healthz", "");
-    assert_eq!(status_of(&health), 200, "got: {health}");
+    assert_eq!(health.0, 200, "got: {health:?}");
 
     // While draining, keep-alive is not renewed: both connections are
     // closed after their in-flight response, and the listener accepts
@@ -555,8 +518,7 @@ fn estimate_traffic_reports_batch_dedup_on_metrics() {
     let handle = launch(ServerConfig { workers: 2, ..ServerConfig::default() });
     let addr = handle.addr();
 
-    let before = request(addr, "GET /metrics", "");
-    assert_eq!(status_of(&before), 200);
+    let before = client::scrape(addr);
     let dedup_before = metric(&before, "tlm_serve_kernel_batch_dedup_hits");
     let solves_before = metric(&before, "tlm_serve_kernel_batch_unique_solves");
 
@@ -566,8 +528,7 @@ fn estimate_traffic_reports_batch_dedup_on_metrics() {
     let resp = request(addr, "POST /estimate", r#"{"platform": "mp3:sw"}"#);
     assert_eq!(status_of(&resp), 200, "estimate failed: {resp}");
 
-    let after = request(addr, "GET /metrics", "");
-    assert_eq!(status_of(&after), 200);
+    let after = client::scrape(addr);
     assert!(
         metric(&after, "tlm_serve_kernel_batch_dedup_hits") > dedup_before,
         "no dedup hits from a cold mp3 estimate:\n{after}"
@@ -582,7 +543,7 @@ fn estimate_traffic_reports_batch_dedup_on_metrics() {
     let cold_blocks = metric(&after, "tlm_serve_kernel_batch_dedup_hits");
     let resp = request(addr, "POST /estimate", r#"{"platform": "mp3:sw"}"#);
     assert_eq!(status_of(&resp), 200, "warm estimate failed: {resp}");
-    let warm = request(addr, "GET /metrics", "");
+    let warm = client::scrape(addr);
     assert_eq!(metric(&warm, "tlm_serve_kernel_batch_dedup_hits"), cold_blocks);
 
     handle.shutdown();
@@ -599,8 +560,7 @@ fn event_loop_and_shard_observability_render_on_metrics() {
     let handle = start_default();
     let addr = handle.addr();
 
-    let page = request(addr, "GET /metrics", "");
-    assert_eq!(status_of(&page), 200);
+    let page = client::scrape(addr);
     // The scrape's own connection is open while the page renders.
     assert!(metric(&page, "tlm_serve_open_connections") >= 1, "gauge misses the scrape itself");
     assert!(metric(&page, "tlm_serve_open_connections_peak") >= 1);
@@ -627,7 +587,7 @@ fn event_loop_and_shard_observability_render_on_metrics() {
     assert!(resp.contains("Retry-After"), "carries Retry-After: {resp}");
     assert!(resp.contains("unavailable"), "names the failure: {resp}");
 
-    let page = request(addr, "GET /metrics", "");
+    let page = client::scrape(addr);
     assert_eq!(metric(&page, "tlm_serve_shards_configured"), 2);
     assert!(metric(&page, "tlm_serve_shard_rpc_errors_total") >= 1, "rpc failure not counted");
     handle.shutdown();
@@ -663,26 +623,56 @@ fn drain_rejects_new_sessions_while_inflight_edits_finish() {
     }
 
     let created = keep_alive_request(&mut editor, "POST /session", TINY_SESSION);
-    assert_eq!(status_of(&created), 200, "session create failed: {created}");
-    assert!(created.contains("\"session\":1"), "ids are sequential: {created}");
-    let ping = keep_alive_request(&mut creator, "GET /healthz", "");
-    assert_eq!(status_of(&ping), 200);
+    assert_eq!(created.0, 200, "session create failed: {created:?}");
+    assert!(created.2.contains("\"session\":1"), "ids are sequential: {created:?}");
+    assert_eq!(keep_alive_request(&mut creator, "GET /healthz", "").0, 200);
 
     handle.request_shutdown();
 
     // Existing-session traffic still flows during the drain ...
     let edit = r#"{"process": "main", "patch": {"find": "x * 3 + 1", "replace": "x << 3"}}"#;
     let edited = keep_alive_request(&mut editor, "POST /session/1/edit", edit);
-    assert_eq!(status_of(&edited), 200, "in-flight edit must finish during drain: {edited}");
-    assert!(edited.contains("\"dirty_functions\":1"), "delta path engaged: {edited}");
+    assert_eq!(edited.0, 200, "in-flight edit must finish during drain: {edited:?}");
+    assert!(edited.2.contains("\"dirty_functions\":1"), "delta path engaged: {edited:?}");
 
     // ... while new session creation is refused with a retry hint.
     let refused = keep_alive_request(&mut creator, "POST /session", TINY_SESSION);
-    assert_eq!(status_of(&refused), 503, "creation must be rejected during drain: {refused}");
-    assert!(refused.contains("Retry-After"), "rejection carries Retry-After: {refused}");
-    assert!(refused.contains("not accepting new sessions"), "names the reason: {refused}");
+    assert_eq!((refused.0, refused.1), (503, true), "rejected with Retry-After: {refused:?}");
+    assert!(refused.2.contains("not accepting new sessions"), "names the reason: {refused:?}");
 
     drop(editor);
     drop(creator);
     handle.shutdown();
+}
+
+/// A byte budget evicts and recomputes artifacts but never changes a
+/// byte: the six built-in designs answer a budgeted server exactly as
+/// they answer an unbudgeted twin, on a first pass and again on a second
+/// that recomputes what the budget evicted, and the budgeted pipeline
+/// stays near its budget.
+#[test]
+fn cache_budget_evicts_without_changing_a_byte() {
+    const BUDGET: u64 = 24 << 10;
+    let twin = start_default();
+    let config =
+        ServerConfig { addr: "127.0.0.1:0".to_string(), workers: 2, ..ServerConfig::default() };
+    let budgeted =
+        Server::start(config, Service::with_cache_budget(16, BUDGET)).expect("server starts");
+
+    for pass in 1..=2 {
+        for design in ["mp3:sw", "mp3:sw+1", "mp3:sw+2", "mp3:sw+4", "image:sw", "image:hw"] {
+            let body = format!(r#"{{"platform": "{design}", "sweep": ["0k/0k", "8k/4k"]}}"#);
+            let want = request(twin.addr(), "POST /estimate", &body);
+            assert_eq!(status_of(&want), 200, "got: {want}");
+            let got = request(budgeted.addr(), "POST /estimate", &body);
+            assert_eq!(body_of(&got), body_of(&want), "pass {pass}: {design} diverged");
+        }
+    }
+
+    let page = client::scrape(budgeted.addr());
+    assert!(metric(&page, "tlm_serve_cache_evictions_total") > 0, "budget never evicted");
+    let resident = metric(&page, "tlm_serve_cache_resident_bytes");
+    assert!(resident <= BUDGET + 4096, "{resident} resident bytes over a {BUDGET}-byte budget");
+    budgeted.shutdown();
+    twin.shutdown();
 }
