@@ -787,49 +787,61 @@ impl Pum {
     /// per annotation run on the estimation hot path, so it writes one
     /// flat string instead of building a value tree.
     pub fn schedule_domain(&self) -> String {
-        use std::fmt::Write;
-        fn name(out: &mut String, n: &str) {
-            let _ = write!(out, "{}:{n}", n.len());
-        }
         let mut out = String::with_capacity(512);
+        self.push_schedule_domain(&mut out);
+        out
+    }
+
+    /// Appends [`Pum::schedule_domain`] to `out`.
+    fn push_schedule_domain(&self, out: &mut String) {
         out.push_str("sd1;");
         out.push_str(self.execution.policy.as_str());
         out.push(';');
         for (key, b) in &self.execution.op_map {
-            let _ = write!(
-                out,
-                "{}={},{},{}[",
-                key.as_str(),
-                b.demand_stage,
-                b.commit_stage,
-                u8::from(b.transparent)
-            );
+            out.push_str(key.as_str());
+            out.push('=');
+            push_dec(out, b.demand_stage as u64);
+            out.push(',');
+            push_dec(out, b.commit_stage as u64);
+            out.push(',');
+            push_dec(out, u64::from(b.transparent));
+            out.push('[');
             for u in &b.usage {
-                let _ = write!(out, "{}.{}.{};", u.stage, u.fu, u.mode);
+                push_dec(out, u.stage as u64);
+                out.push('.');
+                push_dec(out, u.fu as u64);
+                out.push('.');
+                push_dec(out, u.mode as u64);
+                out.push(';');
             }
             out.push(']');
         }
         out.push('#');
         for unit in &self.datapath.units {
-            name(&mut out, &unit.name);
-            let _ = write!(out, "x{}[", unit.quantity);
+            push_name(out, &unit.name);
+            out.push('x');
+            push_dec(out, u64::from(unit.quantity));
+            out.push('[');
             for m in &unit.modes {
-                name(&mut out, &m.name);
-                let _ = write!(out, "@{};", m.delay);
+                push_name(out, &m.name);
+                out.push('@');
+                push_dec(out, u64::from(m.delay));
+                out.push(';');
             }
             out.push(']');
         }
         out.push('#');
         for p in &self.datapath.pipelines {
-            name(&mut out, &p.name);
+            push_name(out, &p.name);
             out.push('[');
             for s in &p.stages {
-                name(&mut out, &s.name);
-                let _ = write!(out, "w{};", s.width);
+                push_name(out, &s.name);
+                out.push('w');
+                push_dec(out, u64::from(s.width));
+                out.push(';');
             }
             out.push(']');
         }
-        out
     }
 
     /// Canonical byte encoding of the **entire** model: the
@@ -841,27 +853,28 @@ impl Pum {
     /// on it without aliasing.
     ///
     /// Like the schedule domain this is a direct flat-string encoder (all
-    /// free-form names length-prefixed, floats via [`f64::to_bits`], every
-    /// number delimited) rather than the JSON interchange form: it runs on
-    /// every memoized estimate lookup, where building a value tree would
-    /// cost an order of magnitude more than the lookup itself.
+    /// free-form names length-prefixed, floats via [`f64::to_bits`] as 16
+    /// hex digits, every number delimited) rather than the JSON interchange
+    /// form: it runs on every memoized estimate lookup, so it writes
+    /// digits straight into one buffer, without `std::fmt` and with the
+    /// schedule domain appended in place.
     pub fn estimate_domain(&self) -> String {
-        use std::fmt::Write;
-        fn name(out: &mut String, n: &str) {
-            let _ = write!(out, "{}:{n}", n.len());
-        }
-        fn bits(out: &mut String, v: f64) {
-            let _ = write!(out, "{:016x}", v.to_bits());
-        }
         fn path(out: &mut String, p: &MemoryPath) {
             match p {
                 MemoryPath::Hardwired => out.push('h'),
                 MemoryPath::Uncached => out.push('u'),
                 MemoryPath::Cached(c) => {
-                    let _ = write!(out, "c{},{},{}[", c.size, c.hit_delay, c.miss_penalty);
-                    for (size, rate) in &c.hit_rates {
-                        let _ = write!(out, "{size}=");
-                        bits(out, *rate);
+                    out.push('c');
+                    push_dec(out, u64::from(c.size));
+                    out.push(',');
+                    push_dec(out, u64::from(c.hit_delay));
+                    out.push(',');
+                    push_dec(out, u64::from(c.miss_penalty));
+                    out.push('[');
+                    for (&size, &rate) in &c.hit_rates {
+                        push_dec(out, u64::from(size));
+                        out.push('=');
+                        push_hex16(out, rate.to_bits());
                         out.push(';');
                     }
                     out.push(']');
@@ -870,24 +883,29 @@ impl Pum {
         }
         let mut out = String::with_capacity(1024);
         out.push_str("ek1;");
-        name(&mut out, &self.name);
-        let _ = write!(out, ";{};", self.clock_period_ps);
+        push_name(&mut out, &self.name);
+        out.push(';');
+        push_dec(&mut out, self.clock_period_ps);
+        out.push(';');
         match &self.branch {
             None => out.push('-'),
             Some(b) => {
-                name(&mut out, &b.policy);
-                let _ = write!(out, ",{},", b.penalty);
-                bits(&mut out, b.miss_rate);
+                push_name(&mut out, &b.policy);
+                out.push(',');
+                push_dec(&mut out, u64::from(b.penalty));
+                out.push(',');
+                push_hex16(&mut out, b.miss_rate.to_bits());
             }
         }
         out.push('#');
         path(&mut out, &self.memory.ifetch);
         path(&mut out, &self.memory.data);
-        let _ = write!(out, "{};", self.memory.external_latency);
-        bits(&mut out, self.memory.fetch_expansion);
-        bits(&mut out, self.memory.data_expansion);
+        push_dec(&mut out, u64::from(self.memory.external_latency));
+        out.push(';');
+        push_hex16(&mut out, self.memory.fetch_expansion.to_bits());
+        push_hex16(&mut out, self.memory.data_expansion.to_bits());
         out.push('#');
-        out.push_str(&self.schedule_domain());
+        self.push_schedule_domain(&mut out);
         out
     }
 
@@ -929,6 +947,38 @@ impl Pum {
     }
 }
 
+/// Appends `v` in decimal, as `{}` formats it.
+fn push_dec(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    for &d in &digits[at..] {
+        out.push(char::from(d));
+    }
+}
+
+/// Appends `v` as exactly 16 lower-case hex digits, as `{:016x}` formats
+/// it.
+fn push_hex16(out: &mut String, v: u64) {
+    for shift in (0..16).rev() {
+        out.push(char::from(b"0123456789abcdef"[(v >> (shift * 4)) as usize & 0xf]));
+    }
+}
+
+/// Appends a free-form name, length-prefixed: `len:name`.
+fn push_name(out: &mut String, name: &str) {
+    push_dec(out, name.len() as u64);
+    out.push(':');
+    out.push_str(name);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -945,6 +995,214 @@ mod tests {
             library::vliw4(),
         ] {
             pum.validate().unwrap_or_else(|e| panic!("{}: {e}", pum.name));
+        }
+    }
+
+    /// The `std::fmt` encoders the flat ones replaced, kept as the oracle
+    /// their output must match byte for byte (the encodings are cache
+    /// keys).
+    mod oracle {
+        use std::fmt::Write;
+
+        use super::super::{MemoryPath, Pum};
+
+        fn name(out: &mut String, n: &str) {
+            let _ = write!(out, "{}:{n}", n.len());
+        }
+
+        pub fn schedule_domain(pum: &Pum) -> String {
+            let mut out = String::new();
+            out.push_str("sd1;");
+            out.push_str(pum.execution.policy.as_str());
+            out.push(';');
+            for (key, b) in &pum.execution.op_map {
+                let _ = write!(
+                    out,
+                    "{}={},{},{}[",
+                    key.as_str(),
+                    b.demand_stage,
+                    b.commit_stage,
+                    u8::from(b.transparent)
+                );
+                for u in &b.usage {
+                    let _ = write!(out, "{}.{}.{};", u.stage, u.fu, u.mode);
+                }
+                out.push(']');
+            }
+            out.push('#');
+            for unit in &pum.datapath.units {
+                name(&mut out, &unit.name);
+                let _ = write!(out, "x{}[", unit.quantity);
+                for m in &unit.modes {
+                    name(&mut out, &m.name);
+                    let _ = write!(out, "@{};", m.delay);
+                }
+                out.push(']');
+            }
+            out.push('#');
+            for p in &pum.datapath.pipelines {
+                name(&mut out, &p.name);
+                out.push('[');
+                for s in &p.stages {
+                    name(&mut out, &s.name);
+                    let _ = write!(out, "w{};", s.width);
+                }
+                out.push(']');
+            }
+            out
+        }
+
+        pub fn estimate_domain(pum: &Pum) -> String {
+            fn bits(out: &mut String, v: f64) {
+                let _ = write!(out, "{:016x}", v.to_bits());
+            }
+            fn path(out: &mut String, p: &MemoryPath) {
+                match p {
+                    MemoryPath::Hardwired => out.push('h'),
+                    MemoryPath::Uncached => out.push('u'),
+                    MemoryPath::Cached(c) => {
+                        let _ = write!(out, "c{},{},{}[", c.size, c.hit_delay, c.miss_penalty);
+                        for (size, rate) in &c.hit_rates {
+                            let _ = write!(out, "{size}=");
+                            bits(out, *rate);
+                            out.push(';');
+                        }
+                        out.push(']');
+                    }
+                }
+            }
+            let mut out = String::new();
+            out.push_str("ek1;");
+            name(&mut out, &pum.name);
+            let _ = write!(out, ";{};", pum.clock_period_ps);
+            match &pum.branch {
+                None => out.push('-'),
+                Some(b) => {
+                    name(&mut out, &b.policy);
+                    let _ = write!(out, ",{},", b.penalty);
+                    bits(&mut out, b.miss_rate);
+                }
+            }
+            out.push('#');
+            path(&mut out, &pum.memory.ifetch);
+            path(&mut out, &pum.memory.data);
+            let _ = write!(out, "{};", pum.memory.external_latency);
+            bits(&mut out, pum.memory.fetch_expansion);
+            bits(&mut out, pum.memory.data_expansion);
+            out.push('#');
+            out.push_str(&schedule_domain(pum));
+            out
+        }
+    }
+
+    fn assert_matches_oracle(pum: &Pum, what: &str) {
+        assert_eq!(pum.schedule_domain(), oracle::schedule_domain(pum), "{what}: schedule domain");
+        assert_eq!(pum.estimate_domain(), oracle::estimate_domain(pum), "{what}: estimate domain");
+    }
+
+    /// Every library PUM and every checked-in model, each as built and at
+    /// every point of the paper's cache sweep.
+    #[test]
+    fn domain_encoders_match_the_fmt_oracle() {
+        let mut pums = vec![
+            library::microblaze_like(8 * 1024, 4 * 1024),
+            library::microblaze_like(0, 0),
+            library::custom_hw("dct", 2, 2),
+            library::generic_risc(),
+            library::superscalar2(),
+            library::vliw4(),
+        ];
+        let models = concat!(env!("CARGO_MANIFEST_DIR"), "/../../models");
+        let mut files: Vec<_> = std::fs::read_dir(models)
+            .expect("models directory")
+            .map(|entry| entry.expect("models entry").path())
+            .filter(|path| path.extension().is_some_and(|ext| ext == "json"))
+            .collect();
+        files.sort();
+        assert!(files.len() >= 6, "models/*.json: {files:?}");
+        for file in &files {
+            let text = std::fs::read_to_string(file).expect("readable model");
+            pums.push(Pum::from_json(&text).unwrap_or_else(|e| panic!("{file:?}: {e}")));
+        }
+        let sweep = [
+            (0, 0),
+            (2 << 10, 2 << 10),
+            (8 << 10, 4 << 10),
+            (16 << 10, 16 << 10),
+            (32 << 10, 16 << 10),
+        ];
+        for pum in &pums {
+            assert_matches_oracle(pum, &pum.name);
+            for (ic, dc) in sweep {
+                assert_matches_oracle(
+                    &pum.with_cache_sizes(ic, dc),
+                    &format!("{} {ic}/{dc}", pum.name),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn domain_encoders_match_the_fmt_oracle_at_edge_values() {
+        let base = library::microblaze_like(8 * 1024, 4 * 1024);
+        let named = "a:b;c#d[e]é✓";
+        let mut edge = base.clone();
+        edge.name = named.to_string();
+        edge.clock_period_ps = u64::MAX;
+        edge.branch =
+            Some(BranchModel { policy: named.to_string(), penalty: u32::MAX, miss_rate: f64::NAN });
+        edge.memory.external_latency = u32::MAX;
+        edge.memory.fetch_expansion = -0.0;
+        edge.memory.data_expansion = f64::INFINITY;
+        if let MemoryPath::Cached(c) = &mut edge.memory.ifetch {
+            c.size = u32::MAX;
+            c.hit_delay = 0;
+            c.miss_penalty = u32::MAX;
+            c.hit_rates.insert(u32::MAX, f64::NEG_INFINITY);
+            c.hit_rates.insert(0, -0.0);
+            c.hit_rates.insert(1, f64::MIN_POSITIVE);
+        }
+        for unit in &mut edge.datapath.units {
+            unit.name = format!("{}{named}", unit.name);
+            unit.quantity = u32::MAX;
+            for mode in &mut unit.modes {
+                mode.name.push_str(named);
+                mode.delay = u32::MAX;
+            }
+        }
+        for p in &mut edge.datapath.pipelines {
+            p.name = String::new();
+            for s in &mut p.stages {
+                s.name = named.to_string();
+                s.width = 0;
+            }
+        }
+        for b in edge.execution.op_map.values_mut() {
+            b.demand_stage = usize::MAX;
+            b.commit_stage = 0;
+            b.transparent = !b.transparent;
+            for u in &mut b.usage {
+                (u.stage, u.fu, u.mode) = (usize::MAX, 0, u32::MAX as usize);
+            }
+        }
+        assert_matches_oracle(&edge, "edge values");
+        let mut zero = edge.clone();
+        zero.name = String::new();
+        zero.clock_period_ps = 0;
+        zero.branch = None;
+        zero.memory.ifetch = MemoryPath::Hardwired;
+        zero.memory.data = MemoryPath::Uncached;
+        zero.memory.external_latency = 0;
+        zero.memory.fetch_expansion = f64::NEG_INFINITY;
+        zero.memory.data_expansion = 0.0;
+        assert_matches_oracle(&zero, "zero values");
+        for v in [0, 1, 9, 10, 99, 100, u64::from(u32::MAX), u64::MAX - 1, u64::MAX] {
+            let mut out = String::new();
+            push_dec(&mut out, v);
+            assert_eq!(out, v.to_string());
+            out.clear();
+            push_hex16(&mut out, v);
+            assert_eq!(out, format!("{v:016x}"));
         }
     }
 

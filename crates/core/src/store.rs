@@ -3,12 +3,17 @@
 //! domain, and every `tlm-pipeline` stage is one.
 //!
 //! Correctness before speed: keys are the full canonical byte encodings
-//! of the computation's true inputs — never hashes of them — so two
-//! distinct inputs can never alias an entry. Each key owns a `OnceLock`
-//! slot, so the computation runs **exactly once** per key even under
-//! concurrent demand: a thread that loses the initialization race blocks
-//! on the winner and reads its result (counted as a hit — it did not run
-//! the computation).
+//! of the computation's true inputs — never hashes of them — and they
+//! compare in full, so two distinct inputs can never alias an entry. A
+//! key is a byte string by default; a [`StoreKey`] type can instead hold
+//! its encoding in parts, and may carry a precomputed keyed hash of an
+//! immutable part (a module's source, shared by `Arc`) so a lookup hashes
+//! that part once per artifact rather than once per demand. The hash only
+//! picks the bucket; equality still compares every byte. Each key owns a
+//! `OnceLock` slot, so the computation runs **exactly once** per key even
+//! under concurrent demand: a thread that loses the initialization race
+//! blocks on the winner and reads its result (counted as a hit — it did
+//! not run the computation).
 //!
 //! **Error caching policy.** Deterministic errors are cached like
 //! successes — the same inputs fail the same way, so re-running could not
@@ -20,14 +25,17 @@
 //!
 //! **Byte-budgeted eviction.** A store can carry a resident-byte budget
 //! ([`Store::set_budget`]): entries live in two generations, and when the
-//! accounted key bytes exceed the budget the old generation is dropped and
-//! the young one ages into its place. A lookup promotes its entry back
-//! into the young generation (second chance), `OnceLock` slot and all — a
-//! survivor never recomputes, and an evicted entry recomputes to
-//! bit-identical bytes because every stored computation is a pure function
-//! of its key.
+//! accounted key bytes ([`StoreKey::charge`]) exceed the budget the old
+//! generation is dropped and the young one ages into its place. A lookup
+//! promotes its entry back into the young generation (second chance),
+//! `OnceLock` slot and all — a survivor never recomputes, and an evicted
+//! entry recomputes to bit-identical bytes because every stored
+//! computation is a pure function of its key.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::fmt::Debug;
+use std::hash::Hash;
 use std::ops::AddAssign;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
@@ -49,6 +57,37 @@ impl StoreError for EstimateError {
     }
 }
 
+/// A key a [`Store`] is addressed by: lookups borrow it, and a miss turns
+/// it into its resident form once. `Hash` and `Eq` must agree with the
+/// canonical bytes the key stands for — equal keys encode equal bytes, and
+/// `Eq` compares every byte (a hash may narrow the search, never decide
+/// it).
+pub trait StoreKey: Hash + Eq + Debug {
+    /// The form an entry's key is held in while resident.
+    type Resident: Borrow<Self> + Hash + Eq + Debug;
+
+    /// The resident form of this key, made once per inserted entry.
+    fn resident(&self) -> Self::Resident;
+
+    /// The bytes the key is accounted as against the store's budget: the
+    /// length of its canonical encoding.
+    fn charge(&self) -> u64;
+}
+
+/// Plain byte-string keys: resident as a shared copy, charged their
+/// length.
+impl StoreKey for [u8] {
+    type Resident = Arc<[u8]>;
+
+    fn resident(&self) -> Arc<[u8]> {
+        Arc::from(self)
+    }
+
+    fn charge(&self) -> u64 {
+        self.len() as u64
+    }
+}
+
 /// Counter snapshot of one store (or of several, summed).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StoreStats {
@@ -58,8 +97,9 @@ pub struct StoreStats {
     pub misses: u64,
     /// Resident entries.
     pub entries: usize,
-    /// Approximate resident key bytes. Values are excluded: they are
-    /// shared `Arc`s whose footprint the store does not own exclusively.
+    /// Resident key bytes, each key counted as its [`StoreKey::charge`].
+    /// Values are excluded: they are shared `Arc`s whose footprint the
+    /// store does not own exclusively.
     pub bytes: u64,
     /// Entries dropped by budget-driven generation rotation.
     pub evictions: u64,
@@ -93,45 +133,46 @@ type Slot<T, E> = Arc<OnceLock<Result<T, E>>>;
 /// since the last rotation; old awaits a second-chance promotion or the
 /// next rotation.
 #[derive(Debug)]
-struct Generations<T, E> {
-    young: HashMap<Arc<[u8]>, Slot<T, E>>,
-    old: HashMap<Arc<[u8]>, Slot<T, E>>,
+struct Generations<T, E, K: ?Sized + StoreKey> {
+    young: HashMap<K::Resident, Slot<T, E>>,
+    old: HashMap<K::Resident, Slot<T, E>>,
     young_bytes: u64,
     old_bytes: u64,
 }
 
-impl<T, E> Default for Generations<T, E> {
-    fn default() -> Generations<T, E> {
+impl<T, E, K: ?Sized + StoreKey> Default for Generations<T, E, K> {
+    fn default() -> Generations<T, E, K> {
         Generations { young: HashMap::new(), old: HashMap::new(), young_bytes: 0, old_bytes: 0 }
     }
 }
 
-impl<T, E> Generations<T, E> {
+impl<T, E, K: ?Sized + StoreKey> Generations<T, E, K> {
     /// The slot for `key` and whether it was inserted just now: a young
     /// entry as is, an old one promoted back into the young generation
     /// (slot intact, so no recompute), or a fresh empty slot.
-    fn resolve(&mut self, key: &[u8]) -> (Slot<T, E>, bool) {
+    fn resolve(&mut self, key: &K) -> (Slot<T, E>, bool) {
         if let Some(slot) = self.young.get(key) {
             return (Arc::clone(slot), false);
         }
+        let charge = key.charge();
         if let Some((key, slot)) = self.old.remove_entry(key) {
-            self.old_bytes -= key.len() as u64;
-            self.young_bytes += key.len() as u64;
+            self.old_bytes -= charge;
+            self.young_bytes += charge;
             self.young.insert(key, Arc::clone(&slot));
             return (slot, false);
         }
-        self.young_bytes += key.len() as u64;
-        (Arc::clone(self.young.entry(Arc::from(key)).or_default()), true)
+        self.young_bytes += charge;
+        (Arc::clone(self.young.entry(key.resident()).or_default()), true)
     }
 
     /// Removes `key` from whichever generation holds it, if `keep` rejects
     /// its slot. Returns whether an entry was removed.
-    fn remove_unless(&mut self, key: &[u8], keep: impl Fn(&Slot<T, E>) -> bool) -> bool {
+    fn remove_unless(&mut self, key: &K, keep: impl Fn(&Slot<T, E>) -> bool) -> bool {
         let Generations { young, old, young_bytes, old_bytes } = self;
         for (map, bytes) in [(young, young_bytes), (old, old_bytes)] {
             if map.get(key).is_some_and(|slot| !keep(slot)) {
                 map.remove(key);
-                *bytes -= key.len() as u64;
+                *bytes -= key.charge();
                 return true;
             }
         }
@@ -159,10 +200,11 @@ pub(crate) fn over_budget(budget: u64, young: u64, total: u64) -> bool {
 /// Reports one lookup: the store's name and whether it was a hit.
 type Observer = fn(&'static str, bool);
 
-/// A thread-safe, content-addressed store of `Result<T, E>` values.
+/// A thread-safe, content-addressed store of `Result<T, E>` values, keyed
+/// by `K` (byte strings unless a stage brings its own [`StoreKey`]).
 #[derive(Debug)]
-pub struct Store<T, E> {
-    gens: Mutex<Generations<T, E>>,
+pub struct Store<T, E, K: ?Sized + StoreKey = [u8]> {
+    gens: Mutex<Generations<T, E, K>>,
     /// Resident-byte budget; `u64::MAX` means unbounded.
     budget: AtomicU64,
     hits: AtomicU64,
@@ -171,8 +213,8 @@ pub struct Store<T, E> {
     observer: Option<(&'static str, Observer)>,
 }
 
-impl<T, E> Default for Store<T, E> {
-    fn default() -> Store<T, E> {
+impl<T, E, K: ?Sized + StoreKey> Default for Store<T, E, K> {
+    fn default() -> Store<T, E, K> {
         Store {
             gens: Mutex::new(Generations::default()),
             budget: AtomicU64::new(u64::MAX),
@@ -184,19 +226,19 @@ impl<T, E> Default for Store<T, E> {
     }
 }
 
-impl<T: Clone, E: StoreError> Store<T, E> {
+impl<T: Clone, E: StoreError, K: ?Sized + StoreKey> Store<T, E, K> {
     /// An empty, unbounded store.
-    pub fn new() -> Store<T, E> {
+    pub fn new() -> Store<T, E, K> {
         Store::default()
     }
 
     /// An empty store that reports every lookup to `observer` as
     /// `(name, hit)`.
-    pub fn observed(name: &'static str, observer: Observer) -> Store<T, E> {
+    pub fn observed(name: &'static str, observer: Observer) -> Store<T, E, K> {
         Store { observer: Some((name, observer)), ..Store::default() }
     }
 
-    fn lock(&self) -> MutexGuard<'_, Generations<T, E>> {
+    fn lock(&self) -> MutexGuard<'_, Generations<T, E, K>> {
         self.gens.lock().expect("store poisoned")
     }
 
@@ -210,7 +252,7 @@ impl<T: Clone, E: StoreError> Store<T, E> {
     /// yet. The slot is fetched (or inserted) under the map lock; `compute`
     /// runs outside it, so other keys proceed concurrently and `compute`
     /// may itself demand values from other stores.
-    pub fn get_or_try(&self, key: &[u8], compute: impl FnOnce() -> Result<T, E>) -> Result<T, E> {
+    pub fn get_or_try(&self, key: &K, compute: impl FnOnce() -> Result<T, E>) -> Result<T, E> {
         let (slot, inserted) = self.lock().resolve(key);
         if inserted {
             self.enforce_own_budget();
@@ -240,7 +282,7 @@ impl<T: Clone, E: StoreError> Store<T, E> {
     pub fn get_or_try_many<I>(
         &self,
         items: &[I],
-        key: impl Fn(&I) -> &[u8],
+        key: impl Fn(&I) -> &K,
         compute: impl FnOnce(&[usize]) -> Vec<Result<T, E>>,
     ) -> Vec<(Result<T, E>, bool)> {
         let (slots, inserted) = {
@@ -292,7 +334,7 @@ impl<T: Clone, E: StoreError> Store<T, E> {
 
     /// Reports a lookup to the observer and applies the transient-error
     /// policy to a slot this thread just computed.
-    fn finish(&self, key: &[u8], slot: &Slot<T, E>, outcome: &Result<T, E>, ran: bool) {
+    fn finish(&self, key: &K, slot: &Slot<T, E>, outcome: &Result<T, E>, ran: bool) {
         if let Some((name, observer)) = self.observer {
             observer(name, !ran);
         }
@@ -309,7 +351,7 @@ impl<T: Clone, E: StoreError> Store<T, E> {
     /// invalidation hook. Returns whether an entry was resident. A
     /// computation already in flight on the removed slot completes on its
     /// own `Arc` and is simply never read again.
-    pub fn remove(&self, key: &[u8]) -> bool {
+    pub fn remove(&self, key: &K) -> bool {
         self.lock().remove_unless(key, |_| false)
     }
 
@@ -500,6 +542,138 @@ mod tests {
         // The removed key recomputes; the kept one still hits.
         assert_eq!(store.get_or_try(b"drop", || Ok(2)).expect("recomputes"), 2);
         assert_eq!(store.get_or_try(b"keep", || panic!("hit")).expect("hits"), 1);
+    }
+
+    /// A two-part key shaped like the pipeline's estimate keys: an owned
+    /// head plus an input shared by `Arc`, bucketed by a stand-in for the
+    /// input's precomputed hash that the test chooses.
+    #[derive(Debug, Clone)]
+    struct PartKey {
+        head: Vec<u8>,
+        input: Arc<[u8]>,
+        hash: u64,
+    }
+
+    impl PartKey {
+        fn new(head: &[u8], input: &Arc<[u8]>) -> PartKey {
+            let bytes = [head, b"|", input].concat();
+            let hash = crate::fingerprint::fnv1a_64(&bytes);
+            PartKey { head: head.to_vec(), input: Arc::clone(input), hash }
+        }
+
+        /// The same key in the one bucket every colliding key shares.
+        fn colliding(head: &[u8], input: &[u8]) -> PartKey {
+            PartKey { hash: 0, ..PartKey::new(head, &Arc::from(input)) }
+        }
+    }
+
+    impl PartialEq for PartKey {
+        fn eq(&self, other: &PartKey) -> bool {
+            self.head == other.head
+                && (Arc::ptr_eq(&self.input, &other.input) || self.input == other.input)
+        }
+    }
+
+    impl Eq for PartKey {}
+
+    impl std::hash::Hash for PartKey {
+        fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+            state.write_u64(self.hash);
+        }
+    }
+
+    impl StoreKey for PartKey {
+        type Resident = PartKey;
+
+        fn resident(&self) -> PartKey {
+            self.clone()
+        }
+
+        fn charge(&self) -> u64 {
+            8 + (self.head.len() + self.input.len()) as u64
+        }
+    }
+
+    type PartStore = Store<u64, TestError, PartKey>;
+
+    /// Σ charge over the keys the store actually holds.
+    fn resident_charge(store: &PartStore) -> u64 {
+        let gens = store.lock();
+        gens.young.keys().chain(gens.old.keys()).map(StoreKey::charge).sum()
+    }
+
+    #[test]
+    fn colliding_hashes_never_alias() {
+        // Every key hashes alike; only full equality tells them apart.
+        let keys = [
+            PartKey::colliding(b"", b"ab"),
+            PartKey::colliding(b"a", b"b"),
+            PartKey::colliding(b"ab", b""),
+            PartKey::colliding(b"a", b"bb"),
+            PartKey::colliding(b"a", b"ba"),
+        ];
+        let store = PartStore::new();
+        for (i, key) in keys.iter().enumerate() {
+            assert_eq!(store.get_or_try(key, || Ok(i as u64)).expect("computes"), i as u64);
+        }
+        for (i, key) in keys.iter().enumerate() {
+            let v = store.get_or_try(key, || panic!("resident")).expect("hits");
+            assert_eq!(v, i as u64, "key {i} read another key's entry");
+        }
+        let stats = store.stats();
+        assert_eq!((stats.entries, stats.hits, stats.misses), (5, 5, 5));
+    }
+
+    #[test]
+    fn byte_equal_inputs_in_distinct_arcs_share_an_entry() {
+        let first: Arc<[u8]> = Arc::from(b"int main() { return 0; }".as_slice());
+        let second: Arc<[u8]> = Arc::from(b"int main() { return 0; }".as_slice());
+        assert!(!Arc::ptr_eq(&first, &second));
+        let store = PartStore::new();
+        store.get_or_try(&PartKey::new(b"pum", &first), || Ok(1)).expect("computes");
+        let v = store.get_or_try(&PartKey::new(b"pum", &second), || panic!("hit")).expect("hits");
+        assert_eq!(v, 1);
+        let other = store.get_or_try(&PartKey::new(b"pun", &second), || Ok(2)).expect("computes");
+        assert_eq!(other, 2, "a different head is a different entry");
+        assert_eq!(store.stats().entries, 2);
+        // The first entry holds the caller's own `Arc`, not a copy.
+        assert_eq!(Arc::strong_count(&first), 2);
+    }
+
+    #[test]
+    fn resident_bytes_are_the_sum_of_charges() {
+        let store = PartStore::new();
+        store.set_budget(120);
+        let inputs: Vec<Arc<[u8]>> =
+            (1..=6).map(|n| Arc::from(vec![b'x'; 3 * n].as_slice())).collect();
+        let key = |i: usize| PartKey::new(&b"head"[..i % 4], &inputs[i % inputs.len()]);
+        let check = |what: &str| {
+            let stats = store.stats();
+            assert_eq!(stats.bytes, resident_charge(&store), "{what}: {stats:?}");
+        };
+        // Inserts (rotating as the budget fills), promotions of survivors.
+        for round in 0..3 {
+            for i in 0..12 {
+                store.get_or_try(&key(i), || Ok(i as u64)).expect("computes");
+                check(&format!("round {round} demand {i}"));
+            }
+        }
+        assert!(store.stats().evictions > 0, "the budget forced rotations");
+        // Removals, resident or not.
+        for i in (0..12).step_by(3) {
+            store.remove(&key(i));
+            check(&format!("remove {i}"));
+        }
+        // A transient failure leaves no slot and no bytes behind.
+        let flaky = PartKey::new(b"flaky", &inputs[0]);
+        store.get_or_try(&flaky, || Err(TestError::Transient("flaky"))).expect_err("fails");
+        check("transient failure");
+        // Explicit rotations, down to an empty store.
+        for turn in 0..2 {
+            store.rotate();
+            check(&format!("rotation {turn}"));
+        }
+        assert_eq!(store.stats().bytes, 0);
     }
 
     #[test]

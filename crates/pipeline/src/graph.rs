@@ -19,6 +19,16 @@
 //! | report     | annotated key                                |
 //! | rows       | len(PUM) ‖ canonical PUM ‖ function structural key |
 //!
+//! The three PUM-keyed stages (`annotated`, `report`, `rows`) hold those
+//! same canonical bytes in two parts: the PUM encoding
+//! ([`Pum::estimate_domain`]) and the input — the module key or the
+//! structural key — shared by `Arc` with the artifact it came from,
+//! together with a keyed hash of it computed once per artifact. A lookup
+//! therefore hashes the PUM encoding and one `u64`, and compares the
+//! input by pointer before falling back to a full byte compare; entries
+//! are charged the length of the flat encoding, so budgets and
+//! `resident_bytes` are those of the table above.
+//!
 //! The `rows` stage is the per-function half of the report: block delay
 //! rows keyed by the function's *structural* identity
 //! ([`PreparedModule::function_structural_key`]) instead of the whole
@@ -35,6 +45,8 @@
 //! report stages while every stage above Algorithm 2 hits, and a platform
 //! edit touching one PE re-keys only the processes mapped to it.
 
+use std::collections::hash_map::RandomState;
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -44,7 +56,7 @@ use tlm_core::annotate::{
     annotate_function_in_domain, annotate_in_domain, PreparedModule, TimedModule,
 };
 use tlm_core::cache::ScheduleDomain;
-use tlm_core::store::{Store, StoreStats};
+use tlm_core::store::{Store, StoreKey, StoreStats};
 use tlm_core::{Pum, ScheduleCache};
 use tlm_faults::Kind;
 use tlm_json::Value;
@@ -59,10 +71,84 @@ use crate::report::{BlockReport, EstimateReport, FunctionReport};
 
 /// One stage's store: artifacts or the deterministic error computing them
 /// raised, every lookup reported to [`crate::observe`].
-type Stage<T> = Store<T, PipelineError>;
+type Stage<T, K = [u8]> = Store<T, PipelineError, K>;
 
-fn stage<T: Clone>(name: &'static str) -> Stage<T> {
+fn stage<T: Clone, K: ?Sized + StoreKey>(name: &'static str) -> Stage<T, K> {
     Store::observed(name, crate::observe::emit)
+}
+
+/// The process-wide keyed hash of a stage input. Keyed SipHash, so no
+/// source can be crafted to collide in the stores' buckets; process-wide,
+/// so an artifact's hash stays valid in every [`Pipeline`].
+fn input_hash(bytes: &[u8]) -> u64 {
+    static STATE: OnceLock<RandomState> = OnceLock::new();
+    STATE.get_or_init(RandomState::new).hash_one(bytes)
+}
+
+/// The key of the PUM-keyed stages: the canonical bytes
+/// `len(PUM) ‖ PUM ‖ input`, held as the PUM encoding plus the input
+/// shared with its artifact. Equality compares every byte (the input by
+/// pointer first); the hash covers the PUM bytes and the input's
+/// precomputed [`input_hash`].
+#[derive(Debug, Clone)]
+struct EstimateKey {
+    pum: Arc<str>,
+    input: Arc<[u8]>,
+    input_hash: u64,
+}
+
+impl EstimateKey {
+    /// The annotated/report key of a module under a PUM.
+    fn module(pum: &Pum, artifact: &ModuleArtifact) -> EstimateKey {
+        EstimateKey {
+            pum: pum.estimate_domain().into(),
+            input: Arc::clone(&artifact.key),
+            input_hash: artifact.key_hash,
+        }
+    }
+
+    /// The rows key of one function under an encoded PUM. The function
+    /// *name* is deliberately excluded — renaming a function, moving it,
+    /// or pasting a structurally identical copy into another source all
+    /// hit the same rows.
+    fn function(pum: &Arc<str>, prepared: &PreparedModule, func: FuncId) -> EstimateKey {
+        let input = prepared.function_structural_key(func);
+        EstimateKey {
+            pum: Arc::clone(pum),
+            input: Arc::clone(input),
+            input_hash: input_hash(input),
+        }
+    }
+}
+
+impl PartialEq for EstimateKey {
+    fn eq(&self, other: &EstimateKey) -> bool {
+        self.input_hash == other.input_hash
+            && self.pum == other.pum
+            && (Arc::ptr_eq(&self.input, &other.input) || self.input == other.input)
+    }
+}
+
+impl Eq for EstimateKey {}
+
+impl Hash for EstimateKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.pum.hash(state);
+        state.write_u64(self.input_hash);
+    }
+}
+
+impl StoreKey for EstimateKey {
+    type Resident = EstimateKey;
+
+    fn resident(&self) -> EstimateKey {
+        self.clone()
+    }
+
+    /// The length of the flat `len(PUM) ‖ PUM ‖ input` encoding.
+    fn charge(&self) -> u64 {
+        (8 + self.pum.len() + self.input.len()) as u64
+    }
 }
 
 /// A module artifact: the lowered (and optionally optimized) CDFG together
@@ -75,6 +161,8 @@ fn stage<T: Clone>(name: &'static str) -> Stage<T> {
 #[derive(Debug, Clone)]
 pub struct ModuleArtifact {
     key: Arc<[u8]>,
+    /// [`input_hash`] of `key`, computed once per artifact.
+    key_hash: u64,
     module: Arc<Module>,
 }
 
@@ -140,9 +228,9 @@ pub struct Pipeline {
     module: Stage<Arc<Module>>,
     prepared: Stage<Arc<PreparedModule>>,
     schedules: ScheduleCache,
-    annotated: Stage<Arc<TimedModule>>,
-    report: Stage<Arc<EstimateReport>>,
-    rows: Stage<Arc<Vec<BlockReport>>>,
+    annotated: Stage<Arc<TimedModule>, EstimateKey>,
+    report: Stage<Arc<EstimateReport>, EstimateKey>,
+    rows: Stage<Arc<Vec<BlockReport>>, EstimateKey>,
 }
 
 impl Default for Pipeline {
@@ -242,7 +330,8 @@ impl Pipeline {
             }
             Ok(Arc::new(module))
         })?;
-        Ok(ModuleArtifact { key: key.into(), module })
+        let key_hash = input_hash(&key);
+        Ok(ModuleArtifact { key: key.into(), key_hash, module })
     }
 
     /// `Module → PreparedModule`: per-block DFGs and canonical schedule
@@ -275,7 +364,17 @@ impl Pipeline {
         artifact: &ModuleArtifact,
         pum: &Pum,
     ) -> Result<Arc<TimedModule>, PipelineError> {
-        self.annotated.get_or_try(&self.estimate_key(artifact, pum), || {
+        self.annotated_keyed(&EstimateKey::module(pum, artifact), artifact, pum)
+    }
+
+    /// [`Pipeline::annotated`] under a key already encoded.
+    fn annotated_keyed(
+        &self,
+        key: &EstimateKey,
+        artifact: &ModuleArtifact,
+        pum: &Pum,
+    ) -> Result<Arc<TimedModule>, PipelineError> {
+        self.annotated.get_or_try(key, || {
             // Chaos-build injection point: a transient draw fails the
             // compute retryably (the stage drops the slot, the next demand
             // recomputes); a delay draw just stretches it.
@@ -297,7 +396,8 @@ impl Pipeline {
 
     /// `AnnotatedEstimate → Report`: the static per-block delay report,
     /// keyed like the annotated stage. A hit here short-circuits the whole
-    /// graph — no upstream stage sees a lookup.
+    /// graph — no upstream stage sees a lookup, and a miss hands its key
+    /// on to the annotated stage.
     ///
     /// # Errors
     ///
@@ -307,37 +407,11 @@ impl Pipeline {
         artifact: &ModuleArtifact,
         pum: &Pum,
     ) -> Result<Arc<EstimateReport>, PipelineError> {
-        self.report.get_or_try(&self.estimate_key(artifact, pum), || {
-            let timed = self.annotated(artifact, pum)?;
+        let key = EstimateKey::module(pum, artifact);
+        self.report.get_or_try(&key, || {
+            let timed = self.annotated_keyed(&key, artifact, pum)?;
             Ok(Arc::new(EstimateReport::of(&timed)))
         })
-    }
-
-    /// The canonical key of the annotated/report stages: the PUM's full
-    /// canonical encoding ([`Pum::estimate_domain`], length-prefixed so it
-    /// can never blur into the module key) followed by the module key.
-    fn estimate_key(&self, artifact: &ModuleArtifact, pum: &Pum) -> Vec<u8> {
-        let pum_bytes = pum.estimate_domain().into_bytes();
-        let mut key = Vec::with_capacity(8 + pum_bytes.len() + artifact.key.len());
-        key.extend_from_slice(&(pum_bytes.len() as u64).to_le_bytes());
-        key.extend_from_slice(&pum_bytes);
-        key.extend_from_slice(&artifact.key);
-        key
-    }
-
-    /// The canonical key of the `rows` stage: like [`Pipeline::estimate_key`]
-    /// but scoped to one function's structural identity instead of the
-    /// whole module key. The function *name* is deliberately excluded —
-    /// renaming a function, moving it, or pasting a structurally identical
-    /// copy into another source all hit the same rows.
-    fn rows_key(&self, prep: &PreparedModule, pum: &Pum, func: FuncId) -> Vec<u8> {
-        let pum_bytes = pum.estimate_domain().into_bytes();
-        let func_key = prep.function_structural_key(func);
-        let mut key = Vec::with_capacity(8 + pum_bytes.len() + func_key.len());
-        key.extend_from_slice(&(pum_bytes.len() as u64).to_le_bytes());
-        key.extend_from_slice(&pum_bytes);
-        key.extend_from_slice(func_key);
-        key
     }
 
     /// `Function structure × PUM → block delay rows`: Algorithms 1 and 2
@@ -359,19 +433,21 @@ impl Pipeline {
         func: FuncId,
     ) -> Result<Arc<Vec<BlockReport>>, PipelineError> {
         let prepared = self.prepared(artifact)?;
-        self.function_rows_prepared(&prepared, pum, func)
+        let key = EstimateKey::function(&pum.estimate_domain().into(), &prepared, func);
+        self.function_rows_keyed(&key, &prepared, pum, func)
     }
 
-    /// [`Pipeline::function_rows`] with the prepared module already
-    /// resolved — the sweep/report-assembly form (one `prepared` lookup
-    /// per report instead of one per function).
-    fn function_rows_prepared(
+    /// [`Pipeline::function_rows`] with the prepared module resolved and
+    /// the key encoded — the report-assembly form (one `prepared` lookup
+    /// and one PUM encoding per report instead of one per function).
+    fn function_rows_keyed(
         &self,
-        prepared: &Arc<PreparedModule>,
+        key: &EstimateKey,
+        prepared: &PreparedModule,
         pum: &Pum,
         func: FuncId,
     ) -> Result<Arc<Vec<BlockReport>>, PipelineError> {
-        self.rows.get_or_try(&self.rows_key(prepared, pum, func), || {
+        self.rows.get_or_try(key, || {
             // Same chaos-build injection point as the annotated stage: the
             // rows compute is retryable under transient faults too.
             if let Some(fault) =
@@ -426,8 +502,10 @@ impl Pipeline {
         let module = prepared.module();
         let mut functions = Vec::with_capacity(module.functions.len());
         let mut total_cycles = 0u64;
+        let pum_bytes: Arc<str> = pum.estimate_domain().into();
         for (fid, func) in module.functions_iter() {
-            let rows = self.function_rows_prepared(&prepared, pum, fid)?;
+            let key = EstimateKey::function(&pum_bytes, &prepared, fid);
+            let rows = self.function_rows_keyed(&key, &prepared, pum, fid)?;
             total_cycles += rows.iter().map(|r| r.cycles).sum::<u64>();
             functions.push(FunctionReport { name: func.name.clone(), blocks: (*rows).clone() });
         }
@@ -460,7 +538,8 @@ impl Pipeline {
         func: FuncId,
     ) -> Result<bool, PipelineError> {
         let prepared = self.prepared(artifact)?;
-        Ok(self.rows.remove(&self.rows_key(&prepared, pum, func)))
+        let key = EstimateKey::function(&pum.estimate_domain().into(), &prepared, func);
+        Ok(self.rows.remove(&key))
     }
 
     /// Annotates every process of a design with its PE's PUM, through the

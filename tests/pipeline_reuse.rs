@@ -17,11 +17,13 @@ use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Duration;
 
+use tlm_apps::designs::CACHE_SWEEP;
 use tlm_apps::imagepipe::{image_design, ImageParams};
 use tlm_apps::{mp3_design, Mp3Design, Mp3Params};
 use tlm_core::annotate::{annotate_uncached, TimedModule};
 use tlm_core::pum::SchedulingPolicy;
-use tlm_pipeline::{Pipeline, PreparedDesign};
+use tlm_core::Pum;
+use tlm_pipeline::{ModuleArtifact, Pipeline, PreparedDesign};
 use tlm_platform::tlm::{run_annotated, AnnotatedPlatform, TlmConfig};
 use tlm_session::{SessionStore, SourceEdit, SweepPoint};
 
@@ -174,6 +176,68 @@ fn cache_size_sweep_reuses_everything_above_algorithm2() {
     assert_eq!(c.schedules, b.schedules);
     assert_eq!(c.ast, b.ast);
     assert_eq!(c.module, b.module);
+}
+
+/// Calls `each` with every (process artifact, PUM) demand of the four MP3
+/// designs over `CACHE_SWEEP`, the designs built through `pipeline`.
+fn mp3_sweep(pipeline: &Pipeline, mut each: impl FnMut(&ModuleArtifact, &Pum)) {
+    for design in Mp3Design::ALL {
+        let built = mp3_design(pipeline, design, Mp3Params::evaluation(), 8 << 10, 4 << 10)
+            .expect("builds");
+        for &(_, ic, dc) in &CACHE_SWEEP {
+            for (proc, artifact) in built.platform.processes.iter().zip(built.artifacts()) {
+                each(artifact, &built.platform.pes[proc.pe.0].pum.with_cache_sizes(ic, dc));
+            }
+        }
+    }
+}
+
+/// The PUM-keyed stages hold their keys as a PUM encoding plus a shared
+/// input, but charge each entry the length of the flat
+/// `len(PUM) ‖ PUM ‖ input` encoding, so budgets and resident bytes keep
+/// the meaning they had when that flat string was the key. Byte-equal
+/// inputs from another pipeline's artifacts hit the same entries.
+#[test]
+fn estimate_stages_charge_the_flat_key_length() {
+    let pipeline = Pipeline::new();
+    let mut module_pairs: HashSet<(String, Vec<u8>)> = HashSet::new();
+    let mut function_pairs: HashSet<(String, Vec<u8>)> = HashSet::new();
+    mp3_sweep(&pipeline, |artifact, pum| {
+        pipeline.process_report(artifact, pum).expect("estimates");
+        pipeline.report_from_rows(artifact, pum).expect("estimates");
+        let domain = pum.estimate_domain();
+        let prepared = pipeline.prepared(artifact).expect("prepares");
+        for (fid, _) in prepared.module().functions_iter() {
+            let input = prepared.function_structural_key(fid).to_vec();
+            function_pairs.insert((domain.clone(), input));
+        }
+        module_pairs.insert((domain, artifact.key().to_vec()));
+    });
+    let charge = |pairs: &HashSet<(String, Vec<u8>)>| -> u64 {
+        pairs.iter().map(|(pum, input)| (8 + pum.len() + input.len()) as u64).sum()
+    };
+    let stats = pipeline.stats();
+    assert_eq!(stats.annotated.entries, module_pairs.len());
+    assert_eq!(stats.annotated.bytes, charge(&module_pairs));
+    assert_eq!(stats.report.entries, module_pairs.len());
+    assert_eq!(stats.report.bytes, charge(&module_pairs));
+    assert_eq!(stats.rows.entries, function_pairs.len());
+    assert_eq!(stats.rows.bytes, charge(&function_pairs));
+
+    // The same sources lowered by another pipeline: distinct `Arc`s with
+    // equal bytes, so every demand hits and nothing new becomes resident.
+    let other = Pipeline::new();
+    let mut demands = 0;
+    mp3_sweep(&other, |artifact, pum| {
+        pipeline.process_report(artifact, pum).expect("estimates");
+        pipeline.report_from_rows(artifact, pum).expect("estimates");
+        demands += 1;
+    });
+    let again = pipeline.stats();
+    assert_eq!(again.report.hits, stats.report.hits + demands);
+    assert_eq!((again.report.misses, again.rows.misses), (stats.report.misses, stats.rows.misses));
+    assert_eq!((again.report.bytes, again.rows.bytes), (stats.report.bytes, stats.rows.bytes));
+    assert_eq!(again.annotated, stats.annotated, "report hits reach no further");
 }
 
 #[test]
