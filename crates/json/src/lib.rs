@@ -12,6 +12,11 @@
 //!   `BENCH_estimation.json` perf trajectory tracked PR-over-PR);
 //! - numbers are stored as `f64` with an exact-integer fast path in the
 //!   printer, which covers every value the estimator exchanges;
+//! - there is one number encoder ([`write_number`]) and one string
+//!   encoder ([`write_string`]), neither of which allocates. [`Value`]
+//!   printing and the streaming writers ([`ObjectWriter`],
+//!   [`ArrayWriter`]) share them, so a body streamed straight into a
+//!   `String` is byte-identical to [`Value::to_compact`] of the same tree;
 //! - the parser is a strict recursive-descent JSON parser with position
 //!   information in errors;
 //! - the parser is safe on **untrusted input**: [`ParseLimits`] bounds the
@@ -26,7 +31,7 @@
 
 use std::collections::BTreeMap;
 use std::error::Error;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -285,21 +290,54 @@ fn newline_indent(out: &mut String, indent: Option<usize>, level: usize) {
     }
 }
 
-fn write_number(out: &mut String, n: f64) {
+/// Appends `n` as a JSON number: integral values below 2⁵³ in magnitude
+/// as plain digits, other finite values in the shortest form that
+/// round-trips, and NaN/±∞ (which JSON cannot express) as `null`.
+///
+/// [`Value::to_compact`], [`Value::to_pretty`] and the streaming writers
+/// ([`ObjectWriter`], [`ArrayWriter`]) all print numbers through this one
+/// routine, and it never allocates.
+pub fn write_number(out: &mut String, n: f64) {
     if !n.is_finite() {
         // JSON has no NaN/Infinity; clamp to null like serde_json would
         // reject. The estimator never produces these, so this is defensive.
         out.push_str("null");
     } else if n.fract() == 0.0 && n.abs() < 9.007_199_254_740_992e15 {
-        out.push_str(&format!("{}", n as i64));
+        // Exact in an `i64`; `-0.0` prints as `0`.
+        let v = n as i64;
+        if v < 0 {
+            out.push('-');
+        }
+        let mut rest = v.unsigned_abs();
+        let mut digits = [0u8; 20];
+        let mut start = digits.len();
+        loop {
+            start -= 1;
+            digits[start] = b'0' + (rest % 10) as u8;
+            rest /= 10;
+            if rest == 0 {
+                break;
+            }
+        }
+        out.push_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"));
     } else {
         // `{:?}` prints the shortest representation that round-trips.
-        out.push_str(&format!("{n:?}"));
+        write!(out, "{n:?}").expect("formatting into a String cannot fail");
     }
 }
 
-fn write_string(out: &mut String, s: &str) {
+/// Appends `s` as a JSON string literal, escaping `"`, `\` and control
+/// characters below U+0020.
+///
+/// The one string encoder behind [`Value`] printing and the streaming
+/// writers. A string with nothing to escape is copied in one piece.
+pub fn write_string(out: &mut String, s: &str) {
     out.push('"');
+    if !s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        out.push_str(s);
+        out.push('"');
+        return;
+    }
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -308,12 +346,97 @@ fn write_string(out: &mut String, s: &str) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                write!(out, "\\u{:04x}", c as u32).expect("formatting into a String cannot fail");
             }
             c => out.push(c),
         }
     }
     out.push('"');
+}
+
+/// Streams one compact JSON object into a `String`, writing the braces
+/// and the commas between members; no [`Value`] tree is built.
+///
+/// Members are written in call order. Scalar members chain by value;
+/// [`ObjectWriter::key`] opens a member whose value the caller writes
+/// (typically a nested writer). [`ObjectWriter::finish`] closes the
+/// object, so the output equals [`Value::to_compact`] of the same
+/// members.
+#[derive(Debug)]
+#[must_use = "an object is closed only by `finish`"]
+pub struct ObjectWriter<'a> {
+    out: &'a mut String,
+    empty: bool,
+}
+
+impl<'a> ObjectWriter<'a> {
+    /// Opens an object at the end of `out`.
+    pub fn new(out: &'a mut String) -> ObjectWriter<'a> {
+        out.push('{');
+        ObjectWriter { out, empty: true }
+    }
+
+    /// Writes the next member's key and returns `out` for its value,
+    /// which the caller must write before the next member.
+    pub fn key(&mut self, key: &str) -> &mut String {
+        if !self.empty {
+            self.out.push(',');
+        }
+        self.empty = false;
+        write_string(self.out, key);
+        self.out.push(':');
+        self.out
+    }
+
+    /// Adds a number member (see [`write_number`]).
+    pub fn number(mut self, key: &str, n: f64) -> ObjectWriter<'a> {
+        write_number(self.key(key), n);
+        self
+    }
+
+    /// Adds a string member (see [`write_string`]).
+    pub fn string(mut self, key: &str, s: &str) -> ObjectWriter<'a> {
+        write_string(self.key(key), s);
+        self
+    }
+
+    /// Closes the object.
+    pub fn finish(self) {
+        self.out.push('}');
+    }
+}
+
+/// Streams one compact JSON array into a `String`, writing the brackets
+/// and the commas between elements; the array counterpart of
+/// [`ObjectWriter`].
+#[derive(Debug)]
+#[must_use = "an array is closed only by `finish`"]
+pub struct ArrayWriter<'a> {
+    out: &'a mut String,
+    empty: bool,
+}
+
+impl<'a> ArrayWriter<'a> {
+    /// Opens an array at the end of `out`.
+    pub fn new(out: &'a mut String) -> ArrayWriter<'a> {
+        out.push('[');
+        ArrayWriter { out, empty: true }
+    }
+
+    /// Starts the next element and returns `out` for it, which the caller
+    /// must write before the next element.
+    pub fn item(&mut self) -> &mut String {
+        if !self.empty {
+            self.out.push(',');
+        }
+        self.empty = false;
+        self.out
+    }
+
+    /// Closes the array.
+    pub fn finish(self) {
+        self.out.push(']');
+    }
 }
 
 /// A parse or shape error with byte position (parse errors only).
@@ -639,6 +762,172 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The encoders as they were written with `format!`, before the digit
+    /// routine and the escape-free fast path: the byte-identity oracle.
+    mod oracle {
+        pub fn write_number(out: &mut String, n: f64) {
+            if !n.is_finite() {
+                out.push_str("null");
+            } else if n.fract() == 0.0 && n.abs() < 9.007_199_254_740_992e15 {
+                out.push_str(&format!("{}", n as i64));
+            } else {
+                out.push_str(&format!("{n:?}"));
+            }
+        }
+
+        pub fn write_string(out: &mut String, s: &str) {
+            out.push('"');
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => {
+                        out.push_str(&format!("\\u{:04x}", c as u32));
+                    }
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+        }
+    }
+
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn number_encoder_matches_the_format_oracle() {
+        let edge = 9_007_199_254_740_992.0; // 2^53
+        let mut cases = vec![
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            edge - 1.0,
+            -(edge - 1.0),
+            edge,
+            -edge,
+            edge + 2.0,
+            u64::MAX as f64,
+            i64::MIN as f64,
+            i64::MAX as f64,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 2.0,
+            -f64::from_bits(1),
+            f64::from_bits(1),
+            f64::MAX,
+            f64::MIN,
+            f64::EPSILON,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.1,
+            -2.5,
+            1e21,
+            1e-7,
+            123_456_789.25,
+        ];
+        let mut state = 0x5eed;
+        for i in 0..4000u64 {
+            let bits = splitmix(&mut state);
+            cases.push(f64::from_bits(bits));
+            // Integral values of every magnitude, most below 2^53.
+            cases.push((bits >> (i % 64)) as f64);
+            cases.push(-((bits >> (i % 64)) as f64));
+        }
+        for n in cases {
+            let (mut ours, mut want) = (String::from("["), String::from("["));
+            write_number(&mut ours, n);
+            oracle::write_number(&mut want, n);
+            assert_eq!(ours, want, "bits {:#018x}", n.to_bits());
+        }
+    }
+
+    #[test]
+    fn string_encoder_matches_the_char_loop_oracle() {
+        let mut cases: Vec<String> = (0u32..0x20)
+            .chain([0x7f, 0x80, 0x9f, 0xa0, 0x2028, 0xfeff, 0x1f600])
+            .map(|cp| char::from_u32(cp).expect("scalar value").to_string())
+            .collect();
+        for s in [
+            "",
+            "\"",
+            "\\",
+            "plain ascii",
+            "caf\u{e9} \u{1f600} \u{4e2d}\u{6587}",
+            "mixed \"quote\" and \\ back\nslash\ttab\u{1}\u{1f}\u{7f} \u{e9}",
+            "\\\\\"\"\n\n",
+            "trailing control\u{0}",
+            "\u{8}leading",
+        ] {
+            cases.push(s.to_string());
+        }
+        // Every pair of the single-character cases, so escapes sit next to
+        // plain and multibyte runs on both sides.
+        let singles = cases.clone();
+        for a in &singles {
+            for b in &singles {
+                cases.push(format!("{a}x{b}\u{e9}"));
+            }
+        }
+        for s in cases {
+            let (mut ours, mut want) = (String::from("{"), String::from("{"));
+            write_string(&mut ours, &s);
+            oracle::write_string(&mut want, &s);
+            assert_eq!(ours, want, "{s:?}");
+        }
+    }
+
+    #[test]
+    fn writers_match_to_compact() {
+        let tree = ObjectBuilder::new()
+            .field("name", "a\"b")
+            .field("n", 3u32)
+            .field("empty", Value::Array(Vec::new()))
+            .field("list", Value::Array(vec![Value::Object(Vec::new()), Value::Number(0.5)]))
+            .build();
+        let mut out = String::new();
+        let mut obj = ObjectWriter::new(&mut out).string("name", "a\"b").number("n", 3.0);
+        ArrayWriter::new(obj.key("empty")).finish();
+        let mut list = ArrayWriter::new(obj.key("list"));
+        ObjectWriter::new(list.item()).finish();
+        write_number(list.item(), 0.5);
+        list.finish();
+        obj.finish();
+        assert_eq!(out, tree.to_compact());
+    }
+
+    #[test]
+    fn pretty_output_of_a_nested_value_is_unchanged() {
+        let v = ObjectBuilder::new()
+            .field("name", "pe \"0\"\n")
+            .field("cycles", u64::MAX)
+            .field("ratio", -0.125)
+            .field("empty", Value::Array(Vec::new()))
+            .field("none", Value::Object(Vec::new()))
+            .field(
+                "rows",
+                Value::Array(vec![
+                    ObjectBuilder::new().field("block", 0u32).field("ok", true).build(),
+                    Value::Array(vec![Value::Null, Value::Number(-0.0), Value::Number(1e300)]),
+                ]),
+            )
+            .build();
+        let want = "{\n  \"name\": \"pe \\\"0\\\"\\n\",\n  \"cycles\": 1.8446744073709552e19,\n  \
+                    \"ratio\": -0.125,\n  \"empty\": [],\n  \"none\": {},\n  \"rows\": [\n    {\n      \
+                    \"block\": 0,\n      \"ok\": true\n    },\n    [\n      null,\n      0,\n      \
+                    1e300\n    ]\n  ]\n}";
+        assert_eq!(v.to_pretty(), want);
+    }
 
     #[test]
     fn parses_scalars() {

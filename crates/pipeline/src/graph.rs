@@ -21,7 +21,8 @@
 //!
 //! The three PUM-keyed stages (`annotated`, `report`, `rows`) hold those
 //! same canonical bytes in two parts: the PUM encoding
-//! ([`Pum::estimate_domain`]) and the input — the module key or the
+//! ([`Pum::estimate_domain`], encoded once per [`PumReports`] handle for
+//! the module-keyed stages) and the input — the module key or the
 //! structural key — shared by `Arc` with the artifact it came from,
 //! together with a keyed hash of it computed once per artifact. A lookup
 //! therefore hashes the PUM encoding and one `u64`, and compares the
@@ -98,10 +99,11 @@ struct EstimateKey {
 }
 
 impl EstimateKey {
-    /// The annotated/report key of a module under a PUM.
-    fn module(pum: &Pum, artifact: &ModuleArtifact) -> EstimateKey {
+    /// The annotated/report key of a module under an encoded PUM; built
+    /// only by [`PumReports::key`], which holds the PUM it encodes.
+    fn module(pum: &Arc<str>, artifact: &ModuleArtifact) -> EstimateKey {
         EstimateKey {
-            pum: pum.estimate_domain().into(),
+            pum: Arc::clone(pum),
             input: Arc::clone(&artifact.key),
             input_hash: artifact.key_hash,
         }
@@ -175,6 +177,39 @@ impl ModuleArtifact {
     /// The canonical stage key (optimize flag ‖ source bytes).
     pub fn key(&self) -> &[u8] {
         &self.key
+    }
+}
+
+/// Report demands under one PUM, from [`Pipeline::reports_for`].
+///
+/// The handle holds the PUM together with its encoded estimate domain, so
+/// a stage key can never pair one PUM's encoding with another PUM's
+/// models.
+#[derive(Debug)]
+pub struct PumReports<'a> {
+    pipeline: &'a Pipeline,
+    pum: &'a Pum,
+    domain: Arc<str>,
+}
+
+impl PumReports<'_> {
+    /// The annotated/report stage key of `artifact` under this PUM.
+    fn key(&self, artifact: &ModuleArtifact) -> EstimateKey {
+        EstimateKey::module(&self.domain, artifact)
+    }
+
+    /// `AnnotatedEstimate → Report` for `artifact` under this PUM: the
+    /// same entry [`Pipeline::process_report`] answers.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Pipeline::annotated`].
+    pub fn report(&self, artifact: &ModuleArtifact) -> Result<Arc<EstimateReport>, PipelineError> {
+        let key = self.key(artifact);
+        self.pipeline.report.get_or_try(&key, || {
+            let timed = self.pipeline.annotated_keyed(&key, artifact, self.pum)?;
+            Ok(Arc::new(EstimateReport::of(&timed)))
+        })
     }
 }
 
@@ -364,7 +399,7 @@ impl Pipeline {
         artifact: &ModuleArtifact,
         pum: &Pum,
     ) -> Result<Arc<TimedModule>, PipelineError> {
-        self.annotated_keyed(&EstimateKey::module(pum, artifact), artifact, pum)
+        self.annotated_keyed(&self.reports_for(pum).key(artifact), artifact, pum)
     }
 
     /// [`Pipeline::annotated`] under a key already encoded.
@@ -407,11 +442,16 @@ impl Pipeline {
         artifact: &ModuleArtifact,
         pum: &Pum,
     ) -> Result<Arc<EstimateReport>, PipelineError> {
-        let key = EstimateKey::module(pum, artifact);
-        self.report.get_or_try(&key, || {
-            let timed = self.annotated_keyed(&key, artifact, pum)?;
-            Ok(Arc::new(EstimateReport::of(&timed)))
-        })
+        self.reports_for(pum).report(artifact)
+    }
+
+    /// A handle demanding reports of any number of modules under `pum`,
+    /// with the PUM's estimate domain ([`Pum::estimate_domain`]) encoded
+    /// once, here, instead of once per [`Pipeline::process_report`] call.
+    /// Callers that estimate every process of a platform at one sweep
+    /// point build one handle per PE.
+    pub fn reports_for<'a>(&'a self, pum: &'a Pum) -> PumReports<'a> {
+        PumReports { pipeline: self, pum, domain: pum.estimate_domain().into() }
     }
 
     /// `Function structure × PUM → block delay rows`: Algorithms 1 and 2

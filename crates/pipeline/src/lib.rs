@@ -31,7 +31,7 @@ pub mod routing;
 
 pub use design::{DesignBuilder, PreparedDesign};
 pub use error::PipelineError;
-pub use graph::{ModuleArtifact, Pipeline, PipelineStats};
+pub use graph::{ModuleArtifact, Pipeline, PipelineStats, PumReports};
 pub use observe::set_stage_observer;
 pub use report::EstimateReport;
 pub use tlm_core::store::StoreStats;
@@ -42,6 +42,7 @@ const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Pipeline>();
     assert_send_sync::<ModuleArtifact>();
+    assert_send_sync::<PumReports<'static>>();
     assert_send_sync::<PreparedDesign>();
     assert_send_sync::<PipelineError>();
     assert_send_sync::<EstimateReport>();

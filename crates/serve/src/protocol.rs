@@ -34,6 +34,7 @@
 //! `/metrics`.
 
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -41,8 +42,8 @@ use std::time::Duration;
 use tlm_apps::designs::{mp3_design, Mp3Design, Mp3Params, CACHE_SWEEP};
 use tlm_apps::imagepipe::{image_design, ImageParams};
 use tlm_core::Pum;
-use tlm_json::{ObjectBuilder, ParseLimits, Value};
-use tlm_pipeline::{EstimateReport, Pipeline, PreparedDesign};
+use tlm_json::{ArrayWriter, ObjectBuilder, ObjectWriter, ParseLimits, Value};
+use tlm_pipeline::{EstimateReport, Pipeline, PreparedDesign, PumReports};
 use tlm_session::{EditReport, SessionError, SessionStore, SessionView, SourceEdit};
 
 use crate::http::{Request, Response};
@@ -303,134 +304,176 @@ fn decode_job(
 /// Renders one process's estimate row — shared by the stateless
 /// `/estimate` path and the session views, so a spliced session report
 /// renders bit-identically to a cold request for the same inputs.
-fn render_process_row(process: &str, pe: &str, report: &EstimateReport, blocks: bool) -> Value {
-    let mut functions = Vec::new();
+///
+/// Every renderer here streams compact JSON straight into the response
+/// body. Numbers go through `as f64`, exactly the conversion
+/// `tlm_json::Value::from` applies, so the bytes equal those of the
+/// equivalent `Value` tree.
+fn render_process_row(
+    out: &mut String,
+    process: &str,
+    pe: &str,
+    report: &EstimateReport,
+    blocks: bool,
+) {
+    let mut row = ObjectWriter::new(out)
+        .string("process", process)
+        .string("pe", pe)
+        .number("blocks", report.blocks as f64)
+        .number("ops", report.ops as f64)
+        .number("total_block_cycles", report.total_cycles as f64);
     if blocks {
+        let mut functions = ArrayWriter::new(row.key("functions"));
         for func in &report.functions {
-            let rows = func
-                .blocks
-                .iter()
-                .map(|b| {
-                    ObjectBuilder::new()
-                        .field("block", u64::from(b.block))
-                        .field("sched", b.sched)
-                        .field("branch", b.branch)
-                        .field("ifetch", b.ifetch)
-                        .field("data", b.data)
-                        .field("cycles", b.cycles)
-                        .build()
-                })
-                .collect();
-            functions.push(
-                ObjectBuilder::new()
-                    .field("name", func.name.as_str())
-                    .field("blocks", Value::Array(rows))
-                    .build(),
-            );
+            let mut function = ObjectWriter::new(functions.item()).string("name", &func.name);
+            let mut rows = ArrayWriter::new(function.key("blocks"));
+            for b in &func.blocks {
+                ObjectWriter::new(rows.item())
+                    .number("block", f64::from(b.block))
+                    .number("sched", b.sched as f64)
+                    .number("branch", b.branch)
+                    .number("ifetch", b.ifetch)
+                    .number("data", b.data)
+                    .number("cycles", b.cycles as f64)
+                    .finish();
+            }
+            rows.finish();
+            function.finish();
         }
+        functions.finish();
     }
-    let mut row = ObjectBuilder::new()
-        .field("process", process)
-        .field("pe", pe)
-        .field("blocks", report.blocks)
-        .field("ops", report.ops)
-        .field("total_block_cycles", report.total_cycles);
-    if blocks {
-        row = row.field("functions", Value::Array(functions));
-    }
-    row.build()
+    row.finish();
 }
 
-/// Renders one sweep point's row of process estimates.
-fn render_sweep_row(label: &str, icache: u32, dcache: u32, process_rows: Vec<Value>) -> Value {
-    ObjectBuilder::new()
-        .field("label", label)
-        .field("icache", icache)
-        .field("dcache", dcache)
-        .field("processes", Value::Array(process_rows))
-        .build()
+/// Renders one sweep point's row; `processes` appends its process rows.
+fn render_sweep_row<E>(
+    out: &mut String,
+    label: &str,
+    icache: u32,
+    dcache: u32,
+    processes: impl FnOnce(&mut ArrayWriter<'_>) -> Result<(), E>,
+) -> Result<(), E> {
+    let mut row = ObjectWriter::new(out)
+        .string("label", label)
+        .number("icache", f64::from(icache))
+        .number("dcache", f64::from(dcache));
+    let mut rows = ArrayWriter::new(row.key("processes"));
+    processes(&mut rows)?;
+    rows.finish();
+    row.finish();
+    Ok(())
 }
 
-/// Renders the top-level platform report object.
-fn render_platform(platform: &str, pes: usize, processes: usize, sweep_rows: Vec<Value>) -> Value {
-    ObjectBuilder::new()
-        .field("platform", platform)
-        .field("pes", pes)
-        .field("processes", processes)
-        .field("sweep", Value::Array(sweep_rows))
-        .build()
+/// Renders the top-level platform report object; `sweep` appends its
+/// sweep rows.
+fn render_platform<E>(
+    out: &mut String,
+    platform: &str,
+    pes: usize,
+    processes: usize,
+    sweep: impl FnOnce(&mut ArrayWriter<'_>) -> Result<(), E>,
+) -> Result<(), E> {
+    let mut report = ObjectWriter::new(out)
+        .string("platform", platform)
+        .number("pes", pes as f64)
+        .number("processes", processes as f64);
+    let mut rows = ArrayWriter::new(report.key("sweep"));
+    sweep(&mut rows)?;
+    rows.finish();
+    report.finish();
+    Ok(())
 }
 
-fn run_job(pipeline: &Pipeline, job: &Job) -> Result<Value, JobError> {
+/// Runs one job and renders its report into `out`. On error `out` holds
+/// a partial object the caller discards.
+fn run_job(pipeline: &Pipeline, job: &Job, out: &mut String) -> Result<(), JobError> {
     let platform = &job.design.platform;
-    let mut sweep_rows = Vec::with_capacity(job.sweep.len());
-    for point in &job.sweep {
-        // One resized PUM per PE; processes mapped to the same PE share
-        // it (and, inside the pipeline, its schedule domain).
-        // `with_cache_sizes` is a no-op on custom-HW PEs, whose memory
-        // paths are hardwired.
-        let pums: Vec<Pum> = platform
-            .pes
-            .iter()
-            .map(|pe| pe.pum.with_cache_sizes(point.icache, point.dcache))
-            .collect();
-
-        let mut process_rows = Vec::with_capacity(platform.processes.len());
-        for (proc, artifact) in platform.processes.iter().zip(job.design.artifacts()) {
-            let pum = &pums[proc.pe.0];
-            let report = pipeline.process_report(artifact, pum).map_err(|e| {
-                let message = format!(
-                    "sweep `{}`, process `{}`: estimation failed: {e}",
-                    point.label, proc.name
-                );
-                if e.is_deterministic() {
-                    JobError::Client(message)
-                } else {
-                    JobError::Transient(message)
+    let blocks = job.report == ReportKind::Blocks;
+    render_platform(out, &platform.name, platform.pes.len(), platform.processes.len(), |sweep| {
+        for point in &job.sweep {
+            // One resized PUM per PE; processes mapped to the same PE
+            // share it, its encoded domain and, inside the pipeline, its
+            // schedule domain. `with_cache_sizes` is a no-op on custom-HW
+            // PEs, whose memory paths are hardwired.
+            let pums: Vec<Pum> = platform
+                .pes
+                .iter()
+                .map(|pe| pe.pum.with_cache_sizes(point.icache, point.dcache))
+                .collect();
+            let reports: Vec<PumReports<'_>> =
+                pums.iter().map(|pum| pipeline.reports_for(pum)).collect();
+            let (label, ic, dc) = (&point.label, point.icache, point.dcache);
+            render_sweep_row::<JobError>(sweep.item(), label, ic, dc, |rows| {
+                for (proc, artifact) in platform.processes.iter().zip(job.design.artifacts()) {
+                    let report = reports[proc.pe.0].report(artifact).map_err(|e| {
+                        let message = format!(
+                            "sweep `{}`, process `{}`: estimation failed: {e}",
+                            point.label, proc.name
+                        );
+                        if e.is_deterministic() {
+                            JobError::Client(message)
+                        } else {
+                            JobError::Transient(message)
+                        }
+                    })?;
+                    let pe = &platform.pes[proc.pe.0].name;
+                    render_process_row(rows.item(), &proc.name, pe, &report, blocks);
                 }
+                Ok(())
             })?;
-            process_rows.push(render_process_row(
-                &proc.name,
-                &platform.pes[proc.pe.0].name,
-                &report,
-                job.report == ReportKind::Blocks,
-            ));
         }
-
-        sweep_rows.push(render_sweep_row(&point.label, point.icache, point.dcache, process_rows));
-    }
-
-    Ok(render_platform(&platform.name, platform.pes.len(), platform.processes.len(), sweep_rows))
+        Ok(())
+    })
 }
 
 /// Renders a session's spliced estimate exactly like a stateless
 /// `/estimate` response for the same platform and sweep.
-fn render_session_view(view: &SessionView) -> Value {
-    let sweep_rows = view
-        .sweep
-        .iter()
-        .map(|point| {
-            let rows = point
-                .processes
-                .iter()
-                .map(|p| render_process_row(&p.process, &p.pe, &p.report, view.detail_blocks))
-                .collect();
-            render_sweep_row(&point.label, point.icache, point.dcache, rows)
-        })
-        .collect();
-    render_platform(&view.platform, view.pes, view.processes, sweep_rows)
+fn render_session_view(out: &mut String, view: &SessionView) {
+    let Ok(()) =
+        render_platform::<Infallible>(out, &view.platform, view.pes, view.processes, |sweep| {
+            for point in &view.sweep {
+                let (label, ic, dc) = (&point.label, point.icache, point.dcache);
+                render_sweep_row::<Infallible>(sweep.item(), label, ic, dc, |rows| {
+                    for p in &point.processes {
+                        render_process_row(
+                            rows.item(),
+                            &p.process,
+                            &p.pe,
+                            &p.report,
+                            view.detail_blocks,
+                        );
+                    }
+                    Ok(())
+                })?;
+            }
+            Ok(())
+        });
 }
 
 /// Renders an edit's dirty-set accounting.
-fn render_edit_report(edit: &EditReport) -> Value {
-    ObjectBuilder::new()
-        .field("process", edit.process.as_str())
-        .field("dirty_functions", edit.dirty_functions)
-        .field("clean_functions", edit.clean_functions)
-        .field("dirty_blocks", edit.dirty_blocks)
-        .field("added_functions", edit.added_functions)
-        .field("removed_functions", edit.removed_functions)
-        .build()
+fn render_edit_report(out: &mut String, edit: &EditReport) {
+    ObjectWriter::new(out)
+        .string("process", &edit.process)
+        .number("dirty_functions", edit.dirty_functions as f64)
+        .number("clean_functions", edit.clean_functions as f64)
+        .number("dirty_blocks", edit.dirty_blocks as f64)
+        .number("added_functions", edit.added_functions as f64)
+        .number("removed_functions", edit.removed_functions as f64)
+        .finish();
+}
+
+/// A session response: `{"session": id, ["edit": …,] "report": …}` and a
+/// trailing newline, streamed into one body.
+fn session_response(id: u64, edit: Option<&EditReport>, view: &SessionView) -> Response {
+    let mut body = String::new();
+    let mut envelope = ObjectWriter::new(&mut body).number("session", id as f64);
+    if let Some(edit) = edit {
+        render_edit_report(envelope.key("edit"), edit);
+    }
+    render_session_view(envelope.key("report"), view);
+    envelope.finish();
+    body.push('\n');
+    Response::json(200, body)
 }
 
 fn session_error_response(e: &SessionError) -> Response {
@@ -652,11 +695,12 @@ impl Service {
             Err(resp) => return resp,
         };
 
-        let run_one = |value: &Value, what: &str| -> Result<Value, JobError> {
+        let run_one = |value: &Value, what: &str, out: &mut String| -> Result<(), JobError> {
             let job = decode_job(value, &self.pipeline, &self.catalog, what)?;
-            run_job(&self.pipeline, &job)
+            run_job(&self.pipeline, &job, out)
         };
 
+        let mut body = String::new();
         let result = if let Some(jobs) = root.get("jobs") {
             let Some(jobs) = jobs.as_array() else {
                 return Response::error(400, "`jobs` must be an array");
@@ -670,18 +714,21 @@ impl Service {
                     &format!("batch has {} jobs, limit is {MAX_JOBS}", jobs.len()),
                 );
             }
-            jobs.iter()
+            let mut envelope = ObjectWriter::new(&mut body);
+            let mut results = ArrayWriter::new(envelope.key("results"));
+            let ran = jobs
+                .iter()
                 .enumerate()
-                .map(|(i, j)| run_one(j, &format!("jobs[{i}]")))
-                .collect::<Result<Vec<_>, _>>()
-                .map(|results| ObjectBuilder::new().field("results", Value::Array(results)).build())
+                .try_for_each(|(i, j)| run_one(j, &format!("jobs[{i}]"), results.item()));
+            results.finish();
+            envelope.finish();
+            ran
         } else {
-            run_one(&root, "request")
+            run_one(&root, "request", &mut body)
         };
 
         match result {
-            Ok(value) => {
-                let mut body = value.to_compact();
+            Ok(()) => {
                 body.push('\n');
                 Response::json(200, body)
             }
@@ -744,15 +791,7 @@ impl Service {
             None => self.sessions.create(&self.pipeline, &job.design, sweep, detail),
         };
         match created {
-            Ok((id, view)) => {
-                let mut body = ObjectBuilder::new()
-                    .field("session", id)
-                    .field("report", render_session_view(&view))
-                    .build()
-                    .to_compact();
-                body.push('\n');
-                Response::json(200, body)
-            }
+            Ok((id, view)) => session_response(id, None, &view),
             Err(e) => session_error_response(&e),
         }
     }
@@ -799,16 +838,7 @@ impl Service {
             _ => return Response::error(400, "edit: exactly one of `source` or `patch`"),
         };
         match self.sessions.edit(&self.pipeline, id, process, &edit) {
-            Ok((report, view)) => {
-                let mut body = ObjectBuilder::new()
-                    .field("session", id)
-                    .field("edit", render_edit_report(&report))
-                    .field("report", render_session_view(&view))
-                    .build()
-                    .to_compact();
-                body.push('\n');
-                Response::json(200, body)
-            }
+            Ok((report, view)) => session_response(id, Some(&report), &view),
             Err(e) => session_error_response(&e),
         }
     }
@@ -827,15 +857,7 @@ impl Service {
         };
         match (method, tail) {
             ("GET", None) => match self.sessions.view(id) {
-                Ok(view) => {
-                    let mut body = ObjectBuilder::new()
-                        .field("session", id)
-                        .field("report", render_session_view(&view))
-                        .build()
-                        .to_compact();
-                    body.push('\n');
-                    Response::json(200, body)
-                }
+                Ok(view) => session_response(id, None, &view),
                 Err(e) => session_error_response(&e),
             },
             ("DELETE", None) => {
@@ -1402,6 +1424,262 @@ mod tests {
         let resp = svc.handle(&request("POST", "/estimate", body), &metrics, 1 << 20, false);
         assert_eq!(resp.status, 200);
         assert!(!std::str::from_utf8(&resp.body).expect("utf8").contains("traceEvents"));
+    }
+
+    /// The renderers as they were before bodies were streamed: each
+    /// builds a `Value` tree that `to_compact` then encodes. The
+    /// byte-identity oracle for the streamed bodies.
+    mod oracle {
+        use super::*;
+
+        pub fn render_process_row(
+            process: &str,
+            pe: &str,
+            report: &EstimateReport,
+            blocks: bool,
+        ) -> Value {
+            let mut functions = Vec::new();
+            if blocks {
+                for func in &report.functions {
+                    let rows = func
+                        .blocks
+                        .iter()
+                        .map(|b| {
+                            ObjectBuilder::new()
+                                .field("block", u64::from(b.block))
+                                .field("sched", b.sched)
+                                .field("branch", b.branch)
+                                .field("ifetch", b.ifetch)
+                                .field("data", b.data)
+                                .field("cycles", b.cycles)
+                                .build()
+                        })
+                        .collect();
+                    functions.push(
+                        ObjectBuilder::new()
+                            .field("name", func.name.as_str())
+                            .field("blocks", Value::Array(rows))
+                            .build(),
+                    );
+                }
+            }
+            let mut row = ObjectBuilder::new()
+                .field("process", process)
+                .field("pe", pe)
+                .field("blocks", report.blocks)
+                .field("ops", report.ops)
+                .field("total_block_cycles", report.total_cycles);
+            if blocks {
+                row = row.field("functions", Value::Array(functions));
+            }
+            row.build()
+        }
+
+        fn render_sweep_row(label: &str, icache: u32, dcache: u32, rows: Vec<Value>) -> Value {
+            ObjectBuilder::new()
+                .field("label", label)
+                .field("icache", icache)
+                .field("dcache", dcache)
+                .field("processes", Value::Array(rows))
+                .build()
+        }
+
+        fn render_platform(
+            platform: &str,
+            pes: usize,
+            processes: usize,
+            rows: Vec<Value>,
+        ) -> Value {
+            ObjectBuilder::new()
+                .field("platform", platform)
+                .field("pes", pes)
+                .field("processes", processes)
+                .field("sweep", Value::Array(rows))
+                .build()
+        }
+
+        pub fn run_job(pipeline: &Pipeline, job: &Job) -> Value {
+            let platform = &job.design.platform;
+            let mut sweep_rows = Vec::new();
+            for point in &job.sweep {
+                let pums: Vec<Pum> = platform
+                    .pes
+                    .iter()
+                    .map(|pe| pe.pum.with_cache_sizes(point.icache, point.dcache))
+                    .collect();
+                let mut rows = Vec::new();
+                for (proc, artifact) in platform.processes.iter().zip(job.design.artifacts()) {
+                    let report =
+                        pipeline.process_report(artifact, &pums[proc.pe.0]).expect("estimates");
+                    rows.push(render_process_row(
+                        &proc.name,
+                        &platform.pes[proc.pe.0].name,
+                        &report,
+                        job.report == ReportKind::Blocks,
+                    ));
+                }
+                sweep_rows.push(render_sweep_row(&point.label, point.icache, point.dcache, rows));
+            }
+            render_platform(
+                &platform.name,
+                platform.pes.len(),
+                platform.processes.len(),
+                sweep_rows,
+            )
+        }
+
+        pub fn render_session_view(view: &SessionView) -> Value {
+            let sweep_rows = view
+                .sweep
+                .iter()
+                .map(|point| {
+                    let rows = point
+                        .processes
+                        .iter()
+                        .map(|p| {
+                            render_process_row(&p.process, &p.pe, &p.report, view.detail_blocks)
+                        })
+                        .collect();
+                    render_sweep_row(&point.label, point.icache, point.dcache, rows)
+                })
+                .collect();
+            render_platform(&view.platform, view.pes, view.processes, sweep_rows)
+        }
+
+        pub fn render_edit_report(edit: &EditReport) -> Value {
+            ObjectBuilder::new()
+                .field("process", edit.process.as_str())
+                .field("dirty_functions", edit.dirty_functions)
+                .field("clean_functions", edit.clean_functions)
+                .field("dirty_blocks", edit.dirty_blocks)
+                .field("added_functions", edit.added_functions)
+                .field("removed_functions", edit.removed_functions)
+                .build()
+        }
+
+        /// A whole response body, as the parent's handlers assembled it.
+        pub fn body(value: Value) -> Vec<u8> {
+            let mut body = value.to_compact();
+            body.push('\n');
+            body.into_bytes()
+        }
+
+        /// The oracle body of a single-job or batch estimate request.
+        pub fn estimate(svc: &Service, request: &str) -> Vec<u8> {
+            let root = tlm_json::parse(request).expect("request parses");
+            let run = |value: &Value| {
+                let job = decode_job(value, &svc.pipeline, &svc.catalog, "request").expect("job");
+                run_job(&svc.pipeline, &job)
+            };
+            body(match root.get("jobs").and_then(Value::as_array) {
+                Some(jobs) => ObjectBuilder::new()
+                    .field("results", Value::Array(jobs.iter().map(run).collect()))
+                    .build(),
+                None => run(&root),
+            })
+        }
+    }
+
+    fn sweep_labels(points: usize) -> String {
+        let labels: Vec<String> =
+            CACHE_SWEEP[..points].iter().map(|(label, _, _)| format!("\"{label}\"")).collect();
+        labels.join(", ")
+    }
+
+    #[test]
+    fn streamed_estimates_match_the_value_tree_oracle() {
+        let svc = service();
+        for design in BUILTIN_DESIGNS {
+            for report in ["totals", "blocks"] {
+                for points in [1, 3, 5] {
+                    let body = format!(
+                        r#"{{"platform": "{design}", "sweep": [{}], "report": "{report}"}}"#,
+                        sweep_labels(points)
+                    );
+                    let resp = svc.estimate(body.as_bytes(), 1 << 20);
+                    assert_eq!(resp.status, 200, "{body}");
+                    assert!(resp.body == oracle::estimate(&svc, &body), "{body}");
+                }
+            }
+        }
+        let batch = format!(
+            r#"{{"jobs": [{{"platform": "mp3:sw+2", "sweep": [{}], "report": "blocks"}},
+                          {{"platform": "image:hw"}}]}}"#,
+            sweep_labels(2)
+        );
+        let resp = svc.estimate(batch.as_bytes(), 1 << 20);
+        assert_eq!(resp.status, 200);
+        assert!(resp.body == oracle::estimate(&svc, &batch), "batch bodies differ");
+    }
+
+    #[test]
+    fn hostile_names_stream_like_the_value_tree_oracle() {
+        let svc = service();
+        let body = r#"{"platform": {
+            "name": "quote \" back \\ nl \n ctl \u0001 café 😀",
+            "pes": [{"name": "pe \"0\" \\ \n\u0001 中", "pum": "microblaze"}],
+            "processes": [
+                {"name": "proc \\\"\n\u0001\u001f\u007f é", "pe": 0,
+                 "source": "int twice(int x) { return x + x; } void main() { out(twice(3)); }"}
+            ]
+        }, "sweep": [{"icache": 2048, "dcache": 2048, "label": "l\"\\\n\u0001é"}, "0k/0k"],
+           "report": "blocks"}"#;
+        let resp = svc.estimate(body.as_bytes(), 1 << 20);
+        assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
+        assert!(resp.body == oracle::estimate(&svc, body), "custom platform bodies differ");
+        let text = std::str::from_utf8(&resp.body).expect("utf8");
+        assert!(text.contains(r#""pe \"0\" \\ \n\u0001 中""#), "{text}");
+    }
+
+    /// Session create, view and edit bodies equal the oracle rendering of
+    /// the same operations run on a twin store.
+    #[test]
+    fn streamed_session_bodies_match_the_value_tree_oracle() {
+        let svc = service();
+        let twin = service();
+        let create = |body: &str| {
+            let root = tlm_json::parse(body).expect("parses");
+            let job = decode_job(&root, &twin.pipeline, &twin.catalog, "session").expect("job");
+            let sweep = job
+                .sweep
+                .iter()
+                .map(|p| tlm_session::SweepPoint {
+                    label: p.label.clone(),
+                    icache: p.icache,
+                    dcache: p.dcache,
+                })
+                .collect();
+            let detail = job.report == ReportKind::Blocks;
+            twin.sessions.create(&twin.pipeline, &job.design, sweep, detail).expect("creates")
+        };
+        let envelope = |id: u64, edit: Option<&EditReport>, view: &SessionView| {
+            let mut obj = ObjectBuilder::new().field("session", id);
+            if let Some(edit) = edit {
+                obj = obj.field("edit", oracle::render_edit_report(edit));
+            }
+            oracle::body(obj.field("report", oracle::render_session_view(view)).build())
+        };
+        let blocks = r#"{"platform": "image:sw", "sweep": ["0k/0k", "8k/4k"], "report": "blocks"}"#;
+        for body in [TINY_SESSION, blocks] {
+            let resp = svc.session_create(body.as_bytes(), 1 << 20);
+            assert_eq!(resp.status, 200);
+            let (id, view) = create(body);
+            assert!(resp.body == envelope(id, None, &view), "create {id}");
+            let resp = svc.session_route("GET", &format!("/session/{id}"), b"", 1 << 20);
+            let view = twin.sessions.view(id).expect("view");
+            assert!(resp.body == envelope(id, None, &view), "view {id}");
+        }
+        for (find, replace) in [("x * 3 + 1", "x << 3"), ("x << 3", "x * 3 + 1")] {
+            let edit = format!(
+                r#"{{"process": "main", "patch": {{"find": "{find}", "replace": "{replace}"}}}}"#
+            );
+            let resp = svc.session_edit(1, edit.as_bytes(), 1 << 20);
+            assert_eq!(resp.status, 200);
+            let patch = SourceEdit::Patch { find, replace };
+            let (report, view) =
+                twin.sessions.edit(&twin.pipeline, 1, "main", &patch).expect("edits");
+            assert!(resp.body == envelope(1, Some(&report), &view), "edit {find}");
+        }
     }
 
     #[test]

@@ -652,9 +652,6 @@ impl SessionStore {
     }
 }
 
-/// Demands every process × sweep-point report through the per-function
-/// rows stage and shapes the result for rendering. Pure demand: retained
-/// rows hit, dirty rows recompute.
 /// Estimates one process at every sweep point through the rows path —
 /// one column of the retained report. Dirty functions miss in the rows
 /// stage; everything else splices from retained rows.

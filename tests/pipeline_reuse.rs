@@ -240,6 +240,39 @@ fn estimate_stages_charge_the_flat_key_length() {
     assert_eq!(again.annotated, stats.annotated, "report hits reach no further");
 }
 
+/// A [`Pipeline::reports_for`] handle answers exactly what
+/// `process_report` answers: the same resident `Arc` for every MP3 design
+/// × `CACHE_SWEEP` demand, and identical stage counters on two fresh
+/// pipelines driven one way each.
+#[test]
+fn one_pum_handle_matches_process_report() {
+    let pipeline = Pipeline::new();
+    mp3_sweep(&pipeline, |artifact, pum| {
+        let via_handle = pipeline.reports_for(pum).report(artifact).expect("estimates");
+        let direct = pipeline.process_report(artifact, pum).expect("estimates");
+        assert!(Arc::ptr_eq(&via_handle, &direct), "handle and process_report share an entry");
+    });
+
+    let (by_handle, by_call) = (Pipeline::new(), Pipeline::new());
+    for pass in 0..2 {
+        mp3_sweep(&by_handle, |artifact, pum| {
+            by_handle.reports_for(pum).report(artifact).expect("estimates");
+        });
+        mp3_sweep(&by_call, |artifact, pum| {
+            by_call.process_report(artifact, pum).expect("estimates");
+        });
+        let (a, b) = (by_handle.stats(), by_call.stats());
+        for ((name, x), (_, y)) in a.stages().into_iter().zip(b.stages()) {
+            assert_eq!(
+                (x.hits, x.misses, x.bytes),
+                (y.hits, y.misses, y.bytes),
+                "{name}, pass {pass}"
+            );
+        }
+    }
+    assert!(by_handle.stats().report.hits > 0, "the second pass hits");
+}
+
 #[test]
 fn platform_edit_reuses_untouched_processes_end_to_end() {
     let pipeline = Pipeline::new();
