@@ -2,12 +2,12 @@
 //!
 //! The serving stack (`tlm-serve`, `tlm-pipeline`) declares *injection
 //! points* — named places where a fault could plausibly strike: a worker
-//! panicking mid-request, a socket read coming up short, a stage compute
-//! failing transiently, the allocator coming under pressure, a
-//! front↔shard RPC frame cut mid-read (`serve.rpc.recv` — surfaces as
-//! the shard-unavailable `503` path). In a normal
-//! build every point compiles to an inline `None` (the `enabled` feature
-//! is off and there is not even an atomic load on the path). A chaos
+//! panicking mid-request, a socket read coming up short (`serve.parse` —
+//! surfaces as a truncated upload the server closes without answering),
+//! a stage compute failing transiently, the allocator coming under
+//! pressure. In a normal build every point compiles to an inline `None`
+//! (the `enabled` feature is off and there is not even an atomic load on
+//! the path). A chaos
 //! build (`--features enabled`, re-exported as `faults` by the consuming
 //! crates) arms the points against a seeded **plan**:
 //!

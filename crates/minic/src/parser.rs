@@ -7,13 +7,19 @@ use crate::ast::{
 use crate::diag::{ParseError, Span};
 use crate::token::{Token, TokenKind};
 
+/// Deepest syntax tree the parser builds. Every later pass recurses over
+/// the tree, so without a bound a few kilobytes of `((((…` or `1+1+…`
+/// would overflow the stack of whatever thread parses them. Counted:
+/// statements, expressions, unary operators and binary-operator nodes.
+const MAX_NESTING: usize = 128;
+
 /// Parses a token stream (from [`crate::lex`]) into a [`Program`].
 ///
 /// # Errors
 ///
 /// Returns the first syntax error with its source location.
 pub fn parse_tokens(source: &str, tokens: &[Token]) -> Result<Program, ParseError> {
-    let mut parser = Parser { source, tokens, pos: 0 };
+    let mut parser = Parser { source, tokens, pos: 0, depth: 0 };
     parser.program()
 }
 
@@ -21,6 +27,8 @@ struct Parser<'a> {
     source: &'a str,
     tokens: &'a [Token],
     pos: usize,
+    /// Current nesting, bounded by [`MAX_NESTING`].
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -61,6 +69,27 @@ impl Parser<'_> {
 
     fn error(&self, message: impl Into<String>) -> ParseError {
         ParseError::new(message, self.peek_span(), self.source)
+    }
+
+    /// Goes one level deeper, or fails past [`MAX_NESTING`]. Callers
+    /// restore `depth` on success; an error ends the whole parse.
+    fn enter(&mut self) -> Result<(), ParseError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.error(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Runs `parse` one nesting level deeper.
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        self.enter()?;
+        let parsed = parse(self)?;
+        self.depth -= 1;
+        Ok(parsed)
     }
 
     fn ident(&mut self) -> Result<(String, Span), ParseError> {
@@ -180,7 +209,15 @@ impl Parser<'_> {
         }
     }
 
+    /// One statement. Statements nest through blocks, `if`/loop bodies
+    /// and `switch` arms, so each counts one nesting level. The compound
+    /// forms parse in functions of their own, so a level costs the stack
+    /// frame of the form that nests, not of every form.
     fn stmt(&mut self) -> Result<Stmt, ParseError> {
+        self.nested(Self::stmt_body)
+    }
+
+    fn stmt_body(&mut self) -> Result<Stmt, ParseError> {
         let start = self.peek_span();
         match self.peek().clone() {
             TokenKind::KwInt => {
@@ -190,108 +227,11 @@ impl Parser<'_> {
                 let end = self.expect(&TokenKind::Semi)?;
                 Ok(Stmt::Local { name, size, init, span: start.merge(end) })
             }
-            TokenKind::KwIf => {
-                self.bump();
-                self.expect(&TokenKind::LParen)?;
-                let cond = self.expr()?;
-                self.expect(&TokenKind::RParen)?;
-                let then_blk = self.block_or_stmt()?;
-                let else_blk =
-                    if self.eat(&TokenKind::KwElse) { Some(self.block_or_stmt()?) } else { None };
-                Ok(Stmt::If { cond, then_blk, else_blk, span: start })
-            }
-            TokenKind::KwWhile => {
-                self.bump();
-                self.expect(&TokenKind::LParen)?;
-                let cond = self.expr()?;
-                self.expect(&TokenKind::RParen)?;
-                let body = self.block_or_stmt()?;
-                Ok(Stmt::While { cond, body, span: start })
-            }
-            TokenKind::KwSwitch => {
-                self.bump();
-                self.expect(&TokenKind::LParen)?;
-                let scrutinee = self.expr()?;
-                self.expect(&TokenKind::RParen)?;
-                self.expect(&TokenKind::LBrace)?;
-                let mut cases: Vec<SwitchCase> = Vec::new();
-                while !matches!(self.peek(), TokenKind::RBrace | TokenKind::Eof) {
-                    let case_span = self.peek_span();
-                    let mut labels = Vec::new();
-                    let mut is_default = false;
-                    // One arm may stack several labels.
-                    loop {
-                        match self.peek() {
-                            TokenKind::KwCase => {
-                                self.bump();
-                                labels.push(self.expr()?);
-                                self.expect(&TokenKind::Colon)?;
-                            }
-                            TokenKind::KwDefault => {
-                                self.bump();
-                                self.expect(&TokenKind::Colon)?;
-                                is_default = true;
-                            }
-                            _ => break,
-                        }
-                    }
-                    if labels.is_empty() && !is_default {
-                        return Err(self.error(format!(
-                            "expected `case` or `default`, found {}",
-                            self.peek()
-                        )));
-                    }
-                    let mut body = Vec::new();
-                    while !matches!(
-                        self.peek(),
-                        TokenKind::KwCase
-                            | TokenKind::KwDefault
-                            | TokenKind::RBrace
-                            | TokenKind::Eof
-                    ) {
-                        body.push(self.stmt()?);
-                    }
-                    cases.push(SwitchCase { labels, is_default, body, span: case_span });
-                }
-                self.expect(&TokenKind::RBrace)?;
-                Ok(Stmt::Switch { scrutinee, cases, span: start })
-            }
-            TokenKind::KwDo => {
-                self.bump();
-                let body = self.block_or_stmt()?;
-                self.expect(&TokenKind::KwWhile)?;
-                self.expect(&TokenKind::LParen)?;
-                let cond = self.expr()?;
-                self.expect(&TokenKind::RParen)?;
-                self.expect(&TokenKind::Semi)?;
-                Ok(Stmt::DoWhile { body, cond, span: start })
-            }
-            TokenKind::KwFor => {
-                self.bump();
-                self.expect(&TokenKind::LParen)?;
-                let init = if matches!(self.peek(), TokenKind::Semi) {
-                    None
-                } else if matches!(self.peek(), TokenKind::KwInt) {
-                    self.bump();
-                    let (name, _) = self.ident()?;
-                    let (size, linit) = self.declarator_tail()?;
-                    Some(Box::new(Stmt::Local { name, size, init: linit, span: start }))
-                } else {
-                    Some(Box::new(self.simple_stmt()?))
-                };
-                self.expect(&TokenKind::Semi)?;
-                let cond =
-                    if matches!(self.peek(), TokenKind::Semi) { None } else { Some(self.expr()?) };
-                self.expect(&TokenKind::Semi)?;
-                let step = if matches!(self.peek(), TokenKind::RParen) {
-                    None
-                } else {
-                    Some(Box::new(self.simple_stmt()?))
-                };
-                self.expect(&TokenKind::RParen)?;
-                let body = self.block_or_stmt()?;
-                Ok(Stmt::For { init, cond, step, body, span: start })
-            }
+            TokenKind::KwIf => self.if_stmt(start),
+            TokenKind::KwWhile => self.while_stmt(start),
+            TokenKind::KwSwitch => self.switch_stmt(start),
+            TokenKind::KwDo => self.do_while_stmt(start),
+            TokenKind::KwFor => self.for_stmt(start),
             TokenKind::KwReturn => {
                 self.bump();
                 let value =
@@ -316,6 +256,113 @@ impl Parser<'_> {
                 Ok(stmt)
             }
         }
+    }
+
+    /// `if (cond) … [else …]`, from its keyword.
+    fn if_stmt(&mut self, start: Span) -> Result<Stmt, ParseError> {
+        self.bump();
+        self.expect(&TokenKind::LParen)?;
+        let cond = self.expr()?;
+        self.expect(&TokenKind::RParen)?;
+        let then_blk = self.block_or_stmt()?;
+        let else_blk =
+            if self.eat(&TokenKind::KwElse) { Some(self.block_or_stmt()?) } else { None };
+        Ok(Stmt::If { cond, then_blk, else_blk, span: start })
+    }
+
+    /// `while (cond) …`, from its keyword.
+    fn while_stmt(&mut self, start: Span) -> Result<Stmt, ParseError> {
+        self.bump();
+        self.expect(&TokenKind::LParen)?;
+        let cond = self.expr()?;
+        self.expect(&TokenKind::RParen)?;
+        let body = self.block_or_stmt()?;
+        Ok(Stmt::While { cond, body, span: start })
+    }
+
+    /// `switch (x) { case …: … }`, from its keyword.
+    fn switch_stmt(&mut self, start: Span) -> Result<Stmt, ParseError> {
+        self.bump();
+        self.expect(&TokenKind::LParen)?;
+        let scrutinee = self.expr()?;
+        self.expect(&TokenKind::RParen)?;
+        self.expect(&TokenKind::LBrace)?;
+        let mut cases: Vec<SwitchCase> = Vec::new();
+        while !matches!(self.peek(), TokenKind::RBrace | TokenKind::Eof) {
+            let case_span = self.peek_span();
+            let mut labels = Vec::new();
+            let mut is_default = false;
+            // One arm may stack several labels.
+            loop {
+                match self.peek() {
+                    TokenKind::KwCase => {
+                        self.bump();
+                        labels.push(self.expr()?);
+                        self.expect(&TokenKind::Colon)?;
+                    }
+                    TokenKind::KwDefault => {
+                        self.bump();
+                        self.expect(&TokenKind::Colon)?;
+                        is_default = true;
+                    }
+                    _ => break,
+                }
+            }
+            if labels.is_empty() && !is_default {
+                return Err(
+                    self.error(format!("expected `case` or `default`, found {}", self.peek()))
+                );
+            }
+            let mut body = Vec::new();
+            while !matches!(
+                self.peek(),
+                TokenKind::KwCase | TokenKind::KwDefault | TokenKind::RBrace | TokenKind::Eof
+            ) {
+                body.push(self.stmt()?);
+            }
+            cases.push(SwitchCase { labels, is_default, body, span: case_span });
+        }
+        self.expect(&TokenKind::RBrace)?;
+        Ok(Stmt::Switch { scrutinee, cases, span: start })
+    }
+
+    /// `do … while (cond);`, from its keyword.
+    fn do_while_stmt(&mut self, start: Span) -> Result<Stmt, ParseError> {
+        self.bump();
+        let body = self.block_or_stmt()?;
+        self.expect(&TokenKind::KwWhile)?;
+        self.expect(&TokenKind::LParen)?;
+        let cond = self.expr()?;
+        self.expect(&TokenKind::RParen)?;
+        self.expect(&TokenKind::Semi)?;
+        Ok(Stmt::DoWhile { body, cond, span: start })
+    }
+
+    /// `for (init; cond; step) …`, from its keyword.
+    fn for_stmt(&mut self, start: Span) -> Result<Stmt, ParseError> {
+        self.bump();
+        self.expect(&TokenKind::LParen)?;
+        let init = if matches!(self.peek(), TokenKind::Semi) {
+            None
+        } else if matches!(self.peek(), TokenKind::KwInt) {
+            self.bump();
+            let (name, _) = self.ident()?;
+            let (size, linit) = self.declarator_tail()?;
+            Some(Box::new(Stmt::Local { name, size, init: linit, span: start }))
+        } else {
+            Some(Box::new(self.simple_stmt()?))
+        };
+        self.expect(&TokenKind::Semi)?;
+        let cond = if matches!(self.peek(), TokenKind::Semi) { None } else { Some(self.expr()?) };
+        self.expect(&TokenKind::Semi)?;
+        let step = if matches!(self.peek(), TokenKind::RParen) {
+            None
+        } else {
+            Some(Box::new(self.simple_stmt()?))
+        };
+        self.expect(&TokenKind::RParen)?;
+        let body = self.block_or_stmt()?;
+        Ok(Stmt::For { init, cond, step, body, span: start })
     }
 
     /// Assignment, increment/decrement or expression statement — the forms
@@ -397,7 +444,14 @@ impl Parser<'_> {
         }
     }
 
+    /// One expression. Every path that nests expressions — parentheses,
+    /// call arguments, indices, `?:` arms — comes back through here, so
+    /// each counts one nesting level.
     fn expr(&mut self) -> Result<Expr, ParseError> {
+        self.nested(Self::conditional)
+    }
+
+    fn conditional(&mut self) -> Result<Expr, ParseError> {
         let cond = self.binary(0)?;
         if !self.eat(&TokenKind::Question) {
             return Ok(cond);
@@ -412,16 +466,21 @@ impl Parser<'_> {
 
     /// Precedence-climbing binary expression parser. Level 0 is `||`.
     fn binary(&mut self, min_level: u8) -> Result<Expr, ParseError> {
+        let depth = self.depth;
         let mut lhs = self.unary()?;
         while let Some((op, level)) = binop_of(self.peek()) {
             if level < min_level {
                 break;
             }
+            // Each operator wraps `lhs` one level deeper: a flat
+            // `1+1+…` chain builds as deep a tree as nested parentheses.
+            self.enter()?;
             self.bump();
             let rhs = self.binary(level + 1)?;
             let span = lhs.span().merge(rhs.span());
             lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs), span);
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
@@ -435,7 +494,7 @@ impl Parser<'_> {
         };
         if let Some(op) = op {
             self.bump();
-            let inner = self.unary()?;
+            let inner = self.nested(Self::unary)?;
             let span = start.merge(inner.span());
             return Ok(Expr::Unary(op, Box::new(inner), span));
         }
@@ -684,5 +743,40 @@ mod tests {
     fn trailing_comma_in_initializer() {
         let p = parse("int t[2] = {1, 2,};");
         assert!(matches!(p.globals[0].init, Init::List(ref v) if v.len() == 2));
+    }
+
+    /// Hostile nesting is a parse error, not a stack overflow: in a
+    /// 2 MiB thread (a server worker's stack), 100k-deep chains of every
+    /// nesting form fail cleanly, and nesting exactly at the budget still
+    /// parses and type-checks.
+    #[test]
+    fn nesting_past_the_budget_is_an_error_not_a_stack_overflow() {
+        // `void main() { out(…); }` spends three levels (statement, call
+        // expression, argument) before the chain starts.
+        type Form = fn(usize) -> String;
+        let forms: [(&str, Form); 6] = [
+            ("parentheses", |n| format!("out({}1{});", "(".repeat(n), ")".repeat(n))),
+            ("unary minus", |n| format!("out({}1);", "- ".repeat(n))),
+            ("conditional", |n| format!("out({}1{});", "1 ? ".repeat(n), " : 1".repeat(n))),
+            ("binary chain", |n| format!("out(1{});", " + 1".repeat(n))),
+            ("if", |n| format!("{}out(1);", "if (1) ".repeat(n))),
+            ("braces", |n| format!("{}out(1);{}", "{".repeat(n), "}".repeat(n))),
+        ];
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                for (name, form) in forms {
+                    let src = |n| format!("void main() {{ {} }}", form(n));
+                    let at_budget = src(MAX_NESTING - 3);
+                    assert!(crate::parse(&at_budget).is_ok(), "{name}: at the budget must parse");
+                    for n in [MAX_NESTING - 2, 100_000] {
+                        let err = crate::parse(&src(n)).expect_err(name);
+                        assert_eq!(err.message, "nesting deeper than 128 levels", "{name} x{n}");
+                    }
+                }
+            })
+            .expect("spawns")
+            .join()
+            .expect("no stack overflow");
     }
 }

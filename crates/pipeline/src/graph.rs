@@ -86,6 +86,17 @@ fn input_hash(bytes: &[u8]) -> u64 {
     STATE.get_or_init(RandomState::new).hash_one(bytes)
 }
 
+/// The canonical key of the module stage: `optimize flag ‖ source
+/// bytes`. It encodes only the stage's true inputs, so it is stable
+/// across [`Pipeline`] instances; every key downstream of the module
+/// embeds it.
+fn module_stage_key(source: &str, optimize: bool) -> Vec<u8> {
+    let mut key = Vec::with_capacity(1 + source.len());
+    key.push(u8::from(optimize));
+    key.extend_from_slice(source.as_bytes());
+    key
+}
+
 /// The key of the PUM-keyed stages: the canonical bytes
 /// `len(PUM) ‖ PUM ‖ input`, held as the PUM encoding plus the input
 /// shared with its artifact. Equality compares every byte (the input by
@@ -344,9 +355,7 @@ impl Pipeline {
 
     /// [`Pipeline::frontend`] with the optimize flag explicit. The flag is
     /// part of the module key: optimized and unoptimized lowerings of the
-    /// same source are distinct artifacts. The key encoding lives in
-    /// [`crate::routing::module_stage_key`] so request routers can derive
-    /// it without running any stage.
+    /// same source are distinct artifacts.
     ///
     /// # Errors
     ///
@@ -356,7 +365,7 @@ impl Pipeline {
         source: &str,
         optimize: bool,
     ) -> Result<ModuleArtifact, PipelineError> {
-        let key = crate::routing::module_stage_key(source, optimize);
+        let key = module_stage_key(source, optimize);
         let module = self.module.get_or_try(&key, || {
             let program = self.ast(source)?;
             let mut module = tlm_cdfg::lower::lower(&program)?;
@@ -668,5 +677,22 @@ impl Pipeline {
         self.annotated.clear();
         self.report.clear();
         self.rows.clear();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The module key's bytes are pinned: every downstream stage key and
+    /// the charged `resident_bytes` depend on them.
+    #[test]
+    fn module_key_is_the_optimize_flag_then_the_source() {
+        let source = "void main() { out(1); }";
+        let pipeline = Pipeline::new();
+        let optimized = pipeline.frontend_with(source, true).expect("lowers");
+        assert_eq!(optimized.key(), [b"\x01".as_slice(), source.as_bytes()].concat());
+        let plain = pipeline.frontend_with(source, false).expect("lowers");
+        assert_eq!(plain.key(), [b"\x00".as_slice(), source.as_bytes()].concat());
     }
 }

@@ -27,7 +27,6 @@ pub mod error;
 pub mod graph;
 pub mod observe;
 pub mod report;
-pub mod routing;
 
 pub use design::{DesignBuilder, PreparedDesign};
 pub use error::PipelineError;

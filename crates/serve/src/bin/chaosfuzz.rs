@@ -11,18 +11,15 @@
 //!   annotated cycle counts must not depend on the ordering.
 //! - **Fault seeds** drive [`tlm_faults`]' seeded injection schedule
 //!   across the serving stack (worker panics, delays, short reads,
-//!   allocator pressure, transient stage failures), optionally through
-//!   the shard RPC path (`--shards N`). Gates: the degradation ladder
-//!   holds (no status outside {200, 500, 503}), `200` bodies never
-//!   diverge from the fault-free reference, workers and connections
-//!   recover, and the cleared-faults mix reproduces the reference bytes
-//!   bit-identically. Before the seeded trials a scripted prelude runs
-//!   the same trial once per rung of the ladder — a forced worker panic,
-//!   and with shards a frame cut at `serve.rpc.send` and at
-//!   `serve.rpc.recv` — and each forced injection must fire. The front
-//!   and every shard run under a small pipeline byte budget, so the
-//!   gates hold across cache evictions (in-process, the campaign also
-//!   requires that the mix evicted).
+//!   allocator pressure, transient stage failures). Gates: the
+//!   degradation ladder holds (no status outside {200, 500, 503}), `200`
+//!   bodies never diverge from the fault-free reference, workers and
+//!   connections recover, and the cleared-faults mix reproduces the
+//!   reference bytes bit-identically. Before the seeded trials a
+//!   scripted prelude runs the same trial once with a forced worker
+//!   panic, which must fire. The server runs under a small pipeline byte
+//!   budget, so the gates hold across cache evictions, and the campaign
+//!   requires that the mix evicted.
 //!
 //! Any hit is **shrunk** to a minimal reproducer. Fault hits shrink to
 //! the shortest scripted-injection plan (via [`tlm_faults::force`]) that
@@ -61,9 +58,7 @@ fn usage() -> ! {
          \x20 --max-seeds N    seeds to search in --plant mode (default 512)\n\
          \x20 --order-seeds N  permutation seeds per design (default 16)\n\
          \x20 --fault-seeds N  fault seeds in the campaign (default 6)\n\
-         \x20 --requests N     requests per fault trial (default 6)\n\
-         \x20 --shards N       route the fault campaign through N shard processes\n\
-         \x20 --shard-transport tcp|unix  shard RPC transport for the campaign (default tcp)"
+         \x20 --requests N     requests per fault trial (default 6)"
     );
     std::process::exit(2)
 }
@@ -77,8 +72,6 @@ struct Args {
     order_seeds: u64,
     fault_seeds: u64,
     requests: u64,
-    shards: usize,
-    transport: tlm_serve::shard::Transport,
 }
 
 fn parse_args(argv: &[String]) -> Args {
@@ -91,8 +84,6 @@ fn parse_args(argv: &[String]) -> Args {
         order_seeds: 16,
         fault_seeds: 6,
         requests: 6,
-        shards: 0,
-        transport: tlm_serve::shard::Transport::Tcp,
     };
     let mut it = argv.iter();
     while let Some(flag) = it.next() {
@@ -120,13 +111,6 @@ fn parse_args(argv: &[String]) -> Args {
                 args.fault_seeds = parse_u64(&value("--fault-seeds"), "--fault-seeds");
             }
             "--requests" => args.requests = parse_u64(&value("--requests"), "--requests").max(1),
-            "--shards" => args.shards = parse_u64(&value("--shards"), "--shards") as usize,
-            "--shard-transport" => {
-                args.transport = value("--shard-transport").parse().unwrap_or_else(|e| {
-                    eprintln!("chaosfuzz: {e}");
-                    usage()
-                });
-            }
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("chaosfuzz: unknown flag {other}");
@@ -350,7 +334,6 @@ fn order_invariance_fuzz(order_seeds: u64) -> u64 {
 #[cfg(feature = "faults")]
 mod faultfuzz {
     use std::net::SocketAddr;
-    use std::sync::Arc;
     use std::time::{Duration, Instant};
 
     use tlm_core::fingerprint::fnv1a_64;
@@ -358,17 +341,14 @@ mod faultfuzz {
     use tlm_serve::client;
     use tlm_serve::protocol::Service;
     use tlm_serve::server::{Server, ServerConfig, ServerHandle};
-    use tlm_serve::shard::{ShardConfig, ShardRouter, Transport};
 
     /// Every armed injection site in the stack, for `--replay-faults`
     /// parsing ([`tlm_faults::force`] wants `&'static str` sites).
-    const SITES: [&str; 7] = [
+    const SITES: [&str; 5] = [
         "serve.accept",
         "serve.parse",
         "serve.worker.handle",
         "serve.response.write",
-        "serve.rpc.send",
-        "serve.rpc.recv",
         "pipeline.stage.compute",
     ];
 
@@ -377,9 +357,7 @@ mod faultfuzz {
 
     /// The deterministic request mix: request `i` always sends the same
     /// request, so fault-free response bytes are a fixed reference to
-    /// diff every trial against. The `/healthz` probe is answered by a
-    /// front worker even when the estimates are forwarded to shards, so
-    /// `serve.worker.handle` faults have a request to strike either way.
+    /// diff every trial against.
     const MIX: [(&str, &str); 5] = [
         ("GET /healthz", ""),
         ("POST /estimate", r#"{"platform": "image:sw", "sweep": ["0k/0k"]}"#),
@@ -388,7 +366,7 @@ mod faultfuzz {
         ("POST /estimate", r#"{"platform": "image:hw", "sweep": ["0k/0k"]}"#),
     ];
 
-    /// Pipeline byte budget of the front and of every shard: small enough
+    /// Pipeline byte budget of the server under test: small enough
     /// that the mix evicts, so every trial's divergence gates run across
     /// evictions.
     const CACHE_BUDGET: u64 = 24 << 10;
@@ -599,24 +577,8 @@ mod faultfuzz {
         None
     }
 
-    /// Boots the server under test (optionally fronting `shards` shard
-    /// processes), front and shards under [`CACHE_BUDGET`], and returns
-    /// the handle plus the router to keep alive.
-    fn boot(
-        shards: usize,
-        transport: Transport,
-    ) -> Result<(ServerHandle, Option<Arc<ShardRouter>>), String> {
-        let router = if shards > 0 {
-            let config = ShardConfig {
-                shards,
-                transport,
-                cache_budget: CACHE_BUDGET,
-                ..ShardConfig::default()
-            };
-            Some(Arc::new(ShardRouter::spawn(&config).map_err(|e| format!("shard spawn: {e}"))?))
-        } else {
-            None
-        };
+    /// Boots the server under test under [`CACHE_BUDGET`].
+    fn boot() -> Result<ServerHandle, String> {
         let config = ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 2,
@@ -624,21 +586,16 @@ mod faultfuzz {
             io_timeout: Duration::from_secs(30),
             ..ServerConfig::default()
         };
-        let queue = config.queue;
-        let mut service = Service::with_cache_budget(queue, CACHE_BUDGET);
-        if let Some(router) = &router {
-            service = service.with_router(Arc::clone(router));
-        }
-        let handle = Server::start(config, service).map_err(|e| format!("server start: {e}"))?;
-        Ok((handle, router))
+        let service = Service::with_cache_budget(config.queue, CACHE_BUDGET);
+        Server::start(config, service).map_err(|e| format!("server start: {e}"))
     }
 
     /// The campaign: fault-free reference, then one trial per seed. The
     /// first hit is shrunk and reported; a healthy stack reports zero
     /// violations. Returns the violation count.
-    pub fn campaign(fault_seeds: u64, requests: u64, shards: usize, transport: Transport) -> u64 {
-        let (handle, router) = match boot(shards, transport) {
-            Ok(pair) => pair,
+    pub fn campaign(fault_seeds: u64, requests: u64) -> u64 {
+        let handle = match boot() {
+            Ok(handle) => handle,
             Err(e) => {
                 println!("VIOLATION fault-campaign: boot failed: {e}");
                 return 1;
@@ -657,43 +614,32 @@ mod faultfuzz {
         if reference.iter().any(|&(status, _)| status != 200) {
             println!("VIOLATION fault-campaign: fault-free reference not all 200: {reference:?}");
             handle.shutdown();
-            if let Some(router) = router {
-                router.shutdown();
-            }
             return 1;
         }
 
-        // The scripted prelude: one forced injection per rung of the
-        // degradation ladder — a worker panic, and with shards a frame
-        // cut on each side of the RPC path — each of which must fire.
-        let mut rungs = vec![("serve.worker.handle", Kind::Panic)];
-        if shards > 0 {
-            rungs
-                .extend([("serve.rpc.send", Kind::ShortRead), ("serve.rpc.recv", Kind::ShortRead)]);
+        // The scripted prelude: the degradation ladder's panic rung, a
+        // forced worker panic that must fire.
+        let (site, kind) = ("serve.worker.handle", Kind::Panic);
+        let plan = Plan::Script(vec![(site, kind, 1)]);
+        let (mut violations, snapshot) = trial(addr, workers, &plan, &reference);
+        if !snapshot.iter().any(|&(s, k, n)| s == site && k == kind && n > 0) {
+            violations.push(Violation {
+                class: "prelude-not-fired",
+                detail: "the forced injection never fired".to_string(),
+            });
         }
-        let mut total_violations = 0u64;
-        for (site, kind) in rungs {
-            let plan = Plan::Script(vec![(site, kind, 1)]);
-            let (mut violations, snapshot) = trial(addr, workers, &plan, &reference);
-            if !snapshot.iter().any(|&(s, k, n)| s == site && k == kind && n > 0) {
-                violations.push(Violation {
-                    class: "prelude-not-fired",
-                    detail: "the forced injection never fired".to_string(),
-                });
-            }
-            if violations.is_empty() {
-                println!("fault-campaign prelude {}: OK (fired)", plan.describe());
-            }
-            for v in &violations {
-                println!(
-                    "VIOLATION fault-campaign prelude {} [{}]: {}",
-                    plan.describe(),
-                    v.class,
-                    v.detail
-                );
-            }
-            total_violations += violations.len() as u64;
+        if violations.is_empty() {
+            println!("fault-campaign prelude {}: OK (fired)", plan.describe());
         }
+        for v in &violations {
+            println!(
+                "VIOLATION fault-campaign prelude {} [{}]: {}",
+                plan.describe(),
+                v.class,
+                v.detail
+            );
+        }
+        let mut total_violations = violations.len() as u64;
 
         for seed in 1..=fault_seeds {
             let plan = Plan::Seeded(seed);
@@ -721,11 +667,7 @@ mod faultfuzz {
                         "SHRUNK seed={seed} class={class} to {} scripted injection(s)",
                         script.len()
                     );
-                    println!(
-                        "REPLAY: chaosfuzz --shards {shards} --shard-transport {transport} \
-                         --replay-faults {}",
-                        plan.describe()
-                    );
+                    println!("REPLAY: chaosfuzz --replay-faults {}", plan.describe());
                     println!("--- regression test (serve tests, --features faults) ---");
                     println!("#[test]\nfn chaos_script_reproduces_{}_violation() {{", {
                         class.replace('-', "_")
@@ -750,26 +692,19 @@ mod faultfuzz {
             break; // one shrunk reproducer per run keeps the hunt bounded
         }
 
-        // In-process, the budget must actually have evicted: otherwise
-        // the divergence gates above never ran across an eviction.
-        if shards == 0 {
-            let evictions = sample(&client::scrape(addr), "tlm_serve_cache_evictions_total");
-            println!(
-                "fault-campaign: {evictions} cache evictions under a {CACHE_BUDGET}-byte budget"
-            );
-            if evictions == 0 {
-                println!("VIOLATION fault-campaign [no-evictions]: the mix never evicted");
-                total_violations += 1;
-            }
+        // The budget must actually have evicted: otherwise the
+        // divergence gates above never ran across an eviction.
+        let evictions = sample(&client::scrape(addr), "tlm_serve_cache_evictions_total");
+        println!("fault-campaign: {evictions} cache evictions under a {CACHE_BUDGET}-byte budget");
+        if evictions == 0 {
+            println!("VIOLATION fault-campaign [no-evictions]: the mix never evicted");
+            total_violations += 1;
         }
         handle.shutdown();
-        if let Some(router) = router {
-            router.shutdown();
-        }
         if total_violations == 0 {
             println!(
                 "fault-campaign: no violations across {fault_seeds} seeds \
-                 ({requests} requests each, {shards} shards)"
+                 ({requests} requests each)"
             );
         }
         total_violations
@@ -777,12 +712,7 @@ mod faultfuzz {
 
     /// `--replay-faults SPEC`: re-run one scripted trial. Exit 0 iff a
     /// violation reproduces, 2 otherwise.
-    pub fn replay(
-        spec: &str,
-        requests: u64,
-        shards: usize,
-        transport: Transport,
-    ) -> std::process::ExitCode {
+    pub fn replay(spec: &str, requests: u64) -> std::process::ExitCode {
         let mut script = Vec::new();
         for part in spec.split(',').filter(|p| !p.is_empty()) {
             let (site_name, rest) = match part.split_once('=') {
@@ -808,8 +738,8 @@ mod faultfuzz {
             };
             script.push((site, kind, count));
         }
-        let (handle, router) = match boot(shards, transport) {
-            Ok(pair) => pair,
+        let handle = match boot() {
+            Ok(handle) => handle,
             Err(e) => {
                 eprintln!("chaosfuzz: boot failed: {e}");
                 return std::process::ExitCode::from(2);
@@ -822,9 +752,6 @@ mod faultfuzz {
         let plan = Plan::Script(script);
         let (violations, _) = trial(addr, 2, &plan, &reference);
         handle.shutdown();
-        if let Some(router) = router {
-            router.shutdown();
-        }
         if violations.is_empty() {
             println!("chaosfuzz: NOT reproduced — script {} trips no gate", plan.describe());
             std::process::ExitCode::from(2)
@@ -839,12 +766,6 @@ mod faultfuzz {
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    // Shard processes re-exec this binary; hand the worker entry point
-    // the rest of the command line before any flag parsing.
-    if argv.first().map(String::as_str) == Some("--shard-worker") {
-        let code = tlm_serve::shard::shard_worker_entry(&argv[1..]);
-        return ExitCode::from(u8::try_from(code).unwrap_or(1));
-    }
     let args = parse_args(&argv);
 
     if args.plant {
@@ -855,7 +776,7 @@ fn main() -> ExitCode {
     }
     if let Some(spec) = &args.replay_faults {
         #[cfg(feature = "faults")]
-        return faultfuzz::replay(spec, args.requests, args.shards, args.transport);
+        return faultfuzz::replay(spec, args.requests);
         #[cfg(not(feature = "faults"))]
         {
             let _ = spec;
@@ -867,8 +788,7 @@ fn main() -> ExitCode {
     // Default mode: both seed spaces.
     let order_violations = order_invariance_fuzz(args.order_seeds);
     #[cfg(feature = "faults")]
-    let fault_violations =
-        faultfuzz::campaign(args.fault_seeds, args.requests, args.shards, args.transport);
+    let fault_violations = faultfuzz::campaign(args.fault_seeds, args.requests);
     #[cfg(not(feature = "faults"))]
     let fault_violations = {
         println!(

@@ -5,7 +5,7 @@
 //! loadgen [--addr HOST:PORT] [--bench-json[=PATH]]
 //! ```
 //!
-//! Runs five phases in order and enforces the serving-layer guarantees
+//! Runs four phases in order and enforces the serving-layer guarantees
 //! as hard gates (non-zero exit on any violation):
 //!
 //! 1. **cache** — a deterministic xorshift-driven mix of estimation
@@ -31,11 +31,6 @@
 //! 4. **connections** — 256 keep-alive connections held open at once,
 //!    each firing a short train of warm requests. Gates: all `200`,
 //!    bounded p99, and the open-connection peak gauge saw the fleet.
-//! 5. **shards** — one two-shard tier serving the cache phase's cold
-//!    mix (bit-identical bytes, every shard's counters moved), a session
-//!    lifecycle on every shard, and a keep-alive fleet of cold platforms
-//!    (bit-identical to the same fleet in-process, more than one frame
-//!    in flight per shard connection, bounded p99).
 //!
 //! The client honors backpressure: a `503` is retried after the
 //! server's `Retry-After`, with capped exponential backoff and seeded
@@ -45,7 +40,7 @@
 //! verdicts are written as a machine-readable record (`BENCH_serve.json`
 //! via the shared flag convention). Phases 1 and 2 run against `--addr`
 //! when given, else against an in-process server on an ephemeral port;
-//! phases 3–5 always boot their own in-process servers.
+//! phases 3 and 4 always boot their own in-process servers.
 
 use std::net::SocketAddr;
 use std::process::ExitCode;
@@ -57,7 +52,6 @@ use tlm_json::{ObjectBuilder, Value};
 use tlm_serve::client::{self, Reply};
 use tlm_serve::protocol::Service;
 use tlm_serve::server::{Server, ServerConfig};
-use tlm_serve::shard::{ShardConfig, ShardRouter};
 
 /// Requests per mix.
 const REQUESTS: u64 = 24;
@@ -65,12 +59,10 @@ const REQUESTS: u64 = 24;
 const CLIENTS: u64 = 4;
 /// Seed of the request mix.
 const SEED: u64 = 0x5eed_cafe;
-/// Keep-alive connections of the connection and shard fleets.
+/// Keep-alive connections of the connection fleet.
 const CONNECTIONS: u64 = 256;
 /// Requests each fleet connection fires.
 const REQUESTS_PER_CONN: u64 = 4;
-/// Shard processes of the shard phase.
-const SHARDS: usize = 2;
 
 /// Deterministic xorshift64* generator — the fixed-seed client mix must
 /// reproduce bit-identically across runs and machines.
@@ -148,15 +140,6 @@ fn cold_platform_body(seed: u64, i: u64) -> String {
          \"sweep\": [{{\"icache\": 4096, \"dcache\": 4096}}]}}"
     )
 }
-
-/// The session the shard phase opens on every shard: one process whose
-/// `helper` [`SESSION_EDIT`] rewrites while `main` stays as it is.
-const SESSION_CREATE: &str = r#"{"platform": {"name": "editor",
-    "pes": [{"name": "cpu", "pum": "microblaze"}],
-    "processes": [{"name": "main", "pe": "cpu", "source": "int helper(int x) { return x * 7 + 3; } void main() { int acc = 0; for (int i = 0; i < 6; i++) { acc = acc + helper(i); } out(acc); }"}]},
-  "sweep": [{"icache": 2048, "dcache": 2048}]}"#;
-const SESSION_EDIT: &str =
-    r#"{"process": "main", "patch": {"find": "x * 7 + 3", "replace": "x << 2"}}"#;
 
 /// `Ok(body)` when `reply` has status `want`, else a failure message
 /// naming `what`.
@@ -323,12 +306,10 @@ struct Gate {
 }
 
 /// State the phases share: the target of the cache and cold-platform
-/// phases, the gates so far, and the cold mix's body hashes (the shard
-/// tier's reference bytes).
+/// phases, and the gates so far.
 struct Run {
     addr: SocketAddr,
     gates: Vec<Gate>,
-    cold_hashes: Vec<u64>,
 }
 
 impl Run {
@@ -439,7 +420,6 @@ fn cache_phase(run: &mut Run) -> Value {
     };
     run.gate("warm_stage_hit_rates", rates_ok, detail);
 
-    run.cold_hashes = cold.hashes.clone();
     ObjectBuilder::new()
         .field("cold", phase_value(&cold))
         .field("warm", phase_value(&warm))
@@ -537,8 +517,6 @@ struct Fleet {
     wall: Duration,
     /// Per answered request, ascending.
     latencies: Vec<Duration>,
-    /// Per answered request, the reply body hash, in request order.
-    hashes: Vec<u64>,
     /// One entry per connection whose train broke off.
     failures: Vec<String>,
 }
@@ -546,47 +524,35 @@ struct Fleet {
 /// A keep-alive fleet: [`CONNECTIONS`] concurrent connections open at
 /// once (a barrier holds every client thread until the whole fleet is
 /// connected), then each fires a train of [`REQUESTS_PER_CONN`]
-/// `POST /estimate` requests down its one connection. Request `k` on
-/// connection `c` carries `body_for(c * REQUESTS_PER_CONN + k)`. A
+/// `POST /estimate` requests carrying `body` down its one connection. A
 /// transport error or a status other than `200` ends that connection's
 /// train as a failure.
-fn fleet(addr: SocketAddr, body_for: fn(u64) -> String) -> Fleet {
+fn fleet(addr: SocketAddr, body: &'static str) -> Fleet {
     let started = Instant::now();
     let barrier = Arc::new(Barrier::new(CONNECTIONS as usize));
     let threads: Vec<_> = (0..CONNECTIONS)
         .map(|c| {
             let barrier = Arc::clone(&barrier);
-            std::thread::spawn(move || -> Result<Vec<(Duration, u64)>, String> {
+            std::thread::spawn(move || -> Result<Vec<Duration>, String> {
                 let mut stream = client::connect(addr).map_err(|e| format!("conn {c}: {e}"))?;
                 // Everyone connects before anyone sends — the server
                 // must see the whole fleet open at the same time.
                 barrier.wait();
                 (0..REQUESTS_PER_CONN)
                     .map(|k| {
-                        let body = body_for(c * REQUESTS_PER_CONN + k);
                         let t0 = Instant::now();
-                        let reply = client::keep_alive(&mut stream, "POST /estimate", &body);
-                        let reply = expect_status(&format!("conn {c} request {k}"), reply, 200)?;
-                        Ok((t0.elapsed(), fnv1a_64(&reply)))
+                        let reply = client::keep_alive(&mut stream, "POST /estimate", body);
+                        expect_status(&format!("conn {c} request {k}"), reply, 200)?;
+                        Ok(t0.elapsed())
                     })
                     .collect()
             })
         })
         .collect();
-    let mut run = Fleet {
-        wall: Duration::ZERO,
-        latencies: Vec::new(),
-        hashes: Vec::new(),
-        failures: Vec::new(),
-    };
+    let mut run = Fleet { wall: Duration::ZERO, latencies: Vec::new(), failures: Vec::new() };
     for t in threads {
         match t.join().expect("fleet thread") {
-            Ok(rows) => {
-                for (latency, hash) in rows {
-                    run.latencies.push(latency);
-                    run.hashes.push(hash);
-                }
-            }
+            Ok(latencies) => run.latencies.extend(latencies),
             Err(e) => run.failures.push(e),
         }
     }
@@ -608,7 +574,7 @@ fn connections_phase(run: &mut Run) -> Value {
     let prime = expect_status("prime", client::request(addr, "POST /estimate", BODY), 200);
     assert!(prime.is_ok(), "{prime:?}");
 
-    let fleet = fleet(addr, |_| BODY.to_string());
+    let fleet = fleet(addr, BODY);
     let page = client::scrape(addr);
     let peak = count(&page, "tlm_serve_open_connections_peak");
     let wakeups = count(&page, "tlm_serve_epoll_wakeups_total");
@@ -646,181 +612,15 @@ fn connections_phase(run: &mut Run) -> Value {
         .build()
 }
 
-/// A full session lifecycle — create, edit, view, close, view after
-/// close — on the first front-assigned session id that lands on each
-/// shard. Returns the failures.
-fn session_lifecycles(addr: SocketAddr, router: &ShardRouter) -> Vec<String> {
-    let mut failures = Vec::new();
-    let mut covered = [false; SHARDS];
-    let mut step = |line: &str, body: &str, want: u16| {
-        expect_status(line, client::request(addr, line, body), want)
-            .map_err(|e| failures.push(e))
-            .ok()
-    };
-    for _attempt in 0..16 {
-        let Some(id) = step("POST /session", SESSION_CREATE, 200)
-            .and_then(|bytes| tlm_json::parse(&String::from_utf8_lossy(&bytes)).ok())
-            .and_then(|v| v.get("session").and_then(Value::as_u64))
-        else {
-            break;
-        };
-        let path = format!("/session/{id}");
-        // Extra sessions on an already covered shard are only closed.
-        if !std::mem::replace(&mut covered[router.route_session(id)], true) {
-            step(&format!("POST {path}/edit"), SESSION_EDIT, 200);
-            step(&format!("GET {path}"), "", 200);
-        }
-        step(&format!("DELETE {path}"), "", 200);
-        step(&format!("GET {path}"), "", 404);
-        if covered.iter().all(|c| *c) {
-            break;
-        }
-    }
-    for (shard, _) in covered.iter().enumerate().filter(|(_, c)| !**c) {
-        failures
-            .push(format!("no front-assigned session id routed to shard {shard} in 16 creates"));
-    }
-    failures
-}
-
-/// Phase 5: one two-shard tier. Its front forwards `/estimate` and
-/// `/session*` over one persistent multiplexed connection per shard, so
-/// many id-tagged frames ride each connection without parking a worker.
-/// It serves the cache phase's cold mix (bytes bit-identical to the
-/// in-process reference, every shard's counters moved), a session
-/// lifecycle on every shard, and a keep-alive fleet of unique cold
-/// platforms whose replies must match the same fleet run against a
-/// plain in-process server.
-fn shard_phase(run: &mut Run) -> Value {
-    const P99_BOUND: Duration = Duration::from_secs(10);
-    /// Seed of the fleet's unique cold platforms.
-    const FLEET_SEED: u64 = 0x0070_0a11;
-    let body_for: fn(u64) -> String = |g| cold_platform_body(FLEET_SEED, g);
-
-    // The fleet's in-process reference bytes, request by request. The
-    // bodies are unique, so this is the true cold path there too.
-    let handle = start(config(2, CONNECTIONS as usize));
-    let reference = fleet(handle.addr(), body_for);
-    handle.shutdown();
-
-    let router = match ShardRouter::spawn(&ShardConfig { shards: SHARDS, ..ShardConfig::default() })
-    {
-        Ok(router) => Arc::new(router),
-        Err(e) => {
-            let detail = format!("spawning {SHARDS} shard processes failed: {e}");
-            run.gate("shard_responses_bit_identical", false, detail);
-            return ObjectBuilder::new().field("spawn_failed", true).build();
-        }
-    };
-    let config = config(2, CONNECTIONS as usize);
-    let service = Service::new(config.queue).with_router(Arc::clone(&router));
-    let handle = Server::start(config, service).expect("shard front starts");
-    let addr = handle.addr();
-
-    let mix = fan_out(addr, SEED, request_body);
-    let session_failures = session_lifecycles(addr, &router);
-    let page = client::scrape(addr);
-    let configured = count(&page, "tlm_serve_shards_configured");
-    let per_shard: Vec<u64> = (0..SHARDS)
-        .map(|s| count(&page, &format!("tlm_serve_shard_requests_total{{shard=\"{s}\"}}")))
-        .collect();
-    let rpc_errors = count(&page, "tlm_serve_shard_rpc_errors_total");
-    let forwarded: u64 = per_shard.iter().sum();
-
-    let mux = fleet(addr, body_for);
-    let page = client::scrape(addr);
-    let inflight_peak = (0..SHARDS)
-        .map(|s| count(&page, &format!("tlm_serve_shard_inflight_peak{{shard=\"{s}\"}}")))
-        .max()
-        .unwrap_or(0);
-    handle.shutdown();
-    router.shutdown();
-
-    let diverged = run.cold_hashes.iter().zip(&mix.hashes).filter(|(a, b)| a != b).count();
-    let identical = mix.failures.is_empty() && diverged == 0;
-    let detail = if identical {
-        format!("all {REQUESTS} sharded responses match the single-process bytes")
-    } else if mix.failures.is_empty() {
-        format!("{diverged} responses diverged from the single-process reference")
-    } else {
-        first_failures(&mix.failures)
-    };
-    run.gate("shard_responses_bit_identical", identical, detail);
-    run.gate(
-        "shard_counters_moved",
-        configured == SHARDS as u64
-            && forwarded >= REQUESTS
-            && per_shard.iter().all(|&n| n > 0)
-            && rpc_errors == 0,
-        format!(
-            "{configured} shards configured, {forwarded} requests forwarded \
-             (per shard: {per_shard:?}), {rpc_errors} rpc errors"
-        ),
-    );
-    let detail = if session_failures.is_empty() {
-        format!("create/edit/view/close lifecycle completed on every one of {SHARDS} shards")
-    } else {
-        session_failures.join("; ")
-    };
-    run.gate("shard_sessions_forwarded", session_failures.is_empty(), detail);
-
-    let expected = CONNECTIONS * REQUESTS_PER_CONN;
-    let complete = reference.hashes.len() as u64 == expected && mux.hashes.len() as u64 == expected;
-    let diverged = reference.hashes.iter().zip(&mux.hashes).filter(|(a, b)| a != b).count();
-    let identical = complete && diverged == 0;
-    let detail = if identical {
-        format!("all {expected} multiplexed fleet replies match the in-process bytes")
-    } else if !reference.failures.is_empty() {
-        format!("in-process reference: {}", first_failures(&reference.failures))
-    } else if !mux.failures.is_empty() {
-        first_failures(&mux.failures)
-    } else {
-        format!("{diverged} fleet replies diverged from the in-process reference")
-    };
-    run.gate("shards_mux_bit_identical", identical, detail);
-    run.gate(
-        "shards_mux_pipelined",
-        inflight_peak > 1,
-        format!("per-connection in-flight peak {inflight_peak} (must exceed 1)"),
-    );
-    let p99 = Duration::from_nanos(percentile_ns(&mux.latencies, 0.99));
-    run.gate(
-        "shards_mux_p99_bounded",
-        p99 < P99_BOUND,
-        format!("multiplexed p99 {p99:.2?} (bound {P99_BOUND:.2?})"),
-    );
-
-    let mut shard_requests = ObjectBuilder::new();
-    for (s, n) in per_shard.iter().enumerate() {
-        shard_requests = shard_requests.field(&s.to_string(), *n);
-    }
-    ObjectBuilder::new()
-        .field("shards", SHARDS as u64)
-        .field("mix", phase_value(&mix))
-        .field("forwarded", forwarded)
-        .field("shard_requests", shard_requests.build())
-        .field("rpc_errors", rpc_errors)
-        .field(
-            "fleet",
-            timing(mux.hashes.len() as u64, mux.wall, &mux.latencies)
-                .field("connections", CONNECTIONS)
-                .field("requests_per_conn", REQUESTS_PER_CONN)
-                .field("shard_inflight_peak", inflight_peak)
-                .build(),
-        )
-        .build()
-}
-
 /// A phase: pushes its gates onto the run and returns its record.
 type PhaseFn = fn(&mut Run) -> Value;
 
 /// The phases in run order, each recorded under its name.
-const PHASES: [(&str, PhaseFn); 5] = [
+const PHASES: [(&str, PhaseFn); 4] = [
     ("cache", cache_phase),
     ("cold_platforms", cold_platforms_phase),
     ("saturation", saturation_phase),
     ("connections", connections_phase),
-    ("shards", shard_phase),
 ];
 
 /// `--addr`, if given. The shared `--bench-json` flag (and its optional
@@ -852,14 +652,6 @@ fn parse_args() -> Option<String> {
 }
 
 fn main() -> ExitCode {
-    // Shard processes re-exec the running binary with `--shard-worker`;
-    // dispatch before normal argument parsing (which rejects the flag).
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.first().map(String::as_str) == Some("--shard-worker") {
-        let code = tlm_serve::shard::shard_worker_entry(&argv[1..]);
-        return ExitCode::from(u8::try_from(code).unwrap_or(1));
-    }
-
     // Target of the cache and cold-platform phases: external (--addr) or
     // in-process on an ephemeral port.
     let (addr, local) = match parse_args() {
@@ -873,7 +665,7 @@ fn main() -> ExitCode {
         "loadgen: {REQUESTS} requests x {CLIENTS} clients, seed {SEED:#x}, target http://{addr}"
     );
 
-    let mut run = Run { addr, gates: Vec::new(), cold_hashes: Vec::new() };
+    let mut run = Run { addr, gates: Vec::new() };
     let mut record = ObjectBuilder::new()
         .field("bench", "serve")
         .field("seed", format!("{SEED:#x}"))

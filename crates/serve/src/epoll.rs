@@ -38,8 +38,8 @@ pub const EPOLLRDHUP: u32 = 0x2000;
 const EPOLL_CTL_ADD: i32 = 1;
 const EPOLL_CTL_DEL: i32 = 2;
 const EPOLL_CTL_MOD: i32 = 3;
-/// `EPOLL_CLOEXEC`: the epoll fd must not leak into spawned shard
-/// processes.
+/// `EPOLL_CLOEXEC`: the epoll fd must not leak across `exec` into any
+/// child process the embedding program spawns.
 const EPOLL_CLOEXEC: i32 = 0o200_0000;
 const EINTR: i32 = 4;
 

@@ -22,25 +22,16 @@
 //! - [`server`] — a readiness-driven event loop owning every socket,
 //!   with a bounded worker pool for CPU-bound estimation behind it; when
 //!   the dispatch queue is full the loop answers `503` with
-//!   `Retry-After` inline instead of buffering without bound. When a
-//!   shard tier is configured the loop also owns one persistent
-//!   multiplexed connection per shard, so many forwarded requests ride
-//!   each connection concurrently and out-of-order completions resolve
-//!   by frame id without parking any worker thread;
+//!   `Retry-After` inline instead of buffering without bound;
 //! - [`protocol`] — the JSON request/response schema and its evaluation
 //!   against the estimation engine; responses are a pure function of the
 //!   request, so concurrent clients observe bit-identical bytes;
-//! - [`rpc`] / [`shard`] — the optional content-hash-sharded tier: the
-//!   front forwards estimation and session traffic as id-tagged binary
-//!   frames to shard processes routed by canonical stage keys, over
-//!   loopback TCP or Unix-domain sockets (`--shard-transport unix`);
-//!   `--shards 0`, the default, keeps everything in-process;
 //! - [`metrics`] — Prometheus text exposition of request counters, a
-//!   latency histogram, queue depth, connection-state gauges, per-shard
-//!   traffic and per-stage pipeline counters;
+//!   latency histogram, queue depth, connection-state gauges and
+//!   per-stage pipeline counters;
 //! - [`trace`] — an always-on, fixed-capacity trace ring recording
 //!   request lifecycle states, pipeline-stage cache transitions and
-//!   shard RPC frames, exportable per request as Chrome trace JSON
+//!   worker panics, exportable per request as Chrome trace JSON
 //!   (`GET /trace/{id}`, `POST /estimate?trace=1`);
 //! - [`signal`] — SIGINT/SIGTERM latching for graceful drain-then-exit,
 //!   with a self-pipe so waiters park instead of polling;
@@ -60,9 +51,7 @@ pub mod epoll;
 pub mod http;
 pub mod metrics;
 pub mod protocol;
-pub mod rpc;
 pub mod server;
-pub mod shard;
 pub mod signal;
 pub mod trace;
 

@@ -1,8 +1,7 @@
 //! `tlm-serve` — the estimation service daemon.
 //!
 //! ```text
-//! tlm-serve [--addr HOST:PORT] [--workers N] [--queue N] [--shards N]
-//!           [--shard-transport tcp|unix] [--max-shard-inflight N]
+//! tlm-serve [--addr HOST:PORT] [--workers N] [--queue N]
 //!           [--cache-budget BYTES] [--session-budget BYTES]
 //!           [--session-ttl SECONDS]
 //! ```
@@ -12,18 +11,6 @@
 //! SIGINT/SIGTERM, then drains in-flight requests and exits. On the
 //! first signal `/readyz` flips to `503` (load balancers stop routing)
 //! while `/healthz` keeps answering `200` — draining is not dying.
-//!
-//! `--shards N` spawns `N` estimation shard processes (from this same
-//! executable) and forwards `/estimate` and `/session*` traffic to them,
-//! routed by consistent hashing over canonical pipeline stage keys —
-//! see [`tlm_serve::shard`]. `--shards 0` (the default) keeps every
-//! request in-process; responses are bit-identical either way. The
-//! resource limits below apply per shard when sharding is on.
-//! `--shard-transport unix` carries shard RPC over Unix-domain sockets
-//! instead of loopback TCP (clients still connect over TCP).
-//! `--max-shard-inflight` caps the id-tagged frames concurrently in
-//! flight on each multiplexed shard connection; overflow is declined
-//! inline with `503` + `Retry-After`.
 //!
 //! `--cache-budget` bounds the resident bytes of the pipeline's
 //! memoization stores; the default is unbounded. Under a budget, cold
@@ -37,18 +24,15 @@
 
 use std::io::Write;
 use std::process::ExitCode;
-use std::sync::Arc;
 use std::time::Duration;
 
 use tlm_serve::protocol::Service;
 use tlm_serve::server::{Server, ServerConfig};
-use tlm_serve::shard::{shard_worker_entry, ShardConfig, ShardRouter, Transport};
 use tlm_serve::signal;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: tlm-serve [--addr HOST:PORT] [--workers N] [--queue N] [--shards N]\n\
-         \x20                [--shard-transport tcp|unix] [--max-shard-inflight N]\n\
+        "usage: tlm-serve [--addr HOST:PORT] [--workers N] [--queue N]\n\
          \x20                [--cache-budget BYTES] [--session-budget BYTES]\n\
          \x20                [--session-ttl SECONDS]\n\
          \n\
@@ -66,8 +50,6 @@ fn usage() -> ! {
 }
 
 struct Limits {
-    shards: usize,
-    transport: Transport,
     cache_budget: u64,
     session_budget: u64,
     session_ttl: Duration,
@@ -76,8 +58,6 @@ struct Limits {
 fn parse_args() -> (ServerConfig, Limits) {
     let mut config = ServerConfig::default();
     let mut limits = Limits {
-        shards: 0,
-        transport: Transport::Tcp,
         cache_budget: u64::MAX,
         session_budget: tlm_serve::protocol::DEFAULT_SESSION_BUDGET,
         session_ttl: tlm_serve::protocol::DEFAULT_SESSION_TTL,
@@ -94,14 +74,6 @@ fn parse_args() -> (ServerConfig, Limits) {
             "--addr" => config.addr = value("--addr"),
             "--workers" => config.workers = value("--workers").parse().unwrap_or_else(|_| usage()),
             "--queue" => config.queue = value("--queue").parse().unwrap_or_else(|_| usage()),
-            "--shards" => limits.shards = value("--shards").parse().unwrap_or_else(|_| usage()),
-            "--shard-transport" => {
-                limits.transport = value("--shard-transport").parse().unwrap_or_else(|_| usage());
-            }
-            "--max-shard-inflight" => {
-                config.max_shard_inflight =
-                    value("--max-shard-inflight").parse().unwrap_or_else(|_| usage());
-            }
             "--cache-budget" => {
                 limits.cache_budget = value("--cache-budget").parse().unwrap_or_else(|_| usage());
             }
@@ -124,42 +96,12 @@ fn parse_args() -> (ServerConfig, Limits) {
 }
 
 fn main() -> ExitCode {
-    // Shard processes re-exec this executable with `--shard-worker`;
-    // dispatch before normal argument parsing (which rejects the flag).
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.first().map(String::as_str) == Some("--shard-worker") {
-        let code = shard_worker_entry(&argv[1..]);
-        return ExitCode::from(u8::try_from(code).unwrap_or(1));
-    }
-
     let (config, limits) = parse_args();
     signal::install();
 
-    let router = if limits.shards > 0 {
-        let shard_config = ShardConfig {
-            shards: limits.shards,
-            transport: limits.transport,
-            cache_budget: limits.cache_budget,
-            session_budget: limits.session_budget,
-            session_ttl: limits.session_ttl,
-        };
-        match ShardRouter::spawn(&shard_config) {
-            Ok(router) => Some(Arc::new(router)),
-            Err(e) => {
-                eprintln!("tlm-serve: cannot spawn {} shards: {e}", limits.shards);
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
-        None
-    };
-
     let queue = config.queue;
-    let mut service =
+    let service =
         Service::with_limits(queue, limits.cache_budget, limits.session_budget, limits.session_ttl);
-    if let Some(router) = &router {
-        service = service.with_router(Arc::clone(router));
-    }
     let handle = match Server::start(config, service) {
         Ok(handle) => handle,
         Err(e) => {
@@ -175,9 +117,6 @@ fn main() -> ExitCode {
     signal::wait();
     println!("tlm-serve: shutdown requested, draining");
     handle.shutdown();
-    if let Some(router) = &router {
-        router.shutdown();
-    }
     println!("tlm-serve: drained, bye");
     ExitCode::SUCCESS
 }

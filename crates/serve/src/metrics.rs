@@ -19,10 +19,6 @@ pub const LATENCY_BUCKETS: [f64; 9] = [0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.2
 /// counter.
 pub const STATUSES: [u16; 8] = [200, 400, 404, 405, 408, 413, 500, 503];
 
-/// The most estimation shards the metrics can track (a fixed array keeps
-/// the counters lock-free); `--shards` is validated against this.
-pub const MAX_SHARDS: usize = 8;
-
 /// The states a connection can occupy in the event loop, each with its
 /// own gauge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,113 +84,6 @@ pub struct Metrics {
     epoll_wakeups_total: AtomicU64,
     /// Connections per event-loop state, indexed like [`CONN_PHASES`].
     conn_phases: [AtomicU64; CONN_PHASES.len()],
-    /// Estimation shards this front routes to (0 = in-process mode).
-    shards_configured: AtomicU64,
-    /// Requests forwarded per shard.
-    shard_requests: [AtomicU64; MAX_SHARDS],
-    /// Request-frame bytes sent per shard.
-    shard_tx_bytes: [AtomicU64; MAX_SHARDS],
-    /// Response-frame bytes received per shard.
-    shard_rx_bytes: [AtomicU64; MAX_SHARDS],
-    /// Shard RPC exchanges that failed (answered 503 locally).
-    shard_rpc_errors_total: AtomicU64,
-    /// Shard RPC round-trip latency (all shards aggregated).
-    rpc_latency: Histogram,
-    /// Queue-wait component of shard RPCs: dispatch until the request
-    /// frame is fully flushed to the shard socket.
-    rpc_queue: Histogram,
-    /// On-wire component of shard RPCs: frame flushed until the
-    /// completion frame is decoded.
-    rpc_wire: Histogram,
-    /// Requests currently in flight on each shard's multiplexed
-    /// connection.
-    shard_inflight: [AtomicU64; MAX_SHARDS],
-    /// High-water mark of `shard_inflight` — the proof the connection
-    /// actually pipelines (depth > 1).
-    shard_inflight_peak: [AtomicU64; MAX_SHARDS],
-    /// Forwards answered `503` inline because a shard's in-flight cap
-    /// was reached.
-    shard_inflight_rejected_total: AtomicU64,
-}
-
-/// One shard's own counters, as answered to a `STATS` RPC frame and
-/// aggregated into the front's `/metrics` page (see
-/// [`render_shard_stats`]). Shards run their own [`Metrics`] and
-/// pipeline; without this, their cache behavior is invisible to anyone
-/// scraping only the front.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ShardStatsSnapshot {
-    /// Per-stage `(name, hits, misses)` of the shard's artifact
-    /// pipeline.
-    pub stages: Vec<(String, u64, u64)>,
-    /// Request-handler panics the shard caught and isolated.
-    pub worker_panics: u64,
-    /// Events the shard recorded into its trace ring.
-    pub trace_events: u64,
-    /// Trace-ring events the shard overwrote (ring full).
-    pub trace_dropped: u64,
-}
-
-/// Renders per-shard counters fetched over STATS RPC frames in the
-/// Prometheus text format, for appending to [`Metrics::render`] output.
-/// `slots` pairs each shard index with its snapshot; unreachable shards
-/// are simply absent (a scrape must not fail because one shard is
-/// restarting).
-#[must_use]
-pub fn render_shard_stats(slots: &[(usize, ShardStatsSnapshot)]) -> String {
-    use std::fmt::Write;
-
-    let mut out = String::new();
-    if slots.is_empty() {
-        return out;
-    }
-    let mut stage_family = |name: &str, help: &str, pick: fn(&(String, u64, u64)) -> u64| {
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} counter");
-        for (shard, snapshot) in slots {
-            for stage in &snapshot.stages {
-                let _ = writeln!(
-                    out,
-                    "{name}{{shard=\"{shard}\",stage=\"{}\"}} {}",
-                    stage.0,
-                    pick(stage)
-                );
-            }
-        }
-    };
-    stage_family(
-        "tlm_serve_shard_stage_hits_total",
-        "Shard-side artifact-pipeline lookups served from a stage store.",
-        |s| s.1,
-    );
-    stage_family(
-        "tlm_serve_shard_stage_misses_total",
-        "Shard-side artifact-pipeline lookups that computed the stage.",
-        |s| s.2,
-    );
-    let mut shard_family = |name: &str, help: &str, pick: fn(&ShardStatsSnapshot) -> u64| {
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} counter");
-        for (shard, snapshot) in slots {
-            let _ = writeln!(out, "{name}{{shard=\"{shard}\"}} {}", pick(snapshot));
-        }
-    };
-    shard_family(
-        "tlm_serve_shard_worker_panics_total",
-        "Request-handler panics caught and isolated on each shard.",
-        |s| s.worker_panics,
-    );
-    shard_family(
-        "tlm_serve_shard_trace_events_total",
-        "Events recorded into each shard's trace ring.",
-        |s| s.trace_events,
-    );
-    shard_family(
-        "tlm_serve_shard_trace_dropped_total",
-        "Trace-ring events each shard overwrote because its ring was full.",
-        |s| s.trace_dropped,
-    );
-    out
 }
 
 /// One latency histogram over [`LATENCY_BUCKETS`]: per-bucket counts
@@ -387,86 +276,6 @@ impl Metrics {
     /// Records a connection leaving an event-loop state.
     pub fn phase_leave(&self, phase: ConnPhase) {
         self.conn_phases[phase.index()].fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Declares how many estimation shards the front routes to (renders
-    /// the per-shard families for exactly that many slots).
-    pub fn set_shards(&self, n: usize) {
-        self.shards_configured.store(n.min(MAX_SHARDS) as u64, Ordering::Relaxed);
-    }
-
-    /// Records one successful shard RPC exchange: the shard it went to,
-    /// the frame bytes in each direction, and the round-trip latency.
-    pub fn shard_request(&self, shard: usize, tx_bytes: u64, rx_bytes: u64, elapsed: Duration) {
-        if shard < MAX_SHARDS {
-            self.shard_requests[shard].fetch_add(1, Ordering::Relaxed);
-            self.shard_tx_bytes[shard].fetch_add(tx_bytes, Ordering::Relaxed);
-            self.shard_rx_bytes[shard].fetch_add(rx_bytes, Ordering::Relaxed);
-        }
-        self.rpc_latency.observe(elapsed);
-    }
-
-    /// Counts one failed shard RPC exchange.
-    pub fn shard_rpc_error(&self) {
-        self.shard_rpc_errors_total.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Total failed shard RPC exchanges.
-    pub fn shard_rpc_errors(&self) -> u64 {
-        self.shard_rpc_errors_total.load(Ordering::Relaxed)
-    }
-
-    /// Records the two components of one shard RPC: queue-wait (dispatch
-    /// until the request frame was flushed to the socket) and on-wire
-    /// (flushed until the completion frame arrived). The total is
-    /// recorded separately through [`Metrics::shard_request`].
-    pub fn shard_rpc_split(&self, queue: Duration, wire: Duration) {
-        self.rpc_queue.observe(queue);
-        self.rpc_wire.observe(wire);
-    }
-
-    /// Records a request entering a shard's multiplexed connection.
-    pub fn shard_inflight_enter(&self, shard: usize) {
-        if shard < MAX_SHARDS {
-            let depth = self.shard_inflight[shard].fetch_add(1, Ordering::Relaxed) + 1;
-            self.shard_inflight_peak[shard].fetch_max(depth, Ordering::Relaxed);
-        }
-    }
-
-    /// Completes [`Metrics::shard_inflight_enter`].
-    pub fn shard_inflight_leave(&self, shard: usize) {
-        if shard < MAX_SHARDS {
-            self.shard_inflight[shard].fetch_sub(1, Ordering::Relaxed);
-        }
-    }
-
-    /// High-water mark of one shard's in-flight depth.
-    pub fn shard_inflight_peak(&self, shard: usize) -> u64 {
-        if shard < MAX_SHARDS {
-            self.shard_inflight_peak[shard].load(Ordering::Relaxed)
-        } else {
-            0
-        }
-    }
-
-    /// Counts one forward answered `503` inline because the shard's
-    /// in-flight cap was reached.
-    pub fn shard_inflight_rejected(&self) {
-        self.shard_inflight_rejected_total.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Total in-flight-cap rejections.
-    pub fn shard_inflight_rejections(&self) -> u64 {
-        self.shard_inflight_rejected_total.load(Ordering::Relaxed)
-    }
-
-    /// Requests forwarded to one shard.
-    pub fn shard_requests(&self, shard: usize) -> u64 {
-        if shard < MAX_SHARDS {
-            self.shard_requests[shard].load(Ordering::Relaxed)
-        } else {
-            0
-        }
     }
 
     /// Renders everything in the Prometheus text exposition format,
@@ -711,12 +520,6 @@ impl Metrics {
             "High-water mark of open connections.",
             self.open_connections_peak(),
         );
-        let shards = self.shards_configured.load(Ordering::Relaxed) as usize;
-        gauge(
-            "tlm_serve_shards_configured",
-            "Estimation shards this front routes to (0 = in-process).",
-            shards as u64,
-        );
 
         let _ = writeln!(
             out,
@@ -733,90 +536,6 @@ impl Metrics {
             let _ = writeln!(out, "tlm_serve_connection_states{{state=\"{phase}\"}} {n}");
         }
 
-        // Shard tier: per-shard traffic counters for exactly the
-        // configured shard count, plus the aggregate RPC error counter
-        // and round-trip histogram (always rendered, zero in in-process
-        // mode, so dashboards need no conditional scrape config).
-        let mut shard_family = |name: &str, help: &str, values: &[AtomicU64; MAX_SHARDS]| {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} counter");
-            for (shard, value) in values.iter().enumerate().take(shards) {
-                let n = value.load(Ordering::Relaxed);
-                let _ = writeln!(out, "{name}{{shard=\"{shard}\"}} {n}");
-            }
-        };
-        shard_family(
-            "tlm_serve_shard_requests_total",
-            "Requests forwarded to each estimation shard.",
-            &self.shard_requests,
-        );
-        shard_family(
-            "tlm_serve_shard_tx_bytes_total",
-            "Request-frame bytes sent to each estimation shard.",
-            &self.shard_tx_bytes,
-        );
-        shard_family(
-            "tlm_serve_shard_rx_bytes_total",
-            "Response-frame bytes received from each estimation shard.",
-            &self.shard_rx_bytes,
-        );
-        let mut shard_gauge = |name: &str, help: &str, values: &[AtomicU64; MAX_SHARDS]| {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} gauge");
-            for (shard, value) in values.iter().enumerate().take(shards) {
-                let n = value.load(Ordering::Relaxed);
-                let _ = writeln!(out, "{name}{{shard=\"{shard}\"}} {n}");
-            }
-        };
-        shard_gauge(
-            "tlm_serve_shard_inflight",
-            "Requests currently in flight on each shard's multiplexed connection.",
-            &self.shard_inflight,
-        );
-        shard_gauge(
-            "tlm_serve_shard_inflight_peak",
-            "High-water mark of each shard connection's in-flight depth.",
-            &self.shard_inflight_peak,
-        );
-        let _ = writeln!(
-            out,
-            "# HELP tlm_serve_shard_inflight_rejected_total Forwards answered 503 because a shard's in-flight cap was reached."
-        );
-        let _ = writeln!(out, "# TYPE tlm_serve_shard_inflight_rejected_total counter");
-        let _ = writeln!(
-            out,
-            "tlm_serve_shard_inflight_rejected_total {}",
-            self.shard_inflight_rejected_total.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(
-            out,
-            "# HELP tlm_serve_shard_rpc_errors_total Shard RPC exchanges that failed (answered 503 locally)."
-        );
-        let _ = writeln!(out, "# TYPE tlm_serve_shard_rpc_errors_total counter");
-        let _ = writeln!(
-            out,
-            "tlm_serve_shard_rpc_errors_total {}",
-            self.shard_rpc_errors_total.load(Ordering::Relaxed)
-        );
-
-        self.rpc_latency.render(
-            &mut out,
-            "tlm_serve_shard_rpc_duration_seconds",
-            "Shard RPC round-trip latency.",
-        );
-        // The round trip split into its two halves: time a dispatched
-        // frame waited to reach the socket vs time spent between flush
-        // and completion.
-        self.rpc_queue.render(
-            &mut out,
-            "tlm_serve_shard_rpc_queue_seconds",
-            "Shard RPC queue-wait: dispatch until the request frame reached the socket.",
-        );
-        self.rpc_wire.render(
-            &mut out,
-            "tlm_serve_shard_rpc_wire_seconds",
-            "Shard RPC on-wire time: frame flushed until the completion frame arrived.",
-        );
         self.latency.render(
             &mut out,
             "tlm_serve_request_duration_seconds",
@@ -855,14 +574,6 @@ mod tests {
         m.conn_closed();
         m.epoll_wakeup();
         m.phase_enter(ConnPhase::Reading);
-        m.set_shards(2);
-        m.shard_request(1, 10, 20, Duration::from_millis(3));
-        m.shard_rpc_error();
-        m.shard_rpc_split(Duration::from_micros(500), Duration::from_millis(2));
-        m.shard_inflight_enter(1);
-        m.shard_inflight_enter(1);
-        m.shard_inflight_leave(1);
-        m.shard_inflight_rejected();
 
         let stats = PipelineStats {
             schedules: StoreStats { hits: 7, misses: 3, entries: 10, bytes: 640, evictions: 4 },
@@ -927,36 +638,12 @@ mod tests {
         assert!(text.contains("tlm_serve_connection_states{state=\"dispatched\"} 0"));
         assert!(text.contains("tlm_serve_connection_states{state=\"writing\"} 0"));
         assert!(text.contains("tlm_serve_connection_states{state=\"closing\"} 0"));
-        // Shard families: exactly the configured slots render.
-        assert!(text.contains("tlm_serve_shards_configured 2"));
-        assert!(text.contains("tlm_serve_shard_requests_total{shard=\"0\"} 0"));
-        assert!(text.contains("tlm_serve_shard_requests_total{shard=\"1\"} 1"));
-        assert!(!text.contains("tlm_serve_shard_requests_total{shard=\"2\"}"));
-        assert!(text.contains("tlm_serve_shard_tx_bytes_total{shard=\"1\"} 10"));
-        assert!(text.contains("tlm_serve_shard_rx_bytes_total{shard=\"1\"} 20"));
-        assert!(text.contains("tlm_serve_shard_rpc_errors_total 1"));
-        assert!(text.contains("tlm_serve_shard_rpc_duration_seconds_count 1"));
-        assert!(text.contains("tlm_serve_shard_rpc_duration_seconds_bucket{le=\"0.005\"} 1"));
-        // The split histograms: 500 µs queue lands in ≤1 ms, 2 ms wire
-        // in ≤5 ms.
-        assert!(text.contains("tlm_serve_shard_rpc_queue_seconds_bucket{le=\"0.001\"} 1"));
-        assert!(text.contains("tlm_serve_shard_rpc_queue_seconds_count 1"));
-        assert!(text.contains("tlm_serve_shard_rpc_wire_seconds_bucket{le=\"0.001\"} 0"));
-        assert!(text.contains("tlm_serve_shard_rpc_wire_seconds_bucket{le=\"0.005\"} 1"));
-        assert!(text.contains("tlm_serve_shard_rpc_wire_seconds_count 1"));
-        // In-flight depth per shard connection, with its high-water mark.
-        assert!(text.contains("tlm_serve_shard_inflight{shard=\"1\"} 1"));
-        assert!(text.contains("tlm_serve_shard_inflight_peak{shard=\"1\"} 2"));
-        assert!(!text.contains("tlm_serve_shard_inflight{shard=\"2\"}"));
-        assert!(text.contains("tlm_serve_shard_inflight_rejected_total 1"));
-        assert_eq!(m.shard_inflight_peak(1), 2);
     }
 
-    /// The four latency histograms for fixed observations, pinned byte
-    /// for byte (family order included): they close the page, in the
-    /// order round trip, queue wait, wire time, request latency.
+    /// The request-latency histogram for fixed observations, pinned byte
+    /// for byte: it closes the page.
     #[test]
-    fn histogram_families_render_byte_identically() {
+    fn latency_histogram_renders_byte_identically() {
         let m = Metrics::new();
         for elapsed in
             [Duration::from_micros(500), Duration::from_millis(3), Duration::from_secs(7)]
@@ -964,58 +651,13 @@ mod tests {
             m.begin();
             m.done(elapsed);
         }
-        m.shard_request(0, 1, 1, Duration::from_millis(20));
-        m.shard_request(1, 1, 1, Duration::from_secs(2));
-        m.shard_rpc_split(Duration::from_micros(100), Duration::from_millis(40));
-        m.shard_rpc_split(Duration::from_millis(2), Duration::from_millis(300));
         let text = m.render(&PipelineStats::default(), &SessionStats::default(), 1);
-        let start = text.find("# HELP tlm_serve_shard_rpc_duration_seconds ").expect("rpc family");
-        assert_eq!(&text[start..], HISTOGRAM_FAMILIES);
+        let start =
+            text.find("# HELP tlm_serve_request_duration_seconds ").expect("latency family");
+        assert_eq!(&text[start..], LATENCY_HISTOGRAM);
     }
 
-    const HISTOGRAM_FAMILIES: &str = r#"# HELP tlm_serve_shard_rpc_duration_seconds Shard RPC round-trip latency.
-# TYPE tlm_serve_shard_rpc_duration_seconds histogram
-tlm_serve_shard_rpc_duration_seconds_bucket{le="0.001"} 0
-tlm_serve_shard_rpc_duration_seconds_bucket{le="0.005"} 0
-tlm_serve_shard_rpc_duration_seconds_bucket{le="0.01"} 0
-tlm_serve_shard_rpc_duration_seconds_bucket{le="0.025"} 1
-tlm_serve_shard_rpc_duration_seconds_bucket{le="0.05"} 1
-tlm_serve_shard_rpc_duration_seconds_bucket{le="0.1"} 1
-tlm_serve_shard_rpc_duration_seconds_bucket{le="0.25"} 1
-tlm_serve_shard_rpc_duration_seconds_bucket{le="1"} 1
-tlm_serve_shard_rpc_duration_seconds_bucket{le="5"} 2
-tlm_serve_shard_rpc_duration_seconds_bucket{le="+Inf"} 2
-tlm_serve_shard_rpc_duration_seconds_sum 2.02
-tlm_serve_shard_rpc_duration_seconds_count 2
-# HELP tlm_serve_shard_rpc_queue_seconds Shard RPC queue-wait: dispatch until the request frame reached the socket.
-# TYPE tlm_serve_shard_rpc_queue_seconds histogram
-tlm_serve_shard_rpc_queue_seconds_bucket{le="0.001"} 1
-tlm_serve_shard_rpc_queue_seconds_bucket{le="0.005"} 2
-tlm_serve_shard_rpc_queue_seconds_bucket{le="0.01"} 2
-tlm_serve_shard_rpc_queue_seconds_bucket{le="0.025"} 2
-tlm_serve_shard_rpc_queue_seconds_bucket{le="0.05"} 2
-tlm_serve_shard_rpc_queue_seconds_bucket{le="0.1"} 2
-tlm_serve_shard_rpc_queue_seconds_bucket{le="0.25"} 2
-tlm_serve_shard_rpc_queue_seconds_bucket{le="1"} 2
-tlm_serve_shard_rpc_queue_seconds_bucket{le="5"} 2
-tlm_serve_shard_rpc_queue_seconds_bucket{le="+Inf"} 2
-tlm_serve_shard_rpc_queue_seconds_sum 0.0021
-tlm_serve_shard_rpc_queue_seconds_count 2
-# HELP tlm_serve_shard_rpc_wire_seconds Shard RPC on-wire time: frame flushed until the completion frame arrived.
-# TYPE tlm_serve_shard_rpc_wire_seconds histogram
-tlm_serve_shard_rpc_wire_seconds_bucket{le="0.001"} 0
-tlm_serve_shard_rpc_wire_seconds_bucket{le="0.005"} 0
-tlm_serve_shard_rpc_wire_seconds_bucket{le="0.01"} 0
-tlm_serve_shard_rpc_wire_seconds_bucket{le="0.025"} 0
-tlm_serve_shard_rpc_wire_seconds_bucket{le="0.05"} 1
-tlm_serve_shard_rpc_wire_seconds_bucket{le="0.1"} 1
-tlm_serve_shard_rpc_wire_seconds_bucket{le="0.25"} 1
-tlm_serve_shard_rpc_wire_seconds_bucket{le="1"} 2
-tlm_serve_shard_rpc_wire_seconds_bucket{le="5"} 2
-tlm_serve_shard_rpc_wire_seconds_bucket{le="+Inf"} 2
-tlm_serve_shard_rpc_wire_seconds_sum 0.34
-tlm_serve_shard_rpc_wire_seconds_count 2
-# HELP tlm_serve_request_duration_seconds Request handling latency.
+    const LATENCY_HISTOGRAM: &str = r#"# HELP tlm_serve_request_duration_seconds Request handling latency.
 # TYPE tlm_serve_request_duration_seconds histogram
 tlm_serve_request_duration_seconds_bucket{le="0.001"} 1
 tlm_serve_request_duration_seconds_bucket{le="0.005"} 2
@@ -1030,24 +672,6 @@ tlm_serve_request_duration_seconds_bucket{le="+Inf"} 3
 tlm_serve_request_duration_seconds_sum 7.0035
 tlm_serve_request_duration_seconds_count 3
 "#;
-
-    #[test]
-    fn shard_stats_snapshots_render_per_shard_families() {
-        let snapshot = ShardStatsSnapshot {
-            stages: vec![("ast".to_string(), 3, 1), ("module".to_string(), 2, 2)],
-            worker_panics: 1,
-            trace_events: 40,
-            trace_dropped: 4,
-        };
-        let text = render_shard_stats(&[(0, ShardStatsSnapshot::default()), (1, snapshot)]);
-        assert!(text.contains("tlm_serve_shard_stage_hits_total{shard=\"1\",stage=\"ast\"} 3"));
-        assert!(text.contains("tlm_serve_shard_stage_misses_total{shard=\"1\",stage=\"module\"} 2"));
-        assert!(text.contains("tlm_serve_shard_worker_panics_total{shard=\"0\"} 0"));
-        assert!(text.contains("tlm_serve_shard_worker_panics_total{shard=\"1\"} 1"));
-        assert!(text.contains("tlm_serve_shard_trace_events_total{shard=\"1\"} 40"));
-        assert!(text.contains("tlm_serve_shard_trace_dropped_total{shard=\"1\"} 4"));
-        assert!(render_shard_stats(&[]).is_empty(), "no shards, no families");
-    }
 
     #[test]
     fn kernel_scratch_counters_exported() {

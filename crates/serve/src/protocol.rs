@@ -35,7 +35,6 @@
 
 use std::collections::HashMap;
 use std::convert::Infallible;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -48,8 +47,6 @@ use tlm_session::{EditReport, SessionError, SessionStore, SessionView, SourceEdi
 
 use crate::http::{Request, Response};
 use crate::metrics::Metrics;
-use crate::rpc::RpcRequest;
-use crate::shard::ShardRouter;
 
 /// Default resident-byte budget across all sessions.
 pub const DEFAULT_SESSION_BUDGET: u64 = 64 << 20;
@@ -496,27 +493,6 @@ pub struct Service {
     pub sessions: SessionStore,
     /// Capacity of the accept queue, exported through `/metrics`.
     pub queue_capacity: usize,
-    /// When present, the event loop forwards estimation and session
-    /// requests to the shard tier ([`Service::shard_plan`], see
-    /// [`crate::shard`]). Probes and `/metrics` always answer locally.
-    router: Option<Arc<ShardRouter>>,
-    /// Front-assigned session ids. The front allocates the id *before*
-    /// forwarding a create so it can place the session on the ring by id
-    /// ([`ShardRouter::route_session`]); every later `/session/{id}`
-    /// request re-derives the same shard from the path. Starts at 1 so
-    /// sharded responses stay bit-identical to the in-process store's
-    /// own counter.
-    next_session: AtomicU64,
-}
-
-/// A forwarding decision for the event loop's multiplexed shard path:
-/// which shard owns the request and the RPC frame body to send it.
-#[derive(Debug)]
-pub struct ShardPlan {
-    /// Index of the owning shard.
-    pub shard: usize,
-    /// The request to encode into a [`crate::rpc::TAG_REQUEST`] frame.
-    pub request: RpcRequest,
 }
 
 impl Service {
@@ -558,134 +534,7 @@ impl Service {
             catalog: Catalog::new(),
             sessions: SessionStore::new(session_budget, session_ttl),
             queue_capacity,
-            router: None,
-            next_session: AtomicU64::new(1),
         }
-    }
-
-    /// Routes estimation and session traffic through `router`'s shard
-    /// tier instead of the in-process pipeline, multiplexing every
-    /// in-flight request over one persistent connection per shard inside
-    /// the event loop. Probes and `/metrics` still answer locally;
-    /// everything else is bit-identical to the in-process path (each
-    /// shard runs this same handler).
-    #[must_use]
-    pub fn with_router(mut self, router: Arc<ShardRouter>) -> Service {
-        self.router = Some(router);
-        self
-    }
-
-    /// Number of shards behind this service (`0` = in-process mode).
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.router.as_ref().map_or(0, |r| r.shard_count())
-    }
-
-    /// The shard router, when this front forwards to a shard tier.
-    #[must_use]
-    pub fn router(&self) -> Option<&Arc<ShardRouter>> {
-        self.router.as_ref()
-    }
-
-    /// Picks the owning shard for a forwarded request and, for session
-    /// creation, allocates the front-assigned id that both routes the
-    /// session and becomes its identity on the shard.
-    fn shard_for(
-        &self,
-        router: &ShardRouter,
-        method: &str,
-        path: &str,
-        body: &[u8],
-        max_body: usize,
-        draining: bool,
-    ) -> (usize, Option<u64>) {
-        if path == "/estimate" {
-            return (router.route_estimate(body, max_body), None);
-        }
-        if path == "/session" {
-            // Only a create that can succeed burns an id: drain rejects
-            // before the store would allocate, and non-POST is a 405.
-            if method == "POST" && !draining {
-                let id = self.next_session.fetch_add(1, Ordering::Relaxed);
-                return (router.route_session(id), Some(id));
-            }
-            return (0, None);
-        }
-        if let Some(rest) = path.strip_prefix("/session/") {
-            let id_text = rest.split('/').next().unwrap_or("");
-            if let Ok(id) = id_text.parse::<u64>() {
-                return (router.route_session(id), None);
-            }
-        }
-        (0, None)
-    }
-
-    /// Plans the forwarding of one request to its owning shard, or
-    /// `None` when the request must run locally: no router, a traced
-    /// estimate (the ring is per-process), or a path the front answers
-    /// itself. The event loop calls this at dispatch; a `Some` plan
-    /// becomes an id-tagged frame on the owning shard's connection
-    /// instead of a work-queue item.
-    #[must_use]
-    pub fn shard_plan(&self, req: &Request, max_body: usize, draining: bool) -> Option<ShardPlan> {
-        let router = self.router.as_ref()?;
-        let (path, query) = match req.target.split_once('?') {
-            Some((path, query)) => (path, Some(query)),
-            None => (req.target.as_str(), None),
-        };
-        if query.is_some_and(|q| q.split('&').any(|p| p == "trace=1")) {
-            return None;
-        }
-        if !(path == "/estimate" || path == "/session" || path.starts_with("/session/")) {
-            return None;
-        }
-        let (shard, assign) =
-            self.shard_for(router, &req.method, path, &req.body, max_body, draining);
-        Some(ShardPlan {
-            shard,
-            request: RpcRequest {
-                method: req.method.clone(),
-                target: req.target.clone(),
-                body: req.body.clone(),
-                draining,
-                assign_session: assign,
-            },
-        })
-    }
-
-    /// The shard-side entry point for forwarded frames: reconstructs the
-    /// request and runs it through the normal handler, except that a
-    /// create carrying a front-assigned session id goes through
-    /// [`tlm_session::SessionStore::create_with_id`] so the shard's
-    /// session takes exactly the identity the front routed by.
-    pub fn handle_forwarded(
-        &self,
-        req: &RpcRequest,
-        metrics: &Metrics,
-        max_body: usize,
-    ) -> Response {
-        if let Some(id) = req.assign_session {
-            if req.method == "POST" && req.target == "/session" {
-                let (_trace_id, _guard) = crate::trace::ensure_current();
-                crate::trace::record("request", "begin", format!("POST /session (assigned {id})"));
-                let resp = if req.draining {
-                    Response::error(503, "draining: not accepting new sessions")
-                        .with_header("Retry-After", "1")
-                } else {
-                    self.session_create_inner(&req.body, max_body, Some(id))
-                };
-                crate::trace::record("request", "end", crate::trace::status_detail(resp.status));
-                return resp;
-            }
-        }
-        let http_req = Request {
-            method: req.method.clone(),
-            target: req.target.clone(),
-            headers: Vec::new(),
-            body: req.body.clone(),
-            keep_alive: false,
-        };
-        self.handle(&http_req, metrics, max_body, req.draining)
     }
 
     /// Decodes and runs `POST /estimate`.
@@ -757,12 +606,6 @@ impl Service {
     /// response carries the new session id plus the same report object a
     /// stateless `POST /estimate` would answer.
     fn session_create(&self, body: &[u8], max_body: usize) -> Response {
-        self.session_create_inner(body, max_body, None)
-    }
-
-    /// The create body shared by local and forwarded paths; `assign`
-    /// carries a front-assigned session id on shards.
-    fn session_create_inner(&self, body: &[u8], max_body: usize, assign: Option<u64>) -> Response {
         let root = match Self::parse_body(body, max_body) {
             Ok(v) => v,
             Err(resp) => return resp,
@@ -784,13 +627,7 @@ impl Service {
             })
             .collect();
         let detail = job.report == ReportKind::Blocks;
-        let created = match assign {
-            Some(id) => {
-                self.sessions.create_with_id(&self.pipeline, &job.design, sweep, detail, id)
-            }
-            None => self.sessions.create(&self.pipeline, &job.design, sweep, detail),
-        };
-        match created {
+        match self.sessions.create(&self.pipeline, &job.design, sweep, detail) {
             Ok((id, view)) => session_response(id, None, &view),
             Err(e) => session_error_response(&e),
         }
@@ -902,8 +739,7 @@ impl Service {
             None => (req.target.as_str(), None),
         };
         // Attribute this request's ring events to one id. The event loop
-        // assigns ids at dispatch; direct callers (tests, shard workers)
-        // get one here.
+        // assigns ids at dispatch; direct callers (tests) get one here.
         let (trace_id, _trace_guard) = crate::trace::ensure_current();
         crate::trace::record("request", "begin", format!("{} {}", req.method, path));
         let want_trace = query.is_some_and(|q| q.split('&').any(|p| p == "trace=1"));
@@ -922,8 +758,7 @@ impl Service {
         resp
     }
 
-    /// Dispatches one request by `(method, path)`, always in-process:
-    /// forwarding to a shard happens earlier, in the event loop.
+    /// Dispatches one request by `(method, path)`.
     fn route(
         &self,
         req: &Request,
@@ -943,23 +778,11 @@ impl Service {
                 }
             }
             ("GET", "/metrics") => {
-                let mut page = metrics.render(
+                let page = metrics.render(
                     &self.pipeline.stats(),
                     &self.sessions.stats(),
                     self.queue_capacity,
                 );
-                if let Some(router) = &self.router {
-                    // Aggregate shard-side counters into the front's
-                    // page via the STATS control frame; an unreachable
-                    // shard simply contributes no rows.
-                    let mut slots = Vec::new();
-                    for shard in 0..router.shard_count() {
-                        if let Ok(stats) = router.fetch_stats(shard) {
-                            slots.push((shard, stats));
-                        }
-                    }
-                    page.push_str(&crate::metrics::render_shard_stats(&slots));
-                }
                 Response::text(200, page)
             }
             ("GET", "/healthz") => Response::text(200, "ok\n"),
@@ -1301,81 +1124,6 @@ mod tests {
             body: body.to_vec(),
             keep_alive: false,
         }
-    }
-
-    /// A routed service over four shard addresses nothing listens on:
-    /// planning never dials, so any address will do.
-    fn routed() -> (Service, Arc<ShardRouter>) {
-        let dead = vec!["127.0.0.1:1".parse().expect("addr"); 4];
-        let router = Arc::new(ShardRouter::connect(&dead));
-        (Service::new(8).with_router(Arc::clone(&router)), router)
-    }
-
-    #[test]
-    fn shard_plan_routes_estimates_and_sessions_to_their_owners() {
-        let (svc, router) = routed();
-        let plan = |method: &str, target: &str, body: &[u8], draining: bool| {
-            svc.shard_plan(&request(method, target, body), 1 << 20, draining)
-                .map(|p| (p.shard, p.request.assign_session))
-        };
-        let body = br#"{"platform": "mp3:sw"}"#;
-        let owner = router.route_estimate(body, 1 << 20);
-        assert_eq!(plan("POST", "/estimate", body, false), Some((owner, None)));
-        let forwarded = svc.shard_plan(&request("POST", "/estimate", body), 1 << 20, true);
-        let frame = forwarded.expect("planned").request;
-        assert_eq!((frame.method.as_str(), frame.target.as_str()), ("POST", "/estimate"));
-        assert_eq!((frame.body.as_slice(), frame.draining), (&body[..], true));
-
-        // Creates take sequential front-assigned ids and land on the
-        // shard that owns each id; a draining create burns no id.
-        for id in 1..=3 {
-            let planned = plan("POST", "/session", b"{}", false);
-            assert_eq!(planned, Some((router.route_session(id), Some(id))));
-        }
-        assert_eq!(plan("POST", "/session", b"{}", true), Some((0, None)));
-        assert_eq!(plan("GET", "/session/abc", b"", false), Some((0, None)));
-        let planned = plan("POST", "/session", b"{}", false);
-        assert_eq!(planned, Some((router.route_session(4), Some(4))));
-        let planned = plan("POST", "/session/7/edit", b"{}", false);
-        assert_eq!(planned, Some((router.route_session(7), None)));
-        assert_eq!(plan("GET", "/session/7", b"", false), Some((router.route_session(7), None)));
-    }
-
-    #[test]
-    fn shard_plan_keeps_traces_probes_and_unrouted_services_local() {
-        let (svc, _router) = routed();
-        let local = Service::new(8);
-        let body = br#"{"platform": "mp3:sw"}"#;
-        for (method, target) in [
-            ("POST", "/estimate?trace=1"),
-            ("GET", "/metrics"),
-            ("GET", "/healthz"),
-            ("GET", "/readyz"),
-            ("GET", "/trace/5"),
-        ] {
-            assert!(svc.shard_plan(&request(method, target, body), 1 << 20, false).is_none());
-        }
-        for (method, target) in [
-            ("POST", "/estimate"),
-            ("POST", "/session"),
-            ("GET", "/session/1"),
-            ("POST", "/session/1/edit"),
-            ("GET", "/metrics"),
-        ] {
-            assert!(local.shard_plan(&request(method, target, body), 1 << 20, false).is_none());
-        }
-    }
-
-    /// Forwarding is the event loop's job: `handle` on a routed service
-    /// answers in-process and never touches the (unreachable) shards.
-    #[test]
-    fn handle_on_a_routed_service_answers_in_process() {
-        let (svc, _router) = routed();
-        let metrics = Metrics::new();
-        let body = br#"{"platform": "image:sw", "sweep": ["0k/0k"]}"#;
-        let resp = svc.handle(&request("POST", "/estimate", body), &metrics, 1 << 20, false);
-        assert_eq!(resp.status, 200, "body: {}", String::from_utf8_lossy(&resp.body));
-        assert_eq!(resp.body, service().estimate(body, 1 << 20).body);
     }
 
     #[test]

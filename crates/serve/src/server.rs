@@ -20,17 +20,6 @@
 //!   `Retry-After: 1` inline — memory stays capped no matter how fast
 //!   requests arrive, and [`ServerConfig::max_connections`] caps the
 //!   connection table itself;
-//! - **shard RPC multiplexing**: when the service fronts a shard tier
-//!   ([`crate::shard`]), the loop also owns one persistent nonblocking
-//!   connection per shard. A forwardable request becomes an id-tagged
-//!   frame written at dispatch; completion frames are demultiplexed by
-//!   id back to the right client connection, so out-of-order shard
-//!   completions resolve correctly and hundreds of in-flight shard
-//!   round trips park zero threads. Each frame carries its own deadline,
-//!   the per-shard in-flight window is capped
-//!   ([`ServerConfig::max_shard_inflight`], `503` + `Retry-After`
-//!   beyond it), and a dead shard connection fails every in-flight id
-//!   deterministically; the next forwarded request reconnects lazily;
 //! - **deadlines** are enforced by the loop's timer scan: each
 //!   connection carries an I/O-progress deadline (re-armed on every
 //!   byte, [`ServerConfig::io_timeout`]) and a per-request budget
@@ -51,7 +40,7 @@
 //!   (`tlm_serve_worker_panics_total` / `_respawns_total` count both
 //!   sides).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -68,9 +57,7 @@ use tlm_faults::Kind;
 use crate::epoll::{Epoll, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use crate::http::{HttpError, HttpLimits, Request, RequestParser, Response};
 use crate::metrics::{ConnPhase, Metrics};
-use crate::protocol::{Service, ShardPlan};
-use crate::rpc::{self, FrameDecoder, TAG_REQUEST, TAG_RESPONSE};
-use crate::shard::ShardStream;
+use crate::protocol::Service;
 use crate::signal;
 
 /// Tunables of one server instance.
@@ -101,10 +88,6 @@ pub struct ServerConfig {
     /// Connections the event loop will hold open at once; beyond it,
     /// new connections get an inline `503` and close.
     pub max_connections: usize,
-    /// Request frames allowed in flight per shard connection before new
-    /// forwards are declined inline with `503` + `Retry-After` — the
-    /// multiplexed path's analogue of the dispatch-queue cap.
-    pub max_shard_inflight: usize,
 }
 
 impl Default for ServerConfig {
@@ -118,7 +101,6 @@ impl Default for ServerConfig {
             request_deadline: Duration::from_secs(30),
             max_requests_per_conn: 1024,
             max_connections: 1024,
-            max_shard_inflight: 1024,
         }
     }
 }
@@ -149,7 +131,6 @@ impl Server {
 
         let service = Arc::new(service);
         let metrics = Arc::new(Metrics::new());
-        metrics.set_shards(service.shard_count());
         let shutdown = Arc::new(AtomicBool::new(false));
         let (dispatch_tx, dispatch_rx) = sync_channel::<WorkItem>(config.queue);
         let dispatch_rx = Arc::new(Mutex::new(dispatch_rx));
@@ -189,12 +170,9 @@ impl Server {
                 listener: Some(listener),
                 waker_rx,
                 conns: HashMap::new(),
-                shard_conns: HashMap::new(),
-                shard_tokens: vec![None; service.shard_count()],
                 next_token: TOKEN_FIRST_CONN,
                 dispatch_tx,
                 completions: completion_rx,
-                service: Arc::clone(&service),
                 metrics: Arc::clone(&metrics),
                 shutdown: Arc::clone(&shutdown),
                 config,
@@ -402,56 +380,14 @@ fn fill_parser(conn: &mut Connection) -> ReadOutcome {
     }
 }
 
-/// One forwarded request in flight on a shard connection, keyed by its
-/// frame id in [`ShardConn::pending`].
-struct PendingRpc {
-    /// The client connection waiting on this response.
-    token: u64,
-    /// When the frame entered the write buffer (queue-wait starts).
-    enqueued: Instant,
-    /// When the frame's last byte hit the socket (on-wire starts).
-    flushed: Option<Instant>,
-    /// Hard per-frame deadline; expiry fails this id alone.
-    deadline: Instant,
-    /// Frame bytes, for tx accounting at completion.
-    tx_bytes: u64,
-}
-
-/// One persistent multiplexed connection to a shard: a write buffer of
-/// outgoing request frames, an incremental [`FrameDecoder`] on the read
-/// side, and the in-flight window demultiplexed by frame id. Owned by
-/// the event loop like any client connection — never blocked on.
-struct ShardConn {
-    shard: usize,
-    stream: ShardStream,
-    decoder: FrameDecoder,
-    wbuf: Vec<u8>,
-    woff: usize,
-    /// Cumulative bytes appended to / flushed from `wbuf`; comparing the
-    /// two timestamps each frame's queue-wait → on-wire handoff.
-    queued_total: u64,
-    sent_total: u64,
-    /// `(cumulative end offset, id)` of frames not yet fully written.
-    unflushed: VecDeque<(u64, u64)>,
-    pending: HashMap<u64, PendingRpc>,
-    /// Currently registered epoll interest mask.
-    interest: u32,
-}
-
 struct EventLoop {
     epoll: Epoll,
     listener: Option<TcpListener>,
     waker_rx: UnixStream,
     conns: HashMap<u64, Connection>,
-    /// Multiplexed shard connections by event-loop token.
-    shard_conns: HashMap<u64, ShardConn>,
-    /// Per shard index, the token of its live connection (if any);
-    /// `None` until first use or after a death (lazy reconnect).
-    shard_tokens: Vec<Option<u64>>,
     next_token: u64,
     dispatch_tx: SyncSender<WorkItem>,
     completions: Receiver<Completion>,
-    service: Arc<Service>,
     metrics: Arc<Metrics>,
     shutdown: Arc<AtomicBool>,
     config: ServerConfig,
@@ -484,9 +420,6 @@ impl EventLoop {
                 match token {
                     TOKEN_LISTENER => self.accept_ready(),
                     TOKEN_WAKER => self.drain_waker(),
-                    token if self.shard_conns.contains_key(&token) => {
-                        self.shard_ready(token, mask);
-                    }
                     token => self.conn_ready(token, mask),
                 }
             }
@@ -499,12 +432,9 @@ impl EventLoop {
         // drain what is left and exit.
     }
 
-    /// The soonest instant at which some connection's timer fires —
-    /// client-connection timers and in-flight shard frame deadlines.
+    /// The soonest instant at which some connection's timer fires.
     fn nearest_deadline(&self) -> Option<Instant> {
-        let conns = self.conns.values().filter_map(|conn| self.conn_deadline(conn));
-        let rpcs = self.shard_conns.values().flat_map(|sc| sc.pending.values().map(|p| p.deadline));
-        conns.chain(rpcs).min()
+        self.conns.values().filter_map(|conn| self.conn_deadline(conn)).min()
     }
 
     /// The given connection's active timer, if its state has one.
@@ -544,23 +474,6 @@ impl EventLoop {
                 ConnState::Writing(_) | ConnState::Closing { .. } => self.close(token),
                 ConnState::Dispatched => {}
             }
-        }
-        // Shard frames past their per-frame deadline fail individually
-        // (ascending id order for determinism); the connection itself
-        // stays up for the frames still inside their budget.
-        let mut expired_rpc: Vec<(u64, u64)> = self
-            .shard_conns
-            .iter()
-            .flat_map(|(&sc_token, sc)| {
-                sc.pending
-                    .iter()
-                    .filter(|(_, p)| p.deadline <= now)
-                    .map(move |(&id, _)| (sc_token, id))
-            })
-            .collect();
-        expired_rpc.sort_unstable();
-        for (sc_token, id) in expired_rpc {
-            self.fail_rpc(sc_token, id, "deadline exceeded");
         }
     }
 
@@ -736,9 +649,8 @@ impl EventLoop {
         }
     }
 
-    /// Hands a parsed request to the worker pool — or, when the service
-    /// fronts a shard tier, writes it onto the owning shard's
-    /// multiplexed connection — or answers `503` when the queue is full.
+    /// Hands a parsed request to the worker pool, or answers `503` when
+    /// the queue is full.
     fn dispatch(&mut self, token: u64, request: Request) {
         // `signal::requested()` flips `/readyz` the instant SIGTERM
         // lands, before the daemon's main thread initiates the drain.
@@ -746,25 +658,6 @@ impl EventLoop {
         let keep_alive = request.keep_alive;
         let request_id = crate::trace::next_request_id();
         crate::trace::record_for(request_id, "request", "enqueued", request.target.clone());
-        if let Some(plan) =
-            self.service.shard_plan(&request, self.config.limits.max_body_bytes, draining)
-        {
-            // Multiplexed forward: park the connection exactly like a
-            // worker dispatch, then ride the shard connection instead
-            // of the work queue — no worker thread is involved.
-            {
-                let Some(conn) = self.conns.get_mut(&token) else { return };
-                conn.req_keep_alive = keep_alive;
-                let interest = if conn.half_closed { 0 } else { EPOLLRDHUP };
-                transition(&self.metrics, conn, ConnState::Dispatched);
-                if !self.set_interest(token, interest) {
-                    self.close(token);
-                    return;
-                }
-            }
-            self.forward_mux(token, &plan, request_id);
-            return;
-        }
         // Count the enqueue *before* the send so a worker's matching
         // dequeue can never be observed first (the depth gauge would
         // underflow).
@@ -935,9 +828,8 @@ impl EventLoop {
         }
     }
 
-    /// A worker — or a shard completion frame — finished a request:
-    /// compute keep-alive and start the response (or discard it if the
-    /// connection died meanwhile).
+    /// A worker finished a request: compute keep-alive and start the
+    /// response (or discard it if the connection died meanwhile).
     fn complete(&mut self, done: Completion) {
         crate::trace::record_for(
             done.request_id,
@@ -990,329 +882,6 @@ impl EventLoop {
             let _ = self.epoll.del(conn.stream.as_raw_fd());
             self.metrics.phase_leave(phase_of(&conn.state));
             self.metrics.conn_closed();
-        }
-    }
-
-    /// The event-loop token of `shard`'s multiplexed connection, opening
-    /// it lazily on first use (and re-opening after a death).
-    fn shard_token(&mut self, shard: usize) -> io::Result<u64> {
-        if let Some(token) = self.shard_tokens[shard] {
-            return Ok(token);
-        }
-        let router = self.service.router().expect("a shard plan implies a router");
-        let stream = router.open_mux_stream(shard)?;
-        let token = self.next_token;
-        self.next_token += 1;
-        self.epoll.add(stream.as_raw_fd(), EPOLLIN | EPOLLRDHUP, token)?;
-        self.shard_conns.insert(
-            token,
-            ShardConn {
-                shard,
-                stream,
-                decoder: FrameDecoder::new(),
-                wbuf: Vec::new(),
-                woff: 0,
-                queued_total: 0,
-                sent_total: 0,
-                unflushed: VecDeque::new(),
-                pending: HashMap::new(),
-                interest: EPOLLIN | EPOLLRDHUP,
-            },
-        );
-        self.shard_tokens[shard] = Some(token);
-        Ok(token)
-    }
-
-    /// Forwards one request over the owning shard's multiplexed
-    /// connection: the request becomes an id-tagged frame in the
-    /// connection's write buffer and the client connection waits in
-    /// `Dispatched` until the completion frame with the same id comes
-    /// back. Connect failures and a full in-flight window answer the
-    /// retryable `503` contract inline.
-    fn forward_mux(&mut self, token: u64, plan: &ShardPlan, request_id: u64) {
-        let shard = plan.shard;
-        let sc_token = match self.shard_token(shard) {
-            Ok(t) => t,
-            Err(e) => {
-                self.metrics.shard_rpc_error();
-                crate::trace::record_for(request_id, "rpc", "error", format!("shard {shard}: {e}"));
-                let response = Response::error(
-                    503,
-                    &format!("shard {shard} unavailable ({e}), retry shortly"),
-                )
-                .with_header("Retry-After", "1");
-                self.complete(Completion { token, response, panicked: false, request_id });
-                return;
-            }
-        };
-        let over_cap = {
-            let sc = self.shard_conns.get(&sc_token).expect("token just resolved");
-            sc.pending.len() >= self.config.max_shard_inflight
-        };
-        if over_cap {
-            self.metrics.shard_inflight_rejected();
-            let response = Response::error(
-                503,
-                &format!("shard {shard} at in-flight capacity, retry shortly"),
-            )
-            .with_header("Retry-After", "1");
-            self.complete(Completion { token, response, panicked: false, request_id });
-            return;
-        }
-        let payload = rpc::encode_request(&plan.request);
-        let frame = rpc::encode_frame(TAG_REQUEST, request_id, &payload);
-        {
-            let sc = self.shard_conns.get_mut(&sc_token).expect("token just resolved");
-            let now = Instant::now();
-            sc.wbuf.extend_from_slice(&frame);
-            sc.queued_total += frame.len() as u64;
-            sc.unflushed.push_back((sc.queued_total, request_id));
-            sc.pending.insert(
-                request_id,
-                PendingRpc {
-                    token,
-                    enqueued: now,
-                    flushed: None,
-                    deadline: now + self.config.request_deadline,
-                    tx_bytes: frame.len() as u64,
-                },
-            );
-        }
-        self.metrics.begin();
-        self.metrics.shard_inflight_enter(shard);
-        crate::trace::record_for(
-            request_id,
-            "rpc",
-            "send",
-            format!("shard {shard} id {request_id} frame {} bytes", frame.len()),
-        );
-        self.flush_shard(sc_token);
-    }
-
-    /// Routes readiness on a shard connection: drain completion frames,
-    /// flush queued request frames, or declare the connection dead.
-    fn shard_ready(&mut self, sc_token: u64, mask: u32) {
-        if mask & (EPOLLERR | EPOLLHUP) != 0 {
-            self.shard_dead(sc_token, "connection lost");
-            return;
-        }
-        if mask & (EPOLLIN | EPOLLRDHUP) != 0 {
-            self.shard_readable(sc_token);
-        }
-        if mask & EPOLLOUT != 0 {
-            self.flush_shard(sc_token);
-        }
-    }
-
-    /// Reads whatever the shard sent and resolves completed frames to
-    /// their waiting client connections — out-of-order completions
-    /// resolve by id. Frames received before an EOF are still delivered;
-    /// only then does the death fail the remainder.
-    fn shard_readable(&mut self, sc_token: u64) {
-        if tlm_faults::point("serve.rpc.recv", &[Kind::ShortRead]).is_some() {
-            self.shard_dead(sc_token, "injected fault: rpc recv cut");
-            return;
-        }
-        let mut resolved: Vec<(u64, Vec<u8>)> = Vec::new();
-        let dead: Option<String> = 'conn: {
-            let Some(sc) = self.shard_conns.get_mut(&sc_token) else { return };
-            let mut buf = [0u8; 16 << 10];
-            loop {
-                match sc.stream.read(&mut buf) {
-                    Ok(0) => break 'conn Some("connection closed".to_string()),
-                    Ok(n) => {
-                        sc.decoder.push(&buf[..n]);
-                        loop {
-                            match sc.decoder.next_frame() {
-                                Ok(Some((TAG_RESPONSE, id, payload))) => {
-                                    resolved.push((id, payload));
-                                }
-                                // Control acks are not ours to resolve.
-                                Ok(Some(_)) => {}
-                                Ok(None) => break,
-                                Err(e) => break 'conn Some(e.to_string()),
-                            }
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break 'conn None,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(e) => break 'conn Some(e.to_string()),
-                }
-            }
-        };
-        for (id, payload) in resolved {
-            self.resolve_rpc(sc_token, id, &payload);
-        }
-        if let Some(why) = dead {
-            self.shard_dead(sc_token, &why);
-        }
-    }
-
-    /// One completion frame arrived: account the split timings and hand
-    /// the decoded response to the client connection waiting on its id.
-    fn resolve_rpc(&mut self, sc_token: u64, id: u64, payload: &[u8]) {
-        let (shard, pending) = {
-            let Some(sc) = self.shard_conns.get_mut(&sc_token) else { return };
-            // An id we no longer track is a late reply for a frame that
-            // already failed its deadline; drop it.
-            let Some(p) = sc.pending.remove(&id) else { return };
-            (sc.shard, p)
-        };
-        let now = Instant::now();
-        let queued = pending.flushed.unwrap_or(now).duration_since(pending.enqueued);
-        let wire = pending.flushed.map_or(Duration::ZERO, |f| now.duration_since(f));
-        self.metrics.shard_inflight_leave(shard);
-        self.metrics.done(now.duration_since(pending.enqueued));
-        crate::trace::record_for(
-            id,
-            "rpc",
-            "recv",
-            format!("shard {shard} {} bytes", payload.len() + 13),
-        );
-        let response = match rpc::decode_response(payload) {
-            Ok(response) => {
-                self.metrics.shard_request(
-                    shard,
-                    pending.tx_bytes,
-                    (payload.len() + 13) as u64,
-                    now.duration_since(pending.enqueued),
-                );
-                self.metrics.shard_rpc_split(queued, wire);
-                response
-            }
-            Err(e) => {
-                self.metrics.shard_rpc_error();
-                Response::error(503, &format!("shard {shard} unavailable ({e}), retry shortly"))
-                    .with_header("Retry-After", "1")
-            }
-        };
-        self.complete(Completion {
-            token: pending.token,
-            response,
-            panicked: false,
-            request_id: id,
-        });
-    }
-
-    /// Writes as much of the shard connection's queued frames as the
-    /// socket accepts, timestamps frames whose last byte went out, and
-    /// keeps the epoll interest in sync with the buffer state.
-    fn flush_shard(&mut self, sc_token: u64) {
-        if tlm_faults::point("serve.rpc.send", &[Kind::ShortRead]).is_some() {
-            self.shard_dead(sc_token, "injected fault: rpc send cut");
-            return;
-        }
-        let dead: Option<String> = {
-            let Some(sc) = self.shard_conns.get_mut(&sc_token) else { return };
-            loop {
-                if sc.woff >= sc.wbuf.len() {
-                    sc.wbuf.clear();
-                    sc.woff = 0;
-                    break None;
-                }
-                match sc.stream.write(&sc.wbuf[sc.woff..]) {
-                    Ok(0) => break Some("connection closed".to_string()),
-                    Ok(n) => {
-                        sc.woff += n;
-                        sc.sent_total += n as u64;
-                        let now = Instant::now();
-                        while let Some(&(end, id)) = sc.unflushed.front() {
-                            if end > sc.sent_total {
-                                break;
-                            }
-                            sc.unflushed.pop_front();
-                            if let Some(p) = sc.pending.get_mut(&id) {
-                                p.flushed = Some(now);
-                            }
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break None,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(e) => break Some(e.to_string()),
-                }
-            }
-        };
-        if let Some(why) = dead {
-            self.shard_dead(sc_token, &why);
-            return;
-        }
-        self.update_shard_interest(sc_token);
-    }
-
-    /// Re-registers the shard connection's epoll interest: write
-    /// interest only while buffered frame bytes remain.
-    fn update_shard_interest(&mut self, sc_token: u64) {
-        let failed = {
-            let Some(sc) = self.shard_conns.get_mut(&sc_token) else { return };
-            let mask = if sc.woff < sc.wbuf.len() {
-                EPOLLIN | EPOLLRDHUP | EPOLLOUT
-            } else {
-                EPOLLIN | EPOLLRDHUP
-            };
-            if sc.interest == mask {
-                false
-            } else if self.epoll.modify(sc.stream.as_raw_fd(), mask, sc_token).is_ok() {
-                sc.interest = mask;
-                false
-            } else {
-                true
-            }
-        };
-        if failed {
-            self.shard_dead(sc_token, "epoll registration failed");
-        }
-    }
-
-    /// Fails one in-flight shard frame with the retryable `503`
-    /// contract; the connection stays up for the frames still inside
-    /// their budget.
-    fn fail_rpc(&mut self, sc_token: u64, id: u64, why: &str) {
-        let (shard, pending) = {
-            let Some(sc) = self.shard_conns.get_mut(&sc_token) else { return };
-            let Some(p) = sc.pending.remove(&id) else { return };
-            (sc.shard, p)
-        };
-        self.metrics.shard_rpc_error();
-        self.metrics.shard_inflight_leave(shard);
-        self.metrics.done(pending.enqueued.elapsed());
-        crate::trace::record_for(id, "rpc", "error", format!("shard {shard}: {why}"));
-        let response =
-            Response::error(503, &format!("shard {shard} unavailable ({why}), retry shortly"))
-                .with_header("Retry-After", "1");
-        self.complete(Completion {
-            token: pending.token,
-            response,
-            panicked: false,
-            request_id: id,
-        });
-    }
-
-    /// A shard connection died: deregister it and fail every in-flight
-    /// id deterministically (ascending order), each with the same
-    /// retryable `503` an unreachable shard answers. The next forwarded
-    /// request reconnects lazily.
-    fn shard_dead(&mut self, sc_token: u64, why: &str) {
-        let Some(mut sc) = self.shard_conns.remove(&sc_token) else { return };
-        let _ = self.epoll.del(sc.stream.as_raw_fd());
-        self.shard_tokens[sc.shard] = None;
-        let shard = sc.shard;
-        let mut ids: Vec<u64> = sc.pending.keys().copied().collect();
-        ids.sort_unstable();
-        for id in ids {
-            let pending = sc.pending.remove(&id).expect("collected above");
-            self.metrics.shard_rpc_error();
-            self.metrics.shard_inflight_leave(shard);
-            self.metrics.done(pending.enqueued.elapsed());
-            crate::trace::record_for(id, "rpc", "error", format!("shard {shard}: {why}"));
-            let response =
-                Response::error(503, &format!("shard {shard} unavailable ({why}), retry shortly"))
-                    .with_header("Retry-After", "1");
-            self.complete(Completion {
-                token: pending.token,
-                response,
-                panicked: false,
-                request_id: id,
-            });
         }
     }
 }
@@ -1393,8 +962,8 @@ fn worker_loop(
         metrics.dequeue();
         metrics.worker_busy();
         metrics.begin();
-        // Attribute everything the handler records (stage transitions,
-        // RPC frames) to the dispatched request's ring id.
+        // Attribute everything the handler records (stage transitions)
+        // to the dispatched request's ring id.
         let request_id = item.request_id;
         let _trace_current = crate::trace::set_current(request_id);
         let start = Instant::now();

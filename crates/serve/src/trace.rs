@@ -2,7 +2,7 @@
 //!
 //! The waveform-equivalent for the serving tier: one process-wide,
 //! fixed-capacity ring records request lifecycle states, pipeline-stage
-//! cache transitions and shard RPC frames, attributed to a per-request
+//! cache transitions and worker panics, attributed to a per-request
 //! id carried in a thread-local. Recording is cheap enough to stay on in
 //! production — the ring is split into per-thread shards so recording
 //! threads (the event loop, each worker) never contend on one lock, and
@@ -43,7 +43,7 @@ pub struct TraceEvent {
     pub micros: u64,
     /// Owning request id; `0` = not attributed to a request.
     pub request: u64,
-    /// Category: `request`, `stage`, `rpc` or `worker`.
+    /// Category: `request`, `stage` or `worker`.
     pub cat: &'static str,
     /// Event name within the category.
     pub name: &'static str,
@@ -129,7 +129,7 @@ pub fn set_current(request: u64) -> CurrentGuard {
 
 /// The current request id, or a freshly assigned one (with a guard to
 /// install it) when this thread has none — the direct-call path (unit
-/// tests, shard workers) where no event loop assigned an id upstream.
+/// tests) where no event loop assigned an id upstream.
 pub fn ensure_current() -> (u64, Option<CurrentGuard>) {
     let cur = current();
     if cur != 0 {

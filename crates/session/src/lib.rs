@@ -397,38 +397,6 @@ impl SessionStore {
         sweep: Vec<SweepPoint>,
         detail_blocks: bool,
     ) -> Result<(u64, SessionView), SessionError> {
-        self.create_inner(pipeline, design, sweep, detail_blocks, None)
-    }
-
-    /// [`SessionStore::create`] with a caller-assigned id, for tiers
-    /// where one process allocates ids and another holds the sessions
-    /// (a sharded front assigns ids globally so they stay sequential,
-    /// then routes each session to the shard the id hashes to). The
-    /// store's own allocator is advanced past `id`, so locally created
-    /// sessions can never alias an assigned one.
-    ///
-    /// # Errors
-    ///
-    /// Propagates pipeline failures from the initial estimation.
-    pub fn create_with_id(
-        &self,
-        pipeline: &Pipeline,
-        design: &PreparedDesign,
-        sweep: Vec<SweepPoint>,
-        detail_blocks: bool,
-        id: u64,
-    ) -> Result<(u64, SessionView), SessionError> {
-        self.create_inner(pipeline, design, sweep, detail_blocks, Some(id))
-    }
-
-    fn create_inner(
-        &self,
-        pipeline: &Pipeline,
-        design: &PreparedDesign,
-        sweep: Vec<SweepPoint>,
-        detail_blocks: bool,
-        assigned: Option<u64>,
-    ) -> Result<(u64, SessionView), SessionError> {
         let platform = &design.platform;
         let mut processes = Vec::with_capacity(platform.processes.len());
         for (proc, artifact) in platform.processes.iter().zip(design.artifacts()) {
@@ -470,17 +438,8 @@ impl SessionStore {
         let id = {
             let mut table = relock(&self.inner);
             self.expire(&mut table);
-            let id = match assigned {
-                Some(id) => {
-                    table.next_id = table.next_id.max(id + 1);
-                    id
-                }
-                None => {
-                    let id = table.next_id;
-                    table.next_id += 1;
-                    id
-                }
-            };
+            let id = table.next_id;
+            table.next_id += 1;
             table.tick += 1;
             let mut session = session;
             session.last_tick = table.tick;

@@ -12,22 +12,21 @@
 //! while `/healthz` keeps answering `200`, new sessions are refused
 //! while edits to existing ones finish, and no worker is left stuck or
 //! leaked behind a misbehaving client (checked via the worker gauges).
-//! `/metrics` is checked for the pipeline, batch-dedup, event-loop and
-//! shard families; the process-wide counters are asserted as monotonic
+//! `/metrics` is checked for the pipeline, batch-dedup and event-loop
+//! families; the process-wide counters are asserted as monotonic
 //! deltas around a request. A byte-budgeted pipeline must evict without
 //! changing a single response byte.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::ops::Deref;
-use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
+use std::sync::{PoisonError, RwLock, RwLockReadGuard};
 use std::time::{Duration, Instant};
 
 use tlm_serve::client;
 use tlm_serve::http::HttpLimits;
 use tlm_serve::protocol::Service;
 use tlm_serve::server::{Server, ServerConfig, ServerHandle};
-use tlm_serve::shard::ShardRouter;
 
 /// The kernel batch counters on `/metrics` are process-wide, so every
 /// server in this binary holds a shared guard for its lifetime, and the
@@ -130,6 +129,32 @@ fn malformed_json_and_malformed_http_answer_400() {
     // Broken HTTP framing.
     let resp = send_raw(addr, b"EHLO not-http\r\nConnection: close\r\n\r\n");
     assert_eq!(status_of(&resp), 400, "got: {resp}");
+
+    handle.shutdown();
+}
+
+/// A few kilobytes of nested MiniC once overflowed a worker's stack and
+/// aborted the whole process. Both shapes — nested parentheses and a flat
+/// operator chain, which builds an equally deep tree — must answer `400`
+/// naming the nesting budget, and the same server must keep serving.
+#[test]
+fn deeply_nested_source_answers_400_and_the_server_keeps_serving() {
+    let handle = start_default();
+    let addr = handle.addr();
+
+    let nested = format!("{}1{}", "(".repeat(4000), ")".repeat(4000));
+    let chain = format!("1{}", " + 1".repeat(20_000));
+    for expr in [nested, chain] {
+        let body = format!(
+            r#"{{"platform": {{"name": "bomb", "pes": [{{"name": "cpu", "pum": "microblaze"}}],
+                "processes": [{{"name": "main", "pe": "cpu",
+                                "source": "void main() {{ out({expr}); }}"}}]}}}}"#
+        );
+        let resp = request(addr, "POST /estimate", &body);
+        assert_eq!(status_of(&resp), 400, "got: {}", &resp[..resp.len().min(300)]);
+        assert!(body_of(&resp).contains("nesting deeper than"), "got: {}", body_of(&resp));
+    }
+    assert_eq!(status_of(&request(addr, "GET /healthz", "")), 200);
 
     handle.shutdown();
 }
@@ -549,14 +574,11 @@ fn estimate_traffic_reports_batch_dedup_on_metrics() {
     handle.shutdown();
 }
 
-/// The event-loop and shard observability families must render on
-/// `/metrics` — the gauges over a live connection, the epoll wakeup
-/// counter, one connection-state sample per state, and the shard tier's
-/// counters. A front pointed at an unreachable shard must answer the
-/// same `503` + `Retry-After` contract as a full queue and count the
-/// RPC failure.
+/// The event-loop observability families must render on `/metrics` —
+/// the gauges over a live connection, the epoll wakeup counter and one
+/// connection-state sample per state.
 #[test]
-fn event_loop_and_shard_observability_render_on_metrics() {
+fn event_loop_observability_renders_on_metrics() {
     let handle = start_default();
     let addr = handle.addr();
 
@@ -568,28 +590,6 @@ fn event_loop_and_shard_observability_render_on_metrics() {
     for state in ["reading", "dispatched", "writing", "closing"] {
         metric(&page, &format!("tlm_serve_connection_states{{state=\"{state}\"}}"));
     }
-    assert_eq!(metric(&page, "tlm_serve_shards_configured"), 0, "default is in-process");
-    metric(&page, "tlm_serve_shard_rpc_errors_total");
-    metric(&page, "tlm_serve_shard_rpc_duration_seconds_count");
-    handle.shutdown();
-
-    // A front routing to an unreachable shard tier: the client sees the
-    // standard backpressure contract, and the failure is counted.
-    let dead: SocketAddr = "127.0.0.1:1".parse().expect("addr");
-    let config =
-        ServerConfig { addr: "127.0.0.1:0".to_string(), workers: 2, ..ServerConfig::default() };
-    let service = Service::new(8).with_router(Arc::new(ShardRouter::connect(&[dead, dead])));
-    let handle = Server::start(config, service).expect("server starts");
-    let addr = handle.addr();
-
-    let resp = request(addr, "POST /estimate", r#"{"platform": "mp3:sw"}"#);
-    assert_eq!(status_of(&resp), 503, "unreachable shard answers 503: {resp}");
-    assert!(resp.contains("Retry-After"), "carries Retry-After: {resp}");
-    assert!(resp.contains("unavailable"), "names the failure: {resp}");
-
-    let page = client::scrape(addr);
-    assert_eq!(metric(&page, "tlm_serve_shards_configured"), 2);
-    assert!(metric(&page, "tlm_serve_shard_rpc_errors_total") >= 1, "rpc failure not counted");
     handle.shutdown();
 }
 
