@@ -28,7 +28,9 @@
 //! therefore hashes the PUM encoding and one `u64`, and compares the
 //! input by pointer before falling back to a full byte compare; entries
 //! are charged the length of the flat encoding, so budgets and
-//! `resident_bytes` are those of the table above.
+//! `resident_bytes` are those of the table above. The `prepared` stage
+//! keys by the same shared module key and precomputed hash, so a lookup
+//! there hashes one `u64` instead of the whole source.
 //!
 //! The `rows` stage is the per-function half of the report: block delay
 //! rows keyed by the function's *structural* identity
@@ -97,27 +99,65 @@ fn module_stage_key(source: &str, optimize: bool) -> Vec<u8> {
     key
 }
 
+/// A stage input shared by `Arc` with the artifact it came from, with
+/// its [`input_hash`] computed once per artifact. Equality compares every
+/// byte (by pointer first); the hash is the precomputed one, so a lookup
+/// hashes one `u64` however long the input is. Charged its length.
+#[derive(Debug, Clone)]
+struct InputKey {
+    bytes: Arc<[u8]>,
+    hash: u64,
+}
+
+impl InputKey {
+    fn new(bytes: Arc<[u8]>) -> InputKey {
+        let hash = input_hash(&bytes);
+        InputKey { bytes, hash }
+    }
+}
+
+impl PartialEq for InputKey {
+    fn eq(&self, other: &InputKey) -> bool {
+        self.hash == other.hash
+            && (Arc::ptr_eq(&self.bytes, &other.bytes) || self.bytes == other.bytes)
+    }
+}
+
+impl Eq for InputKey {}
+
+impl Hash for InputKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+impl StoreKey for InputKey {
+    type Resident = InputKey;
+
+    fn resident(&self) -> InputKey {
+        self.clone()
+    }
+
+    fn charge(&self) -> u64 {
+        self.bytes.len() as u64
+    }
+}
+
 /// The key of the PUM-keyed stages: the canonical bytes
 /// `len(PUM) ‖ PUM ‖ input`, held as the PUM encoding plus the input
-/// shared with its artifact. Equality compares every byte (the input by
-/// pointer first); the hash covers the PUM bytes and the input's
-/// precomputed [`input_hash`].
+/// shared with its artifact. Equality compares every byte; the hash
+/// covers the PUM bytes and the input's precomputed hash.
 #[derive(Debug, Clone)]
 struct EstimateKey {
     pum: Arc<str>,
-    input: Arc<[u8]>,
-    input_hash: u64,
+    input: InputKey,
 }
 
 impl EstimateKey {
     /// The annotated/report key of a module under an encoded PUM; built
     /// only by [`PumReports::key`], which holds the PUM it encodes.
     fn module(pum: &Arc<str>, artifact: &ModuleArtifact) -> EstimateKey {
-        EstimateKey {
-            pum: Arc::clone(pum),
-            input: Arc::clone(&artifact.key),
-            input_hash: artifact.key_hash,
-        }
+        EstimateKey { pum: Arc::clone(pum), input: artifact.key.clone() }
     }
 
     /// The rows key of one function under an encoded PUM. The function
@@ -125,20 +165,14 @@ impl EstimateKey {
     /// or pasting a structurally identical copy into another source all
     /// hit the same rows.
     fn function(pum: &Arc<str>, prepared: &PreparedModule, func: FuncId) -> EstimateKey {
-        let input = prepared.function_structural_key(func);
-        EstimateKey {
-            pum: Arc::clone(pum),
-            input: Arc::clone(input),
-            input_hash: input_hash(input),
-        }
+        let input = InputKey::new(Arc::clone(prepared.function_structural_key(func)));
+        EstimateKey { pum: Arc::clone(pum), input }
     }
 }
 
 impl PartialEq for EstimateKey {
     fn eq(&self, other: &EstimateKey) -> bool {
-        self.input_hash == other.input_hash
-            && self.pum == other.pum
-            && (Arc::ptr_eq(&self.input, &other.input) || self.input == other.input)
+        self.input == other.input && self.pum == other.pum
     }
 }
 
@@ -147,7 +181,7 @@ impl Eq for EstimateKey {}
 impl Hash for EstimateKey {
     fn hash<H: Hasher>(&self, state: &mut H) {
         self.pum.hash(state);
-        state.write_u64(self.input_hash);
+        self.input.hash(state);
     }
 }
 
@@ -160,7 +194,7 @@ impl StoreKey for EstimateKey {
 
     /// The length of the flat `len(PUM) ‖ PUM ‖ input` encoding.
     fn charge(&self) -> u64 {
-        (8 + self.pum.len() + self.input.len()) as u64
+        8 + self.pum.len() as u64 + self.input.charge()
     }
 }
 
@@ -173,9 +207,7 @@ impl StoreKey for EstimateKey {
 /// the same downstream entries in any other.
 #[derive(Debug, Clone)]
 pub struct ModuleArtifact {
-    key: Arc<[u8]>,
-    /// [`input_hash`] of `key`, computed once per artifact.
-    key_hash: u64,
+    key: InputKey,
     module: Arc<Module>,
 }
 
@@ -187,7 +219,7 @@ impl ModuleArtifact {
 
     /// The canonical stage key (optimize flag ‖ source bytes).
     pub fn key(&self) -> &[u8] {
-        &self.key
+        &self.key.bytes
     }
 }
 
@@ -272,7 +304,7 @@ impl PipelineStats {
 pub struct Pipeline {
     ast: Stage<Arc<Program>>,
     module: Stage<Arc<Module>>,
-    prepared: Stage<Arc<PreparedModule>>,
+    prepared: Stage<Arc<PreparedModule>, InputKey>,
     schedules: ScheduleCache,
     annotated: Stage<Arc<TimedModule>, EstimateKey>,
     report: Stage<Arc<EstimateReport>, EstimateKey>,
@@ -374,12 +406,12 @@ impl Pipeline {
             }
             Ok(Arc::new(module))
         })?;
-        let key_hash = input_hash(&key);
-        Ok(ModuleArtifact { key: key.into(), key_hash, module })
+        Ok(ModuleArtifact { key: InputKey::new(key.into()), module })
     }
 
     /// `Module → PreparedModule`: per-block DFGs and canonical schedule
-    /// keys, keyed by the module key.
+    /// keys, keyed by the module key (hashed once per artifact, not per
+    /// lookup).
     ///
     /// # Errors
     ///
@@ -558,12 +590,12 @@ impl Pipeline {
             total_cycles += rows.iter().map(|r| r.cycles).sum::<u64>();
             functions.push(FunctionReport { name: func.name.clone(), blocks: (*rows).clone() });
         }
-        Ok(Arc::new(EstimateReport {
-            blocks: prepared.total_blocks(),
-            ops: prepared.ops(),
+        Ok(Arc::new(EstimateReport::new(
+            prepared.total_blocks(),
+            prepared.ops(),
             total_cycles,
             functions,
-        }))
+        )))
     }
 
     /// Drops the rows entry of one function under one PUM — the targeted

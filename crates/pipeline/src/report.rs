@@ -5,8 +5,17 @@
 //! carries no wall-clock or cache-occupancy observations — it is a pure
 //! function of its stage key, so a server can hand it out verbatim across
 //! requests without breaking the determinism contract.
+//!
+//! A report is immutable once built (its fields are read through
+//! accessors), so its per-block rows are rendered to JSON at most once:
+//! [`EstimateReport::functions_json`] fills a cache on first use and every
+//! later per-block response copies those bytes.
+
+use std::fmt;
+use std::sync::OnceLock;
 
 use tlm_core::annotate::TimedModule;
+use tlm_json::{ArrayWriter, ObjectWriter};
 
 /// Per-block delay decomposition (the paper's Algorithm 2 terms).
 #[derive(Debug, Clone, PartialEq)]
@@ -35,19 +44,31 @@ pub struct FunctionReport {
 }
 
 /// The full estimation report of one module under one PUM.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// `==` and `Debug` see only the estimate, never whether
+/// [`EstimateReport::functions_json`] has been rendered.
+#[derive(Clone)]
 pub struct EstimateReport {
-    /// Basic blocks annotated.
-    pub blocks: usize,
-    /// Operations scheduled.
-    pub ops: usize,
-    /// Sum of annotated cycles over all blocks (each counted once).
-    pub total_cycles: u64,
-    /// Per-function delay rows, in module order.
-    pub functions: Vec<FunctionReport>,
+    blocks: usize,
+    ops: usize,
+    total_cycles: u64,
+    functions: Vec<FunctionReport>,
+    /// `functions` as a compact JSON array, rendered on first demand.
+    functions_json: OnceLock<Box<str>>,
 }
 
 impl EstimateReport {
+    /// A report of its parts; `total_cycles` must be the sum of the
+    /// functions' block cycles.
+    pub(crate) fn new(
+        blocks: usize,
+        ops: usize,
+        total_cycles: u64,
+        functions: Vec<FunctionReport>,
+    ) -> EstimateReport {
+        EstimateReport { blocks, ops, total_cycles, functions, functions_json: OnceLock::new() }
+    }
+
     /// Extracts the deterministic report of an annotated module.
     pub fn of(timed: &TimedModule) -> EstimateReport {
         let module = timed.module();
@@ -70,6 +91,142 @@ impl EstimateReport {
             functions.push(FunctionReport { name: func.name.clone(), blocks });
         }
         let report = timed.report();
-        EstimateReport { blocks: report.blocks, ops: report.ops, total_cycles, functions }
+        EstimateReport::new(report.blocks, report.ops, total_cycles, functions)
+    }
+
+    /// Basic blocks annotated.
+    pub fn blocks(&self) -> usize {
+        self.blocks
+    }
+
+    /// Operations scheduled.
+    pub fn ops(&self) -> usize {
+        self.ops
+    }
+
+    /// Sum of annotated cycles over all blocks (each counted once).
+    pub fn total_cycles(&self) -> u64 {
+        self.total_cycles
+    }
+
+    /// Per-function delay rows, in module order.
+    pub fn functions(&self) -> &[FunctionReport] {
+        &self.functions
+    }
+
+    /// The per-function rows as one compact JSON array:
+    /// `[{"name":…,"blocks":[{"block":…,"sched":…,"branch":…,"ifetch":…,"data":…,"cycles":…},…]},…]`.
+    ///
+    /// Rendered on the first call and cached on the report; every later
+    /// call returns the same bytes without formatting a number. Integer
+    /// fields go through `as f64`, so the bytes equal those of the
+    /// equivalent `tlm_json::Value` tree.
+    pub fn functions_json(&self) -> &str {
+        self.functions_json.get_or_init(|| render_functions(&self.functions))
+    }
+
+    /// Bytes held by the rendered [`EstimateReport::functions_json`]; 0
+    /// until it is first demanded.
+    pub fn rendered_bytes(&self) -> usize {
+        self.functions_json.get().map_or(0, |json| json.len())
+    }
+}
+
+/// Bytes reserved per block row: the six built-in designs average 78
+/// bytes of JSON per row, and a row of three long floats runs to ~120.
+const ROW_BYTES: usize = 96;
+
+/// Renders the `"functions"` array. The buffer is sized up front for the
+/// common row and shrunk to its length in place, so a fragment costs its
+/// own bytes and the renderer leaves no scratch buffer behind.
+fn render_functions(functions: &[FunctionReport]) -> Box<str> {
+    let rows: usize = functions.iter().map(|f| f.blocks.len()).sum();
+    let names: usize = functions.iter().map(|f| 32 + f.name.len()).sum();
+    let mut out = String::with_capacity(2 + names + rows * ROW_BYTES);
+    let mut array = ArrayWriter::new(&mut out);
+    for func in functions {
+        let mut function = ObjectWriter::new(array.item()).string("name", &func.name);
+        let mut blocks = ArrayWriter::new(function.key("blocks"));
+        for b in &func.blocks {
+            ObjectWriter::new(blocks.item())
+                .number("block", f64::from(b.block))
+                .number("sched", b.sched as f64)
+                .number("branch", b.branch)
+                .number("ifetch", b.ifetch)
+                .number("data", b.data)
+                .number("cycles", b.cycles as f64)
+                .finish();
+        }
+        blocks.finish();
+        function.finish();
+    }
+    array.finish();
+    out.into_boxed_str()
+}
+
+impl PartialEq for EstimateReport {
+    fn eq(&self, other: &EstimateReport) -> bool {
+        self.blocks == other.blocks
+            && self.ops == other.ops
+            && self.total_cycles == other.total_cycles
+            && self.functions == other.functions
+    }
+}
+
+impl fmt::Debug for EstimateReport {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("EstimateReport")
+            .field("blocks", &self.blocks)
+            .field("ops", &self.ops)
+            .field("total_cycles", &self.total_cycles)
+            .field("functions", &self.functions)
+            .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn report() -> EstimateReport {
+        let row = |block, branch| BlockReport {
+            block,
+            sched: 3,
+            branch,
+            ifetch: 0.1 + 0.2,
+            data: 1e-7,
+            cycles: 5,
+        };
+        let functions = vec![
+            FunctionReport { name: "main".into(), blocks: vec![row(0, 0.0), row(1, 2.5)] },
+            FunctionReport { name: "q\"\n".into(), blocks: Vec::new() },
+        ];
+        EstimateReport::new(2, 6, 10, functions)
+    }
+
+    #[test]
+    fn rows_render_once_and_stay_put() {
+        let report = report();
+        assert_eq!(report.rendered_bytes(), 0, "nothing is rendered before the first demand");
+        let first = report.functions_json();
+        assert_eq!(
+            first,
+            r#"[{"name":"main","blocks":[{"block":0,"sched":3,"branch":0,"ifetch":0.30000000000000004,"data":1e-7,"cycles":5},{"block":1,"sched":3,"branch":2.5,"ifetch":0.30000000000000004,"data":1e-7,"cycles":5}]},{"name":"q\"\n","blocks":[]}]"#
+        );
+        assert_eq!(report.rendered_bytes(), first.len());
+        let second = report.functions_json();
+        assert!(std::ptr::eq(first, second), "a second render returns the same allocation");
+    }
+
+    #[test]
+    fn equality_and_clones_ignore_the_rendering() {
+        let (plain, rendered) = (report(), report());
+        rendered.functions_json();
+        assert_eq!(plain, rendered);
+        assert_eq!(format!("{plain:?}"), format!("{rendered:?}"));
+        let (plain_clone, rendered_clone) = (plain.clone(), rendered.clone());
+        assert_eq!(plain_clone, rendered_clone);
+        assert_eq!(plain_clone, plain);
+        assert_eq!(plain_clone.functions_json(), rendered_clone.functions_json());
     }
 }

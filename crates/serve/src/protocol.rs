@@ -305,7 +305,9 @@ fn decode_job(
 /// Every renderer here streams compact JSON straight into the response
 /// body. Numbers go through `as f64`, exactly the conversion
 /// `tlm_json::Value::from` applies, so the bytes equal those of the
-/// equivalent `Value` tree.
+/// equivalent `Value` tree. The per-block `"functions"` array is the
+/// report's own cached rendering ([`EstimateReport::functions_json`]):
+/// only the first per-block read of a report formats its rows.
 fn render_process_row(
     out: &mut String,
     process: &str,
@@ -316,28 +318,11 @@ fn render_process_row(
     let mut row = ObjectWriter::new(out)
         .string("process", process)
         .string("pe", pe)
-        .number("blocks", report.blocks as f64)
-        .number("ops", report.ops as f64)
-        .number("total_block_cycles", report.total_cycles as f64);
+        .number("blocks", report.blocks() as f64)
+        .number("ops", report.ops() as f64)
+        .number("total_block_cycles", report.total_cycles() as f64);
     if blocks {
-        let mut functions = ArrayWriter::new(row.key("functions"));
-        for func in &report.functions {
-            let mut function = ObjectWriter::new(functions.item()).string("name", &func.name);
-            let mut rows = ArrayWriter::new(function.key("blocks"));
-            for b in &func.blocks {
-                ObjectWriter::new(rows.item())
-                    .number("block", f64::from(b.block))
-                    .number("sched", b.sched as f64)
-                    .number("branch", b.branch)
-                    .number("ifetch", b.ifetch)
-                    .number("data", b.data)
-                    .number("cycles", b.cycles as f64)
-                    .finish();
-            }
-            rows.finish();
-            function.finish();
-        }
-        functions.finish();
+        row.key("functions").push_str(report.functions_json());
     }
     row.finish();
 }
@@ -386,23 +371,36 @@ fn render_platform<E>(
 fn run_job(pipeline: &Pipeline, job: &Job, out: &mut String) -> Result<(), JobError> {
     let platform = &job.design.platform;
     let blocks = job.report == ReportKind::Blocks;
+    // A PE without a cached memory path (custom HW) has the same PUM at
+    // every sweep point, so its handle — and its encoded domain — serves
+    // the whole request.
+    let fixed: Vec<Option<PumReports<'_>>> = platform
+        .pes
+        .iter()
+        .map(|pe| (!pe.pum.has_cached_memory()).then(|| pipeline.reports_for(&pe.pum)))
+        .collect();
     render_platform(out, &platform.name, platform.pes.len(), platform.processes.len(), |sweep| {
         for point in &job.sweep {
-            // One resized PUM per PE; processes mapped to the same PE
-            // share it, its encoded domain and, inside the pipeline, its
-            // schedule domain. `with_cache_sizes` is a no-op on custom-HW
-            // PEs, whose memory paths are hardwired.
-            let pums: Vec<Pum> = platform
+            // One resized PUM per cached PE; processes mapped to the same
+            // PE share it, its encoded domain and, inside the pipeline,
+            // its schedule domain.
+            let pums: Vec<Option<Pum>> = platform
                 .pes
                 .iter()
-                .map(|pe| pe.pum.with_cache_sizes(point.icache, point.dcache))
+                .map(|pe| {
+                    pe.pum
+                        .has_cached_memory()
+                        .then(|| pe.pum.with_cache_sizes(point.icache, point.dcache))
+                })
                 .collect();
-            let reports: Vec<PumReports<'_>> =
-                pums.iter().map(|pum| pipeline.reports_for(pum)).collect();
+            let swept: Vec<Option<PumReports<'_>>> =
+                pums.iter().map(|pum| pum.as_ref().map(|pum| pipeline.reports_for(pum))).collect();
             let (label, ic, dc) = (&point.label, point.icache, point.dcache);
             render_sweep_row::<JobError>(sweep.item(), label, ic, dc, |rows| {
                 for (proc, artifact) in platform.processes.iter().zip(job.design.artifacts()) {
-                    let report = reports[proc.pe.0].report(artifact).map_err(|e| {
+                    let i = proc.pe.0;
+                    let reports = swept[i].as_ref().or(fixed[i].as_ref()).expect("a PE handle");
+                    let report = reports.report(artifact).map_err(|e| {
                         let message = format!(
                             "sweep `{}`, process `{}`: estimation failed: {e}",
                             point.label, proc.name
@@ -413,7 +411,7 @@ fn run_job(pipeline: &Pipeline, job: &Job, out: &mut String) -> Result<(), JobEr
                             JobError::Transient(message)
                         }
                     })?;
-                    let pe = &platform.pes[proc.pe.0].name;
+                    let pe = &platform.pes[i].name;
                     render_process_row(rows.item(), &proc.name, pe, &report, blocks);
                 }
                 Ok(())
@@ -1188,7 +1186,7 @@ mod tests {
         ) -> Value {
             let mut functions = Vec::new();
             if blocks {
-                for func in &report.functions {
+                for func in report.functions() {
                     let rows = func
                         .blocks
                         .iter()
@@ -1214,9 +1212,9 @@ mod tests {
             let mut row = ObjectBuilder::new()
                 .field("process", process)
                 .field("pe", pe)
-                .field("blocks", report.blocks)
-                .field("ops", report.ops)
-                .field("total_block_cycles", report.total_cycles);
+                .field("blocks", report.blocks())
+                .field("ops", report.ops())
+                .field("total_block_cycles", report.total_cycles());
             if blocks {
                 row = row.field("functions", Value::Array(functions));
             }
@@ -1344,9 +1342,12 @@ mod tests {
                         r#"{{"platform": "{design}", "sweep": [{}], "report": "{report}"}}"#,
                         sweep_labels(points)
                     );
-                    let resp = svc.estimate(body.as_bytes(), 1 << 20);
-                    assert_eq!(resp.status, 200, "{body}");
-                    assert!(resp.body == oracle::estimate(&svc, &body), "{body}");
+                    // The second answer copies the reports' cached rows.
+                    for pass in ["first", "cached"] {
+                        let resp = svc.estimate(body.as_bytes(), 1 << 20);
+                        assert_eq!(resp.status, 200, "{body}");
+                        assert!(resp.body == oracle::estimate(&svc, &body), "{pass}: {body}");
+                    }
                 }
             }
         }
@@ -1355,9 +1356,11 @@ mod tests {
                           {{"platform": "image:hw"}}]}}"#,
             sweep_labels(2)
         );
-        let resp = svc.estimate(batch.as_bytes(), 1 << 20);
-        assert_eq!(resp.status, 200);
-        assert!(resp.body == oracle::estimate(&svc, &batch), "batch bodies differ");
+        for pass in ["first", "cached"] {
+            let resp = svc.estimate(batch.as_bytes(), 1 << 20);
+            assert_eq!(resp.status, 200);
+            assert!(resp.body == oracle::estimate(&svc, &batch), "{pass}: batch bodies differ");
+        }
     }
 
     #[test]
@@ -1407,26 +1410,38 @@ mod tests {
             }
             oracle::body(obj.field("report", oracle::render_session_view(view)).build())
         };
+        // Views answer twice: the second copies the retained reports'
+        // cached rows.
+        let view_twice = |id: u64, what: &str| {
+            for pass in ["first", "cached"] {
+                let resp = svc.session_route("GET", &format!("/session/{id}"), b"", 1 << 20);
+                let view = twin.sessions.view(id).expect("view");
+                assert!(resp.body == envelope(id, None, &view), "{pass} view {id} {what}");
+            }
+        };
         let blocks = r#"{"platform": "image:sw", "sweep": ["0k/0k", "8k/4k"], "report": "blocks"}"#;
-        for body in [TINY_SESSION, blocks] {
+        let tiny_blocks = TINY_SESSION.replace(r#""sweep""#, r#""report": "blocks", "sweep""#);
+        for body in [TINY_SESSION, blocks, &tiny_blocks] {
             let resp = svc.session_create(body.as_bytes(), 1 << 20);
             assert_eq!(resp.status, 200);
             let (id, view) = create(body);
             assert!(resp.body == envelope(id, None, &view), "create {id}");
-            let resp = svc.session_route("GET", &format!("/session/{id}"), b"", 1 << 20);
-            let view = twin.sessions.view(id).expect("view");
-            assert!(resp.body == envelope(id, None, &view), "view {id}");
+            view_twice(id, "after create");
         }
-        for (find, replace) in [("x * 3 + 1", "x << 3"), ("x << 3", "x * 3 + 1")] {
-            let edit = format!(
-                r#"{{"process": "main", "patch": {{"find": "{find}", "replace": "{replace}"}}}}"#
-            );
-            let resp = svc.session_edit(1, edit.as_bytes(), 1 << 20);
-            assert_eq!(resp.status, 200);
-            let patch = SourceEdit::Patch { find, replace };
-            let (report, view) =
-                twin.sessions.edit(&twin.pipeline, 1, "main", &patch).expect("edits");
-            assert!(resp.body == envelope(1, Some(&report), &view), "edit {find}");
+        for id in [1, 3] {
+            for (find, replace) in [("x * 3 + 1", "x << 3"), ("x << 3", "x * 3 + 1")] {
+                let edit = format!(
+                    r#"{{"process": "main", "patch": {{"find": "{find}", "replace": "{replace}"}}}}"#
+                );
+                let resp = svc.session_edit(id, edit.as_bytes(), 1 << 20);
+                assert_eq!(resp.status, 200);
+                let patch = SourceEdit::Patch { find, replace };
+                let (report, view) =
+                    twin.sessions.edit(&twin.pipeline, id, "main", &patch).expect("edits");
+                assert!(resp.body == envelope(id, Some(&report), &view), "edit {id} {find}");
+                assert_eq!(view.detail_blocks, id == 3, "session 3 renders per-block rows");
+                view_twice(id, "after an edit");
+            }
         }
     }
 

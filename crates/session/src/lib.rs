@@ -210,8 +210,8 @@ struct Session {
 
 impl Session {
     /// Approximate resident bytes: artifact keys (each embeds the full
-    /// source), identity tables, the retained report rows, plus a fixed
-    /// overhead.
+    /// source), identity tables, the retained report rows and their
+    /// rendered JSON once a view has rendered it, plus a fixed overhead.
     fn resident_bytes(&self) -> u64 {
         let mut bytes = 512u64;
         for p in &self.processes {
@@ -221,7 +221,8 @@ impl Session {
         let row = std::mem::size_of::<tlm_pipeline::report::BlockReport>() as u64;
         for view in &self.views {
             for proc in &view.processes {
-                bytes += 64 + proc.report.blocks as u64 * row;
+                bytes += 64 + proc.report.blocks() as u64 * row;
+                bytes += proc.report.rendered_bytes() as u64;
             }
         }
         bytes
@@ -742,6 +743,20 @@ mod tests {
         assert!(matches!(store.view(a), Err(SessionError::NotFound(_))));
         store.view(b).expect("the newest session survives");
         assert!(store.stats().evicted >= 1);
+
+        // A retained report's rendered per-block JSON counts once it
+        // exists, so the budget bounds it too.
+        let store = self::store();
+        let (_, view) = mp3_session(&pipeline, &store);
+        let before = store.stats().resident_bytes;
+        let rendered: usize = view
+            .sweep
+            .iter()
+            .flat_map(|point| &point.processes)
+            .map(|p| p.report.functions_json().len())
+            .sum();
+        assert!(rendered > 0);
+        assert_eq!(store.stats().resident_bytes, before + rendered as u64);
     }
 
     #[test]

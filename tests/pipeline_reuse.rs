@@ -453,9 +453,10 @@ fn session_edit_recomputes_exactly_the_dirty_set() {
 }
 
 /// The splice assembly path (`report_from_rows`) is bit-identical to the
-/// whole-module report path under every scheduling policy — the same
-/// guarantee `pipelined_annotation_is_bit_identical_to_direct_drive`
-/// gives for the annotated stage, one level up.
+/// whole-module report path under every scheduling policy, down to the
+/// rendered per-block JSON — the same guarantee
+/// `pipelined_annotation_is_bit_identical_to_direct_drive` gives for the
+/// annotated stage, one level up.
 #[test]
 fn spliced_reports_are_bit_identical_across_policies() {
     let pipeline = Pipeline::new();
@@ -469,6 +470,11 @@ fn spliced_reports_are_bit_identical_across_policies() {
                 let spliced = pipeline.report_from_rows(artifact, &pum).expect("splices");
                 let full = pipeline.process_report(artifact, &pum).expect("estimates");
                 assert_eq!(*spliced, *full, "{policy:?}: splice diverged from the report stage");
+                assert_eq!(
+                    spliced.functions_json(),
+                    full.functions_json(),
+                    "{policy:?}: spliced and whole-module reports render different rows"
+                );
             }
         }
     }
