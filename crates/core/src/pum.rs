@@ -938,14 +938,6 @@ impl Pum {
         pum
     }
 
-    /// Whether [`Pum::with_cache_sizes`] can change this PUM: some memory
-    /// path is [`MemoryPath::Cached`]. A PUM without one (custom HW) is
-    /// the same PUM at every sweep point.
-    pub fn has_cached_memory(&self) -> bool {
-        matches!(self.memory.ifetch, MemoryPath::Cached(_))
-            || matches!(self.memory.data, MemoryPath::Cached(_))
-    }
-
     /// Stable 64-bit fingerprint of [`Pum::schedule_domain`]. Two PUMs with
     /// equal fingerprints (and equal domains — the schedule cache compares
     /// the full canonical encoding, never just this hash) produce identical
@@ -1278,10 +1270,8 @@ mod tests {
         let none = base.with_cache_sizes(0, 0);
         assert_eq!(none.memory.ifetch, MemoryPath::Uncached);
         assert_eq!(none.memory.data, MemoryPath::Uncached);
-        assert!(base.has_cached_memory() && !none.has_cached_memory());
         // Custom HW has no cached paths; the sweep is a no-op.
         let hw = library::custom_hw("dct", 2, 2);
-        assert!(!hw.has_cached_memory());
         assert_eq!(hw.with_cache_sizes(2 << 10, 2 << 10), hw);
         // Uncharacterized sizes survive the transform but fail validation.
         assert!(base.with_cache_sizes(1234, 1234).validate().is_err());

@@ -124,25 +124,11 @@ impl EstimateReport {
     pub fn functions_json(&self) -> &str {
         self.functions_json.get_or_init(|| render_functions(&self.functions))
     }
-
-    /// Bytes held by the rendered [`EstimateReport::functions_json`]; 0
-    /// until it is first demanded.
-    pub fn rendered_bytes(&self) -> usize {
-        self.functions_json.get().map_or(0, |json| json.len())
-    }
 }
 
-/// Bytes reserved per block row: the six built-in designs average 78
-/// bytes of JSON per row, and a row of three long floats runs to ~120.
-const ROW_BYTES: usize = 96;
-
-/// Renders the `"functions"` array. The buffer is sized up front for the
-/// common row and shrunk to its length in place, so a fragment costs its
-/// own bytes and the renderer leaves no scratch buffer behind.
+/// Renders the `"functions"` array.
 fn render_functions(functions: &[FunctionReport]) -> Box<str> {
-    let rows: usize = functions.iter().map(|f| f.blocks.len()).sum();
-    let names: usize = functions.iter().map(|f| 32 + f.name.len()).sum();
-    let mut out = String::with_capacity(2 + names + rows * ROW_BYTES);
+    let mut out = String::new();
     let mut array = ArrayWriter::new(&mut out);
     for func in functions {
         let mut function = ObjectWriter::new(array.item()).string("name", &func.name);
@@ -207,13 +193,15 @@ mod tests {
     #[test]
     fn rows_render_once_and_stay_put() {
         let report = report();
-        assert_eq!(report.rendered_bytes(), 0, "nothing is rendered before the first demand");
+        assert!(
+            report.functions_json.get().is_none(),
+            "nothing is rendered before the first demand"
+        );
         let first = report.functions_json();
         assert_eq!(
             first,
             r#"[{"name":"main","blocks":[{"block":0,"sched":3,"branch":0,"ifetch":0.30000000000000004,"data":1e-7,"cycles":5},{"block":1,"sched":3,"branch":2.5,"ifetch":0.30000000000000004,"data":1e-7,"cycles":5}]},{"name":"q\"\n","blocks":[]}]"#
         );
-        assert_eq!(report.rendered_bytes(), first.len());
         let second = report.functions_json();
         assert!(std::ptr::eq(first, second), "a second render returns the same allocation");
     }

@@ -371,36 +371,23 @@ fn render_platform<E>(
 fn run_job(pipeline: &Pipeline, job: &Job, out: &mut String) -> Result<(), JobError> {
     let platform = &job.design.platform;
     let blocks = job.report == ReportKind::Blocks;
-    // A PE without a cached memory path (custom HW) has the same PUM at
-    // every sweep point, so its handle — and its encoded domain — serves
-    // the whole request.
-    let fixed: Vec<Option<PumReports<'_>>> = platform
-        .pes
-        .iter()
-        .map(|pe| (!pe.pum.has_cached_memory()).then(|| pipeline.reports_for(&pe.pum)))
-        .collect();
     render_platform(out, &platform.name, platform.pes.len(), platform.processes.len(), |sweep| {
         for point in &job.sweep {
-            // One resized PUM per cached PE; processes mapped to the same
-            // PE share it, its encoded domain and, inside the pipeline,
-            // its schedule domain.
-            let pums: Vec<Option<Pum>> = platform
+            // One resized PUM per PE; processes mapped to the same PE
+            // share it, its encoded domain and, inside the pipeline, its
+            // schedule domain. `with_cache_sizes` is a no-op on custom-HW
+            // PEs, whose memory paths are hardwired.
+            let pums: Vec<Pum> = platform
                 .pes
                 .iter()
-                .map(|pe| {
-                    pe.pum
-                        .has_cached_memory()
-                        .then(|| pe.pum.with_cache_sizes(point.icache, point.dcache))
-                })
+                .map(|pe| pe.pum.with_cache_sizes(point.icache, point.dcache))
                 .collect();
-            let swept: Vec<Option<PumReports<'_>>> =
-                pums.iter().map(|pum| pum.as_ref().map(|pum| pipeline.reports_for(pum))).collect();
+            let reports: Vec<PumReports<'_>> =
+                pums.iter().map(|pum| pipeline.reports_for(pum)).collect();
             let (label, ic, dc) = (&point.label, point.icache, point.dcache);
             render_sweep_row::<JobError>(sweep.item(), label, ic, dc, |rows| {
                 for (proc, artifact) in platform.processes.iter().zip(job.design.artifacts()) {
-                    let i = proc.pe.0;
-                    let reports = swept[i].as_ref().or(fixed[i].as_ref()).expect("a PE handle");
-                    let report = reports.report(artifact).map_err(|e| {
+                    let report = reports[proc.pe.0].report(artifact).map_err(|e| {
                         let message = format!(
                             "sweep `{}`, process `{}`: estimation failed: {e}",
                             point.label, proc.name
@@ -411,7 +398,7 @@ fn run_job(pipeline: &Pipeline, job: &Job, out: &mut String) -> Result<(), JobEr
                             JobError::Transient(message)
                         }
                     })?;
-                    let pe = &platform.pes[i].name;
+                    let pe = &platform.pes[proc.pe.0].name;
                     render_process_row(rows.item(), &proc.name, pe, &report, blocks);
                 }
                 Ok(())

@@ -210,8 +210,11 @@ struct Session {
 
 impl Session {
     /// Approximate resident bytes: artifact keys (each embeds the full
-    /// source), identity tables, the retained report rows and their
-    /// rendered JSON once a view has rendered it, plus a fixed overhead.
+    /// source), identity tables, the retained report rows (with their
+    /// rendered JSON when the session shows per-block rows), plus a fixed
+    /// overhead. The charge depends only on the session's own state, so a
+    /// view (of this session, or of a report it shares with the pipeline)
+    /// never moves it.
     fn resident_bytes(&self) -> u64 {
         let mut bytes = 512u64;
         for p in &self.processes {
@@ -222,10 +225,24 @@ impl Session {
         for view in &self.views {
             for proc in &view.processes {
                 bytes += 64 + proc.report.blocks() as u64 * row;
-                bytes += proc.report.rendered_bytes() as u64;
+                if self.detail_blocks {
+                    bytes += proc.report.functions_json().len() as u64;
+                }
             }
         }
         bytes
+    }
+
+    /// Renders the per-block JSON of every retained report of a session
+    /// that shows per-block rows. Create and edit call it before they take
+    /// the store's table lock, so the budget check and `stats` only read
+    /// lengths instead of rendering under the lock.
+    fn render_rows(&self) {
+        if self.detail_blocks {
+            for proc in self.views.iter().flat_map(|view| &view.processes) {
+                proc.report.functions_json();
+            }
+        }
     }
 
     /// The renderable snapshot of the retained report (cheap: report
@@ -435,6 +452,7 @@ impl SessionStore {
                 view.processes.push(entry);
             }
         }
+        session.render_rows();
         let view = session.render();
         let id = {
             let mut table = relock(&self.inner);
@@ -538,6 +556,7 @@ impl SessionStore {
         for (view, entry) in session.views.iter_mut().zip(column) {
             view.processes[proc_idx] = entry;
         }
+        session.render_rows();
         let view = session.render();
 
         // Targeted invalidation: drop the rows of identities that vanished
@@ -744,19 +763,31 @@ mod tests {
         store.view(b).expect("the newest session survives");
         assert!(store.stats().evicted >= 1);
 
-        // A retained report's rendered per-block JSON counts once it
-        // exists, so the budget bounds it too.
-        let store = self::store();
-        let (_, view) = mp3_session(&pipeline, &store);
-        let before = store.stats().resident_bytes;
-        let rendered: usize = view
+        // A per-block session is charged its rendered rows from creation,
+        // so the budget bounds them too; a totals session never is, and
+        // views move neither charge.
+        let (totals, blocks) = (self::store(), self::store());
+        let (t, view) = mp3_session(&pipeline, &totals);
+        let charge = totals.stats().resident_bytes;
+        let design = mp3_design(&pipeline, Mp3Design::Sw, Mp3Params::training(), 8 << 10, 4 << 10)
+            .expect("builds");
+        let (b, _) = blocks.create(&pipeline, &design, sweep_one(), true).expect("creates");
+        let rendered: u64 = view
             .sweep
             .iter()
             .flat_map(|point| &point.processes)
-            .map(|p| p.report.functions_json().len())
+            .map(|p| p.report.functions_json().len() as u64)
             .sum();
         assert!(rendered > 0);
-        assert_eq!(store.stats().resident_bytes, before + rendered as u64);
+        assert_eq!(blocks.stats().resident_bytes, charge + rendered);
+        totals.view(t).expect("views");
+        blocks.view(b).expect("views");
+        assert_eq!(
+            totals.stats().resident_bytes,
+            charge,
+            "rendered reports charge no totals session"
+        );
+        assert_eq!(blocks.stats().resident_bytes, charge + rendered);
     }
 
     #[test]
