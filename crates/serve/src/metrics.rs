@@ -673,6 +673,274 @@ tlm_serve_request_duration_seconds_sum 7.0035
 tlm_serve_request_duration_seconds_count 3
 "#;
 
+    /// The samples whose values are process-wide (fault plan, trace ring,
+    /// kernel statistics): other tests in the binary move them.
+    const PROCESS_WIDE: [&str; 7] = [
+        "tlm_serve_faults_injected_total",
+        "tlm_serve_trace_events_total",
+        "tlm_serve_trace_dropped_total",
+        "tlm_serve_kernel_scratch_reuse",
+        "tlm_serve_kernel_scratch_alloc",
+        "tlm_serve_kernel_batch_dedup_hits",
+        "tlm_serve_kernel_batch_unique_solves",
+    ];
+
+    /// The whole `/metrics` page for fixed counters and snapshots, pinned
+    /// byte for byte: family order, HELP text, TYPE lines and label
+    /// layout. Only the values of [`PROCESS_WIDE`] are masked.
+    #[test]
+    fn metrics_page_renders_byte_identically() {
+        let m = Metrics::new();
+        for _ in 0..3 {
+            m.request();
+        }
+        for status in [200, 200, 400, 404, 405, 408, 413, 500, 503, 503] {
+            m.response(status);
+        }
+        m.queue_rejected();
+        m.begin();
+        m.done(Duration::from_millis(20));
+        m.begin();
+        m.worker_started();
+        m.worker_started();
+        m.worker_started();
+        m.worker_busy();
+        m.worker_panic();
+        m.worker_exited();
+        m.worker_respawn();
+        for _ in 0..4 {
+            m.conn_opened();
+        }
+        m.conn_closed();
+        for _ in 0..6 {
+            m.epoll_wakeup();
+        }
+        m.phase_enter(ConnPhase::Reading);
+        m.phase_enter(ConnPhase::Reading);
+        m.phase_enter(ConnPhase::Dispatched);
+        m.phase_enter(ConnPhase::Closing);
+
+        let stage = |n: u64| StoreStats {
+            hits: n,
+            misses: n + 1,
+            entries: n as usize + 2,
+            bytes: 64 * n,
+            evictions: n / 2,
+        };
+        let pipeline = PipelineStats {
+            ast: stage(1),
+            module: stage(2),
+            prepared: stage(3),
+            schedules: stage(4),
+            annotated: stage(5),
+            report: stage(6),
+            rows: stage(7),
+        };
+        let sessions = SessionStats {
+            active: 2,
+            created: 11,
+            evicted: 3,
+            expired: 4,
+            closed: 5,
+            edits: 13,
+            dirty_functions: 6,
+            clean_functions: 40,
+            dirty_blocks: 9,
+            resident_bytes: 4096,
+        };
+        let page: String = m
+            .render(&pipeline, &sessions, 64)
+            .lines()
+            .map(|line| match line.split_once(' ') {
+                Some((name, _)) if PROCESS_WIDE.contains(&name) => format!("{name} <masked>\n"),
+                _ => format!("{line}\n"),
+            })
+            .collect();
+        assert_eq!(page, METRICS_PAGE);
+    }
+
+    const METRICS_PAGE: &str = r#"# HELP tlm_serve_requests_total Requests fully read off a socket.
+# TYPE tlm_serve_requests_total counter
+tlm_serve_requests_total 3
+# HELP tlm_serve_queue_rejected_total Connections answered 503 because the accept queue was full.
+# TYPE tlm_serve_queue_rejected_total counter
+tlm_serve_queue_rejected_total 1
+# HELP tlm_serve_schedule_cache_hits_total Schedule-cache lookups served from memory.
+# TYPE tlm_serve_schedule_cache_hits_total counter
+tlm_serve_schedule_cache_hits_total 4
+# HELP tlm_serve_schedule_cache_misses_total Schedule-cache lookups that ran Algorithm 1.
+# TYPE tlm_serve_schedule_cache_misses_total counter
+tlm_serve_schedule_cache_misses_total 5
+# HELP tlm_serve_worker_panics_total Request-handler panics caught and isolated (each answered 500).
+# TYPE tlm_serve_worker_panics_total counter
+tlm_serve_worker_panics_total 1
+# HELP tlm_serve_worker_respawns_total Worker threads respawned by the supervisor after a panic.
+# TYPE tlm_serve_worker_respawns_total counter
+tlm_serve_worker_respawns_total 1
+# HELP tlm_serve_cache_evictions_total Entries dropped by byte-budget generation rotation, all stores.
+# TYPE tlm_serve_cache_evictions_total counter
+tlm_serve_cache_evictions_total 12
+# HELP tlm_serve_faults_injected_total Faults injected by the chaos plan (0 unless built with --features faults).
+# TYPE tlm_serve_faults_injected_total counter
+tlm_serve_faults_injected_total <masked>
+# HELP tlm_serve_trace_events_total Events recorded into the trace ring since process start.
+# TYPE tlm_serve_trace_events_total counter
+tlm_serve_trace_events_total <masked>
+# HELP tlm_serve_trace_dropped_total Trace-ring events overwritten because the ring was full.
+# TYPE tlm_serve_trace_dropped_total counter
+tlm_serve_trace_dropped_total <masked>
+# HELP tlm_serve_sessions_created_total Sessions ever created.
+# TYPE tlm_serve_sessions_created_total counter
+tlm_serve_sessions_created_total 11
+# HELP tlm_serve_sessions_evicted_total Sessions dropped by the resident-byte budget.
+# TYPE tlm_serve_sessions_evicted_total counter
+tlm_serve_sessions_evicted_total 3
+# HELP tlm_serve_sessions_expired_total Sessions dropped by the idle TTL.
+# TYPE tlm_serve_sessions_expired_total counter
+tlm_serve_sessions_expired_total 4
+# HELP tlm_serve_sessions_closed_total Sessions closed by client request.
+# TYPE tlm_serve_sessions_closed_total counter
+tlm_serve_sessions_closed_total 5
+# HELP tlm_serve_session_edits_total Session edits accepted.
+# TYPE tlm_serve_session_edits_total counter
+tlm_serve_session_edits_total 13
+# HELP tlm_serve_session_dirty_functions_total Functions re-estimated by session edits (structural dirty set).
+# TYPE tlm_serve_session_dirty_functions_total counter
+tlm_serve_session_dirty_functions_total 6
+# HELP tlm_serve_session_clean_functions_total Functions retained (spliced) across session edits.
+# TYPE tlm_serve_session_clean_functions_total counter
+tlm_serve_session_clean_functions_total 40
+# HELP tlm_serve_session_dirty_blocks_total Basic blocks re-estimated by session edits.
+# TYPE tlm_serve_session_dirty_blocks_total counter
+tlm_serve_session_dirty_blocks_total 9
+# HELP tlm_serve_kernel_scratch_reuse Kernel runs served entirely from already-allocated scratch arenas.
+# TYPE tlm_serve_kernel_scratch_reuse counter
+tlm_serve_kernel_scratch_reuse <masked>
+# HELP tlm_serve_kernel_scratch_alloc Kernel runs that grew (or first allocated) a scratch-arena buffer.
+# TYPE tlm_serve_kernel_scratch_alloc counter
+tlm_serve_kernel_scratch_alloc <masked>
+# HELP tlm_serve_kernel_batch_dedup_hits Blocks folded into another block's solve by identical-shape dedup.
+# TYPE tlm_serve_kernel_batch_dedup_hits counter
+tlm_serve_kernel_batch_dedup_hits <masked>
+# HELP tlm_serve_kernel_batch_unique_solves Representative block solves run after identical-shape dedup.
+# TYPE tlm_serve_kernel_batch_unique_solves counter
+tlm_serve_kernel_batch_unique_solves <masked>
+# HELP tlm_serve_responses_total Responses by status code.
+# TYPE tlm_serve_responses_total counter
+tlm_serve_responses_total{code="200"} 2
+tlm_serve_responses_total{code="400"} 1
+tlm_serve_responses_total{code="404"} 1
+tlm_serve_responses_total{code="405"} 1
+tlm_serve_responses_total{code="408"} 1
+tlm_serve_responses_total{code="413"} 1
+tlm_serve_responses_total{code="500"} 1
+tlm_serve_responses_total{code="503"} 2
+# HELP tlm_serve_pipeline_stage_hits_total Artifact-pipeline lookups served from a stage store.
+# TYPE tlm_serve_pipeline_stage_hits_total counter
+tlm_serve_pipeline_stage_hits_total{stage="ast"} 1
+tlm_serve_pipeline_stage_hits_total{stage="module"} 2
+tlm_serve_pipeline_stage_hits_total{stage="prepared"} 3
+tlm_serve_pipeline_stage_hits_total{stage="schedules"} 4
+tlm_serve_pipeline_stage_hits_total{stage="annotated"} 5
+tlm_serve_pipeline_stage_hits_total{stage="report"} 6
+tlm_serve_pipeline_stage_hits_total{stage="rows"} 7
+# HELP tlm_serve_pipeline_stage_misses_total Artifact-pipeline lookups that computed the stage.
+# TYPE tlm_serve_pipeline_stage_misses_total counter
+tlm_serve_pipeline_stage_misses_total{stage="ast"} 2
+tlm_serve_pipeline_stage_misses_total{stage="module"} 3
+tlm_serve_pipeline_stage_misses_total{stage="prepared"} 4
+tlm_serve_pipeline_stage_misses_total{stage="schedules"} 5
+tlm_serve_pipeline_stage_misses_total{stage="annotated"} 6
+tlm_serve_pipeline_stage_misses_total{stage="report"} 7
+tlm_serve_pipeline_stage_misses_total{stage="rows"} 8
+# HELP tlm_serve_pipeline_stage_entries Resident artifacts per pipeline stage.
+# TYPE tlm_serve_pipeline_stage_entries gauge
+tlm_serve_pipeline_stage_entries{stage="ast"} 3
+tlm_serve_pipeline_stage_entries{stage="module"} 4
+tlm_serve_pipeline_stage_entries{stage="prepared"} 5
+tlm_serve_pipeline_stage_entries{stage="schedules"} 6
+tlm_serve_pipeline_stage_entries{stage="annotated"} 7
+tlm_serve_pipeline_stage_entries{stage="report"} 8
+tlm_serve_pipeline_stage_entries{stage="rows"} 9
+# HELP tlm_serve_pipeline_stage_bytes Approximate resident key bytes per pipeline stage.
+# TYPE tlm_serve_pipeline_stage_bytes gauge
+tlm_serve_pipeline_stage_bytes{stage="ast"} 64
+tlm_serve_pipeline_stage_bytes{stage="module"} 128
+tlm_serve_pipeline_stage_bytes{stage="prepared"} 192
+tlm_serve_pipeline_stage_bytes{stage="schedules"} 256
+tlm_serve_pipeline_stage_bytes{stage="annotated"} 320
+tlm_serve_pipeline_stage_bytes{stage="report"} 384
+tlm_serve_pipeline_stage_bytes{stage="rows"} 448
+# HELP tlm_serve_pipeline_stage_evictions_total Entries dropped by byte-budget generation rotation, per stage.
+# TYPE tlm_serve_pipeline_stage_evictions_total counter
+tlm_serve_pipeline_stage_evictions_total{stage="ast"} 0
+tlm_serve_pipeline_stage_evictions_total{stage="module"} 1
+tlm_serve_pipeline_stage_evictions_total{stage="prepared"} 1
+tlm_serve_pipeline_stage_evictions_total{stage="schedules"} 2
+tlm_serve_pipeline_stage_evictions_total{stage="annotated"} 2
+tlm_serve_pipeline_stage_evictions_total{stage="report"} 3
+tlm_serve_pipeline_stage_evictions_total{stage="rows"} 3
+# HELP tlm_serve_queue_depth Connections currently waiting in the accept queue.
+# TYPE tlm_serve_queue_depth gauge
+tlm_serve_queue_depth 0
+# HELP tlm_serve_queue_depth_peak High-water mark of the accept queue depth.
+# TYPE tlm_serve_queue_depth_peak gauge
+tlm_serve_queue_depth_peak 0
+# HELP tlm_serve_queue_capacity Configured capacity of the accept queue.
+# TYPE tlm_serve_queue_capacity gauge
+tlm_serve_queue_capacity 64
+# HELP tlm_serve_inflight Requests currently being processed.
+# TYPE tlm_serve_inflight gauge
+tlm_serve_inflight 1
+# HELP tlm_serve_schedule_cache_entries Resident schedule-cache entries.
+# TYPE tlm_serve_schedule_cache_entries gauge
+tlm_serve_schedule_cache_entries 6
+# HELP tlm_serve_cache_resident_bytes Approximate resident key bytes across all artifact stores.
+# TYPE tlm_serve_cache_resident_bytes gauge
+tlm_serve_cache_resident_bytes 1792
+# HELP tlm_serve_sessions_active Live edit-to-estimate sessions.
+# TYPE tlm_serve_sessions_active gauge
+tlm_serve_sessions_active 2
+# HELP tlm_serve_sessions_resident_bytes Approximate resident bytes of all live sessions.
+# TYPE tlm_serve_sessions_resident_bytes gauge
+tlm_serve_sessions_resident_bytes 4096
+# HELP tlm_serve_workers_alive Worker threads currently alive.
+# TYPE tlm_serve_workers_alive gauge
+tlm_serve_workers_alive 2
+# HELP tlm_serve_workers_busy Worker threads currently serving a connection.
+# TYPE tlm_serve_workers_busy gauge
+tlm_serve_workers_busy 1
+# HELP tlm_serve_open_connections Connections currently registered with the event loop.
+# TYPE tlm_serve_open_connections gauge
+tlm_serve_open_connections 3
+# HELP tlm_serve_open_connections_peak High-water mark of open connections.
+# TYPE tlm_serve_open_connections_peak gauge
+tlm_serve_open_connections_peak 4
+# HELP tlm_serve_epoll_wakeups_total Returns from epoll_wait in the event loop.
+# TYPE tlm_serve_epoll_wakeups_total counter
+tlm_serve_epoll_wakeups_total 6
+# HELP tlm_serve_connection_states Connections per event-loop state.
+# TYPE tlm_serve_connection_states gauge
+tlm_serve_connection_states{state="reading"} 2
+tlm_serve_connection_states{state="dispatched"} 1
+tlm_serve_connection_states{state="writing"} 0
+tlm_serve_connection_states{state="closing"} 1
+# HELP tlm_serve_request_duration_seconds Request handling latency.
+# TYPE tlm_serve_request_duration_seconds histogram
+tlm_serve_request_duration_seconds_bucket{le="0.001"} 0
+tlm_serve_request_duration_seconds_bucket{le="0.005"} 0
+tlm_serve_request_duration_seconds_bucket{le="0.01"} 0
+tlm_serve_request_duration_seconds_bucket{le="0.025"} 1
+tlm_serve_request_duration_seconds_bucket{le="0.05"} 1
+tlm_serve_request_duration_seconds_bucket{le="0.1"} 1
+tlm_serve_request_duration_seconds_bucket{le="0.25"} 1
+tlm_serve_request_duration_seconds_bucket{le="1"} 1
+tlm_serve_request_duration_seconds_bucket{le="5"} 1
+tlm_serve_request_duration_seconds_bucket{le="+Inf"} 1
+tlm_serve_request_duration_seconds_sum 0.02
+tlm_serve_request_duration_seconds_count 1
+"#;
+
     #[test]
     fn kernel_scratch_counters_exported() {
         // The values are process-wide (other tests in the binary may have
