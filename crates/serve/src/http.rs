@@ -1,35 +1,29 @@
-//! A minimal HTTP/1.1 layer on `std::io` — just enough protocol for the
-//! estimation service, with hard limits on every dimension of the input.
+//! A minimal HTTP/1.1 layer — just enough protocol for the estimation
+//! service, with hard limits on every dimension of the input.
 //!
 //! The build environment is offline, so there is no hyper/axum to lean on;
-//! this module hand-rolls the subset the service needs: request-line +
-//! header parsing, `Content-Length` bodies, keep-alive, and response
-//! serialization. It never allocates proportionally to anything the client
-//! controls beyond the configured limits:
+//! this module hand-rolls the subset the service needs: an incremental
+//! request parser ([`RequestParser`]) for request-line + header parsing,
+//! `Content-Length` bodies, keep-alive and pipelining, plus response
+//! serialization ([`Response::write_to`]). The parser never touches a
+//! socket: the event loop pushes whatever bytes arrived and asks whether
+//! a request is complete. It never buffers more than the configured
+//! limits allow:
 //!
-//! - the request line and each header line are capped ([`HttpLimits`]);
+//! - the request line and each header line are capped ([`HttpLimits`]),
+//!   checked on the buffered prefix, so an unterminated line is rejected
+//!   as soon as it outgrows the cap;
 //! - the header count is capped;
-//! - the body is only read after `Content-Length` is checked against the
-//!   cap, so an oversized upload is rejected ([`HttpError::BodyTooLarge`]
-//!   → 413) before a byte of it is buffered;
+//! - `Content-Length` is checked against the cap from the head alone, so
+//!   an oversized upload is rejected ([`HttpError::BodyTooLarge`] → 413)
+//!   before a byte of it is buffered;
 //! - chunked transfer encoding is refused (the protocol layer has no
-//!   streaming consumers), as is any request without a length on methods
-//!   that carry bodies.
+//!   streaming consumers).
 //!
-//! Socket read timeouts surface as [`HttpError::Timeout`] (→ 408), so a
-//! stalled or truncated upload cannot pin a worker. On top of the
-//! per-operation socket timeout, a connection can carry a **per-request
-//! deadline** ([`Conn::begin_request`]): before *every* buffered read the
-//! socket timeout is re-armed to the remaining budget, so a slowloris
-//! client dripping one byte per second — each drip well inside the
-//! per-op timeout — still runs out of budget and gets `408`. Responses
-//! are written the same way ([`Response::write_deadline`]): chunked, the
-//! write timeout re-armed before each chunk, so a peer that stops
-//! reading mid-response cannot pin a worker either.
+//! Time limits (stalled uploads, slowloris drips) are the event loop's
+//! job: the parser has no clock.
 
-use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
-use std::time::{Duration, Instant};
+use std::io::{self, Write};
 
 use tlm_faults::Kind;
 
@@ -72,18 +66,12 @@ impl Request {
     }
 }
 
-/// Why a request could not be read.
+/// Why a request could not be parsed.
 #[derive(Debug)]
 pub enum HttpError {
-    /// The peer closed the connection before sending a full request.
-    /// `clean` is true when not even one byte arrived — the normal end of
-    /// a keep-alive connection, not an error worth a response.
-    Closed {
-        /// No partial request was lost.
-        clean: bool,
-    },
-    /// A socket read timed out mid-request (stalled or truncated upload).
-    Timeout,
+    /// The peer's bytes ran out before the body arrived (raised only by
+    /// the `serve.parse` fault point, the truncated-upload drill).
+    Closed,
     /// The request violated the configured size caps before the body.
     HeaderTooLarge,
     /// `Content-Length` exceeds the body cap; nothing was buffered.
@@ -95,213 +83,11 @@ pub enum HttpError {
     },
     /// The bytes were not valid HTTP.
     Malformed(String),
-    /// Any other socket error.
-    Io(io::Error),
 }
 
 impl HttpError {
     fn malformed(msg: impl Into<String>) -> HttpError {
         HttpError::Malformed(msg.into())
-    }
-}
-
-impl From<io::Error> for HttpError {
-    fn from(e: io::Error) -> HttpError {
-        match e.kind() {
-            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => HttpError::Timeout,
-            io::ErrorKind::UnexpectedEof => HttpError::Closed { clean: false },
-            _ => HttpError::Io(e),
-        }
-    }
-}
-
-/// A buffered connection that can read several keep-alive requests.
-#[derive(Debug)]
-pub struct Conn {
-    reader: BufReader<TcpStream>,
-    /// Per-operation socket timeout, re-applied before every read.
-    io_timeout: Option<Duration>,
-    /// Absolute end of the current request's total I/O budget.
-    deadline: Option<Instant>,
-}
-
-impl Conn {
-    /// Wraps a stream. The caller is expected to have set socket read and
-    /// write timeouts already (the per-request timeout mechanism).
-    pub fn new(stream: TcpStream) -> Conn {
-        Conn {
-            reader: BufReader::with_capacity(16 << 10, stream),
-            io_timeout: None,
-            deadline: None,
-        }
-    }
-
-    /// Wraps a stream with a per-operation socket timeout that the
-    /// connection re-arms itself before every read (and composes with the
-    /// per-request deadline of [`Conn::begin_request`]).
-    pub fn with_io_timeout(stream: TcpStream, io_timeout: Duration) -> Conn {
-        Conn {
-            reader: BufReader::with_capacity(16 << 10, stream),
-            io_timeout: Some(io_timeout),
-            deadline: None,
-        }
-    }
-
-    /// Starts a request's total I/O budget: every subsequent read gets a
-    /// socket timeout of `min(io_timeout, remaining budget)`, so the sum
-    /// of all reads — however the client fragments them — is bounded.
-    /// `None` clears the deadline.
-    pub fn begin_request(&mut self, budget: Option<Duration>) {
-        self.deadline = budget.map(|b| Instant::now() + b);
-    }
-
-    /// The current request's deadline, for deadline-aware response writes.
-    pub fn deadline(&self) -> Option<Instant> {
-        self.deadline
-    }
-
-    /// Re-arms the socket read timeout for the next operation. With
-    /// neither an `io_timeout` nor a deadline the caller's own socket
-    /// configuration is left untouched.
-    fn arm(&mut self) -> Result<(), HttpError> {
-        let mut timeout = self.io_timeout;
-        if let Some(deadline) = self.deadline {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Err(HttpError::Timeout);
-            }
-            timeout = Some(timeout.map_or(remaining, |t| t.min(remaining)));
-        }
-        if let Some(t) = timeout {
-            let _ = self.reader.get_ref().set_read_timeout(Some(t));
-        }
-        Ok(())
-    }
-
-    /// The underlying stream, for writing responses.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the socket cannot be cloned.
-    pub fn writer(&self) -> io::Result<TcpStream> {
-        self.reader.get_ref().try_clone()
-    }
-
-    /// Reads one CRLF- (or LF-) terminated line, capped at `max` bytes.
-    /// The deadline is enforced per buffered read: a client dripping the
-    /// line byte-by-byte re-arms a shrinking timeout on every drip.
-    fn read_line(&mut self, max: usize) -> Result<Option<String>, HttpError> {
-        let mut line: Vec<u8> = Vec::new();
-        loop {
-            self.arm()?;
-            let available = self.reader.fill_buf()?;
-            if available.is_empty() {
-                if line.is_empty() {
-                    return Ok(None); // clean EOF
-                }
-                return Err(HttpError::Closed { clean: false });
-            }
-            let (consumed, done) = match available.iter().position(|&b| b == b'\n') {
-                Some(pos) => (pos + 1, true),
-                None => (available.len(), false),
-            };
-            if line.len() + consumed > max + 1 {
-                return Err(HttpError::HeaderTooLarge);
-            }
-            line.extend_from_slice(&available[..consumed]);
-            self.reader.consume(consumed);
-            if done {
-                break;
-            }
-        }
-        while matches!(line.last(), Some(b'\n' | b'\r')) {
-            line.pop();
-        }
-        String::from_utf8(line).map(Some).map_err(|_| HttpError::malformed("non-UTF-8 header"))
-    }
-
-    /// Reads the next request off the connection.
-    ///
-    /// # Errors
-    ///
-    /// See [`HttpError`]; `Closed { clean: true }` is the normal end of a
-    /// keep-alive connection.
-    pub fn read_request(&mut self, limits: &HttpLimits) -> Result<Request, HttpError> {
-        let Some(request_line) = self.read_line(limits.max_line_bytes)? else {
-            return Err(HttpError::Closed { clean: true });
-        };
-        let mut parts = request_line.split_whitespace();
-        let (Some(method), Some(target), Some(version)) =
-            (parts.next(), parts.next(), parts.next())
-        else {
-            return Err(HttpError::malformed(format!("bad request line `{request_line}`")));
-        };
-        if !version.starts_with("HTTP/1.") {
-            return Err(HttpError::malformed(format!("unsupported version `{version}`")));
-        }
-        let http11 = version == "HTTP/1.1";
-
-        let mut headers = Vec::new();
-        loop {
-            let Some(line) = self.read_line(limits.max_line_bytes)? else {
-                return Err(HttpError::Closed { clean: false });
-            };
-            if line.is_empty() {
-                break;
-            }
-            if headers.len() >= limits.max_headers {
-                return Err(HttpError::HeaderTooLarge);
-            }
-            let Some((name, value)) = line.split_once(':') else {
-                return Err(HttpError::malformed(format!("bad header `{line}`")));
-            };
-            headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
-        }
-
-        let find = |name: &str| headers.iter().find(|(n, _)| n == name).map(|(_, v)| v.as_str());
-        if find("transfer-encoding").is_some_and(|v| !v.eq_ignore_ascii_case("identity")) {
-            return Err(HttpError::malformed("chunked transfer encoding not supported"));
-        }
-        let content_length = match find("content-length") {
-            None => 0,
-            Some(v) => v
-                .parse::<usize>()
-                .map_err(|_| HttpError::malformed(format!("bad content-length `{v}`")))?,
-        };
-        if content_length > limits.max_body_bytes {
-            return Err(HttpError::BodyTooLarge {
-                declared: content_length,
-                limit: limits.max_body_bytes,
-            });
-        }
-        // Chaos-build injection point: pretend the peer's bytes ran out
-        // before the body arrived (the truncated-upload path).
-        if tlm_faults::point("serve.parse", &[Kind::ShortRead]).is_some() {
-            return Err(HttpError::Closed { clean: false });
-        }
-        let mut body = vec![0u8; content_length];
-        let mut filled = 0;
-        while filled < content_length {
-            self.arm()?;
-            let n = self.reader.read(&mut body[filled..])?;
-            if n == 0 {
-                return Err(HttpError::Closed { clean: false });
-            }
-            filled += n;
-        }
-
-        let keep_alive = match find("connection").map(str::to_ascii_lowercase) {
-            Some(c) if c.contains("close") => false,
-            Some(c) if c.contains("keep-alive") => true,
-            _ => http11, // HTTP/1.1 defaults to keep-alive
-        };
-        Ok(Request {
-            method: method.to_string(),
-            target: target.to_string(),
-            headers,
-            body,
-            keep_alive,
-        })
     }
 }
 
@@ -315,14 +101,13 @@ struct PendingHead {
     http11: bool,
 }
 
-/// An incremental, non-blocking request parser — the event-loop
-/// counterpart of [`Conn::read_request`].
+/// An incremental, non-blocking request parser.
 ///
 /// The event loop pushes whatever bytes the socket had
 /// ([`RequestParser::push`]) and asks whether a complete request has
 /// accumulated ([`RequestParser::try_parse`]); the parser never blocks
-/// and never touches a socket. The same limits apply as on the blocking
-/// path, enforced *incrementally*: an unterminated header line or an
+/// and never touches a socket. The [`HttpLimits`] are enforced
+/// *incrementally*: an unterminated header line or an
 /// endless header list is rejected as soon as the buffered prefix
 /// exceeds the cap, and an oversized `Content-Length` is rejected from
 /// the head alone — before a byte of the body arrives. Pipelined
@@ -386,7 +171,7 @@ impl RequestParser {
     }
 
     /// Parses the head bytes (terminating blank line included) into a
-    /// pending request, with the same error strings as the blocking path.
+    /// pending request.
     fn parse_head(head: &[u8], limits: &HttpLimits) -> Result<PendingHead, HttpError> {
         let mut lines = head.split(|&b| b == b'\n').map(|line| {
             let line = line.strip_suffix(b"\r").unwrap_or(line);
@@ -448,9 +233,9 @@ impl RequestParser {
     ///
     /// # Errors
     ///
-    /// The same [`HttpError`] values — and strings — as
-    /// [`Conn::read_request`], minus the I/O-driven ones: the parser
-    /// never times out or sees EOF on its own.
+    /// See [`HttpError`]. The parser never times out or sees EOF on its
+    /// own; [`HttpError::Closed`] comes only from the `serve.parse` fault
+    /// point.
     pub fn try_parse(&mut self, limits: &HttpLimits) -> Result<Option<Request>, HttpError> {
         if self.pending.is_none() {
             let Some(head_end) = self.find_head_end(limits)? else {
@@ -467,7 +252,7 @@ impl RequestParser {
             // Chaos-build injection point: pretend the peer's bytes ran
             // out before the body arrived (the truncated-upload path).
             if tlm_faults::point("serve.parse", &[Kind::ShortRead]).is_some() {
-                return Err(HttpError::Closed { clean: false });
+                return Err(HttpError::Closed);
             }
             self.pending = Some(pending);
         }
@@ -591,147 +376,24 @@ impl Response {
         stream.write_all(&self.body)?;
         stream.flush()
     }
-
-    /// Serializes the response in 16 KiB chunks,
-    /// re-arming the socket write timeout to `min(io_timeout, remaining
-    /// deadline)` before each — a peer that stops reading mid-response
-    /// fails the write instead of pinning the worker past the request's
-    /// budget.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket write errors; an exhausted deadline surfaces as
-    /// [`io::ErrorKind::TimedOut`].
-    pub fn write_deadline(
-        &self,
-        stream: &mut TcpStream,
-        keep_alive: bool,
-        deadline: Option<Instant>,
-        io_timeout: Option<Duration>,
-    ) -> io::Result<()> {
-        let arm = |stream: &TcpStream| -> io::Result<()> {
-            let mut timeout = io_timeout;
-            if let Some(deadline) = deadline {
-                let remaining = deadline.saturating_duration_since(Instant::now());
-                if remaining.is_zero() {
-                    return Err(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        "response write deadline exceeded",
-                    ));
-                }
-                timeout = Some(timeout.map_or(remaining, |t| t.min(remaining)));
-            }
-            if let Some(t) = timeout {
-                stream.set_write_timeout(Some(t))?;
-            }
-            Ok(())
-        };
-
-        arm(stream)?;
-        stream.write_all(self.head(keep_alive).as_bytes())?;
-        for chunk in self.body.chunks(RESPONSE_CHUNK) {
-            // Chaos-build injection point: a latency spike mid-response.
-            if let Some(fault) = tlm_faults::point("serve.response.write", &[Kind::Delay]) {
-                fault.fire();
-            }
-            arm(stream)?;
-            stream.write_all(chunk)?;
-        }
-        stream.flush()
-    }
 }
-
-/// Chunk size of [`Response::write_deadline`]: large enough that small
-/// responses go out in one write, small enough that the deadline is
-/// checked many times across a multi-megabyte report.
-const RESPONSE_CHUNK: usize = 16 << 10;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::{TcpListener, TcpStream};
 
-    /// Parses `text` as one request by pushing it through a real socket
-    /// pair (Conn reads from TcpStream only).
-    fn parse(text: &[u8]) -> Result<Request, HttpError> {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("binds");
-        let addr = listener.local_addr().expect("addr");
-        let mut client = TcpStream::connect(addr).expect("connects");
-        let (server, _) = listener.accept().expect("accepts");
-        client.write_all(text).expect("writes");
-        drop(client); // EOF after the payload
-        Conn::new(server).read_request(&HttpLimits::default())
-    }
-
-    #[test]
-    fn parses_post_with_body() {
-        let req = parse(b"POST /estimate HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nabcd")
-            .expect("parses");
-        assert_eq!(req.method, "POST");
-        assert_eq!(req.target, "/estimate");
-        assert_eq!(req.body, b"abcd");
-        assert!(req.keep_alive, "HTTP/1.1 defaults to keep-alive");
-        assert_eq!(req.header("host"), Some("x"));
-    }
-
-    #[test]
-    fn connection_close_is_honored() {
-        let req = parse(b"GET / HTTP/1.1\r\nConnection: close\r\n\r\n").expect("parses");
-        assert!(!req.keep_alive);
-        let req = parse(b"GET / HTTP/1.0\r\n\r\n").expect("parses");
-        assert!(!req.keep_alive, "HTTP/1.0 defaults to close");
-    }
-
-    #[test]
-    fn oversized_declared_body_is_rejected_without_buffering() {
-        let huge = format!("POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n", usize::MAX / 2);
-        match parse(huge.as_bytes()) {
-            Err(HttpError::BodyTooLarge { declared, limit }) => {
-                assert!(declared > limit);
-            }
-            other => panic!("expected BodyTooLarge, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn truncated_body_reports_closed() {
-        match parse(b"POST / HTTP/1.1\r\nContent-Length: 100\r\n\r\nonly-a-bit") {
-            Err(HttpError::Closed { clean: false }) => {}
-            other => panic!("expected unclean close, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn clean_eof_before_any_byte() {
-        match parse(b"") {
-            Err(HttpError::Closed { clean: true }) => {}
-            other => panic!("expected clean close, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn garbage_is_malformed() {
-        assert!(matches!(parse(b"NOT HTTP\r\n\r\n"), Err(HttpError::Malformed(_))));
-        assert!(matches!(parse(b"GET / HTTP/2\r\n\r\n"), Err(HttpError::Malformed(_)),));
-        assert!(matches!(
-            parse(b"GET / HTTP/1.1\r\nno-colon-here\r\n\r\n"),
-            Err(HttpError::Malformed(_)),
-        ));
-    }
-
-    #[test]
-    fn giant_header_line_is_capped() {
-        let mut text = b"GET / HTTP/1.1\r\nX-Big: ".to_vec();
-        text.extend(std::iter::repeat_n(b'a', 1 << 20));
-        text.extend_from_slice(b"\r\n\r\n");
-        assert!(matches!(parse(&text), Err(HttpError::HeaderTooLarge)));
+    /// Pushes `text` into a fresh parser in one piece and parses once.
+    fn parse(text: &[u8], limits: &HttpLimits) -> Result<Option<Request>, HttpError> {
+        let mut parser = RequestParser::new();
+        parser.push(text);
+        parser.try_parse(limits)
     }
 
     #[test]
     fn incremental_parser_assembles_a_dripped_request() {
         let limits = HttpLimits::default();
         let mut parser = RequestParser::new();
-        let text: &[u8] = b"POST /estimate HTTP/1.1\r\nContent-Length: 4\r\n\r\nabcd";
+        let text: &[u8] = b"POST /estimate HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nabcd";
         for chunk in text.chunks(3) {
             assert!(
                 parser.try_parse(&limits).expect("no error mid-drip").is_none(),
@@ -743,7 +405,8 @@ mod tests {
         assert_eq!(req.method, "POST");
         assert_eq!(req.target, "/estimate");
         assert_eq!(req.body, b"abcd");
-        assert!(req.keep_alive);
+        assert!(req.keep_alive, "HTTP/1.1 defaults to keep-alive");
+        assert_eq!(req.header("host"), Some("x"));
         assert!(parser.is_empty(), "all bytes consumed");
     }
 
@@ -752,14 +415,17 @@ mod tests {
         let limits = HttpLimits::default();
         let mut parser = RequestParser::new();
         parser.push(
-            b"GET /healthz HTTP/1.1\r\n\r\nGET /readyz HTTP/1.1\r\nConnection: close\r\n\r\n",
+            b"GET /healthz HTTP/1.1\r\n\r\nGET /readyz HTTP/1.1\r\nConnection: close\r\n\r\n\
+              GET / HTTP/1.0\r\n\r\n",
         );
         let first = parser.try_parse(&limits).expect("parses").expect("first");
         assert_eq!(first.target, "/healthz");
-        assert!(!parser.is_empty(), "second request still buffered");
+        assert!(!parser.is_empty(), "later requests still buffered");
         let second = parser.try_parse(&limits).expect("parses").expect("second");
         assert_eq!(second.target, "/readyz");
         assert!(!second.keep_alive);
+        let third = parser.try_parse(&limits).expect("parses").expect("third");
+        assert!(!third.keep_alive, "HTTP/1.0 defaults to close");
         assert!(parser.is_empty());
         assert!(parser.try_parse(&limits).expect("no error").is_none());
     }
@@ -767,21 +433,30 @@ mod tests {
     #[test]
     fn incremental_parser_rejects_oversized_body_from_the_head_alone() {
         let limits = HttpLimits { max_body_bytes: 1024, ..HttpLimits::default() };
-        let mut parser = RequestParser::new();
-        parser.push(b"POST /estimate HTTP/1.1\r\nContent-Length: 4096\r\n\r\n");
-        match parser.try_parse(&limits) {
+        match parse(b"POST /estimate HTTP/1.1\r\nContent-Length: 4096\r\n\r\n", &limits) {
             Err(HttpError::BodyTooLarge { declared: 4096, limit: 1024 }) => {}
             other => panic!("expected BodyTooLarge before any body byte, got {other:?}"),
+        }
+        let huge = format!("POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n", usize::MAX / 2);
+        match parse(huge.as_bytes(), &HttpLimits::default()) {
+            Err(HttpError::BodyTooLarge { declared, limit }) => assert!(declared > limit),
+            other => panic!("expected BodyTooLarge, got {other:?}"),
         }
     }
 
     #[test]
-    fn incremental_parser_caps_an_unterminated_header_line() {
+    fn incremental_parser_caps_header_lines() {
         let limits = HttpLimits::default();
         let mut parser = RequestParser::new();
         parser.push(b"GET / HTTP/1.1\r\nX-Big: ");
         parser.push(&vec![b'a'; limits.max_line_bytes + 8]);
         assert!(matches!(parser.try_parse(&limits), Err(HttpError::HeaderTooLarge)));
+
+        // A terminated 1 MiB line is refused the same way.
+        let mut text = b"GET / HTTP/1.1\r\nX-Big: ".to_vec();
+        text.extend(std::iter::repeat_n(b'a', 1 << 20));
+        text.extend_from_slice(b"\r\n\r\n");
+        assert!(matches!(parse(&text, &limits), Err(HttpError::HeaderTooLarge)));
     }
 
     #[test]
@@ -797,19 +472,15 @@ mod tests {
     }
 
     #[test]
-    fn incremental_parser_matches_blocking_parser_errors() {
+    fn incremental_parser_rejects_malformed_heads() {
         let limits = HttpLimits::default();
-        let mut parser = RequestParser::new();
-        parser.push(b"NOT HTTP\r\n\r\n");
-        assert!(matches!(parser.try_parse(&limits), Err(HttpError::Malformed(_))));
-
-        let mut parser = RequestParser::new();
-        parser.push(b"GET / HTTP/1.1\r\nno-colon-here\r\n\r\n");
-        assert!(matches!(parser.try_parse(&limits), Err(HttpError::Malformed(_))));
-
-        let mut parser = RequestParser::new();
-        parser.push(b"GET / HTTP/2\r\n\r\n");
-        assert!(matches!(parser.try_parse(&limits), Err(HttpError::Malformed(_))));
+        for text in [
+            &b"NOT HTTP\r\n\r\n"[..],
+            b"GET / HTTP/1.1\r\nno-colon-here\r\n\r\n",
+            b"GET / HTTP/2\r\n\r\n",
+        ] {
+            assert!(matches!(parse(text, &limits), Err(HttpError::Malformed(_))));
+        }
     }
 
     #[test]

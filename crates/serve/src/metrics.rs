@@ -6,10 +6,11 @@
 //! varies run-to-run — latencies, queue depths, cache hit counts — is
 //! only visible through `GET /metrics`.
 
+use std::fmt::{Display, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use tlm_pipeline::{PipelineStats, StoreStats};
+use tlm_pipeline::PipelineStats;
 use tlm_session::SessionStats;
 
 /// Histogram bucket upper bounds, in seconds.
@@ -60,7 +61,7 @@ pub struct Metrics {
     /// Connections answered `503` by the acceptor because the queue was
     /// full (also counted in `responses[503]`).
     queue_rejected_total: AtomicU64,
-    /// Connections currently waiting in the accept queue.
+    /// Requests currently waiting in the dispatch queue.
     queue_depth: AtomicU64,
     /// High-water mark of `queue_depth`.
     queue_depth_peak: AtomicU64,
@@ -107,12 +108,11 @@ impl Histogram {
         self.count.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Appends the family in the Prometheus text format.
+    /// Appends the family in the Prometheus text format: the head, then
+    /// the cumulative buckets, `_sum` and `_count`.
     fn render(&self, out: &mut String, name: &str, help: &str) {
-        use std::fmt::Write;
-
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} histogram");
+        // The head only: the samples below carry suffixes and `le`.
+        family(out, name, "histogram", help, "", [("", 0); 0]);
         let mut cumulative = 0u64;
         for (bucket, le) in self.buckets.iter().zip(LATENCY_BUCKETS) {
             cumulative += bucket.load(Ordering::Relaxed);
@@ -122,6 +122,27 @@ impl Histogram {
         let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {cumulative}");
         let _ = writeln!(out, "{name}_sum {}", self.sum_ns.load(Ordering::Relaxed) as f64 / 1e9);
         let _ = writeln!(out, "{name}_count {}", self.count.load(Ordering::Relaxed));
+    }
+}
+
+/// Writes one family in the Prometheus text format: its `# HELP` and
+/// `# TYPE` lines, then one line per `(label value, value)` sample —
+/// `name{label="…"} value`, or `name value` when `label` is empty.
+fn family<L: Display>(
+    out: &mut String,
+    name: &str,
+    kind: &str,
+    help: &str,
+    label: &str,
+    samples: impl IntoIterator<Item = (L, u64)>,
+) {
+    let _ = writeln!(out, "# HELP {name} {help}\n# TYPE {name} {kind}");
+    for (key, value) in samples {
+        let _ = if label.is_empty() {
+            writeln!(out, "{name} {value}")
+        } else {
+            writeln!(out, "{name}{{{label}=\"{key}\"}} {value}")
+        };
     }
 }
 
@@ -149,26 +170,12 @@ impl Metrics {
         self.queue_rejected_total.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a connection entering the accept queue.
-    pub fn enqueue(&self) {
-        let depth = self.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
-        self.queue_depth_peak.fetch_max(depth, Ordering::Relaxed);
-    }
-
-    /// Records a connection leaving the accept queue (picked up by a
-    /// worker, or rejected).
-    pub fn dequeue(&self) {
-        self.queue_depth.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Current queue depth.
-    pub fn queue_depth(&self) -> u64 {
-        self.queue_depth.load(Ordering::Relaxed)
-    }
-
-    /// High-water mark of the queue depth.
-    pub fn queue_depth_peak(&self) -> u64 {
-        self.queue_depth_peak.load(Ordering::Relaxed)
+    /// Records the dispatch queue's length after a push or a pop. The
+    /// queue calls it under its own lock, so the gauge and its peak are
+    /// exact lengths the queue held.
+    pub fn queue_len(&self, len: usize) {
+        self.queue_depth.store(len as u64, Ordering::Relaxed);
+        self.queue_depth_peak.fetch_max(len as u64, Ordering::Relaxed);
     }
 
     /// Marks a request as being processed; call [`Metrics::done`] after.
@@ -212,31 +219,6 @@ impl Metrics {
         self.workers_busy.fetch_sub(1, Ordering::Relaxed);
     }
 
-    /// Total caught request-handler panics.
-    pub fn worker_panics(&self) -> u64 {
-        self.worker_panics_total.load(Ordering::Relaxed)
-    }
-
-    /// Total worker respawns.
-    pub fn worker_respawns(&self) -> u64 {
-        self.worker_respawns_total.load(Ordering::Relaxed)
-    }
-
-    /// Worker threads currently alive.
-    pub fn workers_alive(&self) -> u64 {
-        self.workers_alive.load(Ordering::Relaxed)
-    }
-
-    /// Total requests observed.
-    pub fn requests(&self) -> u64 {
-        self.requests_total.load(Ordering::Relaxed)
-    }
-
-    /// Total queue rejections.
-    pub fn rejected(&self) -> u64 {
-        self.queue_rejected_total.load(Ordering::Relaxed)
-    }
-
     /// Records a connection registering with the event loop.
     pub fn conn_opened(&self) {
         let open = self.open_connections.fetch_add(1, Ordering::Relaxed) + 1;
@@ -248,24 +230,9 @@ impl Metrics {
         self.open_connections.fetch_sub(1, Ordering::Relaxed);
     }
 
-    /// Connections currently registered with the event loop.
-    pub fn open_connections(&self) -> u64 {
-        self.open_connections.load(Ordering::Relaxed)
-    }
-
-    /// High-water mark of open connections.
-    pub fn open_connections_peak(&self) -> u64 {
-        self.open_connections_peak.load(Ordering::Relaxed)
-    }
-
     /// Counts one return from `epoll_wait`.
     pub fn epoll_wakeup(&self) {
         self.epoll_wakeups_total.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Total returns from `epoll_wait`.
-    pub fn epoll_wakeups(&self) -> u64 {
-        self.epoll_wakeups_total.load(Ordering::Relaxed)
     }
 
     /// Records a connection entering an event-loop state.
@@ -283,259 +250,257 @@ impl Metrics {
     /// session store's counters and the configured queue capacity
     /// (static, but exported so dashboards can plot depth against it).
     /// The legacy `tlm_serve_schedule_cache_*` names stay, fed by the
-    /// pipeline's `schedules` stage.
+    /// pipeline's `schedules` stage. Families are declared once each, in
+    /// page order, and all written by one routine (`family`).
     pub fn render(
         &self,
         pipeline: &PipelineStats,
         sessions: &SessionStats,
         queue_capacity: usize,
     ) -> String {
-        use std::fmt::Write;
-
-        let mut out = String::with_capacity(2048);
-        let mut counter = |name: &str, help: &str, value: u64| {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} counter");
-            let _ = writeln!(out, "{name} {value}");
-        };
-        counter("tlm_serve_requests_total", "Requests fully read off a socket.", self.requests());
-        counter(
-            "tlm_serve_queue_rejected_total",
-            "Connections answered 503 because the accept queue was full.",
-            self.rejected(),
-        );
-        counter(
-            "tlm_serve_schedule_cache_hits_total",
-            "Schedule-cache lookups served from memory.",
-            pipeline.schedules.hits,
-        );
-        counter(
-            "tlm_serve_schedule_cache_misses_total",
-            "Schedule-cache lookups that ran Algorithm 1.",
-            pipeline.schedules.misses,
-        );
-        counter(
-            "tlm_serve_worker_panics_total",
-            "Request-handler panics caught and isolated (each answered 500).",
-            self.worker_panics(),
-        );
-        counter(
-            "tlm_serve_worker_respawns_total",
-            "Worker threads respawned by the supervisor after a panic.",
-            self.worker_respawns(),
-        );
-        counter(
-            "tlm_serve_cache_evictions_total",
-            "Entries dropped by byte-budget generation rotation, all stores.",
-            pipeline.stages().iter().map(|(_, s)| s.evictions).sum(),
-        );
-        counter(
-            "tlm_serve_faults_injected_total",
-            "Faults injected by the chaos plan (0 unless built with --features faults).",
-            tlm_faults::injected_total(),
-        );
-        // The always-on trace ring (see `crate::trace`): total events
-        // recorded and how many a full ring overwrote. A steadily rising
-        // drop counter is expected under load — the ring keeps the most
-        // recent window, not history.
-        counter(
-            "tlm_serve_trace_events_total",
-            "Events recorded into the trace ring since process start.",
-            crate::trace::recorded(),
-        );
-        counter(
-            "tlm_serve_trace_dropped_total",
-            "Trace-ring events overwritten because the ring was full.",
-            crate::trace::dropped(),
-        );
-        counter("tlm_serve_sessions_created_total", "Sessions ever created.", sessions.created);
-        counter(
-            "tlm_serve_sessions_evicted_total",
-            "Sessions dropped by the resident-byte budget.",
-            sessions.evicted,
-        );
-        counter(
-            "tlm_serve_sessions_expired_total",
-            "Sessions dropped by the idle TTL.",
-            sessions.expired,
-        );
-        counter(
-            "tlm_serve_sessions_closed_total",
-            "Sessions closed by client request.",
-            sessions.closed,
-        );
-        counter("tlm_serve_session_edits_total", "Session edits accepted.", sessions.edits);
-        counter(
-            "tlm_serve_session_dirty_functions_total",
-            "Functions re-estimated by session edits (structural dirty set).",
-            sessions.dirty_functions,
-        );
-        counter(
-            "tlm_serve_session_clean_functions_total",
-            "Functions retained (spliced) across session edits.",
-            sessions.clean_functions,
-        );
-        counter(
-            "tlm_serve_session_dirty_blocks_total",
-            "Basic blocks re-estimated by session edits.",
-            sessions.dirty_blocks,
-        );
-
-        // Allocation pressure on the scheduler's thread-local scratch
-        // arenas (process-wide, summed over worker threads). A healthy
-        // warm service reuses on nearly every kernel run; a rising alloc
-        // rate flags a cold-path regression.
-        let scratch = tlm_core::schedule::scratch_stats();
-        counter(
-            "tlm_serve_kernel_scratch_reuse",
-            "Kernel runs served entirely from already-allocated scratch arenas.",
-            scratch.reuses,
-        );
-        counter(
-            "tlm_serve_kernel_scratch_alloc",
-            "Kernel runs that grew (or first allocated) a scratch-arena buffer.",
-            scratch.allocs,
-        );
-
-        // Batched-kernel effectiveness (process-wide, same contract as the
-        // scratch counters): how many block solves the identical-shape
-        // dedup fold absorbed, and how many representative solves ran.
-        let batch = tlm_core::batch::batch_stats();
-        counter(
-            "tlm_serve_kernel_batch_dedup_hits",
-            "Blocks folded into another block's solve by identical-shape dedup.",
-            batch.dedup_hits,
-        );
-        counter(
-            "tlm_serve_kernel_batch_unique_solves",
-            "Representative block solves run after identical-shape dedup.",
-            batch.unique_solves,
-        );
-
-        let _ = writeln!(out, "# HELP tlm_serve_responses_total Responses by status code.");
-        let _ = writeln!(out, "# TYPE tlm_serve_responses_total counter");
-        for (i, &status) in STATUSES.iter().enumerate() {
-            let n = self.responses[i].load(Ordering::Relaxed);
-            let _ = writeln!(out, "tlm_serve_responses_total{{code=\"{status}\"}} {n}");
-        }
-
+        let load = |n: &AtomicU64| n.load(Ordering::Relaxed);
         let stages = pipeline.stages();
-        let mut stage_family =
-            |name: &str, kind: &str, help: &str, pick: fn(&StoreStats) -> u64| {
-                let _ = writeln!(out, "# HELP {name} {help}");
-                let _ = writeln!(out, "# TYPE {name} {kind}");
-                for (stage, s) in &stages {
-                    let _ = writeln!(out, "{name}{{stage=\"{stage}\"}} {}", pick(s));
-                }
-            };
-        stage_family(
-            "tlm_serve_pipeline_stage_hits_total",
-            "counter",
-            "Artifact-pipeline lookups served from a stage store.",
-            |s| s.hits,
-        );
-        stage_family(
-            "tlm_serve_pipeline_stage_misses_total",
-            "counter",
-            "Artifact-pipeline lookups that computed the stage.",
-            |s| s.misses,
-        );
-        stage_family(
-            "tlm_serve_pipeline_stage_entries",
-            "gauge",
-            "Resident artifacts per pipeline stage.",
-            |s| s.entries as u64,
-        );
-        stage_family(
-            "tlm_serve_pipeline_stage_bytes",
-            "gauge",
-            "Approximate resident key bytes per pipeline stage.",
-            |s| s.bytes,
-        );
-        stage_family(
-            "tlm_serve_pipeline_stage_evictions_total",
-            "counter",
-            "Entries dropped by byte-budget generation rotation, per stage.",
-            |s| s.evictions,
-        );
+        // Process-wide kernel statistics, summed over worker threads: a
+        // healthy warm service reuses scratch arenas on nearly every run
+        // (a rising alloc rate flags a cold-path regression), and the
+        // batch counters show how many block solves identical-shape dedup
+        // absorbed.
+        let scratch = tlm_core::schedule::scratch_stats();
+        let batch = tlm_core::batch::batch_stats();
+        let mut out = String::with_capacity(8 << 10);
 
-        let mut gauge = |name: &str, help: &str, value: u64| {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} gauge");
-            let _ = writeln!(out, "{name} {value}");
-        };
-        gauge(
-            "tlm_serve_queue_depth",
-            "Connections currently waiting in the accept queue.",
-            self.queue_depth(),
-        );
-        gauge(
-            "tlm_serve_queue_depth_peak",
-            "High-water mark of the accept queue depth.",
-            self.queue_depth_peak(),
-        );
-        gauge(
-            "tlm_serve_queue_capacity",
-            "Configured capacity of the accept queue.",
-            queue_capacity as u64,
-        );
-        gauge(
-            "tlm_serve_inflight",
-            "Requests currently being processed.",
-            self.inflight.load(Ordering::Relaxed),
-        );
-        gauge(
-            "tlm_serve_schedule_cache_entries",
-            "Resident schedule-cache entries.",
-            pipeline.schedules.entries as u64,
-        );
-        gauge(
-            "tlm_serve_cache_resident_bytes",
-            "Approximate resident key bytes across all artifact stores.",
-            pipeline.stages().iter().map(|(_, s)| s.bytes).sum(),
-        );
-        gauge(
-            "tlm_serve_sessions_active",
-            "Live edit-to-estimate sessions.",
-            sessions.active as u64,
-        );
-        gauge(
-            "tlm_serve_sessions_resident_bytes",
-            "Approximate resident bytes of all live sessions.",
-            sessions.resident_bytes,
-        );
-        gauge("tlm_serve_workers_alive", "Worker threads currently alive.", self.workers_alive());
-        gauge(
-            "tlm_serve_workers_busy",
-            "Worker threads currently serving a connection.",
-            self.workers_busy.load(Ordering::Relaxed),
-        );
-        gauge(
-            "tlm_serve_open_connections",
-            "Connections currently registered with the event loop.",
-            self.open_connections(),
-        );
-        gauge(
-            "tlm_serve_open_connections_peak",
-            "High-water mark of open connections.",
-            self.open_connections_peak(),
-        );
-
-        let _ = writeln!(
-            out,
-            "# HELP tlm_serve_epoll_wakeups_total Returns from epoll_wait in the event loop."
-        );
-        let _ = writeln!(out, "# TYPE tlm_serve_epoll_wakeups_total counter");
-        let _ = writeln!(out, "tlm_serve_epoll_wakeups_total {}", self.epoll_wakeups());
-
-        let _ =
-            writeln!(out, "# HELP tlm_serve_connection_states Connections per event-loop state.");
-        let _ = writeln!(out, "# TYPE tlm_serve_connection_states gauge");
-        for (i, phase) in CONN_PHASES.iter().enumerate() {
-            let n = self.conn_phases[i].load(Ordering::Relaxed);
-            let _ = writeln!(out, "tlm_serve_connection_states{{state=\"{phase}\"}} {n}");
+        for (name, help, value) in [
+            (
+                "tlm_serve_requests_total",
+                "Requests fully read off a socket.",
+                load(&self.requests_total),
+            ),
+            (
+                "tlm_serve_queue_rejected_total",
+                "Connections answered 503 because the accept queue was full.",
+                load(&self.queue_rejected_total),
+            ),
+            (
+                "tlm_serve_schedule_cache_hits_total",
+                "Schedule-cache lookups served from memory.",
+                pipeline.schedules.hits,
+            ),
+            (
+                "tlm_serve_schedule_cache_misses_total",
+                "Schedule-cache lookups that ran Algorithm 1.",
+                pipeline.schedules.misses,
+            ),
+            (
+                "tlm_serve_worker_panics_total",
+                "Request-handler panics caught and isolated (each answered 500).",
+                load(&self.worker_panics_total),
+            ),
+            (
+                "tlm_serve_worker_respawns_total",
+                "Worker threads respawned by the supervisor after a panic.",
+                load(&self.worker_respawns_total),
+            ),
+            (
+                "tlm_serve_cache_evictions_total",
+                "Entries dropped by byte-budget generation rotation, all stores.",
+                stages.iter().map(|(_, s)| s.evictions).sum(),
+            ),
+            (
+                "tlm_serve_faults_injected_total",
+                "Faults injected by the chaos plan (0 unless built with --features faults).",
+                tlm_faults::injected_total(),
+            ),
+            // The always-on trace ring (see `crate::trace`): a steadily
+            // rising drop counter is expected under load — the ring keeps
+            // the most recent window, not history.
+            (
+                "tlm_serve_trace_events_total",
+                "Events recorded into the trace ring since process start.",
+                crate::trace::recorded(),
+            ),
+            (
+                "tlm_serve_trace_dropped_total",
+                "Trace-ring events overwritten because the ring was full.",
+                crate::trace::dropped(),
+            ),
+            ("tlm_serve_sessions_created_total", "Sessions ever created.", sessions.created),
+            (
+                "tlm_serve_sessions_evicted_total",
+                "Sessions dropped by the resident-byte budget.",
+                sessions.evicted,
+            ),
+            (
+                "tlm_serve_sessions_expired_total",
+                "Sessions dropped by the idle TTL.",
+                sessions.expired,
+            ),
+            (
+                "tlm_serve_sessions_closed_total",
+                "Sessions closed by client request.",
+                sessions.closed,
+            ),
+            ("tlm_serve_session_edits_total", "Session edits accepted.", sessions.edits),
+            (
+                "tlm_serve_session_dirty_functions_total",
+                "Functions re-estimated by session edits (structural dirty set).",
+                sessions.dirty_functions,
+            ),
+            (
+                "tlm_serve_session_clean_functions_total",
+                "Functions retained (spliced) across session edits.",
+                sessions.clean_functions,
+            ),
+            (
+                "tlm_serve_session_dirty_blocks_total",
+                "Basic blocks re-estimated by session edits.",
+                sessions.dirty_blocks,
+            ),
+            (
+                "tlm_serve_kernel_scratch_reuse",
+                "Kernel runs served entirely from already-allocated scratch arenas.",
+                scratch.reuses,
+            ),
+            (
+                "tlm_serve_kernel_scratch_alloc",
+                "Kernel runs that grew (or first allocated) a scratch-arena buffer.",
+                scratch.allocs,
+            ),
+            (
+                "tlm_serve_kernel_batch_dedup_hits",
+                "Blocks folded into another block's solve by identical-shape dedup.",
+                batch.dedup_hits,
+            ),
+            (
+                "tlm_serve_kernel_batch_unique_solves",
+                "Representative block solves run after identical-shape dedup.",
+                batch.unique_solves,
+            ),
+        ] {
+            family(&mut out, name, "counter", help, "", [("", value)]);
         }
 
+        family(
+            &mut out,
+            "tlm_serve_responses_total",
+            "counter",
+            "Responses by status code.",
+            "code",
+            STATUSES.iter().zip(&self.responses).map(|(code, n)| (code, load(n))),
+        );
+
+        for (name, kind, help, values) in [
+            (
+                "tlm_serve_pipeline_stage_hits_total",
+                "counter",
+                "Artifact-pipeline lookups served from a stage store.",
+                stages.map(|(_, s)| s.hits),
+            ),
+            (
+                "tlm_serve_pipeline_stage_misses_total",
+                "counter",
+                "Artifact-pipeline lookups that computed the stage.",
+                stages.map(|(_, s)| s.misses),
+            ),
+            (
+                "tlm_serve_pipeline_stage_entries",
+                "gauge",
+                "Resident artifacts per pipeline stage.",
+                stages.map(|(_, s)| s.entries as u64),
+            ),
+            (
+                "tlm_serve_pipeline_stage_bytes",
+                "gauge",
+                "Approximate resident key bytes per pipeline stage.",
+                stages.map(|(_, s)| s.bytes),
+            ),
+            (
+                "tlm_serve_pipeline_stage_evictions_total",
+                "counter",
+                "Entries dropped by byte-budget generation rotation, per stage.",
+                stages.map(|(_, s)| s.evictions),
+            ),
+        ] {
+            let samples = stages.iter().map(|(stage, _)| stage).zip(values);
+            family(&mut out, name, kind, help, "stage", samples);
+        }
+
+        for (name, help, value) in [
+            (
+                "tlm_serve_queue_depth",
+                "Connections currently waiting in the accept queue.",
+                load(&self.queue_depth),
+            ),
+            (
+                "tlm_serve_queue_depth_peak",
+                "High-water mark of the accept queue depth.",
+                load(&self.queue_depth_peak),
+            ),
+            (
+                "tlm_serve_queue_capacity",
+                "Configured capacity of the accept queue.",
+                queue_capacity as u64,
+            ),
+            ("tlm_serve_inflight", "Requests currently being processed.", load(&self.inflight)),
+            (
+                "tlm_serve_schedule_cache_entries",
+                "Resident schedule-cache entries.",
+                pipeline.schedules.entries as u64,
+            ),
+            (
+                "tlm_serve_cache_resident_bytes",
+                "Approximate resident key bytes across all artifact stores.",
+                stages.iter().map(|(_, s)| s.bytes).sum(),
+            ),
+            (
+                "tlm_serve_sessions_active",
+                "Live edit-to-estimate sessions.",
+                sessions.active as u64,
+            ),
+            (
+                "tlm_serve_sessions_resident_bytes",
+                "Approximate resident bytes of all live sessions.",
+                sessions.resident_bytes,
+            ),
+            (
+                "tlm_serve_workers_alive",
+                "Worker threads currently alive.",
+                load(&self.workers_alive),
+            ),
+            (
+                "tlm_serve_workers_busy",
+                "Worker threads currently serving a connection.",
+                load(&self.workers_busy),
+            ),
+            (
+                "tlm_serve_open_connections",
+                "Connections currently registered with the event loop.",
+                load(&self.open_connections),
+            ),
+            (
+                "tlm_serve_open_connections_peak",
+                "High-water mark of open connections.",
+                load(&self.open_connections_peak),
+            ),
+        ] {
+            family(&mut out, name, "gauge", help, "", [("", value)]);
+        }
+
+        family(
+            &mut out,
+            "tlm_serve_epoll_wakeups_total",
+            "counter",
+            "Returns from epoll_wait in the event loop.",
+            "",
+            [("", load(&self.epoll_wakeups_total))],
+        );
+        family(
+            &mut out,
+            "tlm_serve_connection_states",
+            "gauge",
+            "Connections per event-loop state.",
+            "state",
+            CONN_PHASES.iter().zip(&self.conn_phases).map(|(phase, n)| (phase, load(n))),
+        );
         self.latency.render(
             &mut out,
             "tlm_serve_request_duration_seconds",
@@ -548,6 +513,7 @@ impl Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tlm_pipeline::StoreStats;
 
     #[test]
     fn counters_accumulate_and_render() {
@@ -557,9 +523,9 @@ mod tests {
         m.response(200);
         m.response(503);
         m.queue_rejected();
-        m.enqueue();
-        m.enqueue();
-        m.dequeue();
+        m.queue_len(1);
+        m.queue_len(2);
+        m.queue_len(1);
         m.begin();
         m.done(Duration::from_millis(3));
         m.worker_started();
@@ -942,44 +908,12 @@ tlm_serve_request_duration_seconds_count 1
 "#;
 
     #[test]
-    fn kernel_scratch_counters_exported() {
-        // The values are process-wide (other tests in the binary may have
-        // run the scheduler), so only the presence and shape of the
-        // samples is asserted here.
+    fn process_wide_counters_exported() {
+        // The trace-ring and kernel counters: any test in the binary may
+        // have moved them, so only the presence and shape of each sample
+        // is asserted.
         let text = Metrics::new().render(&PipelineStats::default(), &SessionStats::default(), 1);
-        for name in ["tlm_serve_kernel_scratch_reuse", "tlm_serve_kernel_scratch_alloc"] {
-            assert!(text.contains(&format!("# TYPE {name} counter")), "missing TYPE for {name}");
-            let sample = text
-                .lines()
-                .find(|l| l.starts_with(name) && l[name.len()..].starts_with(' '))
-                .unwrap_or_else(|| panic!("missing sample for {name}"));
-            let value = sample.rsplit(' ').next().unwrap();
-            assert!(value.parse::<u64>().is_ok(), "non-numeric sample: {sample}");
-        }
-    }
-
-    #[test]
-    fn trace_ring_counters_exported() {
-        // Process-wide like the scratch counters (any test may have
-        // recorded events), so assert presence and shape only.
-        let text = Metrics::new().render(&PipelineStats::default(), &SessionStats::default(), 1);
-        for name in ["tlm_serve_trace_events_total", "tlm_serve_trace_dropped_total"] {
-            assert!(text.contains(&format!("# TYPE {name} counter")), "missing TYPE for {name}");
-            let sample = text
-                .lines()
-                .find(|l| l.starts_with(name) && l[name.len()..].starts_with(' '))
-                .unwrap_or_else(|| panic!("missing sample for {name}"));
-            let value = sample.rsplit(' ').next().unwrap();
-            assert!(value.parse::<u64>().is_ok(), "non-numeric sample: {sample}");
-        }
-    }
-
-    #[test]
-    fn kernel_batch_counters_exported() {
-        // Process-wide like the scratch counters, so assert presence and
-        // shape: both dedup counters, each with a numeric sample.
-        let text = Metrics::new().render(&PipelineStats::default(), &SessionStats::default(), 1);
-        for name in ["tlm_serve_kernel_batch_dedup_hits", "tlm_serve_kernel_batch_unique_solves"] {
+        for name in &PROCESS_WIDE[1..] {
             assert!(text.contains(&format!("# TYPE {name} counter")), "missing TYPE for {name}");
             let sample = text
                 .lines()

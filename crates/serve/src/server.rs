@@ -13,20 +13,20 @@
 //!   so thousands of idle or slow clients cost a map entry each, not a
 //!   thread;
 //! - **workers** do only CPU-bound work: the loop hands fully parsed
-//!   requests over a bounded [`sync_channel`] and resumes the connection
-//!   when the worker sends the response back over a completion channel
-//!   (a socketpair waker interrupts `epoll_wait`). When the dispatch
-//!   queue is full the loop answers `503 Service Unavailable` with
-//!   `Retry-After: 1` inline — memory stays capped no matter how fast
-//!   requests arrive, and [`ServerConfig::max_connections`] caps the
-//!   connection table itself;
+//!   requests over a bounded dispatch queue (a `VecDeque` under a mutex,
+//!   whose length is the `tlm_serve_queue_depth` gauge) and resumes the
+//!   connection when the worker sends the response back over a
+//!   completion channel (a socketpair waker interrupts `epoll_wait`).
+//!   When the dispatch queue is full the loop answers `503 Service
+//!   Unavailable` with `Retry-After: 1` inline — memory stays capped no
+//!   matter how fast requests arrive, and
+//!   [`ServerConfig::max_connections`] caps the connection table itself;
 //! - **deadlines** are enforced by the loop's timer scan: each
 //!   connection carries an I/O-progress deadline (re-armed on every
 //!   byte, [`ServerConfig::io_timeout`]) and a per-request budget
 //!   ([`ServerConfig::request_deadline`]) armed when the request starts,
 //!   so a slowloris client dripping bytes inside the per-op timeout
-//!   still gets `408` when the sum runs out — same contract as the old
-//!   blocking path, now without a pinned thread;
+//!   still gets `408` when the sum runs out, without pinning a thread;
 //! - **shutdown** ([`ServerHandle::shutdown`]) latches a flag and wakes
 //!   the loop; the listener closes *first*, keep-alive is not renewed,
 //!   in-flight and already-parsed requests finish, and the loop exits
@@ -40,15 +40,15 @@
 //!   (`tlm_serve_worker_panics_total` / `_respawns_total` count both
 //!   sides).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, sync_channel, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{self, Receiver};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -69,7 +69,7 @@ pub struct ServerConfig {
     /// Worker threads running CPU-bound request handlers.
     pub workers: usize,
     /// Capacity of the dispatch queue between the event loop and the
-    /// workers; beyond it, requests get `503`.
+    /// workers (at least 1); beyond it, requests get `503`.
     pub queue: usize,
     /// Input caps applied to every request.
     pub limits: HttpLimits,
@@ -132,14 +132,13 @@ impl Server {
         let service = Arc::new(service);
         let metrics = Arc::new(Metrics::new());
         let shutdown = Arc::new(AtomicBool::new(false));
-        let (dispatch_tx, dispatch_rx) = sync_channel::<WorkItem>(config.queue);
-        let dispatch_rx = Arc::new(Mutex::new(dispatch_rx));
+        let dispatch = Arc::new(DispatchQueue::new(config.queue.max(1), Arc::clone(&metrics)));
         let (completion_tx, completion_rx) = mpsc::channel::<Completion>();
         let worker_waker = Arc::new(waker_tx.try_clone()?);
 
         let mut threads = Vec::with_capacity(config.workers + 1);
         for i in 0..config.workers.max(1) {
-            let dispatch_rx = Arc::clone(&dispatch_rx);
+            let dispatch = Arc::clone(&dispatch);
             let service = Arc::clone(&service);
             let metrics = Arc::clone(&metrics);
             let completion_tx = completion_tx.clone();
@@ -151,7 +150,7 @@ impl Server {
                     .spawn(move || {
                         supervise_worker(
                             i,
-                            &dispatch_rx,
+                            &dispatch,
                             &service,
                             &metrics,
                             &completion_tx,
@@ -171,7 +170,7 @@ impl Server {
                 waker_rx,
                 conns: HashMap::new(),
                 next_token: TOKEN_FIRST_CONN,
-                dispatch_tx,
+                dispatch,
                 completions: completion_rx,
                 metrics: Arc::clone(&metrics),
                 shutdown: Arc::clone(&shutdown),
@@ -237,11 +236,6 @@ impl ServerHandle {
         self.shutdown.store(true, Ordering::SeqCst);
         let _ = (&self.waker).write(b"s");
     }
-
-    /// Whether shutdown has been requested.
-    pub fn shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
-    }
 }
 
 /// Event-loop token of the listening socket.
@@ -264,6 +258,80 @@ struct WorkItem {
     draining: bool,
     /// Trace-ring request id, assigned at dispatch.
     request_id: u64,
+}
+
+/// The bounded queue between the event loop and the workers. The depth
+/// gauge and its peak are set from the deque's length under the queue's
+/// own lock, on every push and pop, so the peak never exceeds the
+/// capacity.
+struct DispatchQueue {
+    state: Mutex<QueueState>,
+    ready: Condvar,
+    capacity: usize,
+    metrics: Arc<Metrics>,
+}
+
+struct QueueState {
+    items: VecDeque<WorkItem>,
+    /// Set when the event loop ends: workers drain what is left, then
+    /// exit.
+    closed: bool,
+}
+
+impl DispatchQueue {
+    fn new(capacity: usize, metrics: Arc<Metrics>) -> DispatchQueue {
+        DispatchQueue {
+            state: Mutex::new(QueueState {
+                items: VecDeque::with_capacity(capacity),
+                closed: false,
+            }),
+            ready: Condvar::new(),
+            capacity,
+            metrics,
+        }
+    }
+
+    /// The queue state. No code panics while holding the lock, so a
+    /// poisoned lock still guards consistent state.
+    fn lock(&self) -> MutexGuard<'_, QueueState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Appends an item for the workers; `false` (the item dropped) when
+    /// the queue is full.
+    fn push(&self, item: WorkItem) -> bool {
+        let mut state = self.lock();
+        if state.items.len() >= self.capacity {
+            return false;
+        }
+        state.items.push_back(item);
+        self.metrics.queue_len(state.items.len());
+        drop(state);
+        self.ready.notify_one();
+        true
+    }
+
+    /// Takes the oldest item, waiting while the queue is empty and open;
+    /// `None` once it is closed and drained.
+    fn pop(&self) -> Option<WorkItem> {
+        let mut state = self.lock();
+        loop {
+            if let Some(item) = state.items.pop_front() {
+                self.metrics.queue_len(state.items.len());
+                return Some(item);
+            }
+            if state.closed {
+                return None;
+            }
+            state = self.ready.wait(state).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Lets the workers exit once the queue is drained.
+    fn close(&self) {
+        self.lock().closed = true;
+        self.ready.notify_all();
+    }
 }
 
 /// One response travelling back from a worker to the event loop.
@@ -311,7 +379,8 @@ fn phase_of(state: &ConnState) -> ConnPhase {
     }
 }
 
-struct Connection {
+/// One accepted connection: its socket, request parser and state machine.
+struct Peer {
     stream: TcpStream,
     parser: RequestParser,
     state: ConnState,
@@ -330,9 +399,9 @@ struct Connection {
     interest: u32,
 }
 
-impl Connection {
-    fn new(stream: TcpStream, now: Instant) -> Connection {
-        Connection {
+impl Peer {
+    fn new(stream: TcpStream, now: Instant) -> Peer {
+        Peer {
             stream,
             parser: RequestParser::new(),
             state: ConnState::Reading,
@@ -347,7 +416,7 @@ impl Connection {
 }
 
 /// Switches a connection's state, keeping the per-state gauges honest.
-fn transition(metrics: &Metrics, conn: &mut Connection, state: ConnState) {
+fn transition(metrics: &Metrics, conn: &mut Peer, state: ConnState) {
     metrics.phase_leave(phase_of(&conn.state));
     metrics.phase_enter(phase_of(&state));
     conn.state = state;
@@ -364,7 +433,7 @@ enum ReadOutcome {
 }
 
 /// Reads until `WouldBlock` or EOF, pushing bytes into the parser.
-fn fill_parser(conn: &mut Connection) -> ReadOutcome {
+fn fill_parser(conn: &mut Peer) -> ReadOutcome {
     let mut buf = [0u8; 16 << 10];
     loop {
         match conn.stream.read(&mut buf) {
@@ -384,9 +453,9 @@ struct EventLoop {
     epoll: Epoll,
     listener: Option<TcpListener>,
     waker_rx: UnixStream,
-    conns: HashMap<u64, Connection>,
+    conns: HashMap<u64, Peer>,
     next_token: u64,
-    dispatch_tx: SyncSender<WorkItem>,
+    dispatch: Arc<DispatchQueue>,
     completions: Receiver<Completion>,
     metrics: Arc<Metrics>,
     shutdown: Arc<AtomicBool>,
@@ -428,8 +497,8 @@ impl EventLoop {
             }
             self.expire_deadlines();
         }
-        // Dropping `dispatch_tx` here disconnects the queue; workers
-        // drain what is left and exit.
+        // Dropping the loop here closes the queue; workers drain what
+        // is left and exit.
     }
 
     /// The soonest instant at which some connection's timer fires.
@@ -438,7 +507,7 @@ impl EventLoop {
     }
 
     /// The given connection's active timer, if its state has one.
-    fn conn_deadline(&self, conn: &Connection) -> Option<Instant> {
+    fn conn_deadline(&self, conn: &Peer) -> Option<Instant> {
         let io = conn.last_io + self.config.io_timeout;
         let request = conn.req_started + self.config.request_deadline;
         match &conn.state {
@@ -463,8 +532,8 @@ impl EventLoop {
         for token in expired {
             let Some(conn) = self.conns.get(&token) else { continue };
             match conn.state {
-                // Same contract as the blocking path: a stalled or idle
-                // keep-alive connection gets `408` and closes.
+                // A stalled request, or a keep-alive connection idle past
+                // its timer, gets `408` and closes.
                 ConnState::Reading => {
                     let resp = Response::error(408, "request timed out");
                     self.queue_response(token, resp, false, false);
@@ -499,7 +568,7 @@ impl EventLoop {
             if self.epoll.add(stream.as_raw_fd(), EPOLLIN | EPOLLRDHUP, token).is_err() {
                 continue;
             }
-            self.conns.insert(token, Connection::new(stream, Instant::now()));
+            self.conns.insert(token, Peer::new(stream, Instant::now()));
             self.metrics.conn_opened();
             self.metrics.phase_enter(ConnPhase::Reading);
             if self.conns.len() > self.config.max_connections {
@@ -600,7 +669,7 @@ impl EventLoop {
                 None => {}
                 // No complete request pending: a clean keep-alive end
                 // (empty parser) or a truncated request — neither owes a
-                // response. Matches the blocking path's silent close.
+                // response, so the connection closes silently.
                 Some((true, _)) => self.close(token),
                 Some((false, interest)) if !self.set_interest(token, interest) => {
                     self.close(token);
@@ -630,11 +699,10 @@ impl EventLoop {
                     // Only via fault injection (`serve.parse` ShortRead):
                     // the truncated-upload drill closes without a
                     // response, like a real truncated upload.
-                    HttpError::Closed { .. } | HttpError::Io(_) => {
+                    HttpError::Closed => {
                         self.close(token);
                         return;
                     }
-                    HttpError::Timeout => Response::error(408, "request timed out"),
                     HttpError::HeaderTooLarge => Response::error(400, "request head too large"),
                     HttpError::BodyTooLarge { declared, limit } => Response::error(
                         413,
@@ -658,31 +726,19 @@ impl EventLoop {
         let keep_alive = request.keep_alive;
         let request_id = crate::trace::next_request_id();
         crate::trace::record_for(request_id, "request", "enqueued", request.target.clone());
-        // Count the enqueue *before* the send so a worker's matching
-        // dequeue can never be observed first (the depth gauge would
-        // underflow).
-        self.metrics.enqueue();
-        match self.dispatch_tx.try_send(WorkItem { token, request, draining, request_id }) {
-            Ok(()) => {
-                let Some(conn) = self.conns.get_mut(&token) else { return };
-                conn.req_keep_alive = keep_alive;
-                let interest = if conn.half_closed { 0 } else { EPOLLRDHUP };
-                transition(&self.metrics, conn, ConnState::Dispatched);
-                if !self.set_interest(token, interest) {
-                    self.close(token);
-                }
-            }
-            Err(TrySendError::Full(_)) => {
-                self.metrics.dequeue();
-                self.metrics.queue_rejected();
-                let resp = Response::error(503, "estimation queue is full, retry shortly")
-                    .with_header("Retry-After", "1");
-                self.queue_response(token, resp, false, false);
-            }
-            Err(TrySendError::Disconnected(_)) => {
-                self.metrics.dequeue();
-                self.close(token);
-            }
+        if !self.dispatch.push(WorkItem { token, request, draining, request_id }) {
+            self.metrics.queue_rejected();
+            let resp = Response::error(503, "estimation queue is full, retry shortly")
+                .with_header("Retry-After", "1");
+            self.queue_response(token, resp, false, false);
+            return;
+        }
+        let Some(conn) = self.conns.get_mut(&token) else { return };
+        conn.req_keep_alive = keep_alive;
+        let interest = if conn.half_closed { 0 } else { EPOLLRDHUP };
+        transition(&self.metrics, conn, ConnState::Dispatched);
+        if !self.set_interest(token, interest) {
+            self.close(token);
         }
     }
 
@@ -721,8 +777,8 @@ impl EventLoop {
             let request_deadline = conn.req_started + self.config.request_deadline;
             let ConnState::Writing(w) = &mut conn.state else { return };
             if w.enforce_deadline && Instant::now() >= request_deadline {
-                // The budget ran out before the response went out — the
-                // blocking path's `write_deadline` failed the same way.
+                // The budget ran out before the response went out: the
+                // response is abandoned and the connection closed.
                 After::Close
             } else {
                 loop {
@@ -839,8 +895,8 @@ impl EventLoop {
         );
         let Some(conn) = self.conns.get_mut(&done.token) else {
             // The peer hung up while the worker computed. The response
-            // is still counted — the blocking path counted before its
-            // (failing) write too.
+            // is still counted: every handled request counts its status,
+            // whether or not the peer is there to read it.
             self.metrics.response(done.response.status);
             return;
         };
@@ -886,9 +942,17 @@ impl EventLoop {
     }
 }
 
+impl Drop for EventLoop {
+    /// Closes the dispatch queue however the loop ends, a panic included,
+    /// so the workers drain and exit.
+    fn drop(&mut self) {
+        self.dispatch.close();
+    }
+}
+
 /// Why a worker thread returned.
 enum WorkerExit {
-    /// The queue disconnected and drained — normal shutdown.
+    /// The queue closed and drained — normal shutdown.
     Drained,
     /// A request handler panicked; the worker sent the `500` completion
     /// and exited so the supervisor can replace it with a fresh thread.
@@ -901,7 +965,7 @@ enum WorkerExit {
 #[allow(clippy::too_many_arguments)]
 fn supervise_worker(
     index: usize,
-    receiver: &Arc<Mutex<Receiver<WorkItem>>>,
+    queue: &Arc<DispatchQueue>,
     service: &Arc<Service>,
     metrics: &Arc<Metrics>,
     completions: &mpsc::Sender<Completion>,
@@ -911,7 +975,7 @@ fn supervise_worker(
     loop {
         metrics.worker_started();
         let worker = {
-            let receiver = Arc::clone(receiver);
+            let queue = Arc::clone(queue);
             let service = Arc::clone(service);
             let metrics = Arc::clone(metrics);
             let completions = completions.clone();
@@ -920,7 +984,7 @@ fn supervise_worker(
             thread::Builder::new()
                 .name(format!("tlm-serve-worker-{index}"))
                 .spawn(move || {
-                    worker_loop(&receiver, &service, &metrics, &completions, &waker, &config)
+                    worker_loop(&queue, &service, &metrics, &completions, &waker, &config)
                 })
                 .expect("worker thread spawns")
         };
@@ -946,7 +1010,7 @@ fn wake(waker: &UnixStream) {
 }
 
 fn worker_loop(
-    receiver: &Mutex<Receiver<WorkItem>>,
+    queue: &DispatchQueue,
     service: &Service,
     metrics: &Metrics,
     completions: &mpsc::Sender<Completion>,
@@ -954,12 +1018,9 @@ fn worker_loop(
     config: &ServerConfig,
 ) -> WorkerExit {
     loop {
-        // Hold the lock only to receive; handling happens unlocked.
-        let next = receiver.lock().expect("queue lock poisoned").recv();
-        let Ok(item) = next else {
+        let Some(item) = queue.pop() else {
             return WorkerExit::Drained; // event loop gone and queue drained
         };
-        metrics.dequeue();
         metrics.worker_busy();
         metrics.begin();
         // Attribute everything the handler records (stage transitions)
@@ -1028,6 +1089,49 @@ mod tests {
         let mut out = String::new();
         stream.read_to_string(&mut out).expect("reads");
         out
+    }
+
+    /// The queue-depth gauge and its peak, read off the rendered page.
+    fn depth_and_peak(metrics: &Metrics) -> (u64, u64) {
+        let page = metrics.render(&Default::default(), &Default::default(), 2);
+        let gauge = |name: &str| -> u64 {
+            let line = page.lines().find(|l| l.split(' ').next() == Some(name)).expect(name);
+            line.rsplit(' ').next().unwrap().parse().expect("numeric")
+        };
+        (gauge("tlm_serve_queue_depth"), gauge("tlm_serve_queue_depth_peak"))
+    }
+
+    #[test]
+    fn dispatch_queue_gauges_its_exact_length() {
+        let metrics = Arc::new(Metrics::new());
+        let queue = DispatchQueue::new(2, Arc::clone(&metrics));
+        let item = |token| WorkItem {
+            token,
+            request: Request {
+                method: "GET".to_string(),
+                target: "/healthz".to_string(),
+                headers: Vec::new(),
+                body: Vec::new(),
+                keep_alive: false,
+            },
+            draining: false,
+            request_id: 0,
+        };
+        assert!(queue.push(item(1)));
+        assert_eq!(depth_and_peak(&metrics), (1, 1));
+        assert!(queue.push(item(2)));
+        assert_eq!(depth_and_peak(&metrics), (2, 2));
+        assert!(!queue.push(item(3)), "full at capacity");
+        assert_eq!(depth_and_peak(&metrics), (2, 2), "a rejected push counts nothing");
+        assert_eq!(queue.pop().map(|w| w.token), Some(1));
+        assert_eq!(depth_and_peak(&metrics), (1, 2));
+        assert!(queue.push(item(4)));
+        assert_eq!(depth_and_peak(&metrics), (2, 2), "the peak never exceeds the capacity");
+        queue.close();
+        assert_eq!(queue.pop().map(|w| w.token), Some(2), "a closed queue still drains");
+        assert_eq!(queue.pop().map(|w| w.token), Some(4));
+        assert_eq!(depth_and_peak(&metrics), (0, 2));
+        assert!(queue.pop().is_none(), "closed and drained");
     }
 
     fn test_config() -> ServerConfig {

@@ -206,22 +206,6 @@ pub fn install_stage_observer() {
     });
 }
 
-fn escape_into(out: &mut String, text: &str) {
-    for ch in text.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 /// Exports the resident events of one request as Chrome trace JSON
 /// (instant events, `ts` in microseconds). Returns `None` when the ring
 /// holds no events for `request` — never recorded, or already
@@ -245,11 +229,11 @@ pub fn export_chrome(request: u64) -> Option<String> {
         let _ = write!(
             out,
             "{{\"name\":\"{}:{}\",\"cat\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\
-             \"pid\":1,\"tid\":{},\"args\":{{\"seq\":{},\"detail\":\"",
+             \"pid\":1,\"tid\":{},\"args\":{{\"seq\":{},\"detail\":",
             e.cat, e.name, e.cat, e.micros, e.request, e.seq
         );
-        escape_into(&mut out, &e.detail);
-        out.push_str("\"}}");
+        tlm_json::write_string(&mut out, &e.detail);
+        out.push_str("}}");
     }
     out.push_str("]}\n");
     Some(out)

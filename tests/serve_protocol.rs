@@ -182,6 +182,30 @@ fn truncated_body_times_out_with_408() {
     handle.shutdown();
 }
 
+/// A client that closes its write half before a request is complete —
+/// before sending a byte, or partway through a body — is owed no
+/// response: the server closes silently, and the connection leaves the
+/// table before the client sees the close.
+#[test]
+fn eof_before_a_complete_request_closes_without_a_response() {
+    let handle = start_default();
+    let addr = handle.addr();
+    let open_connections = || metric(&client::scrape(addr), "tlm_serve_open_connections");
+    let baseline = open_connections();
+    let truncated = b"POST /estimate HTTP/1.1\r\nHost: t\r\nContent-Length: 100\r\n\r\nonly-a-bit";
+    for raw in [&b""[..], truncated] {
+        let mut stream = TcpStream::connect(addr).expect("connects");
+        stream.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
+        stream.write_all(raw).expect("writes");
+        stream.shutdown(std::net::Shutdown::Write).expect("half-close");
+        let mut out = Vec::new();
+        stream.read_to_end(&mut out).expect("reads");
+        assert!(out.is_empty(), "no response owed, got: {}", String::from_utf8_lossy(&out));
+        assert_eq!(open_connections(), baseline, "closed connection left in the table");
+    }
+    handle.shutdown();
+}
+
 /// Asserts via the worker gauges that the pool is intact: every worker
 /// alive, and nobody stuck busy beyond the one serving this very
 /// `/metrics` request.
