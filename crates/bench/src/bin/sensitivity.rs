@@ -18,14 +18,12 @@
 //!    Nth transaction.
 
 use tlm_apps::{kernels, Mp3Design, Mp3Params};
-use tlm_bench::perf::{bench_json_path, pipeline_stats_json, time, write_bench_json};
 use tlm_bench::{
     characterize_cpu, characterized_design, end_time_cycles, error_pct, fmt_m, TextTable,
 };
-use tlm_core::parallel::{available_workers, par_map};
+use tlm_core::parallel::par_map;
 use tlm_core::pum::{MemoryPath, SchedulingPolicy};
 use tlm_core::{library, Pum};
-use tlm_json::{ObjectBuilder, Value};
 use tlm_pcam::{run_board, BoardConfig};
 use tlm_pipeline::{Pipeline, PreparedDesign};
 use tlm_platform::desc::Platform;
@@ -65,7 +63,6 @@ fn total_annotated(pum: &Pum, src: &str) -> u64 {
 }
 
 fn main() {
-    let bench_json = bench_json_path();
     let training = Mp3Params::training();
     let eval = Mp3Params::evaluation();
     let chr = characterize_cpu(Mp3Design::Sw, training);
@@ -77,12 +74,10 @@ fn main() {
     // concurrent timed TLMs all reuse one Algorithm 1 schedule per block.
     println!("S1a — estimate sensitivity to cache hit-rate error (SW, 8k/4k)");
     let deltas = [-0.05, -0.02, -0.01, 0.0, 0.01, 0.02];
-    let (s1a, s1a_wall) = time(|| {
-        par_map(&deltas, |&delta| {
-            let mut p = base.clone();
-            perturb_rates(&mut p.platform, delta);
-            estimate_cycles(&p)
-        })
+    let s1a = par_map(&deltas, |&delta| {
+        let mut p = base.clone();
+        perturb_rates(&mut p.platform, delta);
+        estimate_cycles(&p)
     });
     let mut t = TextTable::new();
     t.row(vec!["Δ hit rate".into(), "TLM".into(), "err vs board".into()]);
@@ -97,16 +92,14 @@ fn main() {
 
     println!("S1b — estimate sensitivity to the branch misprediction ratio");
     let rates = [0.0, 0.1, 0.2, 0.3, 0.5];
-    let (s1b, s1b_wall) = time(|| {
-        par_map(&rates, |&rate| {
-            let mut p = base.clone();
-            for pe in &mut p.platform.pes {
-                if let Some(b) = &mut pe.pum.branch {
-                    b.miss_rate = rate;
-                }
+    let s1b = par_map(&rates, |&rate| {
+        let mut p = base.clone();
+        for pe in &mut p.platform.pes {
+            if let Some(b) = &mut pe.pum.branch {
+                b.miss_rate = rate;
             }
-            estimate_cycles(&p)
-        })
+        }
+        estimate_cycles(&p)
     });
     let mut t = TextTable::new();
     t.row(vec!["miss rate".into(), "TLM".into(), "err vs board".into()]);
@@ -155,27 +148,4 @@ fn main() {
         ]);
     }
     println!("{}", t.render());
-
-    if let Some(path) = bench_json {
-        let stats = Pipeline::global().stats();
-        let json = ObjectBuilder::new()
-            .field("bench", Value::String("sensitivity".into()))
-            .field("workers", Value::Number(available_workers() as f64))
-            .field("s1a_points", Value::Number(deltas.len() as f64))
-            .field("s1a_wall_ms", Value::Number(s1a_wall.as_secs_f64() * 1e3))
-            .field("s1b_points", Value::Number(rates.len() as f64))
-            .field("s1b_wall_ms", Value::Number(s1b_wall.as_secs_f64() * 1e3))
-            .field(
-                "schedule_cache",
-                ObjectBuilder::new()
-                    .field("hits", Value::Number(stats.schedules.hits as f64))
-                    .field("misses", Value::Number(stats.schedules.misses as f64))
-                    .field("entries", Value::Number(stats.schedules.entries as f64))
-                    .field("hit_ratio", Value::Number(stats.schedules.hit_ratio()))
-                    .build(),
-            )
-            .field("pipeline", pipeline_stats_json(&stats))
-            .build();
-        write_bench_json(&path, &json);
-    }
 }

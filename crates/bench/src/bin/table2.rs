@@ -3,7 +3,7 @@
 //! five cache configurations.
 //!
 //! ```text
-//! cargo run -p tlm-bench --release --bin table2 [-- --bench-json[=PATH]]
+//! cargo run -p tlm-bench --release --bin table2
 //! ```
 //!
 //! Statistical PUM parameters are characterized on the training input and
@@ -16,50 +16,42 @@
 //! all five timed TLMs drive the process-wide [`Pipeline`], so they share
 //! one parse/lower per source and one Algorithm 1 schedule per basic block,
 //! and only the PUM-dependent annotate stage re-runs per cache size.
-//! `--bench-json` records the sweep wall time and the per-stage counters.
 
 use tlm_apps::designs::CACHE_SWEEP;
 use tlm_apps::{Mp3Design, Mp3Params};
-use tlm_bench::perf::{bench_json_path, pipeline_stats_json, time, write_bench_json};
 use tlm_bench::{
     characterize_cpu, characterized_design, end_time_cycles, error_pct, fmt_m, TextTable,
 };
-use tlm_core::parallel::{available_workers, par_map};
-use tlm_json::{ObjectBuilder, Value};
+use tlm_core::parallel::par_map;
 use tlm_pcam::{run_board, run_iss, BoardConfig};
 use tlm_pipeline::Pipeline;
 use tlm_platform::tlm::TlmConfig;
 
 fn main() {
-    let bench_json = bench_json_path();
     let training = Mp3Params::training();
     let eval = Mp3Params::evaluation();
     eprintln!("characterizing CPU on training input (seed {:#x})...", training.seed);
-    let (chr, chr_wall) = time(|| characterize_cpu(Mp3Design::Sw, training));
+    let chr = characterize_cpu(Mp3Design::Sw, training);
     eprintln!(
         "  mispredict rate {:.4}, fetch expansion {:.3}, data expansion {:.3}",
         chr.mispredict_rate, chr.fetch_expansion, chr.data_expansion
     );
 
     let sweep = CACHE_SWEEP;
-    let (points, sweep_wall) = time(|| {
-        par_map(&sweep, |&(label, ic, dc)| {
-            let design = characterized_design(Mp3Design::Sw, eval, ic, dc, &chr);
-            let board = run_board(&design.platform, &BoardConfig::default()).expect("board runs");
-            let iss = run_iss(&design.platform, &BoardConfig::default()).expect("ISS runs");
-            let tlm =
-                Pipeline::global().run_timed(&design, &TlmConfig::default()).expect("TLM runs");
-            assert_eq!(board.outputs, tlm.outputs, "functional equivalence");
-            assert_eq!(board.outputs, iss.outputs, "functional equivalence");
-            (
-                label,
-                end_time_cycles(board.end_time),
-                end_time_cycles(iss.end_time),
-                end_time_cycles(tlm.end_time),
-            )
-        })
+    let points = par_map(&sweep, |&(label, ic, dc)| {
+        let design = characterized_design(Mp3Design::Sw, eval, ic, dc, &chr);
+        let board = run_board(&design.platform, &BoardConfig::default()).expect("board runs");
+        let iss = run_iss(&design.platform, &BoardConfig::default()).expect("ISS runs");
+        let tlm = Pipeline::global().run_timed(&design, &TlmConfig::default()).expect("TLM runs");
+        assert_eq!(board.outputs, tlm.outputs, "functional equivalence");
+        assert_eq!(board.outputs, iss.outputs, "functional equivalence");
+        (
+            label,
+            end_time_cycles(board.end_time),
+            end_time_cycles(iss.end_time),
+            end_time_cycles(tlm.end_time),
+        )
     });
-    let stats = Pipeline::global().stats();
 
     let mut table = TextTable::new();
     table.row(vec![
@@ -106,27 +98,4 @@ fn main() {
         "reproduced claim: TLM average error beats the vendor ISS"
     );
     println!("shape check passed: TLM average |error| < ISS average |error|");
-
-    if let Some(path) = bench_json {
-        let json = ObjectBuilder::new()
-            .field("bench", Value::String("table2".into()))
-            .field("workers", Value::Number(available_workers() as f64))
-            .field("sweep_points", Value::Number(points.len() as f64))
-            .field("characterize_ms", Value::Number(chr_wall.as_secs_f64() * 1e3))
-            .field("sweep_wall_ms", Value::Number(sweep_wall.as_secs_f64() * 1e3))
-            .field(
-                "schedule_cache",
-                ObjectBuilder::new()
-                    .field("hits", Value::Number(stats.schedules.hits as f64))
-                    .field("misses", Value::Number(stats.schedules.misses as f64))
-                    .field("entries", Value::Number(stats.schedules.entries as f64))
-                    .field("hit_ratio", Value::Number(stats.schedules.hit_ratio()))
-                    .build(),
-            )
-            .field("pipeline", pipeline_stats_json(&stats))
-            .field("avg_iss_err_pct", Value::Number(avg(&iss_abs)))
-            .field("avg_tlm_err_pct", Value::Number(avg(&tlm_abs)))
-            .build();
-        write_bench_json(&path, &json);
-    }
 }

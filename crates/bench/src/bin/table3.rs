@@ -3,7 +3,7 @@
 //! the five cache configurations.
 //!
 //! ```text
-//! cargo run -p tlm-bench --release --bin table3 [-- --bench-json[=PATH]]
+//! cargo run -p tlm-bench --release --bin table3
 //! ```
 //!
 //! The reproduced claims: decode time falls monotonically as kernels move
@@ -13,53 +13,43 @@
 //! The 15 (design × cache) sweep points are independent and run
 //! concurrently; their timed TLMs drive the process-wide [`Pipeline`], so
 //! the designs share parse/lower artifacts for their common sources and
-//! Algorithm 1 schedules across all cache sizes. `--bench-json` records the
-//! sweep wall time and the per-stage counters.
+//! Algorithm 1 schedules across all cache sizes.
 
 use tlm_apps::designs::CACHE_SWEEP;
 use tlm_apps::{Mp3Design, Mp3Params};
-use tlm_bench::perf::{bench_json_path, pipeline_stats_json, time, write_bench_json};
 use tlm_bench::{
     characterize_cpu, characterized_design, end_time_cycles, error_pct, fmt_m, TextTable,
 };
-use tlm_core::parallel::{available_workers, par_map};
-use tlm_json::{ObjectBuilder, Value};
+use tlm_core::parallel::par_map;
 use tlm_pcam::{run_board, BoardConfig};
 use tlm_pipeline::Pipeline;
 use tlm_platform::tlm::TlmConfig;
 
 fn main() {
-    let bench_json = bench_json_path();
     let training = Mp3Params::training();
     let eval = Mp3Params::evaluation();
     let designs = [Mp3Design::SwPlus1, Mp3Design::SwPlus2, Mp3Design::SwPlus4];
 
-    let (chrs, chr_wall) = time(|| {
-        designs
-            .iter()
-            .map(|&d| {
-                eprintln!("characterizing CPU for {d}...");
-                characterize_cpu(d, training)
-            })
-            .collect::<Vec<_>>()
-    });
+    let chrs: Vec<_> = designs
+        .iter()
+        .map(|&d| {
+            eprintln!("characterizing CPU for {d}...");
+            characterize_cpu(d, training)
+        })
+        .collect();
 
     // One flat work list over designs × cache configurations, so every
     // simulation fans out at once instead of five at a time.
     let work: Vec<(usize, usize)> =
         (0..CACHE_SWEEP.len()).flat_map(|c| (0..designs.len()).map(move |d| (c, d))).collect();
-    let (cells, sweep_wall) = time(|| {
-        par_map(&work, |&(c, d)| {
-            let (_, ic, dc) = CACHE_SWEEP[c];
-            let design = characterized_design(designs[d], eval, ic, dc, &chrs[d]);
-            let board = run_board(&design.platform, &BoardConfig::default()).expect("board runs");
-            let tlm =
-                Pipeline::global().run_timed(&design, &TlmConfig::default()).expect("TLM runs");
-            assert_eq!(board.outputs, tlm.outputs, "functional equivalence");
-            (end_time_cycles(board.end_time), end_time_cycles(tlm.end_time))
-        })
+    let cells = par_map(&work, |&(c, d)| {
+        let (_, ic, dc) = CACHE_SWEEP[c];
+        let design = characterized_design(designs[d], eval, ic, dc, &chrs[d]);
+        let board = run_board(&design.platform, &BoardConfig::default()).expect("board runs");
+        let tlm = Pipeline::global().run_timed(&design, &TlmConfig::default()).expect("TLM runs");
+        assert_eq!(board.outputs, tlm.outputs, "functional equivalence");
+        (end_time_cycles(board.end_time), end_time_cycles(tlm.end_time))
     });
-    let stats = Pipeline::global().stats();
 
     let mut table = TextTable::new();
     let mut header = vec!["I/D cache".to_string()];
@@ -102,25 +92,4 @@ fn main() {
         assert!(mean < 10.0, "{design} average error {mean:.2}% exceeds the paper band");
     }
     println!("shape check passed: every design's average |error| < 10%");
-
-    if let Some(path) = bench_json {
-        let json = ObjectBuilder::new()
-            .field("bench", Value::String("table3".into()))
-            .field("workers", Value::Number(available_workers() as f64))
-            .field("sweep_points", Value::Number(work.len() as f64))
-            .field("characterize_ms", Value::Number(chr_wall.as_secs_f64() * 1e3))
-            .field("sweep_wall_ms", Value::Number(sweep_wall.as_secs_f64() * 1e3))
-            .field(
-                "schedule_cache",
-                ObjectBuilder::new()
-                    .field("hits", Value::Number(stats.schedules.hits as f64))
-                    .field("misses", Value::Number(stats.schedules.misses as f64))
-                    .field("entries", Value::Number(stats.schedules.entries as f64))
-                    .field("hit_ratio", Value::Number(stats.schedules.hit_ratio()))
-                    .build(),
-            )
-            .field("pipeline", pipeline_stats_json(&stats))
-            .build();
-        write_bench_json(&path, &json);
-    }
 }

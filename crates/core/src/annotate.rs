@@ -14,7 +14,7 @@ use tlm_cdfg::ir::Module;
 use tlm_cdfg::{BlockId, FuncId};
 use tlm_desim::SimTime;
 
-use crate::batch::{solve_batch, BatchItem};
+use crate::batch::BatchItem;
 use crate::cache::{DomainHandle, ScheduleCache, ScheduleDomain};
 use crate::delay::{block_delay_with_costs, BlockDelay, MemoryCosts};
 use crate::error::EstimateError;
@@ -74,7 +74,7 @@ pub fn annotate(module: &Module, pum: &Pum) -> Result<TimedModule, EstimateError
 ///
 /// Same as [`annotate`].
 pub fn annotate_arc(module: Arc<Module>, pum: &Pum) -> Result<TimedModule, EstimateError> {
-    annotate_arc_with(module, pum, Some(ScheduleCache::global()), true)
+    annotate_arc_with(module, pum, Some(ScheduleCache::global()))
 }
 
 /// Reference path: one block at a time, no memoization, no dedup. Exists
@@ -84,14 +84,14 @@ pub fn annotate_arc(module: Arc<Module>, pum: &Pum) -> Result<TimedModule, Estim
 ///
 /// Same as [`annotate`].
 pub fn annotate_uncached(module: &Module, pum: &Pum) -> Result<TimedModule, EstimateError> {
-    annotate_arc_with(Arc::new(module.clone()), pum, None, false)
+    annotate_arc_with(Arc::new(module.clone()), pum, None)
 }
 
 /// The full reference engine: sequential, no memoization, and every block
 /// scheduled by the retained pre-rewrite kernel
 /// ([`crate::reference::schedule_block_reference`]). The strongest oracle
-/// available — nothing it runs is shared with the production path — used
-/// by the `estperf` benchmark as both baseline and bit-identity check.
+/// available — nothing it runs is shared with the production path — that
+/// `tests/parallel_determinism.rs` checks every design against.
 ///
 /// # Errors
 ///
@@ -102,13 +102,13 @@ pub fn annotate_reference(module: &Module, pum: &Pum) -> Result<TimedModule, Est
 }
 
 /// The fully-general entry point: annotate with an explicit schedule cache
-/// (or none). With a cache, or with `batched`, the whole module is one
-/// dedup batch ([`crate::batch`]); without either, every block runs the
+/// (or none). With a cache, the whole module is one dedup batch
+/// ([`crate::batch`]) served through it; without one, every block runs the
 /// per-block kernel on its own — the [`annotate_uncached`] oracle.
 ///
-/// Results are deterministic across all four combinations: the block order,
-/// the delays and the first reported error are identical whether blocks are
-/// batched or scheduled one by one, cached or direct.
+/// Results are deterministic across both paths: the block order, the
+/// delays and the first reported error are identical whether blocks are
+/// batched through the cache or scheduled one by one.
 ///
 /// # Errors
 ///
@@ -119,9 +119,8 @@ pub fn annotate_arc_with(
     module: Arc<Module>,
     pum: &Pum,
     cache: Option<&ScheduleCache>,
-    batched: bool,
 ) -> Result<TimedModule, EstimateError> {
-    annotate_prepared(&PreparedModule::new(module), pum, cache, batched)
+    annotate_prepared(&PreparedModule::new(module), pum, cache)
 }
 
 /// The PUM-invariant half of the estimation inputs: every block's DFG and
@@ -355,17 +354,15 @@ pub fn annotate_prepared(
     prep: &PreparedModule,
     pum: &Pum,
     cache: Option<&ScheduleCache>,
-    batched: bool,
 ) -> Result<TimedModule, EstimateError> {
-    // Resolve the PUM's schedule domain once; per-block lookups then only
-    // hash the block's own key.
-    let handle: Option<DomainHandle<'_>> = cache.map(|c| c.domain(&ScheduleDomain::of(pum)));
-    let engine = if batched || handle.is_some() {
-        Engine::Batched(handle.as_ref())
-    } else {
-        Engine::PerBlock
-    };
-    annotate_inner(prep, pum, engine)
+    match cache {
+        // Resolve the PUM's schedule domain once; per-block lookups then
+        // only hash the block's own key.
+        Some(cache) => {
+            annotate_inner(prep, pum, Engine::Batched(&cache.domain(&ScheduleDomain::of(pum))))
+        }
+        None => annotate_inner(prep, pum, Engine::PerBlock),
+    }
 }
 
 /// [`annotate_prepared`] with the cache's [`DomainHandle`] already resolved.
@@ -393,14 +390,13 @@ pub fn annotate_in_domain(
         "PUM {} does not belong to the resolved schedule domain",
         pum.name
     );
-    annotate_inner(prep, pum, Engine::Batched(Some(handle)))
+    annotate_inner(prep, pum, Engine::Batched(handle))
 }
 
 /// How [`annotate_inner`] runs Algorithm 1.
 enum Engine<'h, 'c> {
-    /// The whole module as one dedup batch, through the cache's domain
-    /// when there is a handle.
-    Batched(Option<&'h DomainHandle<'c>>),
+    /// The whole module as one dedup batch, through the cache's domain.
+    Batched(&'h DomainHandle<'c>),
     /// One block at a time on the production kernel, nothing shared with
     /// the batched path — the oracle the batched engine is differenced
     /// against.
@@ -421,20 +417,17 @@ fn annotate_inner(
     // Algorithm 2's block-independent factors, derived once per run.
     let costs = MemoryCosts::of(pum)?;
     // Algorithm 1's per-domain facts, precompiled once per run (served
-    // from the cache's domain entry when there is one, so sweeps share a
+    // from the cache's domain entry on the batched path, so sweeps share a
     // single table per datapath).
     let table: Arc<IssueTable> = match engine {
-        Engine::Batched(Some(handle)) => handle.issue_table(pum),
+        Engine::Batched(handle) => handle.issue_table(pum),
         _ => Arc::new(IssueTable::build(pum)),
     };
 
     let results: Vec<(Result<BlockDelay, EstimateError>, bool)> = match engine {
         Engine::Batched(handle) => {
             let items = prep.batch_items(0..prep.work.len());
-            let scheduled = match handle {
-                Some(handle) => handle.schedule_batch_keyed(&table, &items),
-                None => solve_batch(&table, &items).into_iter().map(|r| (r, false)).collect(),
-            };
+            let scheduled = handle.schedule_batch_keyed(&table, &items);
             items
                 .iter()
                 .zip(scheduled)
@@ -639,19 +632,17 @@ mod tests {
         let reference = annotate_uncached(&module, &pum).expect("annotates");
         let cache = ScheduleCache::new();
         let arc = Arc::new(module.clone());
-        for batched in [false, true] {
-            for use_cache in [false, true] {
-                let timed =
-                    annotate_arc_with(Arc::clone(&arc), &pum, use_cache.then_some(&cache), batched)
-                        .expect("annotates");
-                for (fid, func) in module.functions_iter() {
-                    for (bid, _) in func.blocks_iter() {
-                        assert_eq!(
-                            timed.delay(fid, bid),
-                            reference.delay(fid, bid),
-                            "batched={batched} cache={use_cache} differs at {fid}/{bid}"
-                        );
-                    }
+        // The first batched run solves every block; the second is served
+        // from the cache.
+        for pass in ["cold", "warm"] {
+            let timed = annotate_arc_with(Arc::clone(&arc), &pum, Some(&cache)).expect("annotates");
+            for (fid, func) in module.functions_iter() {
+                for (bid, _) in func.blocks_iter() {
+                    assert_eq!(
+                        timed.delay(fid, bid),
+                        reference.delay(fid, bid),
+                        "{pass} cache differs at {fid}/{bid}"
+                    );
                 }
             }
         }
@@ -663,14 +654,13 @@ mod tests {
         let pum = library::microblaze_like(8 << 10, 4 << 10);
         let cache = ScheduleCache::new();
         let arc = Arc::new(module);
-        let first =
-            annotate_arc_with(Arc::clone(&arc), &pum, Some(&cache), false).expect("annotates");
+        let first = annotate_arc_with(Arc::clone(&arc), &pum, Some(&cache)).expect("annotates");
         assert_eq!(first.report().cache_hits, 0, "cold cache");
         assert_eq!(first.report().cache_misses, first.report().blocks);
         // Sweep point two: different cache size, same datapath — Algorithm 1
         // must not run again for any block.
         let swept = library::microblaze_like(32 << 10, 16 << 10);
-        let second = annotate_arc_with(arc, &swept, Some(&cache), false).expect("annotates");
+        let second = annotate_arc_with(arc, &swept, Some(&cache)).expect("annotates");
         assert_eq!(second.report().cache_misses, 0, "warm cache");
         assert_eq!(second.report().cache_hits, second.report().blocks);
     }
@@ -684,16 +674,10 @@ mod tests {
         pum.execution.op_map.clear();
         let cache = ScheduleCache::new();
         let arc = Arc::new(module);
-        let reference = annotate_arc_with(Arc::clone(&arc), &pum, None, false)
-            .expect_err("unmapped classes fail");
-        for batched in [false, true] {
-            for use_cache in [false, true] {
-                let err =
-                    annotate_arc_with(Arc::clone(&arc), &pum, use_cache.then_some(&cache), batched)
-                        .expect_err("unmapped classes fail");
-                assert_eq!(err, reference);
-            }
-        }
+        let reference =
+            annotate_arc_with(Arc::clone(&arc), &pum, None).expect_err("unmapped classes fail");
+        let err = annotate_arc_with(arc, &pum, Some(&cache)).expect_err("unmapped classes fail");
+        assert_eq!(err, reference);
     }
 
     #[test]
@@ -777,7 +761,7 @@ mod tests {
         let module = Arc::new(module_of(SRC));
         let prep = PreparedModule::new(Arc::clone(&module));
         let pum = library::microblaze_like(8 << 10, 4 << 10);
-        let full = annotate_prepared(&prep, &pum, None, true).expect("annotates");
+        let full = annotate_prepared(&prep, &pum, None).expect("annotates");
         let cache = ScheduleCache::new();
         let handle = cache.domain(&ScheduleDomain::of(&pum));
         for (fid, func) in module.functions_iter() {

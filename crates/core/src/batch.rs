@@ -8,14 +8,15 @@
 //! ([`tlm_cdfg::dfg::schedule_key`]) are folded into one representative
 //! solve whose result is fanned back out to every duplicate. The surviving
 //! representatives run through the flat per-block kernel
-//! ([`crate::schedule::schedule_block_prepared`]) on the calling thread's
+//! (`schedule::schedule_block_prepared`) on the calling thread's
 //! scratch arena, so every result is exactly what the kernel returns for
 //! the block alone (asserted against the reference kernel by
 //! `tests/kernel_differential.rs`).
 //!
 //! [`batch_stats`] exposes process-wide dedup counters in the same style
 //! as [`crate::schedule::scratch_stats`]; `tlm-serve` re-exports them on
-//! `/metrics` and `estperf` records them per run.
+//! `/metrics` and the `tlmbench` explore workload reports them as
+//! `core.unique_solves` and `core.dedup_hits`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

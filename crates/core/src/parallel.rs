@@ -7,25 +7,15 @@
 //! costs vary by orders of magnitude between a 3-op glue block and a
 //! 600-op unrolled kernel — without one contended fetch_add per item), and
 //! results are merged back **by index**, so the output order is always the
-//! input order regardless of thread interleaving.
-//!
-//! The `parallel` cargo feature (default on) gates the thread pool; with it
-//! disabled every helper degrades to the obvious sequential loop, which is
-//! also the fallback for single-item inputs and single-core hosts.
+//! input order regardless of thread interleaving. Single-item inputs and
+//! single-core hosts run the obvious sequential loop.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Worker threads [`par_map`] will use: the host's available parallelism
-/// with the `parallel` feature, 1 without it.
-pub fn available_workers() -> usize {
-    #[cfg(feature = "parallel")]
-    {
-        std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        1
-    }
+/// Worker threads [`par_map`] will use: the host's available parallelism,
+/// or 1 when it cannot be queried.
+fn available_workers() -> usize {
+    std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
 }
 
 /// Upper bound on indices claimed per `fetch_add` in [`par_map`]. Large

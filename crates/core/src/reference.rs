@@ -1,5 +1,6 @@
 //! The original Algorithm 1 kernel, retained verbatim as a differential
-//! oracle (`reference-kernel` feature, enabled by `tlm-bench`).
+//! oracle (`reference-kernel` feature, enabled only for the root
+//! package's tests).
 //!
 //! [`crate::schedule::schedule_block`] was rewritten around flat, reusable
 //! data structures (issue table, scratch arena, incremental ready set —
@@ -13,9 +14,9 @@
 //!
 //! - `tests/kernel_differential.rs` fuzzes random DFGs across every
 //!   scheduling policy and pipeline shape against it;
-//! - `annotate_reference` runs whole modules through it, which the
-//!   `estperf` benchmark both asserts against and uses as its sequential
-//!   baseline.
+//! - `annotate_reference` runs whole modules through it, which
+//!   `tests/parallel_determinism.rs` checks the production engine against
+//!   for every process of the workspace's designs.
 //!
 //! Do not optimize this file: its value is that it has not changed.
 

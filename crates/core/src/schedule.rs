@@ -37,12 +37,12 @@
 //!   schedule domain** (the cache stores it on the resolved
 //!   [`DomainHandle`](crate::cache::DomainHandle)) instead of once per op
 //!   per block;
-//! - a [`ScheduleScratch`] arena owns every piece of simulation state
+//! - a `ScheduleScratch` arena owns every piece of simulation state
 //!   (bitset-backed op-state words, FU reservation counts, the flat
 //!   `stages × width` slot array that replaces the nested
 //!   `Vec<Vec<Vec<Slot>>>`, the candidate order and the
 //!   predecessors-remaining counters). It is allocated once per worker
-//!   thread ([`with_scratch`]) and reused across every block that thread
+//!   thread (`with_scratch`) and reused across every block that thread
 //!   schedules; [`scratch_stats`] reports reuse vs growth so allocation
 //!   pressure on the cold path stays observable;
 //! - readiness is tracked incrementally: `commit_pending[op]` counts the
@@ -53,9 +53,10 @@
 //!   (stable `(priority, index)` order makes the two equivalent).
 //!
 //! The results are **bit-identical** to the pre-rewrite kernel, which is
-//! retained as [`crate::reference::schedule_block_reference`] and checked
-//! against this one by `tests/kernel_differential.rs` and the `estperf`
-//! benchmark.
+//! retained as `reference::schedule_block_reference` (behind the
+//! `reference-kernel` feature) and checked against this one block by block
+//! by `tests/kernel_differential.rs` and over every process of the
+//! workspace's designs by `tests/parallel_determinism.rs`.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -216,7 +217,7 @@ impl IssueTable {
 /// so in steady state the kernel allocates nothing except the returned
 /// [`ScheduleResult`] vectors.
 #[derive(Debug, Default)]
-pub struct ScheduleScratch {
+pub(crate) struct ScheduleScratch {
     /// Op-state bitsets (committed / done / issued), three `words`-sized
     /// regions of one buffer so sizing is a single operation.
     state: Vec<u64>,
@@ -252,7 +253,7 @@ static SCRATCH_REUSES: AtomicU64 = AtomicU64::new(0);
 static SCRATCH_ALLOCS: AtomicU64 = AtomicU64::new(0);
 
 /// Scratch-arena allocation-pressure counters: process-wide totals from
-/// [`scratch_stats`], or one arena's from [`ScheduleScratch::stats`].
+/// [`scratch_stats`], or one arena's own.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ScratchStats {
     /// Kernel runs served entirely from already-allocated scratch buffers.
@@ -285,17 +286,6 @@ pub(crate) fn grow<T: Copy + Default>(v: &mut Vec<T>, len: usize, grew: &mut boo
 }
 
 impl ScheduleScratch {
-    /// An empty arena; buffers grow on first use and are then reused.
-    pub fn new() -> ScheduleScratch {
-        ScheduleScratch::default()
-    }
-
-    /// This arena's own reuse/alloc counts. Unlike [`scratch_stats`], no
-    /// other thread moves them.
-    pub fn stats(&self) -> ScratchStats {
-        self.counts
-    }
-
     /// Sizes every buffer for a block of `n` ops with `edges` dependence
     /// edges under `table`'s pipeline geometry, fills `stage_base` and
     /// returns the total slot capacity; bumps the arena's and the
@@ -333,7 +323,7 @@ impl ScheduleScratch {
 }
 
 thread_local! {
-    static SCRATCH: RefCell<ScheduleScratch> = RefCell::new(ScheduleScratch::new());
+    static SCRATCH: RefCell<ScheduleScratch> = RefCell::new(ScheduleScratch::default());
 }
 
 /// Runs `f` with the calling thread's scratch arena.
@@ -342,7 +332,7 @@ thread_local! {
 ///
 /// Panics if `f` re-enters `with_scratch` on the same thread (the arena is
 /// a single exclusive borrow).
-pub fn with_scratch<R>(f: impl FnOnce(&mut ScheduleScratch) -> R) -> R {
+pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut ScheduleScratch) -> R) -> R {
     SCRATCH.with(|cell| f(&mut cell.borrow_mut()))
 }
 
@@ -404,9 +394,9 @@ fn publish(
 /// Schedules one basic block's DFG on the PUM (Algorithm 1).
 ///
 /// One-shot convenience form: builds the [`IssueTable`], computes heights
-/// if the policy needs them and borrows the thread's [`with_scratch`]
-/// arena. Hot paths (the schedule cache, [`crate::annotate()`]) precompute
-/// all three and call [`schedule_block_prepared`] directly.
+/// if the policy needs them and borrows the thread's scratch arena. Hot
+/// paths (the schedule cache, [`crate::annotate()`]) precompute all three
+/// and call the crate's `schedule_block_prepared` directly.
 ///
 /// `func` and `block_id` are used only for error reporting.
 ///
@@ -444,7 +434,7 @@ pub fn schedule_block(
 /// # Errors
 ///
 /// Same as [`schedule_block`].
-pub fn schedule_block_prepared(
+pub(crate) fn schedule_block_prepared(
     table: &IssueTable,
     scratch: &mut ScheduleScratch,
     block: &BlockData,
@@ -1019,11 +1009,11 @@ mod tests {
         let dfg = block_dfg(block);
         // The calling thread's own arena: kernels that other tests run on
         // their threads move the process-wide totals, not these.
-        let before = with_scratch(|s| s.stats());
+        let before = with_scratch(|s| s.counts);
         for _ in 0..3 {
             schedule_block(&pum, block, &dfg, FuncId(0), BlockId(0)).expect("schedules");
         }
-        let after = with_scratch(|s| s.stats());
+        let after = with_scratch(|s| s.counts);
         let runs = (after.reuses - before.reuses) + (after.allocs - before.allocs);
         assert_eq!(runs, 3, "every kernel run is counted");
         assert!(after.reuses > before.reuses, "repeat blocks reuse the arena");

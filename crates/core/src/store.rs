@@ -105,18 +105,6 @@ pub struct StoreStats {
     pub evictions: u64,
 }
 
-impl StoreStats {
-    /// Fraction of demands served from the store; 0 when idle.
-    pub fn hit_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 impl AddAssign for StoreStats {
     fn add_assign(&mut self, other: StoreStats) {
         self.hits += other.hits;

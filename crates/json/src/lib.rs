@@ -9,7 +9,7 @@
 //!
 //! - [`Value::Object`] preserves insertion order, so printed output is
 //!   deterministic and diffs cleanly across runs (important for the
-//!   `BENCH_estimation.json` perf trajectory tracked PR-over-PR);
+//!   committed `BENCH_serve.json` record);
 //! - numbers are stored as `f64` with an exact-integer fast path in the
 //!   printer, which covers every value the estimator exchanges;
 //! - there is one number encoder ([`write_number`]) and one string

@@ -37,10 +37,11 @@
 //! jitter; retry counts land in the benchmark record.
 //!
 //! With `--bench-json` the measured throughput/latency and the gate
-//! verdicts are written as a machine-readable record (`BENCH_serve.json`
-//! via the shared flag convention). Phases 1 and 2 run against `--addr`
-//! when given, else against an in-process server on an ephemeral port;
-//! phases 3 and 4 always boot their own in-process servers.
+//! verdicts are written as a machine-readable record (a bare
+//! `--bench-json` selects `BENCH_serve.json`). Phases 1 and 2 run
+//! against `--addr` when given, else against an in-process server on an
+//! ephemeral port; phases 3 and 4 always boot their own in-process
+//! servers.
 
 use std::net::SocketAddr;
 use std::process::ExitCode;

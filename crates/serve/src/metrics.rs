@@ -249,9 +249,8 @@ impl Metrics {
     /// together with the artifact pipeline's per-stage counters, the
     /// session store's counters and the configured queue capacity
     /// (static, but exported so dashboards can plot depth against it).
-    /// The legacy `tlm_serve_schedule_cache_*` names stay, fed by the
-    /// pipeline's `schedules` stage. Families are declared once each, in
-    /// page order, and all written by one routine (`family`).
+    /// Families are declared once each, in page order, and all written by
+    /// one routine (`family`).
     pub fn render(
         &self,
         pipeline: &PipelineStats,
@@ -279,16 +278,6 @@ impl Metrics {
                 "tlm_serve_queue_rejected_total",
                 "Connections answered 503 because the accept queue was full.",
                 load(&self.queue_rejected_total),
-            ),
-            (
-                "tlm_serve_schedule_cache_hits_total",
-                "Schedule-cache lookups served from memory.",
-                pipeline.schedules.hits,
-            ),
-            (
-                "tlm_serve_schedule_cache_misses_total",
-                "Schedule-cache lookups that ran Algorithm 1.",
-                pipeline.schedules.misses,
             ),
             (
                 "tlm_serve_worker_panics_total",
@@ -442,11 +431,6 @@ impl Metrics {
             ),
             ("tlm_serve_inflight", "Requests currently being processed.", load(&self.inflight)),
             (
-                "tlm_serve_schedule_cache_entries",
-                "Resident schedule-cache entries.",
-                pipeline.schedules.entries as u64,
-            ),
-            (
                 "tlm_serve_cache_resident_bytes",
                 "Approximate resident key bytes across all artifact stores.",
                 stages.iter().map(|(_, s)| s.bytes).sum(),
@@ -565,10 +549,9 @@ mod tests {
         assert!(text.contains("tlm_serve_queue_depth 1"));
         assert!(text.contains("tlm_serve_queue_depth_peak 2"));
         assert!(text.contains("tlm_serve_queue_capacity 64"));
-        assert!(text.contains("tlm_serve_schedule_cache_hits_total 7"));
-        assert!(text.contains("tlm_serve_schedule_cache_misses_total 3"));
-        assert!(text.contains("tlm_serve_schedule_cache_entries 10"));
         assert!(text.contains("tlm_serve_pipeline_stage_hits_total{stage=\"schedules\"} 7"));
+        assert!(text.contains("tlm_serve_pipeline_stage_misses_total{stage=\"schedules\"} 3"));
+        assert!(text.contains("tlm_serve_pipeline_stage_entries{stage=\"schedules\"} 10"));
         assert!(text.contains("tlm_serve_pipeline_stage_misses_total{stage=\"report\"} 2"));
         assert!(text.contains("tlm_serve_pipeline_stage_entries{stage=\"report\"} 2"));
         assert!(text.contains("tlm_serve_pipeline_stage_bytes{stage=\"schedules\"} 640"));
@@ -731,12 +714,6 @@ tlm_serve_requests_total 3
 # HELP tlm_serve_queue_rejected_total Connections answered 503 because the accept queue was full.
 # TYPE tlm_serve_queue_rejected_total counter
 tlm_serve_queue_rejected_total 1
-# HELP tlm_serve_schedule_cache_hits_total Schedule-cache lookups served from memory.
-# TYPE tlm_serve_schedule_cache_hits_total counter
-tlm_serve_schedule_cache_hits_total 4
-# HELP tlm_serve_schedule_cache_misses_total Schedule-cache lookups that ran Algorithm 1.
-# TYPE tlm_serve_schedule_cache_misses_total counter
-tlm_serve_schedule_cache_misses_total 5
 # HELP tlm_serve_worker_panics_total Request-handler panics caught and isolated (each answered 500).
 # TYPE tlm_serve_worker_panics_total counter
 tlm_serve_worker_panics_total 1
@@ -858,9 +835,6 @@ tlm_serve_queue_capacity 64
 # HELP tlm_serve_inflight Requests currently being processed.
 # TYPE tlm_serve_inflight gauge
 tlm_serve_inflight 1
-# HELP tlm_serve_schedule_cache_entries Resident schedule-cache entries.
-# TYPE tlm_serve_schedule_cache_entries gauge
-tlm_serve_schedule_cache_entries 6
 # HELP tlm_serve_cache_resident_bytes Approximate resident key bytes across all artifact stores.
 # TYPE tlm_serve_cache_resident_bytes gauge
 tlm_serve_cache_resident_bytes 1792

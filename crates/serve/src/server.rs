@@ -184,7 +184,7 @@ impl Server {
             );
         }
 
-        Ok(ServerHandle { addr, service, metrics, shutdown, waker: waker_tx, threads })
+        Ok(ServerHandle { addr, service, shutdown, waker: waker_tx, threads })
     }
 }
 
@@ -196,7 +196,6 @@ impl Server {
 pub struct ServerHandle {
     addr: SocketAddr,
     service: Arc<Service>,
-    metrics: Arc<Metrics>,
     shutdown: Arc<AtomicBool>,
     waker: UnixStream,
     threads: Vec<JoinHandle<()>>,
@@ -211,11 +210,6 @@ impl ServerHandle {
     /// The shared service (cache + catalog).
     pub fn service(&self) -> &Arc<Service> {
         &self.service
-    }
-
-    /// The server's counters.
-    pub fn metrics(&self) -> &Arc<Metrics> {
-        &self.metrics
     }
 
     /// Stops accepting, drains in-flight work, joins every thread.

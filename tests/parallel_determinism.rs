@@ -1,18 +1,21 @@
-//! Determinism of the parallel + memoized estimation engine.
+//! Determinism of the memoized, batched estimation engine.
 //!
-//! The contract: for every application and every scheduling policy, the
-//! production engine (schedule cache + thread fan-out) produces **bit-
-//! identical** block delays to the reference engine (sequential, no cache),
-//! and a sweep over statistical configurations runs Algorithm 1 **at most
-//! once** per (datapath, block) pair — verified by the cache's hit/miss
-//! counters, not by timing.
+//! The contract: for every process of every design, under its native PUM
+//! and under every scheduling policy, the production engine (schedule
+//! cache + dedup batches) produces **bit-identical** block delays to two
+//! oracles — the per-block path on the production kernel
+//! ([`annotate_uncached`]) and the retained pre-rewrite kernel
+//! ([`annotate_reference`]), which shares nothing with the production
+//! path. A sweep over statistical configurations runs Algorithm 1 **at
+//! most once** per (datapath, block) pair — verified by the cache's
+//! hit/miss counters, not by timing.
 
 use std::sync::Arc;
 
 use tlm_apps::imagepipe::{build_image_platform, ImageParams};
 use tlm_apps::{build_mp3_platform, Mp3Design, Mp3Params};
 use tlm_cdfg::ir::Module;
-use tlm_core::annotate::{annotate_arc_with, annotate_uncached, TimedModule};
+use tlm_core::annotate::{annotate_arc_with, annotate_reference, annotate_uncached, TimedModule};
 use tlm_core::pum::SchedulingPolicy;
 use tlm_core::{Pum, ScheduleCache};
 use tlm_platform::desc::Platform;
@@ -56,21 +59,22 @@ fn assert_bit_identical(reference: &TimedModule, candidate: &TimedModule, what: 
     }
 }
 
+/// Estimates `module` on `pum` through `cache` and checks the delays
+/// against both oracles.
+fn assert_matches_oracles(module: &Arc<Module>, pum: &Pum, cache: &ScheduleCache, what: &str) {
+    let candidate = annotate_arc_with(Arc::clone(module), pum, Some(cache)).expect("annotates");
+    let uncached = annotate_uncached(module, pum).expect("annotates");
+    assert_bit_identical(&uncached, &candidate, &format!("{what} vs per-block"));
+    let reference = annotate_reference(module, pum).expect("annotates");
+    assert_bit_identical(&reference, &candidate, &format!("{what} vs reference kernel"));
+}
+
 #[test]
 fn cached_parallel_engine_matches_reference_for_native_pums() {
     // Every process of every design, estimated on the PUM it is mapped to.
     let cache = ScheduleCache::new();
     for (module, pum) in jobs(8 << 10, 4 << 10) {
-        let reference = annotate_uncached(&module, &pum).expect("annotates");
-        for parallel in [false, true] {
-            let candidate = annotate_arc_with(Arc::clone(&module), &pum, Some(&cache), parallel)
-                .expect("annotates");
-            assert_bit_identical(
-                &reference,
-                &candidate,
-                &format!("parallel={parallel} pum={}", pum.name),
-            );
-        }
+        assert_matches_oracles(&module, &pum, &cache, &format!("pum={}", pum.name));
     }
 }
 
@@ -83,17 +87,7 @@ fn cached_parallel_engine_matches_reference_for_every_policy() {
         let mut pum = tlm_core::library::custom_hw("det", 2, 2);
         pum.execution.policy = policy;
         for (module, _) in jobs(8 << 10, 4 << 10) {
-            let reference = annotate_uncached(&module, &pum).expect("annotates");
-            for parallel in [false, true] {
-                let candidate =
-                    annotate_arc_with(Arc::clone(&module), &pum, Some(&cache), parallel)
-                        .expect("annotates");
-                assert_bit_identical(
-                    &reference,
-                    &candidate,
-                    &format!("{policy:?} parallel={parallel}"),
-                );
-            }
+            assert_matches_oracles(&module, &pum, &cache, &format!("{policy:?}"));
         }
     }
 }
@@ -110,7 +104,7 @@ fn sweep_runs_algorithm1_at_most_once_per_datapath_block_pair() {
     let mut first_point_misses = None;
     for (ic, dc) in sweep {
         for (module, pum) in jobs(ic, dc) {
-            annotate_arc_with(module, &pum, Some(&cache), true).expect("annotates");
+            annotate_arc_with(module, &pum, Some(&cache)).expect("annotates");
         }
         let stats = cache.stats();
         match first_point_misses {
@@ -149,9 +143,9 @@ fn distinct_datapaths_do_not_share_schedules() {
     let mut alap = base;
     alap.execution.policy = SchedulingPolicy::Alap;
 
-    annotate_arc_with(Arc::clone(module), &asap, Some(&cache), false).expect("annotates");
+    annotate_arc_with(Arc::clone(module), &asap, Some(&cache)).expect("annotates");
     let after_first = cache.stats();
-    annotate_arc_with(Arc::clone(module), &alap, Some(&cache), false).expect("annotates");
+    annotate_arc_with(Arc::clone(module), &alap, Some(&cache)).expect("annotates");
     let after_second = cache.stats();
     assert_eq!(
         after_second.misses,

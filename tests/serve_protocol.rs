@@ -375,8 +375,7 @@ fn metrics_expose_per_stage_pipeline_counters() {
         }
     }
 
-    // A cold request computes: misses land on the estimation stages, and
-    // the legacy schedule-cache counters mirror the `schedules` stage.
+    // A cold request computes: misses land on the estimation stages.
     let resp = request(addr, "POST /estimate", r#"{"platform": "mp3:sw"}"#);
     assert_eq!(status_of(&resp), 200, "got: {resp}");
     let cold = get_metrics();
@@ -384,7 +383,6 @@ fn metrics_expose_per_stage_pipeline_counters() {
     let sched_misses = metric(&cold, "tlm_serve_pipeline_stage_misses_total{stage=\"schedules\"}");
     assert!(report_misses > 0, "cold request must compute reports");
     assert!(sched_misses > 0, "cold request must run Algorithm 1");
-    assert_eq!(metric(&cold, "tlm_serve_schedule_cache_misses_total"), sched_misses);
     assert!(metric(&cold, "tlm_serve_pipeline_stage_entries{stage=\"report\"}") > 0);
     assert!(metric(&cold, "tlm_serve_pipeline_stage_bytes{stage=\"report\"}") > 0);
 
