@@ -1,4 +1,5 @@
-//! Shared harness for the table-regeneration binaries and benches.
+//! Shared harness for the table-regeneration binaries, the accuracy
+//! tests and the repository benchmark (`tlmbench`).
 //!
 //! The central piece is the **characterization flow** (the paper's implicit
 //! calibration step): the statistical parameters of the CPU's PUM — cache
@@ -10,8 +11,6 @@
 //! tables were calibrated against real platform runs).
 
 #![forbid(unsafe_code)]
-
-pub mod perf;
 
 use tlm_apps::{build_mp3_platform, mp3_design, Mp3Design, Mp3Params};
 use tlm_core::characterize::{apply_measurements, HitRateTable};

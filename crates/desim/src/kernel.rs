@@ -6,7 +6,6 @@ use std::collections::{BinaryHeap, VecDeque};
 use crate::event::{EventId, EventState};
 use crate::process::{ProcState, Process, ProcessEntry, ProcessId, Resume};
 use crate::time::SimTime;
-use crate::trace::{TraceEntry, TraceSink};
 
 /// Why a [`Kernel::run`] call returned.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,7 +77,6 @@ pub struct Kernel {
     resumes: u64,
     deltas: u64,
     events_fired: u64,
-    trace: TraceSink,
     /// Running splitmix64 state for seeded wakeup permutation; `None`
     /// keeps the default deterministic FIFO/heap order.
     permute: Option<u64>,
@@ -131,30 +129,6 @@ impl Kernel {
     /// Panics if `id` does not belong to this kernel.
     pub fn process_name(&self, id: ProcessId) -> &str {
         &self.procs[id.index()].as_ref().expect("process is mid-resume").name
-    }
-
-    /// Enables trace collection; entries are recorded by [`Ctx::trace`]
-    /// into a fixed-capacity ring
-    /// ([`crate::trace::DEFAULT_TRACE_CAPACITY`] entries).
-    pub fn enable_tracing(&mut self) {
-        self.trace.enabled = true;
-    }
-
-    /// Enables trace collection with an explicit ring capacity. Any
-    /// previously collected entries are discarded.
-    pub fn enable_tracing_with_capacity(&mut self, capacity: usize) {
-        self.trace.set_capacity(capacity);
-        self.trace.enabled = true;
-    }
-
-    /// The trace entries still resident in the ring, oldest first.
-    pub fn trace_entries(&self) -> Vec<&TraceEntry> {
-        self.trace.in_order()
-    }
-
-    /// Number of trace entries overwritten because the ring was full.
-    pub fn trace_dropped(&self) -> u64 {
-        self.trace.dropped()
     }
 
     /// Enables seeded wakeup permutation: same-timestamp process wakeups
@@ -363,18 +337,6 @@ impl Ctx<'_> {
             self.kernel.push_heap(at, Action::Fire(ev));
         }
     }
-
-    /// Records a trace entry if tracing is enabled.
-    pub fn trace(&mut self, label: impl Into<String>) {
-        if self.kernel.trace.enabled {
-            let entry = TraceEntry {
-                time: self.kernel.now,
-                process: Some(self.current),
-                label: label.into(),
-            };
-            self.kernel.trace.push(entry);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -505,43 +467,10 @@ mod tests {
     }
 
     #[test]
-    fn tracing_records_entries() {
-        let mut k = Kernel::new();
-        k.enable_tracing();
-        k.spawn_fn("p", |ctx| {
-            ctx.trace("hello");
-            Resume::Finish
-        });
-        k.run();
-        assert_eq!(k.trace_entries().len(), 1);
-        assert_eq!(k.trace_entries()[0].label, "hello");
-    }
-
-    #[test]
     fn process_name_lookup() {
         let mut k = Kernel::new();
         let id = k.spawn_fn("lookup-me", |_ctx| Resume::Finish);
         assert_eq!(k.process_name(id), "lookup-me");
-    }
-
-    #[test]
-    fn trace_ring_bounds_entries_and_counts_drops() {
-        let mut k = Kernel::new();
-        k.enable_tracing_with_capacity(4);
-        let mut laps = 0u32;
-        k.spawn_fn("chatty", move |ctx| {
-            ctx.trace(format!("lap-{laps}"));
-            laps += 1;
-            if laps < 10 {
-                Resume::WaitTime(SimTime::from_ns(1))
-            } else {
-                Resume::Finish
-            }
-        });
-        k.run();
-        let labels: Vec<&str> = k.trace_entries().iter().map(|e| e.label.as_str()).collect();
-        assert_eq!(labels, ["lap-6", "lap-7", "lap-8", "lap-9"]);
-        assert_eq!(k.trace_dropped(), 6);
     }
 
     /// Runs eight processes that tick at a shared cadence and records

@@ -35,7 +35,6 @@ mod kernel;
 mod process;
 mod sync;
 mod time;
-mod trace;
 
 pub use channel::{Fifo, Signal};
 pub use event::EventId;
@@ -43,4 +42,3 @@ pub use kernel::{Ctx, Kernel, RunReport, StopReason};
 pub use process::{Process, ProcessId, Resume};
 pub use sync::Semaphore;
 pub use time::SimTime;
-pub use trace::{TraceEntry, TraceSink, DEFAULT_TRACE_CAPACITY};

@@ -8,8 +8,8 @@
 //! Design points:
 //!
 //! - [`Value::Object`] preserves insertion order, so printed output is
-//!   deterministic and diffs cleanly across runs (important for the
-//!   committed `BENCH_serve.json` record);
+//!   deterministic and diffs cleanly across runs (important for
+//!   benchmark records and byte-compared responses);
 //! - numbers are stored as `f64` with an exact-integer fast path in the
 //!   printer, which covers every value the estimator exchanges;
 //! - there is one number encoder ([`write_number`]) and one string

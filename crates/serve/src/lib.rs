@@ -38,10 +38,12 @@
 //! - [`client`] — the small blocking HTTP client the bundled tools and
 //!   the integration tests drive a server with.
 //!
-//! Three binaries ship with the crate: `tlm-serve` (the daemon),
-//! `loadgen` (a fixed-seed load generator that doubles as the
-//! `BENCH_serve.json` benchmark and the backpressure/caching gate) and
+//! Two binaries ship with the crate: `tlm-serve` (the daemon) and
 //! `chaosfuzz` (the coverage-guided chaos fuzzer with seed shrinking).
+//! The serving layer's throughput and latency are measured by the
+//! repository benchmark's `serve` workload (`tlmbench`); its caching,
+//! backpressure and connection-scaling guarantees are integration tests
+//! (`tests/serve_protocol.rs`).
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

@@ -190,7 +190,7 @@ impl Server {
 
 /// A running server. Dropping the handle without calling
 /// [`ServerHandle::shutdown`] leaves the threads running for the life of
-/// the process (what the daemon wants); tests and the loadgen call
+/// the process (what the daemon wants); tests and the benchmark call
 /// `shutdown` explicitly.
 #[derive(Debug)]
 pub struct ServerHandle {

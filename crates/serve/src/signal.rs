@@ -101,8 +101,8 @@ pub fn requested() -> bool {
     REQUESTED.load(Ordering::SeqCst)
 }
 
-/// Latches a shutdown request programmatically (used by tests and by the
-/// loadgen's in-process servers) and wakes [`wait`].
+/// Latches a shutdown request programmatically (used by tests) and wakes
+/// [`wait`].
 pub fn request() {
     REQUESTED.store(true, Ordering::SeqCst);
     if let Some(p) = pipe() {

@@ -5,9 +5,12 @@
 //! Covered here (beyond the crate's unit tests): hostile input at the
 //! HTTP layer (malformed requests, slowloris header drips, truncated and
 //! oversized bodies, mid-response hangups, unknown endpoints, wrong
-//! methods), the determinism contract under concurrency — clients
-//! hammering the same requests from many threads receive bit-identical
-//! bodies regardless of interleaving — and graceful shutdown: in-flight
+//! methods), the determinism contract under concurrency — a mix of
+//! estimates fired cold and then warm from four client threads answers
+//! bit-identical bodies, and the warm pass recomputes nothing — plus
+//! backpressure (a full dispatch queue answers `503` with `Retry-After`
+//! and never grows past its capacity), a 256-connection keep-alive
+//! fleet served within a p99 bound, and graceful shutdown: in-flight
 //! work finishes, `/readyz` flips to `503` the moment draining starts
 //! while `/healthz` keeps answering `200`, new sessions are refused
 //! while edits to existing ones finish, and no worker is left stuck or
@@ -20,7 +23,7 @@
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::ops::Deref;
-use std::sync::{PoisonError, RwLock, RwLockReadGuard};
+use std::sync::{Barrier, PoisonError, RwLock, RwLockReadGuard};
 use std::time::{Duration, Instant};
 
 use tlm_serve::client;
@@ -413,39 +416,234 @@ fn metrics_expose_per_stage_pipeline_counters() {
     handle.shutdown();
 }
 
+/// The artifact pipeline's stage names, as exported on `/metrics`.
+const STAGES: [&str; 7] = ["ast", "module", "prepared", "schedules", "annotated", "report", "rows"];
+
+/// Request `i` of the 24-request estimate mix: the two bodies this test
+/// has always sent, then the built-in designs in turn, each over a 1–3
+/// point window of the sweep labels, with per-block rows every 8th
+/// request.
+fn mix_body(i: usize) -> String {
+    const DESIGNS: [&str; 6] =
+        ["mp3:sw", "mp3:sw+1", "mp3:sw+2", "mp3:sw+4", "image:sw", "image:hw"];
+    const LABELS: [&str; 5] = ["0k/0k", "2k/2k", "8k/4k", "16k/16k", "32k/16k"];
+    match i {
+        0 => r#"{"platform": "image:sw", "sweep": ["0k/0k", "8k/4k"]}"#.to_string(),
+        1 => r#"{"platform": "image:hw", "sweep": ["2k/2k"], "report": "blocks"}"#.to_string(),
+        _ => {
+            let sweep: Vec<String> =
+                (0..1 + i % 3).map(|k| format!("\"{}\"", LABELS[(i + k) % LABELS.len()])).collect();
+            let report = if i.is_multiple_of(8) { "blocks" } else { "totals" };
+            format!(
+                r#"{{"platform": "{}", "sweep": [{}], "report": "{report}"}}"#,
+                DESIGNS[i % DESIGNS.len()],
+                sweep.join(", ")
+            )
+        }
+    }
+}
+
+/// Request `i` of the cache-defeating mix: an inline platform whose PUM
+/// renames and re-delays one FU mode (mode names are part of the
+/// schedule-domain key) and whose source embeds `i`, so no pipeline
+/// stage can answer it from an earlier request.
+fn cold_platform_body(i: usize) -> String {
+    let mut pum = tlm_core::library::generic_risc();
+    pum.name = format!("cold-risc-{i}");
+    let units = pum.datapath.units.len();
+    let unit = &mut pum.datapath.units[i % units];
+    let modes = unit.modes.len();
+    let mode = &mut unit.modes[i / units % modes];
+    mode.name = format!("{}-v{i}", mode.name);
+    mode.delay = 1 + (i % 24) as u32;
+    let pum = pum.to_value().to_compact();
+    let trips = 4 + i % 12;
+    format!(
+        r#"{{"platform": {{"name": "cold-{i}",
+            "pes": [{{"name": "pe0", "pum": {pum}}}],
+            "processes": [{{"name": "main", "pe": "pe0", "source":
+                "void main() {{ int s = {i}; for (int k = 0; k < {trips}; k++) {{ s = s + k + {i}; }} out(s); }}"}}]}},
+            "sweep": [{{"icache": 4096, "dcache": 4096}}]}}"#
+    )
+}
+
+/// POSTs every body to `/estimate` from 4 client threads (body `i` on
+/// thread `i % 4`), asserts each answers `200`, and returns the response
+/// bodies in request order.
+fn fan_out(addr: SocketAddr, bodies: &[String]) -> Vec<String> {
+    let mut replies = vec![String::new(); bodies.len()];
+    std::thread::scope(|s| {
+        let threads: Vec<_> = (0..4)
+            .map(|c| {
+                s.spawn(move || {
+                    (c..bodies.len())
+                        .step_by(4)
+                        .map(|i| {
+                            let resp = request(addr, "POST /estimate", &bodies[i]);
+                            assert_eq!(status_of(&resp), 200, "request {i}: {resp}");
+                            (i, body_of(&resp).to_string())
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        for thread in threads {
+            for (i, body) in thread.join().expect("client thread") {
+                replies[i] = body;
+            }
+        }
+    });
+    replies
+}
+
+/// One pipeline-stage counter (`family` is `hits` or `misses`) off a
+/// `/metrics` page.
+fn stage_count(page: &str, family: &str, stage: &str) -> u64 {
+    metric(page, &format!("tlm_serve_pipeline_stage_{family}_total{{stage=\"{stage}\"}}"))
+}
+
+/// The estimate mix from 4 concurrent clients, cold and then warm: every
+/// reply is `200` and every warm body equals its cold twin. The warm
+/// pass adds no miss to any stage, so every stage it consults hits
+/// 100 %. A cache-defeating mix of unique inline platforms then answers
+/// `200` and runs Algorithm 1 afresh for every request.
 #[test]
 fn concurrent_clients_get_bit_identical_responses() {
     let handle = start(ServerConfig { workers: 4, ..ServerConfig::default() });
     let addr = handle.addr();
 
-    // Two distinct request bodies, hammered from interleaved threads.
-    let bodies = [
-        r#"{"platform": "image:sw", "sweep": ["0k/0k", "8k/4k"]}"#,
-        r#"{"platform": "image:hw", "sweep": ["2k/2k"], "report": "blocks"}"#,
-    ];
-    // Sequential references first.
-    let reference: Vec<String> =
-        bodies.iter().map(|b| body_of(&request(addr, "POST /estimate", b)).to_string()).collect();
+    let mix: Vec<String> = (0..24).map(mix_body).collect();
+    let cold = fan_out(addr, &mix);
+    let before = client::scrape(addr);
+    let warm = fan_out(addr, &mix);
+    let after = client::scrape(addr);
+    for (i, (warm, cold)) in warm.iter().zip(&cold).enumerate() {
+        assert_eq!(warm, cold, "request {i} diverged warm: {}", mix[i]);
+    }
+    for stage in STAGES {
+        assert_eq!(
+            stage_count(&after, "misses", stage),
+            stage_count(&before, "misses", stage),
+            "warm pass recomputed {stage}"
+        );
+    }
+    assert!(
+        stage_count(&after, "hits", "report") >= stage_count(&before, "hits", "report") + 24,
+        "warm pass must answer from the report stage"
+    );
 
-    let mut threads = Vec::new();
-    for t in 0..6usize {
-        let body = bodies[t % bodies.len()].to_string();
-        threads.push(std::thread::spawn(move || {
-            (0..3)
-                .map(|_| {
-                    let resp = request(addr, "POST /estimate", &body);
-                    assert_eq!(status_of(&resp), 200, "got: {resp}");
-                    body_of(&resp).to_string()
+    let platforms: Vec<String> = (0..24).map(cold_platform_body).collect();
+    fan_out(addr, &platforms);
+    let last = client::scrape(addr);
+    let solved =
+        stage_count(&last, "misses", "schedules") - stage_count(&after, "misses", "schedules");
+    assert!(solved >= 24, "{solved} schedule misses for 24 unique platforms");
+
+    handle.shutdown();
+}
+
+/// A config whose I/O timeout and request deadline (120 s) outlast any
+/// load test here, so only the load decides each reply.
+fn patient(workers: usize, queue: usize) -> ServerConfig {
+    ServerConfig {
+        workers,
+        queue,
+        io_timeout: Duration::from_secs(120),
+        request_deadline: Duration::from_secs(120),
+        ..ServerConfig::default()
+    }
+}
+
+/// A 24-connection burst against 1 worker and a queue of 2 overflows
+/// the queue: every connection gets `200` or `503` with `Retry-After`,
+/// at least one gets `503`, the queue never holds more than its
+/// capacity, and the server answers `/healthz` afterwards.
+#[test]
+fn full_queue_answers_503_with_retry_after_and_keeps_serving() {
+    const BURST: usize = 24;
+    const QUEUE: u64 = 2;
+    let handle = start(patient(1, QUEUE as usize));
+    let addr = handle.addr();
+    // Prime the catalog: the burst queues behind one cold sweep point,
+    // not behind the one-time design build.
+    let prime = request(addr, "POST /estimate", r#"{"platform": "image:sw", "sweep": ["0k/0k"]}"#);
+    assert_eq!(status_of(&prime), 200, "got: {prime}");
+
+    let barrier = Barrier::new(BURST);
+    let replies: Vec<client::Reply> = std::thread::scope(|s| {
+        let threads: Vec<_> = (0..BURST)
+            .map(|_| {
+                s.spawn(|| {
+                    let stream = client::connect(addr);
+                    barrier.wait();
+                    let body = r#"{"platform": "image:sw", "sweep": ["2k/2k"]}"#;
+                    client::keep_alive(&mut stream.expect("connects"), "POST /estimate", body)
+                        .expect("exchange")
                 })
-                .collect::<Vec<String>>()
-        }));
+            })
+            .collect();
+        threads.into_iter().map(|t| t.join().expect("burst thread")).collect()
+    });
+    for (status, retry_after, body) in &replies {
+        assert!(
+            *status == 200 || (*status == 503 && retry_after.is_some()),
+            "{status} (Retry-After {retry_after:?}): {}",
+            String::from_utf8_lossy(body)
+        );
     }
-    for (t, thread) in threads.into_iter().enumerate() {
-        let expect = &reference[t % bodies.len()];
-        for got in thread.join().expect("client thread") {
-            assert_eq!(&got, expect, "thread {t} diverged from the sequential reference");
-        }
-    }
+    let rejected = replies.iter().filter(|r| r.0 == 503).count();
+    assert!(rejected > 0, "a {BURST}-connection burst never filled a queue of {QUEUE}");
+    let peak = metric(&client::scrape(addr), "tlm_serve_queue_depth_peak");
+    assert!(peak <= QUEUE, "queue peak {peak} over its capacity {QUEUE}");
+    assert_eq!(status_of(&request(addr, "GET /healthz", "")), 200);
+
+    handle.shutdown();
+}
+
+/// 256 keep-alive connections open at once, each sending 4 warm
+/// estimates: all answer `200`, the open-connection peak gauge sees the
+/// whole fleet, and the p99 latency stays under 5 s.
+#[test]
+fn keep_alive_fleet_of_256_connections_is_served() {
+    const CONNECTIONS: usize = 256;
+    const BODY: &str = r#"{"platform": "image:sw", "sweep": ["0k/0k"]}"#;
+    let handle = start(patient(4, CONNECTIONS));
+    let addr = handle.addr();
+    let prime = request(addr, "POST /estimate", BODY);
+    assert_eq!(status_of(&prime), 200, "got: {prime}");
+
+    let barrier = Barrier::new(CONNECTIONS);
+    let mut latencies: Vec<Duration> = std::thread::scope(|s| {
+        let threads: Vec<_> = (0..CONNECTIONS)
+            .map(|c| {
+                let barrier = &barrier;
+                s.spawn(move || {
+                    let stream = client::connect(addr);
+                    // Everyone connects before anyone sends: the server
+                    // holds the whole fleet open at once.
+                    barrier.wait();
+                    let mut stream = stream.expect("connects");
+                    (0..4)
+                        .map(|k| {
+                            let t0 = Instant::now();
+                            let (status, _, body) =
+                                client::keep_alive(&mut stream, "POST /estimate", BODY)
+                                    .expect("exchange");
+                            let body = String::from_utf8_lossy(&body);
+                            assert_eq!(status, 200, "conn {c} request {k}: {body}");
+                            t0.elapsed()
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        threads.into_iter().flat_map(|t| t.join().expect("fleet thread")).collect()
+    });
+    let peak = metric(&client::scrape(addr), "tlm_serve_open_connections_peak");
+    assert!(peak >= CONNECTIONS as u64, "open-connection peak {peak} below the fleet");
+    latencies.sort_unstable();
+    let p99 = latencies[latencies.len() * 99 / 100];
+    assert!(p99 < Duration::from_secs(5), "p99 {p99:?} over 5 s");
 
     handle.shutdown();
 }
