@@ -7,17 +7,19 @@
 //! a stage compute failing transiently, the allocator coming under
 //! pressure. In a normal build every point compiles to an inline `None`
 //! (the `enabled` feature is off and there is not even an atomic load on
-//! the path). A chaos
-//! build (`--features enabled`, re-exported as `faults` by the consuming
-//! crates) arms the points against a seeded **plan**:
+//! the path), and [`point`] and [`injected_total`] are the whole API. A
+//! faults-armed build (`--features enabled`, re-exported as `faults` by
+//! the consuming crates) arms the points against a seeded **plan**:
 //!
 //! ```
 //! use tlm_faults::{point, Kind};
 //!
-//! tlm_faults::install(7); // seed the plan (one chaosfuzz fault seed)
+//! #[cfg(feature = "enabled")]
+//! tlm_faults::install(7); // seed the plan (one fault-campaign seed)
 //! if let Some(fault) = point("serve.worker.handle", &[Kind::Panic, Kind::Delay]) {
 //!     fault.fire(); // panics, sleeps, or pressures the allocator
 //! }
+//! #[cfg(feature = "enabled")]
 //! tlm_faults::clear();
 //! ```
 //!
@@ -31,10 +33,10 @@
 //! under budget) rather than per-request expectations.
 //!
 //! **Scripted injection.** Tests that need a specific fault at a
-//! specific moment use [`force`]: the next `count` draws at a site fire
+//! specific moment use `force`: the next `count` draws at a site fire
 //! the given kind unconditionally, ahead of the seeded schedule. This is
-//! how the panic-isolation acceptance test arranges "exactly one worker
-//! panic, right now" without depending on seed arithmetic.
+//! how the fault campaign's prelude arranges "exactly one worker panic,
+//! right now" without depending on seed arithmetic.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -62,19 +64,6 @@ pub enum Kind {
     Transient,
 }
 
-impl Kind {
-    /// Stable name, used in counter labels and panic messages.
-    pub fn name(self) -> &'static str {
-        match self {
-            Kind::Panic => "panic",
-            Kind::Delay => "delay",
-            Kind::ShortRead => "short_read",
-            Kind::AllocPressure => "alloc_pressure",
-            Kind::Transient => "transient",
-        }
-    }
-}
-
 /// One drawn fault, bound to the site that drew it.
 #[derive(Debug, Clone)]
 pub struct Fault {
@@ -87,11 +76,6 @@ impl Fault {
     /// Which kind of fault was drawn.
     pub fn kind(&self) -> Kind {
         self.kind
-    }
-
-    /// The site that drew it.
-    pub fn site(&self) -> &'static str {
-        self.site
     }
 
     /// Applies an active fault in place: panics for [`Kind::Panic`],
@@ -187,11 +171,6 @@ mod armed {
         with_plan(|p| *p = None);
     }
 
-    /// Whether a plan is currently installed.
-    pub fn active() -> bool {
-        with_plan(|p| p.is_some())
-    }
-
     /// Scripts the next `count` draws at `site` to fire `kind`
     /// unconditionally, ahead of the seeded schedule. Installs an
     /// otherwise-empty plan if none is active; a plan created this way
@@ -253,44 +232,16 @@ mod armed {
                 .unwrap_or_default()
         })
     }
-
-    /// Sorted (site, kind, count) rows of the current plan's injections.
-    pub fn injected_snapshot() -> Vec<(&'static str, Kind, u64)> {
-        with_plan(|p| {
-            let mut rows: Vec<_> = p
-                .as_ref()
-                .map(|plan| plan.injected.iter().map(|(&(s, k), &n)| (s, k, n)).collect::<Vec<_>>())
-                .unwrap_or_default();
-            rows.sort_by(|a, b| (a.0, a.1.name()).cmp(&(b.0, b.1.name())));
-            rows
-        })
-    }
 }
 
 #[cfg(feature = "enabled")]
-pub use armed::{
-    active, clear, force, injected, injected_snapshot, injected_total, install, point,
-};
+pub use armed::{clear, force, injected, injected_total, install, point};
 
 /// Disarmed stubs: with the `enabled` feature off, every injection point
-/// is an inline `None` and the plan installers do nothing.
+/// is an inline `None`. Only the two calls the serving stack makes exist.
 #[cfg(not(feature = "enabled"))]
 mod disarmed {
     use super::{Fault, Kind};
-
-    /// Arms nothing — the crate was built without the `enabled` feature.
-    pub fn install(_seed: u64) {}
-
-    /// No-op.
-    pub fn clear() {}
-
-    /// Always `false` in a disarmed build.
-    pub fn active() -> bool {
-        false
-    }
-
-    /// No-op.
-    pub fn force(_site: &'static str, _kind: Kind, _count: u64) {}
 
     /// Always `None` in a disarmed build; inlines away entirely.
     #[inline(always)]
@@ -302,22 +253,10 @@ mod disarmed {
     pub fn injected_total() -> u64 {
         0
     }
-
-    /// Always zero in a disarmed build.
-    pub fn injected(_site: &str, _kind: Kind) -> u64 {
-        0
-    }
-
-    /// Always empty in a disarmed build.
-    pub fn injected_snapshot() -> Vec<(&'static str, Kind, u64)> {
-        Vec::new()
-    }
 }
 
 #[cfg(not(feature = "enabled"))]
-pub use disarmed::{
-    active, clear, force, injected, injected_snapshot, injected_total, install, point,
-};
+pub use disarmed::{injected_total, point};
 
 #[cfg(all(test, feature = "enabled"))]
 mod tests {
@@ -330,7 +269,6 @@ mod tests {
     fn disarmed_points_draw_nothing() {
         let _guard = LOCK.lock().unwrap();
         clear();
-        assert!(!active());
         assert!(point("t.site", &[Kind::Panic]).is_none());
         assert_eq!(injected("t.site", Kind::Panic), 0);
     }
@@ -371,8 +309,6 @@ mod tests {
         }
         assert_eq!(injected("t.forced", Kind::Panic), 2);
         assert!(injected_total() >= 2);
-        let rows = injected_snapshot();
-        assert!(rows.iter().any(|&(s, k, n)| s == "t.forced" && k == Kind::Panic && n == 2));
         clear();
     }
 

@@ -1,4 +1,4 @@
-//! A minimal blocking HTTP/1.1 client for the serving tools and tests.
+//! A minimal blocking HTTP/1.1 client for the integration tests.
 //!
 //! Two exchange shapes, both sending `"METHOD /target"` plus a JSON body:
 //! [`request`] opens a fresh `Connection: close` connection and reads

@@ -35,15 +35,15 @@
 //!   (`GET /trace/{id}`, `POST /estimate?trace=1`);
 //! - [`signal`] — SIGINT/SIGTERM latching for graceful drain-then-exit,
 //!   with a self-pipe so waiters park instead of polling;
-//! - [`client`] — the small blocking HTTP client the bundled tools and
-//!   the integration tests drive a server with.
+//! - [`client`] — the small blocking HTTP client the integration tests
+//!   drive a server with.
 //!
-//! Two binaries ship with the crate: `tlm-serve` (the daemon) and
-//! `chaosfuzz` (the coverage-guided chaos fuzzer with seed shrinking).
-//! The serving layer's throughput and latency are measured by the
-//! repository benchmark's `serve` workload (`tlmbench`); its caching,
-//! backpressure and connection-scaling guarantees are integration tests
-//! (`tests/serve_protocol.rs`).
+//! One binary ships with the crate: `tlm-serve`, the daemon. The serving
+//! layer's throughput and latency are measured by the repository
+//! benchmark's `serve` workload (`tlmbench`); its caching, backpressure
+//! and connection-scaling guarantees are integration tests
+//! (`tests/serve_protocol.rs`), and its degradation under injected faults
+//! is the faults-armed `tests/fault_campaign.rs`.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

@@ -6,15 +6,15 @@
 //! and installs an async-signal-safe handler that stores to a static
 //! atomic and writes one byte to a self-pipe. [`wait`] blocks on the
 //! pipe's read end, so the daemon's main thread parks at zero cost and
-//! wakes the instant a signal (or a programmatic [`request`]) arrives —
-//! no polling loop, no 50 ms drain-latency quantization.
+//! wakes the instant a signal arrives — no polling loop, no 50 ms
+//! drain-latency quantization.
 
 // The single `extern "C"` block below is this module's only unsafe code;
 // the crate root carries `#![deny(unsafe_code)]` so nothing else sneaks
 // in without tripping the lint.
 #![allow(unsafe_code)]
 
-use std::io::{Read, Write as _};
+use std::io::Read;
 use std::sync::atomic::{AtomicBool, AtomicI32, Ordering};
 use std::sync::{Mutex, OnceLock};
 
@@ -31,7 +31,8 @@ const SIGTERM: i32 = 15;
 /// The self-pipe: a socketpair whose write end the signal handler pokes
 /// and whose read end [`wait`] blocks on.
 struct SelfPipe {
-    writer: std::os::unix::net::UnixStream,
+    /// Held open for the handler, which writes to its raw fd.
+    _writer: std::os::unix::net::UnixStream,
     reader: Mutex<std::os::unix::net::UnixStream>,
 }
 
@@ -48,7 +49,7 @@ fn pipe() -> Option<&'static SelfPipe> {
             use std::os::fd::AsRawFd;
             WAKE_FD.store(writer.as_raw_fd(), Ordering::SeqCst);
         }
-        Some(SelfPipe { writer, reader: Mutex::new(reader) })
+        Some(SelfPipe { _writer: writer, reader: Mutex::new(reader) })
     })
     .as_ref()
 }
@@ -101,15 +102,6 @@ pub fn requested() -> bool {
     REQUESTED.load(Ordering::SeqCst)
 }
 
-/// Latches a shutdown request programmatically (used by tests) and wakes
-/// [`wait`].
-pub fn request() {
-    REQUESTED.store(true, Ordering::SeqCst);
-    if let Some(p) = pipe() {
-        let _ = (&p.writer).write(b"s");
-    }
-}
-
 /// Blocks until a shutdown request arrives ([`requested`] flips true).
 /// Returns immediately if one already has. Intended for the daemon's
 /// main thread; concurrent callers share the pipe and all wake.
@@ -150,7 +142,9 @@ mod tests {
         });
         // Give the waiter time to park on the pipe before waking it.
         std::thread::sleep(Duration::from_millis(50));
-        request();
+        // Deliver SIGTERM's handler call by hand.
+        let _ = pipe();
+        on_signal(SIGTERM);
         let elapsed = waiter.join().expect("waiter thread");
         assert!(elapsed < Duration::from_secs(5), "wait() never woke: {elapsed:?}");
         assert!(requested());

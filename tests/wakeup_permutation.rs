@@ -9,11 +9,11 @@
 //!   [`TlmReport`] bit-identically — end time, per-PE busy cycles, bus
 //!   transfers, outputs, per-process annotated cycles.
 //! - **Order invariance of the estimates**: across *distinct* seeds,
-//!   for every app design and every scheduling policy, functional
-//!   outputs and per-process annotated cycle totals never depend on
-//!   the wakeup order. (Arbitration-dependent quantities — who waited
-//!   for a contended PE — may legally differ; the paper's cycle
-//!   estimates must not.)
+//!   for every app design, on its native PUMs and under every
+//!   scheduling policy, functional outputs and per-process annotated
+//!   cycle totals never depend on the wakeup order.
+//!   (Arbitration-dependent quantities — who waited for a contended
+//!   PE — may legally differ; the paper's cycle estimates must not.)
 
 use tlm_apps::imagepipe::{build_image_platform, ImageParams};
 use tlm_apps::{build_mp3_platform, Mp3Design, Mp3Params};
@@ -29,7 +29,7 @@ const POLICIES: [SchedulingPolicy; 4] = [
 ];
 
 /// The permutation-seed budget: 32 distinct seeds, rotated across the
-/// 16 (design, policy) cells so each cell replays 8 distinct orderings
+/// 20 (design, PUM) cells so each cell replays 8 distinct orderings
 /// and every seed in 1..=32 is exercised by some cell. Each seed is an
 /// independent trial, so coverage adds up across cells while the debug
 /// -profile runtime stays bounded.
@@ -103,23 +103,24 @@ fn same_order_seed_replays_the_entire_report_bit_identically() {
 fn estimates_are_order_invariant_for_every_design_and_policy() {
     let mut cell = 0u64;
     for (name, base) in app_platforms(8 << 10, 4 << 10) {
-        for &policy in &POLICIES {
-            let platform = with_policy(base.clone(), policy);
-            // Annotate once per (design, policy): the annotation is
+        // The designs' native PUMs (the pipelined CPU with its 8k/4k
+        // caches), then the custom-HW datapath under every policy.
+        for policy in std::iter::once(None).chain(POLICIES.map(Some)) {
+            let (platform, pum) = match policy {
+                None => (base.clone(), "native".to_string()),
+                Some(policy) => (with_policy(base.clone(), policy), format!("{policy:?}")),
+            };
+            // Annotate once per (design, PUM): the annotation is
             // order-independent by construction, only the TLM run sees
             // the permuted wakeups.
             let annotated = annotate_platform(&platform).expect("annotates");
             let reference = run_annotated(&platform, Some(&annotated), &TlmConfig::default());
-            assert!(reference.all_finished(), "{name}/{policy:?}: reference run did not finish");
+            assert!(reference.all_finished(), "{name}/{pum}: reference run did not finish");
             for k in 0..SEEDS_PER_CELL {
                 let seed = 1 + (cell + k * (SEEDS / SEEDS_PER_CELL)) % SEEDS;
                 let config = TlmConfig { order_seed: Some(seed), ..TlmConfig::default() };
                 let run = run_annotated(&platform, Some(&annotated), &config);
-                assert_estimates_invariant(
-                    &reference,
-                    &run,
-                    &format!("{name}/{policy:?} seed {seed}"),
-                );
+                assert_estimates_invariant(&reference, &run, &format!("{name}/{pum} seed {seed}"));
             }
             cell += 1;
         }
