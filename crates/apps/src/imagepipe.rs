@@ -290,7 +290,7 @@ pub fn build_image_platform(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tlm_platform::tlm::{run_tlm, TlmConfig, TlmMode};
+    use tlm_platform::tlm::{annotate_platform, run_annotated, TlmConfig};
 
     #[test]
     fn sources_parse_and_lower() {
@@ -308,7 +308,7 @@ mod tests {
     fn pipeline_compresses_something() {
         let p =
             build_image_platform(false, ImageParams::small(), 8 << 10, 4 << 10).expect("builds");
-        let r = run_tlm(&p, TlmMode::Functional, &TlmConfig::default()).expect("runs");
+        let r = run_annotated(&p, None, &TlmConfig::default());
         assert!(r.all_finished());
         let outs = &r.outputs["store"];
         assert_eq!(outs.len(), 2);
@@ -323,8 +323,11 @@ mod tests {
         let params = ImageParams::small();
         let sw = build_image_platform(false, params, 8 << 10, 4 << 10).expect("builds");
         let hw = build_image_platform(true, params, 8 << 10, 4 << 10).expect("builds");
-        let rs = run_tlm(&sw, TlmMode::Timed, &TlmConfig::default()).expect("runs");
-        let rh = run_tlm(&hw, TlmMode::Timed, &TlmConfig::default()).expect("runs");
+        let timed = |p| {
+            let annotated = annotate_platform(p).expect("annotates");
+            run_annotated(p, Some(&annotated), &TlmConfig::default())
+        };
+        let (rs, rh) = (timed(&sw), timed(&hw));
         assert_eq!(rs.outputs["store"], rh.outputs["store"]);
         assert!(rh.end_time < rs.end_time, "hw {} vs sw {}", rh.end_time, rs.end_time);
     }

@@ -17,7 +17,7 @@ use tlm_apps::{mp3_design, Mp3Design, Mp3Params};
 use tlm_bench::TextTable;
 use tlm_pcam::{run_board, run_iss, BoardConfig};
 use tlm_pipeline::Pipeline;
-use tlm_platform::tlm::{run_annotated, run_tlm, TlmConfig, TlmMode};
+use tlm_platform::tlm::{run_annotated, TlmConfig};
 
 fn fmt(d: Duration) -> String {
     if d.as_secs_f64() < 0.1 {
@@ -50,7 +50,7 @@ fn main() {
         let platform = &prepared.platform;
 
         let annotated = pipeline.annotate_design(&prepared).expect("annotation succeeds");
-        let func = run_tlm(platform, TlmMode::Functional, &config).expect("functional runs");
+        let func = run_annotated(platform, None, &config);
         let timed = run_annotated(platform, Some(&annotated), &config);
         assert_eq!(func.outputs, timed.outputs, "timing must not change behaviour");
 

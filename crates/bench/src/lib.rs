@@ -19,7 +19,7 @@ use tlm_desim::SimTime;
 use tlm_pcam::{run_board, BoardConfig};
 use tlm_pipeline::{Pipeline, PreparedDesign};
 use tlm_platform::desc::Platform;
-use tlm_platform::tlm::{run_tlm, TlmConfig, TlmMode, TlmReport};
+use tlm_platform::tlm::{run_annotated, TlmConfig, TlmReport};
 
 /// Cache sizes characterized for the MP3 experiments (union of the
 /// i- and d-cache sizes swept by Tables 2/3).
@@ -101,8 +101,7 @@ pub fn characterize_cpu_with(
     let c = pe_counters(&board, "cpu");
     let mispredict_rate =
         if c.branches > 0 { c.mispredicts as f64 / c.branches as f64 } else { 0.0 };
-    let functional =
-        run_tlm(&platform, TlmMode::Functional, &TlmConfig::default()).expect("tlm runs");
+    let functional = run_annotated(&platform, None, &TlmConfig::default());
     let (ops_plus_blocks, mem, _branches) = cpu_interp_stats(&platform, &functional, "cpu");
     let fetch_expansion =
         if ops_plus_blocks > 0 { c.ifetches as f64 / ops_plus_blocks as f64 } else { 1.0 };

@@ -1,7 +1,7 @@
 //! Block-frequency profiling: an [`ExecHook`] that counts basic-block
 //! entries, the raw material for hotspot attribution and for
-//! profile-weighted cycle prediction (`TimedModule::weighted_total` in
-//! `tlm-core`).
+//! profile-weighted cycle prediction (counts times
+//! `TimedModule::cycles` in `tlm-core`).
 
 use crate::interp::ExecHook;
 use crate::ir::Module;

@@ -15,8 +15,8 @@ use tlm_cdfg::{BlockId, FuncId};
 use tlm_desim::SimTime;
 
 use crate::batch::BatchItem;
-use crate::cache::{DomainHandle, ScheduleCache, ScheduleDomain};
-use crate::delay::{block_delay_with_costs, BlockDelay, MemoryCosts};
+use crate::cache::{DomainHandle, ScheduleDomain};
+use crate::delay::{block_delay_with_costs, sum_cycles, BlockDelay, MemoryCosts};
 use crate::error::EstimateError;
 use crate::pum::Pum;
 use crate::schedule::{schedule_block_prepared, with_scratch, IssueTable};
@@ -48,43 +48,28 @@ pub struct AnnotationReport {
     /// Wall-clock time the annotation took.
     pub elapsed: Duration,
     /// Blocks whose Algorithm 1 schedule was served from the
-    /// [`ScheduleCache`] (0 when annotating uncached).
+    /// [`ScheduleCache`](crate::cache::ScheduleCache) (0 when annotating
+    /// uncached).
     pub cache_hits: usize,
     /// Blocks whose schedule was computed by running Algorithm 1.
     pub cache_misses: usize,
 }
 
-/// Runs Algorithms 1 and 2 over every basic block of `module`.
-///
-/// Uses the process-wide [`ScheduleCache`] and the batched engine; the
-/// result is bit-identical to the per-block uncached path
-/// ([`annotate_uncached`]) — see `tests/parallel_determinism.rs`.
-///
-/// # Errors
-///
-/// Fails if the PUM is invalid or cannot execute some block; see
-/// [`EstimateError`].
-pub fn annotate(module: &Module, pum: &Pum) -> Result<TimedModule, EstimateError> {
-    annotate_arc(Arc::new(module.clone()), pum)
-}
-
-/// Like [`annotate`] but shares an existing module.
+/// Runs Algorithms 1 and 2 over every basic block of `module`, one block
+/// at a time, with no memoization and no dedup: the per-block oracle the
+/// cached, batched engine ([`annotate_in_domain`]) is checked against.
+/// Both paths give bit-identical delays and the same first error — see
+/// `tests/parallel_determinism.rs`.
 ///
 /// # Errors
 ///
-/// Same as [`annotate`].
-pub fn annotate_arc(module: Arc<Module>, pum: &Pum) -> Result<TimedModule, EstimateError> {
-    annotate_arc_with(module, pum, Some(ScheduleCache::global()))
-}
-
-/// Reference path: one block at a time, no memoization, no dedup. Exists
-/// so the cached and batched engine has an oracle to be checked against.
-///
-/// # Errors
-///
-/// Same as [`annotate`].
+/// Fails if the PUM is invalid or cannot execute some block, or if a
+/// block's cycles or the module's cycle sum exceed `u64::MAX`; see
+/// [`EstimateError`]. When
+/// several blocks fail, the error of the first failing block in module
+/// order is returned.
 pub fn annotate_uncached(module: &Module, pum: &Pum) -> Result<TimedModule, EstimateError> {
-    annotate_arc_with(Arc::new(module.clone()), pum, None)
+    annotate_inner(&PreparedModule::new(Arc::new(module.clone())), pum, Engine::PerBlock)
 }
 
 /// The full reference engine: sequential, no memoization, and every block
@@ -95,43 +80,19 @@ pub fn annotate_uncached(module: &Module, pum: &Pum) -> Result<TimedModule, Esti
 ///
 /// # Errors
 ///
-/// Same as [`annotate`].
+/// Same as [`annotate_uncached`].
 #[cfg(feature = "reference-kernel")]
 pub fn annotate_reference(module: &Module, pum: &Pum) -> Result<TimedModule, EstimateError> {
     annotate_inner(&PreparedModule::new(Arc::new(module.clone())), pum, Engine::Reference)
-}
-
-/// The fully-general entry point: annotate with an explicit schedule cache
-/// (or none). With a cache, the whole module is one dedup batch
-/// ([`crate::batch`]) served through it; without one, every block runs the
-/// per-block kernel on its own — the [`annotate_uncached`] oracle.
-///
-/// Results are deterministic across both paths: the block order, the
-/// delays and the first reported error are identical whether blocks are
-/// batched through the cache or scheduled one by one.
-///
-/// # Errors
-///
-/// Fails if the PUM is invalid or cannot execute some block. When several
-/// blocks fail, the error of the first failing block in module order is
-/// returned.
-pub fn annotate_arc_with(
-    module: Arc<Module>,
-    pum: &Pum,
-    cache: Option<&ScheduleCache>,
-) -> Result<TimedModule, EstimateError> {
-    annotate_prepared(&PreparedModule::new(module), pum, cache)
 }
 
 /// The PUM-invariant half of the estimation inputs: every block's DFG and
 /// canonical schedule key, flattened into one work list.
 ///
 /// A sweep driver annotates the same module under many PUM configurations;
-/// building this once and calling [`annotate_prepared`] per configuration
+/// building this once and calling [`annotate_in_domain`] per configuration
 /// hoists the DFG construction and key encoding out of the sweep loop
-/// (they depend only on the module). [`annotate_arc_with`] is exactly
-/// `annotate_prepared(&PreparedModule::new(module), ..)`, so prepared and
-/// unprepared estimation take identical code paths.
+/// (they depend only on the module).
 #[derive(Debug)]
 pub struct PreparedModule {
     module: Arc<Module>,
@@ -340,32 +301,17 @@ pub fn annotate_function_in_domain(
         .iter()
         .zip(scheduled)
         .map(|(item, (result, _hit))| {
-            result.map(|sched| block_delay_with_costs(&costs, item.block, sched.cycles))
+            result.and_then(|sched| block_delay_with_costs(&costs, item.block, sched.cycles))
         })
         .collect()
 }
 
-/// [`annotate_arc_with`] over a [`PreparedModule`] — the sweep-loop form.
-///
-/// # Errors
-///
-/// Same as [`annotate_arc_with`].
-pub fn annotate_prepared(
-    prep: &PreparedModule,
-    pum: &Pum,
-    cache: Option<&ScheduleCache>,
-) -> Result<TimedModule, EstimateError> {
-    match cache {
-        // Resolve the PUM's schedule domain once; per-block lookups then
-        // only hash the block's own key.
-        Some(cache) => {
-            annotate_inner(prep, pum, Engine::Batched(&cache.domain(&ScheduleDomain::of(pum))))
-        }
-        None => annotate_inner(prep, pum, Engine::PerBlock),
-    }
-}
-
-/// [`annotate_prepared`] with the cache's [`DomainHandle`] already resolved.
+/// Runs Algorithms 1 and 2 over every block of a [`PreparedModule`]
+/// through one domain of a [`ScheduleCache`](crate::cache::ScheduleCache):
+/// the whole module is one dedup batch ([`crate::batch`]), and each
+/// block's Algorithm 1 schedule is served from the cache when an earlier
+/// run solved it. Obtain the handle with
+/// `cache.domain(&ScheduleDomain::of(pum))`.
 ///
 /// Resolving a domain encodes the PUM's scheduling sub-models and hashes
 /// the encoding into the cache's domain map: about 1.3 µs for the
@@ -378,7 +324,7 @@ pub fn annotate_prepared(
 ///
 /// # Errors
 ///
-/// Same as [`annotate_prepared`].
+/// Same as [`annotate_uncached`].
 pub fn annotate_in_domain(
     prep: &PreparedModule,
     pum: &Pum,
@@ -432,7 +378,7 @@ fn annotate_inner(
                 .iter()
                 .zip(scheduled)
                 .map(|(item, (result, hit))| {
-                    (result.map(|s| block_delay_with_costs(&costs, item.block, s.cycles)), hit)
+                    (result.and_then(|s| block_delay_with_costs(&costs, item.block, s.cycles)), hit)
                 })
                 .collect()
         }
@@ -446,7 +392,7 @@ fn annotate_inner(
                     let (dfg, heights) = (&prep.dfgs[i], &prep.heights[i]);
                     schedule_block_prepared(&table, scratch, block, dfg, heights, fid, bid)
                 });
-                (sched.map(|s| block_delay_with_costs(&costs, block, s.cycles)), false)
+                (sched.and_then(|s| block_delay_with_costs(&costs, block, s.cycles)), false)
             })
             .collect(),
         #[cfg(feature = "reference-kernel")]
@@ -457,7 +403,7 @@ fn annotate_inner(
             .map(|(&(fid, bid), dfg)| {
                 let block = &module.functions[fid.0 as usize].blocks[bid.0 as usize];
                 let sched = crate::reference::schedule_block_reference(pum, block, dfg, fid, bid);
-                (sched.map(|s| block_delay_with_costs(&costs, block, s.cycles)), false)
+                (sched.and_then(|s| block_delay_with_costs(&costs, block, s.cycles)), false)
             })
             .collect(),
     };
@@ -476,6 +422,9 @@ fn annotate_inner(
             report.cache_misses += 1;
         }
     }
+    // Every report sums the block cycles, so a module whose sum does not
+    // fit is rejected here, once for every engine.
+    sum_cycles(delays.iter().flatten().map(|d| d.cycles))?;
     report.blocks = prep.work.len();
     report.ops = prep.ops;
     report.elapsed = start.elapsed();
@@ -535,29 +484,22 @@ impl TimedModule {
     pub fn report(&self) -> &AnnotationReport {
         &self.report
     }
-
-    /// Sum of annotated cycles over all blocks, weighted by an execution
-    /// count profile (`counts[func][block]`). Useful to predict total
-    /// cycles from a block-frequency profile without re-running.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the profile's shape does not match the module.
-    pub fn weighted_total(&self, counts: &[Vec<u64>]) -> u64 {
-        assert_eq!(counts.len(), self.cycles.len(), "profile shape mismatch");
-        let mut total = 0u64;
-        for (func_counts, func_cycles) in counts.iter().zip(&self.cycles) {
-            assert_eq!(func_counts.len(), func_cycles.len(), "profile shape mismatch");
-            total += func_counts.iter().zip(func_cycles).map(|(&n, &c)| n * c).sum::<u64>();
-        }
-        total
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::ScheduleCache;
     use crate::library;
+
+    /// The batched engine through `cache`, the way a `Pipeline` drives it.
+    fn annotate_cached(
+        prep: &PreparedModule,
+        pum: &Pum,
+        cache: &ScheduleCache,
+    ) -> Result<TimedModule, EstimateError> {
+        annotate_in_domain(prep, pum, &cache.domain(&ScheduleDomain::of(pum)))
+    }
 
     fn module_of(src: &str) -> Module {
         tlm_cdfg::lower::lower(&tlm_minic::parse(src).expect("parses")).expect("lowers")
@@ -577,7 +519,7 @@ mod tests {
     fn annotates_every_block() {
         let module = module_of(SRC);
         let pum = library::microblaze_like(8 << 10, 4 << 10);
-        let timed = annotate(&module, &pum).expect("annotates");
+        let timed = annotate_uncached(&module, &pum).expect("annotates");
         let expected: usize = module.functions.iter().map(|f| f.blocks.len()).sum();
         assert_eq!(timed.total_annotated_blocks(), expected);
         assert_eq!(timed.pum_name(), pum.name);
@@ -587,7 +529,7 @@ mod tests {
     fn nonempty_blocks_get_nonzero_cycles() {
         let module = module_of(SRC);
         let pum = library::microblaze_like(8 << 10, 4 << 10);
-        let timed = annotate(&module, &pum).expect("annotates");
+        let timed = annotate_uncached(&module, &pum).expect("annotates");
         for (fid, func) in module.functions_iter() {
             for (bid, block) in func.blocks_iter() {
                 if !block.ops.is_empty() {
@@ -606,23 +548,7 @@ mod tests {
         let module = module_of(SRC);
         let mut pum = library::microblaze_like(8 << 10, 4 << 10);
         pum.clock_period_ps = 0;
-        assert!(matches!(annotate(&module, &pum), Err(EstimateError::BadPum { .. })));
-    }
-
-    #[test]
-    fn weighted_total_matches_manual_sum() {
-        let module = module_of(SRC);
-        let pum = library::microblaze_like(8 << 10, 4 << 10);
-        let timed = annotate(&module, &pum).expect("annotates");
-        // A profile that enters each block exactly once.
-        let counts: Vec<Vec<u64>> =
-            module.functions.iter().map(|f| vec![1; f.blocks.len()]).collect();
-        let manual: u64 = module
-            .functions_iter()
-            .flat_map(|(fid, f)| f.blocks_iter().map(move |(bid, _)| (fid, bid)))
-            .map(|(fid, bid)| timed.cycles(fid, bid))
-            .sum();
-        assert_eq!(timed.weighted_total(&counts), manual);
+        assert!(matches!(annotate_uncached(&module, &pum), Err(EstimateError::BadPum { .. })));
     }
 
     #[test]
@@ -631,11 +557,11 @@ mod tests {
         let pum = library::microblaze_like(8 << 10, 4 << 10);
         let reference = annotate_uncached(&module, &pum).expect("annotates");
         let cache = ScheduleCache::new();
-        let arc = Arc::new(module.clone());
+        let prep = PreparedModule::new(Arc::new(module.clone()));
         // The first batched run solves every block; the second is served
         // from the cache.
         for pass in ["cold", "warm"] {
-            let timed = annotate_arc_with(Arc::clone(&arc), &pum, Some(&cache)).expect("annotates");
+            let timed = annotate_cached(&prep, &pum, &cache).expect("annotates");
             for (fid, func) in module.functions_iter() {
                 for (bid, _) in func.blocks_iter() {
                     assert_eq!(
@@ -653,14 +579,14 @@ mod tests {
         let module = module_of(SRC);
         let pum = library::microblaze_like(8 << 10, 4 << 10);
         let cache = ScheduleCache::new();
-        let arc = Arc::new(module);
-        let first = annotate_arc_with(Arc::clone(&arc), &pum, Some(&cache)).expect("annotates");
+        let prep = PreparedModule::new(Arc::new(module));
+        let first = annotate_cached(&prep, &pum, &cache).expect("annotates");
         assert_eq!(first.report().cache_hits, 0, "cold cache");
         assert_eq!(first.report().cache_misses, first.report().blocks);
         // Sweep point two: different cache size, same datapath — Algorithm 1
         // must not run again for any block.
         let swept = library::microblaze_like(32 << 10, 16 << 10);
-        let second = annotate_arc_with(arc, &swept, Some(&cache)).expect("annotates");
+        let second = annotate_cached(&prep, &swept, &cache).expect("annotates");
         assert_eq!(second.report().cache_misses, 0, "warm cache");
         assert_eq!(second.report().cache_hits, second.report().blocks);
     }
@@ -673,19 +599,38 @@ mod tests {
         let mut pum = library::microblaze_like(8 << 10, 4 << 10);
         pum.execution.op_map.clear();
         let cache = ScheduleCache::new();
-        let arc = Arc::new(module);
-        let reference =
-            annotate_arc_with(Arc::clone(&arc), &pum, None).expect_err("unmapped classes fail");
-        let err = annotate_arc_with(arc, &pum, Some(&cache)).expect_err("unmapped classes fail");
+        let reference = annotate_uncached(&module, &pum).expect_err("unmapped classes fail");
+        let prep = PreparedModule::new(Arc::new(module));
+        let err = annotate_cached(&prep, &pum, &cache).expect_err("unmapped classes fail");
         assert_eq!(err, reference);
+    }
+
+    #[test]
+    fn cycles_past_u64_are_an_error_on_every_engine() {
+        // Finite but huge: no CPU block's delay fits in u64 cycles, in a
+        // multi-block module and in a one-block one alike.
+        let mut pum = library::microblaze_like(8 << 10, 4 << 10);
+        pum.memory.fetch_expansion = 1e300;
+        for src in [SRC, "void main() { out(1); }"] {
+            let module = module_of(src);
+            let uncached = annotate_uncached(&module, &pum).expect_err("cannot be counted");
+            assert!(matches!(uncached, EstimateError::BadPum { .. }), "{uncached}");
+            let prep = PreparedModule::new(Arc::new(module));
+            let cache = ScheduleCache::new();
+            let cached = annotate_cached(&prep, &pum, &cache).expect_err("cannot be counted");
+            assert_eq!(cached, uncached);
+            let handle = cache.domain(&ScheduleDomain::of(&pum));
+            let rows = annotate_function_in_domain(&prep, &pum, &handle, FuncId(0));
+            assert_eq!(rows.expect_err("cannot be counted"), uncached);
+        }
     }
 
     #[test]
     fn different_pums_give_different_annotations() {
         let module = module_of(SRC);
-        let cpu =
-            annotate(&module, &library::microblaze_like(8 << 10, 4 << 10)).expect("annotates");
-        let hw = annotate(&module, &library::custom_hw("hw", 2, 2)).expect("annotates");
+        let cpu = annotate_uncached(&module, &library::microblaze_like(8 << 10, 4 << 10))
+            .expect("annotates");
+        let hw = annotate_uncached(&module, &library::custom_hw("hw", 2, 2)).expect("annotates");
         let total = |t: &TimedModule| {
             module
                 .functions_iter()
@@ -761,7 +706,7 @@ mod tests {
         let module = Arc::new(module_of(SRC));
         let prep = PreparedModule::new(Arc::clone(&module));
         let pum = library::microblaze_like(8 << 10, 4 << 10);
-        let full = annotate_prepared(&prep, &pum, None).expect("annotates");
+        let full = annotate_uncached(&module, &pum).expect("annotates");
         let cache = ScheduleCache::new();
         let handle = cache.domain(&ScheduleDomain::of(&pum));
         for (fid, func) in module.functions_iter() {

@@ -8,7 +8,9 @@
 //! statistical memory and branch models, so a sweep over cache sizes or
 //! misprediction ratios re-runs only Algorithm 2; every Algorithm 1 result
 //! is computed once per (datapath, block) pair and then served from this
-//! cache.
+//! cache. There is no process-wide instance: each `tlm_pipeline::Pipeline`
+//! owns one (its `schedules` stage), and any other caller owns the cache
+//! it annotates through.
 //!
 //! The cache is two-level: the (possibly multi-kilobyte) domain encoding is
 //! resolved **once per annotation run** to a [`DomainHandle`]; per-block
@@ -21,7 +23,7 @@
 //!
 //! **Byte-budgeted eviction.** An unbounded cache is an OOM under an
 //! adversarial (or merely diverse) client mix, so the cache can carry a
-//! resident-byte budget ([`ScheduleCache::with_budget`]). The budget spans
+//! resident-byte budget ([`ScheduleCache::set_budget`]). The budget spans
 //! all domains: when the resident bytes (domain encodings plus block keys)
 //! exceed it, every domain's store rotates its generations together, and a
 //! domain left with no entries and no live handle is dropped. Results stay
@@ -101,16 +103,9 @@ impl ScheduleCache {
         ScheduleCache::default()
     }
 
-    /// An empty cache that evicts once its resident key bytes exceed
-    /// `bytes` (see the module docs for the generational semantics).
-    pub fn with_budget(bytes: u64) -> ScheduleCache {
-        let cache = ScheduleCache::new();
-        cache.set_budget(bytes);
-        cache
-    }
-
-    /// Changes the resident-byte budget; `u64::MAX` disables eviction.
-    /// Takes effect on the next insertion.
+    /// Sets the resident-byte budget (see the module docs for the
+    /// generational semantics); `u64::MAX` disables eviction. Takes effect
+    /// on the next insertion.
     pub fn set_budget(&self, bytes: u64) {
         self.budget.store(bytes, Ordering::Relaxed);
     }
@@ -153,15 +148,6 @@ impl ScheduleCache {
             }
             self.rotate();
         }
-    }
-
-    /// The process-wide cache used by
-    /// [`annotate`](crate::annotate::annotate). Sweep binaries that
-    /// estimate the same design under many statistical configurations get
-    /// cross-configuration reuse through this instance for free.
-    pub fn global() -> &'static ScheduleCache {
-        static GLOBAL: OnceLock<ScheduleCache> = OnceLock::new();
-        GLOBAL.get_or_init(ScheduleCache::new)
     }
 
     /// Resolves a domain to its entry table. Call once per annotation run;
@@ -390,7 +376,8 @@ mod tests {
     fn budget_eviction_drops_entries_and_recompute_is_bit_identical() {
         // A budget far below one generation's keys: every enforcement
         // rotates, so earlier blocks are evicted as later ones arrive.
-        let cache = ScheduleCache::with_budget(1);
+        let cache = ScheduleCache::new();
+        cache.set_budget(1);
         let pum = library::microblaze_like(8 << 10, 4 << 10);
         let module = module_of(
             "int f(int a, int b) { int s = 0; for (int i = 0; i < a; i++) { s += i * b; } return s; }

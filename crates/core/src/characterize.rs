@@ -12,8 +12,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::error::EstimateError;
-use crate::pum::{BranchModel, CacheModel, MemoryPath, Pum};
+use crate::pum::{MemoryPath, Pum};
 
 /// Counters measured on a reference execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -94,30 +93,6 @@ fn apply_rates(path: &mut MemoryPath, rates: &HitRateTable) {
     }
 }
 
-/// Builds a branch model from measured counters.
-pub fn branch_model_from(counters: &ProfileCounters, penalty: u32) -> BranchModel {
-    BranchModel { policy: "characterized".into(), penalty, miss_rate: counters.mispredict_rate() }
-}
-
-/// Builds a cache model from a measured hit-rate table.
-///
-/// # Errors
-///
-/// Returns [`EstimateError::MissingHitRate`] if `rates` does not contain
-/// `size` — a structured error instead of the panic this used to be, so
-/// sweep drivers can report which configuration was never characterized.
-pub fn cache_model_from(
-    size: u32,
-    rates: HitRateTable,
-    hit_delay: u32,
-    miss_penalty: u32,
-) -> Result<CacheModel, EstimateError> {
-    if !rates.contains_key(&size) {
-        return Err(EstimateError::MissingHitRate { size });
-    }
-    Ok(CacheModel { size, hit_rates: rates, hit_delay, miss_penalty })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,21 +165,5 @@ mod tests {
         apply_measurements(&mut pum, &rates, &HitRateTable::new(), Some(-0.5));
         pum.validate().expect("clamped values stay valid");
         assert_eq!(pum.branch.as_ref().expect("branch model").miss_rate, 0.0);
-    }
-
-    #[test]
-    fn model_builders() {
-        let counters = ProfileCounters { branches: 100, mispredicts: 25, ..Default::default() };
-        let bm = branch_model_from(&counters, 2);
-        assert_eq!(bm.penalty, 2);
-        assert!((bm.miss_rate - 0.25).abs() < 1e-12);
-
-        let mut rates = HitRateTable::new();
-        rates.insert(2048, 0.91);
-        let cm = cache_model_from(2048, rates.clone(), 0, 24).expect("rate exists");
-        assert!((cm.hit_rate().expect("rate exists") - 0.91).abs() < 1e-12);
-
-        let err = cache_model_from(4096, rates, 0, 24).expect_err("no measured rate");
-        assert_eq!(err, EstimateError::MissingHitRate { size: 4096 });
     }
 }

@@ -15,13 +15,10 @@
 //! end in a conditional branch; blocks ending in an unconditional jump,
 //! call or return cannot mispredict on the modelled cores.
 
-use tlm_cdfg::dfg::Dfg;
 use tlm_cdfg::ir::BlockData;
-use tlm_cdfg::{BlockId, FuncId};
 
 use crate::error::EstimateError;
 use crate::pum::{MemoryPath, Pum};
-use crate::schedule::schedule_block;
 
 /// The estimated delay of one basic block, with its components.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -68,9 +65,9 @@ fn cost_per_access(path: &MemoryPath, external_latency: u32) -> Result<f64, Esti
 /// are properties of the PUM alone, so an annotation run (or a sweep
 /// point) derives them once and applies them to every block.
 ///
-/// [`block_delay_with_costs`] with the same `MemoryCosts` value performs
-/// exactly the floating-point operations the one-shot [`block_delay`]
-/// performs, so hoisting cannot change a single bit of any delay.
+/// Every engine — batched, per-block and reference — prices a block with
+/// [`block_delay_with_costs`] over the same `MemoryCosts`, so they agree
+/// bit for bit.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryCosts {
     /// Expected cycles per instruction fetch; `None` on hardwired control.
@@ -116,44 +113,21 @@ impl MemoryCosts {
     }
 }
 
-/// Computes the delay of one basic block (Algorithm 2).
+/// Algorithm 2: combines a block's optimistic schedule (Algorithm 1,
+/// possibly served by the [`ScheduleCache`](crate::cache::ScheduleCache))
+/// with the PUM's statistical models, already derived into `costs`, so
+/// the per-block work is pure arithmetic.
 ///
 /// # Errors
 ///
-/// Propagates [`EstimateError`] from Algorithm 1.
-pub fn block_delay(
-    pum: &Pum,
-    block: &BlockData,
-    dfg: &Dfg,
-    func: FuncId,
-    block_id: BlockId,
-) -> Result<BlockDelay, EstimateError> {
-    let sched = schedule_block(pum, block, dfg, func, block_id)?.cycles;
-    block_delay_with_schedule(pum, block, sched)
-}
-
-/// Algorithm 2 alone: combines an already-computed optimistic schedule
-/// (Algorithm 1, possibly served by the
-/// [`ScheduleCache`](crate::cache::ScheduleCache)) with the PUM's
-/// statistical branch and memory models. [`block_delay`] is exactly
-/// `schedule_block` followed by this function, so cached and uncached
-/// estimation take the same floating-point path and agree bit-for-bit.
-///
-/// # Errors
-///
-/// Returns [`EstimateError::MissingHitRate`] for an uncharacterized cache
-/// size.
-pub fn block_delay_with_schedule(
-    pum: &Pum,
+/// Returns [`EstimateError::BadPum`] when the rounded delay does not fit
+/// in a `u64` (a finite but huge expansion factor), instead of saturating
+/// the block's cycles to `u64::MAX`.
+pub fn block_delay_with_costs(
+    costs: &MemoryCosts,
     block: &BlockData,
     sched: u64,
 ) -> Result<BlockDelay, EstimateError> {
-    Ok(block_delay_with_costs(&MemoryCosts::of(pum)?, block, sched))
-}
-
-/// Algorithm 2 with the PUM-dependent costs already derived — the form the
-/// annotation loop uses so the per-block work is pure arithmetic.
-pub fn block_delay_with_costs(costs: &MemoryCosts, block: &BlockData, sched: u64) -> BlockDelay {
     // On an instruction-fetching PE the block's terminator is a real
     // control-transfer instruction occupying an issue slot, and the
     // characterized back-end expansion factor applies to issue slots just
@@ -190,7 +164,27 @@ pub fn block_delay_with_costs(costs: &MemoryCosts, block: &BlockData, sched: u64
         exact += data;
     }
 
-    BlockDelay { sched, branch, ifetch, data, cycles: exact.round() as u64, exact }
+    // `u64::MAX as f64` is 2^64 exactly; NaN lies in no range.
+    let rounded = exact.round();
+    if !(0.0..u64::MAX as f64).contains(&rounded) {
+        return Err(EstimateError::BadPum {
+            message: format!("estimated block delay {exact:e} cycles exceeds u64::MAX"),
+        });
+    }
+    Ok(BlockDelay { sched, branch, ifetch, data, cycles: rounded as u64, exact })
+}
+
+/// Sums block cycles into a report total: the one place the rule lives
+/// that a total past `u64::MAX` is an estimation error, not a wrapped or
+/// saturated number.
+///
+/// # Errors
+///
+/// Returns [`EstimateError::BadPum`] when the sum does not fit in a `u64`.
+pub fn sum_cycles(cycles: impl IntoIterator<Item = u64>) -> Result<u64, EstimateError> {
+    cycles.into_iter().try_fold(0u64, u64::checked_add).ok_or_else(|| EstimateError::BadPum {
+        message: "estimated block cycles sum past u64::MAX".into(),
+    })
 }
 
 #[cfg(test)]
@@ -198,18 +192,30 @@ mod tests {
     use super::*;
     use crate::library;
     use crate::pum::MemoryPath;
+    use crate::schedule::schedule_block;
     use tlm_cdfg::dfg::block_dfg;
     use tlm_cdfg::ir::Module;
+    use tlm_cdfg::{BlockId, FuncId};
 
     fn module_of(src: &str) -> Module {
         tlm_cdfg::lower::lower(&tlm_minic::parse(src).expect("parses")).expect("lowers")
+    }
+
+    /// Algorithms 1 and 2 over one block of function 0.
+    fn block_delay(
+        pum: &Pum,
+        block: &BlockData,
+        bid: BlockId,
+    ) -> Result<BlockDelay, EstimateError> {
+        let sched = schedule_block(pum, block, &block_dfg(block), FuncId(0), bid)?.cycles;
+        block_delay_with_costs(&MemoryCosts::of(pum)?, block, sched)
     }
 
     fn delay_of(pum: &Pum, src: &str) -> BlockDelay {
         let module = module_of(src);
         let func = &module.functions[0];
         let (bid, block) = func.blocks_iter().max_by_key(|(_, b)| b.ops.len()).expect("has blocks");
-        block_delay(pum, block, &block_dfg(block), FuncId(0), bid).expect("estimates")
+        block_delay(pum, block, bid).expect("estimates")
     }
 
     #[test]
@@ -248,7 +254,7 @@ mod tests {
         let mut saw_branch_term = false;
         let mut saw_zero_branch = false;
         for (bid, block) in func.blocks_iter() {
-            let d = block_delay(&pum, block, &block_dfg(block), FuncId(0), bid).expect("estimates");
+            let d = block_delay(&pum, block, bid).expect("estimates");
             if block.term.is_conditional() {
                 assert!(d.branch > 0.0);
                 saw_branch_term = true;
@@ -282,15 +288,13 @@ mod tests {
 
     #[test]
     fn uncharacterized_cache_size_is_an_error_not_a_panic() {
-        use crate::EstimateError;
         let mut pum = library::microblaze_like(8 << 10, 4 << 10);
         if let MemoryPath::Cached(c) = &mut pum.memory.data {
             c.size = 1234; // swept past the characterized sizes
         }
         let module = module_of("int t[4]; int f(int i) { return t[i]; }");
         let block = &module.functions[0].blocks[0];
-        let err = block_delay(&pum, block, &block_dfg(block), FuncId(0), BlockId(0))
-            .expect_err("missing rate is structured");
+        let err = block_delay(&pum, block, BlockId(0)).expect_err("missing rate is structured");
         assert_eq!(err, EstimateError::MissingHitRate { size: 1234 });
     }
 
@@ -308,5 +312,13 @@ mod tests {
         assert_eq!(d.data, 0.0);
         // Only the schedule plus the terminator's issue slot remains.
         assert_eq!(d.cycles, d.sched + 1);
+    }
+
+    #[test]
+    fn cycle_sum_past_u64_is_an_error() {
+        assert_eq!(sum_cycles([]), Ok(0));
+        assert_eq!(sum_cycles([u64::MAX - 1, 1]), Ok(u64::MAX));
+        let err = sum_cycles([u64::MAX, 1]).expect_err("overflows");
+        assert!(matches!(err, EstimateError::BadPum { .. }), "{err}");
     }
 }

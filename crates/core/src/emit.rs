@@ -185,13 +185,13 @@ fn op_to_c(module: &Module, op: &Op) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::annotate::annotate;
+    use crate::annotate::annotate_uncached;
     use crate::library;
 
     fn timed(src: &str) -> TimedModule {
         let module =
             tlm_cdfg::lower::lower(&tlm_minic::parse(src).expect("parses")).expect("lowers");
-        annotate(&module, &library::microblaze_like(8 << 10, 4 << 10)).expect("annotates")
+        annotate_uncached(&module, &library::microblaze_like(8 << 10, 4 << 10)).expect("annotates")
     }
 
     #[test]

@@ -12,9 +12,13 @@
 //! 2. [`delay`] implements **Algorithm 2**: statistical cache-miss and
 //!    branch-misprediction terms are added from the PUM's memory and branch
 //!    models.
-//! 3. [`annotate()`](annotate::annotate) attaches the delays to the module, producing a
+//! 3. [`annotate`] attaches the delays to the module, producing a
 //!    [`annotate::TimedModule`] that the TLM assembly (`tlm-platform`)
 //!    consumes, and [`emit`] renders the paper's "timed C" view of it.
+//!    [`annotate::annotate_in_domain`] runs the module as one dedup batch
+//!    through a [`ScheduleCache`], so a sweep over statistical models
+//!    solves Algorithm 1 once per (datapath, block) pair;
+//!    [`annotate::annotate_uncached`] is the per-block form.
 //!
 //! Retargetability comes from the PUM being *data*: [`library`] provides
 //! built-in models (a MicroBlaze-like soft core, non-pipelined custom HW, a
@@ -23,17 +27,27 @@
 //! # Example
 //!
 //! ```
-//! use tlm_core::annotate::annotate;
+//! use std::sync::Arc;
+//!
+//! use tlm_core::annotate::{annotate_in_domain, PreparedModule};
+//! use tlm_core::cache::{ScheduleCache, ScheduleDomain};
 //! use tlm_core::library;
 //!
 //! let program = tlm_minic::parse(
 //!     "int acc(int n) { int s = 0; for (int i = 0; i < n; i++) { s += i * i; } return s; }",
 //! )?;
 //! let module = tlm_cdfg::lower::lower(&program)?;
+//! let prepared = PreparedModule::new(Arc::new(module));
+//! let cache = ScheduleCache::new();
 //! let pum = library::microblaze_like(8 * 1024, 4 * 1024);
-//! let timed = annotate(&module, &pum)?;
+//! let timed = annotate_in_domain(&prepared, &pum, &cache.domain(&ScheduleDomain::of(&pum)))?;
 //! // Every basic block now carries an estimated cycle delay.
 //! assert!(timed.total_annotated_blocks() > 0);
+//! // A second cache size on the same datapath reuses every schedule.
+//! let larger = library::microblaze_like(32 * 1024, 16 * 1024);
+//! let swept =
+//!     annotate_in_domain(&prepared, &larger, &cache.domain(&ScheduleDomain::of(&larger)))?;
+//! assert_eq!(swept.report().cache_misses, 0);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -57,7 +71,7 @@ pub mod report;
 pub mod schedule;
 pub mod store;
 
-pub use annotate::{annotate, TimedModule};
+pub use annotate::TimedModule;
 pub use cache::ScheduleCache;
 pub use error::EstimateError;
 pub use pum::Pum;

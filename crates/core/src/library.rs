@@ -324,14 +324,14 @@ mod tests {
 
     #[test]
     fn vliw_extracts_parallelism_beyond_single_issue() {
-        use crate::annotate::annotate;
+        use crate::annotate::annotate_uncached;
         let src = "int f(int a, int b, int c, int d) {
             return (a * a + b * b) + (c * c + d * d);
         }";
         let module =
             tlm_cdfg::lower::lower(&tlm_minic::parse(src).expect("parses")).expect("lowers");
         let total = |pum: &Pum| -> u64 {
-            let timed = annotate(&module, pum).expect("annotates");
+            let timed = annotate_uncached(&module, pum).expect("annotates");
             module
                 .functions_iter()
                 .flat_map(|(fid, f)| f.blocks_iter().map(move |(bid, _)| (fid, bid)))

@@ -85,18 +85,6 @@ where
     slots.into_iter().map(|slot| slot.expect("every index claimed")).collect()
 }
 
-/// [`par_map`] over owned thunk outputs: runs `n` independent jobs
-/// (`f(0..n)`) concurrently, results in index order. Convenient for sweep
-/// fan-out where each job builds its own inputs.
-pub fn par_run<R, F>(n: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let indices: Vec<usize> = (0..n).collect();
-    par_map(&indices, |&i| f(i))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,8 +105,8 @@ mod tests {
     #[test]
     fn uneven_work_is_balanced() {
         // Items with wildly different costs must still come back in order.
-        let items: Vec<u64> = (0..64).collect();
-        let out = par_run(items.len(), |i| {
+        let items: Vec<usize> = (0..64).collect();
+        let out = par_map(&items, |&i| {
             let mut acc = 0u64;
             for k in 0..(i as u64 % 7) * 10_000 {
                 acc = acc.wrapping_add(k ^ i as u64);

@@ -382,8 +382,14 @@ impl Pum {
                 return bad("branch miss rate outside [0, 1]".into());
             }
         }
-        if self.memory.fetch_expansion <= 0.0 || self.memory.data_expansion <= 0.0 {
-            return bad("memory expansion factors must be positive".into());
+        for (field, factor) in [
+            ("fetch_expansion", self.memory.fetch_expansion),
+            ("data_expansion", self.memory.data_expansion),
+        ] {
+            // Written so NaN fails too.
+            if !(factor > 0.0 && factor.is_finite()) {
+                return bad(format!("memory `{field}` must be positive and finite, got {factor}"));
+            }
         }
         for (label, path) in [("ifetch", &self.memory.ifetch), ("data", &self.memory.data)] {
             if let MemoryPath::Cached(cache) = path {
@@ -1242,6 +1248,20 @@ mod tests {
             cache.size = 1234; // size with no characterized rate
         }
         assert!(pum.validate().is_err());
+    }
+
+    #[test]
+    fn non_finite_expansion_factor_is_rejected_by_name() {
+        for bad in [f64::INFINITY, f64::NAN, 0.0, -1.0] {
+            let mut pum = library::microblaze_like(8 * 1024, 4 * 1024);
+            pum.memory.fetch_expansion = bad;
+            let err = pum.validate().expect_err("rejected").to_string();
+            assert!(err.contains("fetch_expansion"), "{bad}: {err}");
+            let mut pum = library::microblaze_like(8 * 1024, 4 * 1024);
+            pum.memory.data_expansion = bad;
+            let err = pum.validate().expect_err("rejected").to_string();
+            assert!(err.contains("data_expansion"), "{bad}: {err}");
+        }
     }
 
     #[test]

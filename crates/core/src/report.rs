@@ -86,7 +86,7 @@ pub fn function_shares(timed: &TimedModule, profile: &BlockProfile) -> Vec<(Stri
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::annotate::annotate;
+    use crate::annotate::annotate_uncached;
     use crate::library;
     use tlm_cdfg::interp::{Exec, Machine};
     use tlm_cdfg::ir::Module;
@@ -95,8 +95,8 @@ mod tests {
     fn setup(src: &str) -> (Module, TimedModule, BlockProfile) {
         let module =
             tlm_cdfg::lower::lower(&tlm_minic::parse(src).expect("parses")).expect("lowers");
-        let timed =
-            annotate(&module, &library::microblaze_like(8 << 10, 4 << 10)).expect("annotates");
+        let timed = annotate_uncached(&module, &library::microblaze_like(8 << 10, 4 << 10))
+            .expect("annotates");
         let main = module.function_id("main").expect("main");
         let mut profile = BlockProfile::new(&module);
         let mut machine = Machine::new(&module, main, &[]);

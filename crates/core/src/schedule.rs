@@ -395,7 +395,7 @@ fn publish(
 ///
 /// One-shot convenience form: builds the [`IssueTable`], computes heights
 /// if the policy needs them and borrows the thread's scratch arena. Hot
-/// paths (the schedule cache, [`crate::annotate()`]) precompute all three
+/// paths (the schedule cache, [`crate::annotate`]) precompute all three
 /// and call the crate's `schedule_block_prepared` directly.
 ///
 /// `func` and `block_id` are used only for error reporting.

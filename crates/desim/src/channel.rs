@@ -56,8 +56,6 @@ struct FifoInner<T> {
     capacity: Option<usize>,
     readable: EventId,
     writable: EventId,
-    pushed: u64,
-    popped: u64,
 }
 
 impl<T> Fifo<T> {
@@ -73,8 +71,6 @@ impl<T> Fifo<T> {
                 capacity,
                 readable,
                 writable,
-                pushed: 0,
-                popped: 0,
             })),
         }
     }
@@ -93,7 +89,6 @@ impl<T> Fifo<T> {
             }
         }
         inner.queue.push_back(value);
-        inner.pushed += 1;
         let readable = inner.readable;
         drop(inner);
         ctx.notify(readable);
@@ -104,7 +99,6 @@ impl<T> Fifo<T> {
     pub fn try_recv(&self, ctx: &mut Ctx<'_>) -> Option<T> {
         let mut inner = self.inner.borrow_mut();
         let value = inner.queue.pop_front()?;
-        inner.popped += 1;
         let writable = inner.writable;
         drop(inner);
         ctx.notify(writable);
@@ -131,16 +125,6 @@ impl<T> Fifo<T> {
         self.inner.borrow().queue.is_empty()
     }
 
-    /// Total values ever enqueued (transaction count for statistics).
-    pub fn total_pushed(&self) -> u64 {
-        self.inner.borrow().pushed
-    }
-
-    /// Total values ever dequeued.
-    pub fn total_popped(&self) -> u64 {
-        self.inner.borrow().popped
-    }
-
     /// The name the channel was registered under.
     pub fn name(&self) -> String {
         self.inner.borrow().name.clone()
@@ -164,69 +148,10 @@ impl<T> fmt::Debug for Fifo<T> {
     }
 }
 
-/// A single-value signal with a change event, like SystemC's `sc_signal`.
-///
-/// Writers overwrite the stored value; readers sample it at any time and may
-/// block on [`Signal::changed_event`] to observe updates.
-pub struct Signal<T: Copy> {
-    inner: Rc<RefCell<SignalInner<T>>>,
-}
-
-struct SignalInner<T: Copy> {
-    value: T,
-    changed: EventId,
-    writes: u64,
-}
-
-impl<T: Copy> Signal<T> {
-    /// Creates a signal with an initial value.
-    pub fn new(kernel: &mut Kernel, initial: T) -> Self {
-        let changed = kernel.event();
-        Signal { inner: Rc::new(RefCell::new(SignalInner { value: initial, changed, writes: 0 })) }
-    }
-
-    /// Samples the current value.
-    pub fn read(&self) -> T {
-        self.inner.borrow().value
-    }
-
-    /// Overwrites the value and notifies the change event.
-    pub fn write(&self, ctx: &mut Ctx<'_>, value: T) {
-        let mut inner = self.inner.borrow_mut();
-        inner.value = value;
-        inner.writes += 1;
-        let changed = inner.changed;
-        drop(inner);
-        ctx.notify(changed);
-    }
-
-    /// Event notified on every write.
-    pub fn changed_event(&self) -> EventId {
-        self.inner.borrow().changed
-    }
-
-    /// Total writes so far.
-    pub fn writes(&self) -> u64 {
-        self.inner.borrow().writes
-    }
-}
-
-impl<T: Copy> Clone for Signal<T> {
-    fn clone(&self) -> Self {
-        Signal { inner: self.inner.clone() }
-    }
-}
-
-impl<T: Copy + fmt::Debug> fmt::Debug for Signal<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Signal").field("value", &self.inner.borrow().value).finish_non_exhaustive()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Resume, SimTime};
+    use crate::Resume;
 
     #[test]
     fn producer_consumer_moves_all_items() {
@@ -265,8 +190,7 @@ mod tests {
         let got = got.borrow();
         assert_eq!(got.len(), n as usize);
         assert!(got.iter().copied().eq(0..n), "FIFO order preserved");
-        assert_eq!(ch.total_pushed(), u64::from(n));
-        assert_eq!(ch.total_popped(), u64::from(n));
+        assert!(ch.is_empty(), "every value popped");
     }
 
     #[test]
@@ -296,38 +220,6 @@ mod tests {
         });
         k.run();
         assert_eq!(ch.len(), 10_000);
-    }
-
-    #[test]
-    fn signal_change_wakes_reader() {
-        let mut k = Kernel::new();
-        let sig = Signal::new(&mut k, 0u32);
-
-        let s = sig.clone();
-        let mut waited = false;
-        k.spawn_fn("reader", move |_ctx| {
-            if s.read() == 7 {
-                Resume::Finish
-            } else {
-                assert!(!std::mem::replace(&mut waited, true), "woken exactly once");
-                Resume::WaitEvent(s.changed_event())
-            }
-        });
-
-        let s = sig.clone();
-        let mut done = false;
-        k.spawn_fn("writer", move |ctx| {
-            if done {
-                return Resume::Finish;
-            }
-            done = true;
-            s.write(ctx, 7);
-            Resume::WaitTime(SimTime::from_ns(1))
-        });
-
-        let report = k.run();
-        assert_eq!(report.stop, crate::StopReason::Completed);
-        assert_eq!(sig.writes(), 1);
     }
 
     #[test]

@@ -1,10 +1,13 @@
 //! A small, deterministic, single-threaded discrete-event simulation kernel.
 //!
 //! This crate plays the role SystemC plays in the paper: it provides
-//! simulated time, events, resumable processes, delta cycles and blocking
-//! channels. Timed TLMs built by `tlm-platform` run on this kernel and
-//! apply their accumulated basic-block delays with [`Resume::WaitTime`] at
-//! transaction boundaries (the `sc_wait` of the paper, §4.3).
+//! simulated time, events, resumable processes, delta cycles and one
+//! blocking channel, the bounded [`Fifo`] that carries every TLM
+//! transaction. It holds only what `tlm-platform` uses. Timed TLMs built
+//! there run on this kernel and apply their accumulated basic-block
+//! delays with [`Resume::WaitTime`] at transaction boundaries (the
+//! `sc_wait` of the paper, §4.3). Bus and PE contention is modelled by
+//! `tlm-platform`'s clocks, not by kernel primitives.
 //!
 //! # Example
 //!
@@ -33,12 +36,10 @@ mod channel;
 mod event;
 mod kernel;
 mod process;
-mod sync;
 mod time;
 
-pub use channel::{Fifo, Signal};
+pub use channel::Fifo;
 pub use event::EventId;
 pub use kernel::{Ctx, Kernel, RunReport, StopReason};
 pub use process::{Process, ProcessId, Resume};
-pub use sync::Semaphore;
 pub use time::SimTime;

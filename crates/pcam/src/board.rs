@@ -379,7 +379,11 @@ mod tests {
     use super::*;
     use tlm_core::library;
     use tlm_platform::desc::PlatformBuilder;
-    use tlm_platform::tlm::{run_tlm, TlmConfig, TlmMode};
+    use tlm_platform::tlm::{annotate_platform, run_annotated, TlmConfig, TlmReport};
+
+    fn timed_tlm(p: &Platform) -> TlmReport {
+        run_annotated(p, Some(&annotate_platform(p).expect("annotates")), &TlmConfig::default())
+    }
 
     fn module(src: &str) -> tlm_cdfg::ir::Module {
         tlm_cdfg::lower::lower(&tlm_minic::parse(src).expect("parses")).expect("lowers")
@@ -421,7 +425,7 @@ mod tests {
     fn board_and_tlm_agree_functionally() {
         let p = two_pe_platform();
         let board = run_board(&p, &BoardConfig::default()).expect("board runs");
-        let tlm = run_tlm(&p, TlmMode::Timed, &TlmConfig::default()).expect("tlm runs");
+        let tlm = timed_tlm(&p);
         assert!(board.all_finished());
         assert_eq!(board.outputs["sink"], tlm.outputs["sink"]);
     }
@@ -433,7 +437,7 @@ mod tests {
         // characterization (Tables 2/3 tighten this with measured rates).
         let p = two_pe_platform();
         let board = run_board(&p, &BoardConfig::default()).expect("board runs");
-        let tlm = run_tlm(&p, TlmMode::Timed, &TlmConfig::default()).expect("tlm runs");
+        let tlm = timed_tlm(&p);
         let measured = board.total_cycles() as f64;
         let estimated: f64 = tlm.pe_busy.iter().map(|&(_, c)| c).sum::<u64>() as f64;
         assert!(measured > 0.0 && estimated > 0.0);

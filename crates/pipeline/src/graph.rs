@@ -59,6 +59,7 @@ use tlm_core::annotate::{
     annotate_function_in_domain, annotate_in_domain, PreparedModule, TimedModule,
 };
 use tlm_core::cache::ScheduleDomain;
+use tlm_core::delay::sum_cycles;
 use tlm_core::store::{Store, StoreKey, StoreStats};
 use tlm_core::{Pum, ScheduleCache};
 use tlm_faults::Kind;
@@ -434,7 +435,8 @@ impl Pipeline {
     /// # Errors
     ///
     /// [`PipelineError::Estimate`] if the PUM is invalid or cannot execute
-    /// some block.
+    /// some block, or if a block's cycles or the module's cycle sum
+    /// exceed `u64::MAX`.
     pub fn annotated(
         &self,
         artifact: &ModuleArtifact,
@@ -582,14 +584,14 @@ impl Pipeline {
         let prepared = self.prepared(artifact)?;
         let module = prepared.module();
         let mut functions = Vec::with_capacity(module.functions.len());
-        let mut total_cycles = 0u64;
         let pum_bytes: Arc<str> = pum.estimate_domain().into();
         for (fid, func) in module.functions_iter() {
             let key = EstimateKey::function(&pum_bytes, &prepared, fid);
             let rows = self.function_rows_keyed(&key, &prepared, pum, fid)?;
-            total_cycles += rows.iter().map(|r| r.cycles).sum::<u64>();
             functions.push(FunctionReport { name: func.name.clone(), blocks: (*rows).clone() });
         }
+        let total_cycles =
+            sum_cycles(functions.iter().flat_map(|f| f.blocks.iter().map(|b| b.cycles)))?;
         Ok(Arc::new(EstimateReport::new(
             prepared.total_blocks(),
             prepared.ops(),
@@ -639,7 +641,7 @@ impl Pipeline {
         for (proc, artifact) in design.platform.processes.iter().zip(design.artifacts()) {
             timed.push(self.annotated(artifact, &design.platform.pes[proc.pe.0].pum)?);
         }
-        Ok(AnnotatedPlatform::from_timed(timed, start.elapsed()))
+        Ok(AnnotatedPlatform { timed, annotation_time: start.elapsed() })
     }
 
     /// Runs the timed TLM of a design, annotating through the pipeline.

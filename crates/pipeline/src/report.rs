@@ -15,6 +15,7 @@ use std::fmt;
 use std::sync::OnceLock;
 
 use tlm_core::annotate::TimedModule;
+use tlm_core::delay::sum_cycles;
 use tlm_json::{ArrayWriter, ObjectWriter};
 
 /// Per-block delay decomposition (the paper's Algorithm 2 terms).
@@ -69,16 +70,16 @@ impl EstimateReport {
         EstimateReport { blocks, ops, total_cycles, functions, functions_json: OnceLock::new() }
     }
 
-    /// Extracts the deterministic report of an annotated module.
+    /// Extracts the deterministic report of an annotated module. Its total
+    /// fits in a `u64`: annotation rejects a module whose block cycles sum
+    /// past `u64::MAX`.
     pub fn of(timed: &TimedModule) -> EstimateReport {
         let module = timed.module();
-        let mut total_cycles = 0u64;
         let mut functions = Vec::with_capacity(module.functions.len());
         for (fid, func) in module.functions_iter() {
             let mut blocks = Vec::with_capacity(func.blocks.len());
             for (bid, _) in func.blocks_iter() {
                 let d = timed.delay(fid, bid);
-                total_cycles += d.cycles;
                 blocks.push(BlockReport {
                     block: bid.0,
                     sched: d.sched,
@@ -90,6 +91,9 @@ impl EstimateReport {
             }
             functions.push(FunctionReport { name: func.name.clone(), blocks });
         }
+        let total_cycles =
+            sum_cycles(functions.iter().flat_map(|f| f.blocks.iter().map(|b| b.cycles)))
+                .expect("annotation bounds the cycle total");
         let report = timed.report();
         EstimateReport::new(report.blocks, report.ops, total_cycles, functions)
     }

@@ -11,6 +11,10 @@
 //!   simulated time at inter-process transaction boundaries — the paper's
 //!   `wait()`/`sc_wait()` mechanism, with user-controllable granularity.
 //!
+//! Both run through [`tlm::run_annotated`]; the annotation comes from
+//! `tlm_pipeline::Pipeline::annotate_design` (which caches it) or, outside
+//! a pipeline, from [`tlm::annotate_platform`].
+//!
 //! Processes mapped to the same PE serialize on a shared [`clock::PeClock`]
 //! (cooperative scheduling; the optional [`rtos`] model adds
 //! context-switch overhead, the paper's future-work extension). Channel
@@ -22,7 +26,7 @@
 //!
 //! ```
 //! use tlm_platform::desc::PlatformBuilder;
-//! use tlm_platform::tlm::{TlmConfig, TlmMode};
+//! use tlm_platform::tlm::{annotate_platform, run_annotated, TlmConfig};
 //!
 //! let producer = tlm_cdfg::lower::lower(&tlm_minic::parse(
 //!     "void main() { for (int i = 0; i < 4; i++) { ch_send(0, i * i); } }",
@@ -38,7 +42,12 @@
 //! builder.add_process("consumer", &consumer, "main", &[], hw)?;
 //! let platform = builder.build()?;
 //!
-//! let report = tlm_platform::tlm::run_tlm(&platform, TlmMode::Timed, &TlmConfig::default())?;
+//! // Functional TLM: no annotation, zero simulated time.
+//! let functional = run_annotated(&platform, None, &TlmConfig::default());
+//! assert_eq!(functional.end_time, tlm_desim::SimTime::ZERO);
+//! // Timed TLM: every process annotated with its PE's PUM.
+//! let annotated = annotate_platform(&platform)?;
+//! let report = run_annotated(&platform, Some(&annotated), &TlmConfig::default());
 //! assert_eq!(report.outputs["consumer"], vec![0, 1, 4, 9]);
 //! assert!(report.end_time > tlm_desim::SimTime::ZERO);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -54,4 +63,4 @@ pub mod rtos;
 pub mod tlm;
 
 pub use desc::{Platform, PlatformBuilder};
-pub use tlm::{run_tlm, TlmConfig, TlmMode, TlmReport};
+pub use tlm::{TlmConfig, TlmReport};

@@ -1,12 +1,15 @@
 //! Executable transaction-level models.
 //!
-//! [`run_tlm`] turns a [`Platform`] into a running simulation on the
+//! [`run_annotated`] turns a [`Platform`] into a running simulation on the
 //! `tlm-desim` kernel. Every application process becomes a kernel process
 //! wrapping a resumable CDFG interpreter; channels become FIFOs; PEs and
 //! buses become shared clocks.
 //!
-//! In [`TlmMode::Timed`], each process accumulates the annotated delay of
-//! every basic block it executes (the generated `wait()` calls of the
+//! Given no annotation the TLM is functional: transactions synchronize in
+//! zero simulated time. Given an [`AnnotatedPlatform`] — from
+//! `tlm_pipeline::Pipeline::annotate_design`, or from [`annotate_platform`]
+//! outside a pipeline — it is timed: each process accumulates the
+//! annotated delay of every basic block it executes (the generated `wait()` calls of the
 //! paper) and applies the accumulated total to simulated time at
 //! inter-process transaction boundaries via the PE clock — `sc_wait` is too
 //! expensive to call per block, so the paper applies it per transaction,
@@ -20,24 +23,15 @@ use std::rc::Rc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use tlm_cdfg::interp::{Exec, ExecHook, ExecStats, Machine};
+use tlm_cdfg::interp::{Exec, ExecHook, ExecStats, Machine, NoopHook};
 use tlm_cdfg::{BlockId, ChanId, FuncId};
-use tlm_core::annotate::{annotate_arc, AnnotationReport, TimedModule};
+use tlm_core::annotate::{annotate_in_domain, PreparedModule, TimedModule};
+use tlm_core::cache::{ScheduleCache, ScheduleDomain};
 use tlm_core::EstimateError;
 use tlm_desim::{Ctx, Fifo, Kernel, Process, Resume, RunReport, SimTime};
 
 use crate::clock::{BusClock, PeClock, SharedBus, SharedPe};
 use crate::desc::Platform;
-
-/// Functional (untimed) or timed TLM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TlmMode {
-    /// No timing: transactions synchronize in zero simulated time.
-    Functional,
-    /// Basic-block delays annotated per PE model are applied at
-    /// transaction boundaries.
-    Timed,
-}
 
 /// TLM execution configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,8 +75,6 @@ pub struct ProcessReport {
 /// Result of one TLM run.
 #[derive(Debug, Clone)]
 pub struct TlmReport {
-    /// The mode that ran.
-    pub mode: TlmMode,
     /// Final simulated time.
     pub end_time: SimTime,
     /// Kernel statistics.
@@ -116,60 +108,34 @@ impl TlmReport {
 /// can be reported like the paper's Table 1 does.
 #[derive(Debug, Clone)]
 pub struct AnnotatedPlatform {
-    timed: Vec<Arc<TimedModule>>,
+    /// One annotated module per process, in process order.
+    pub timed: Vec<Arc<TimedModule>>,
     /// Wall-clock cost of annotation.
     pub annotation_time: Duration,
-    /// Per-process annotation statistics.
-    pub reports: Vec<AnnotationReport>,
 }
 
-impl AnnotatedPlatform {
-    /// Assembles an annotated platform from externally produced
-    /// [`TimedModule`]s (one per process, in process order). This is the
-    /// hook for artifact stores that annotate through their own cache
-    /// rather than [`annotate_platform`]'s global one.
-    pub fn from_timed(
-        timed: Vec<Arc<TimedModule>>,
-        annotation_time: Duration,
-    ) -> AnnotatedPlatform {
-        let reports = timed.iter().map(|t| *t.report()).collect();
-        AnnotatedPlatform { timed, annotation_time, reports }
-    }
-}
-
-/// Annotates every process of the platform with its PE's PUM.
+/// Annotates every process of the platform with its PE's PUM, outside any
+/// `tlm_pipeline::Pipeline`: the call owns one [`ScheduleCache`], so
+/// processes sharing a datapath share its Algorithm 1 schedules, and
+/// nothing outlives the call.
 ///
 /// # Errors
 ///
 /// Propagates [`EstimateError`] from the estimation engine.
 pub fn annotate_platform(platform: &Platform) -> Result<AnnotatedPlatform, EstimateError> {
     let start = Instant::now();
-    let mut timed = Vec::with_capacity(platform.processes.len());
-    let mut reports = Vec::new();
-    for proc in &platform.processes {
-        let pum = &platform.pes[proc.pe.0].pum;
-        let tm = annotate_arc(proc.module.clone(), pum)?;
-        reports.push(*tm.report());
-        timed.push(Arc::new(tm));
-    }
-    Ok(AnnotatedPlatform { timed, annotation_time: start.elapsed(), reports })
-}
-
-/// Builds and runs a TLM in one call.
-///
-/// # Errors
-///
-/// Propagates annotation failures in timed mode.
-pub fn run_tlm(
-    platform: &Platform,
-    mode: TlmMode,
-    config: &TlmConfig,
-) -> Result<TlmReport, EstimateError> {
-    let annotated = match mode {
-        TlmMode::Functional => None,
-        TlmMode::Timed => Some(annotate_platform(platform)?),
-    };
-    Ok(run_annotated(platform, annotated.as_ref(), config))
+    let cache = ScheduleCache::new();
+    let timed = platform
+        .processes
+        .iter()
+        .map(|proc| {
+            let pum = &platform.pes[proc.pe.0].pum;
+            let prepared = PreparedModule::new(Arc::clone(&proc.module));
+            let handle = cache.domain(&ScheduleDomain::of(pum));
+            annotate_in_domain(&prepared, pum, &handle).map(Arc::new)
+        })
+        .collect::<Result<_, _>>()?;
+    Ok(AnnotatedPlatform { timed, annotation_time: start.elapsed() })
 }
 
 /// Runs a TLM given a pre-annotated platform (`None` = functional).
@@ -178,7 +144,6 @@ pub fn run_annotated(
     annotated: Option<&AnnotatedPlatform>,
     config: &TlmConfig,
 ) -> TlmReport {
-    let mode = if annotated.is_some() { TlmMode::Timed } else { TlmMode::Functional };
     let mut kernel = Kernel::new();
     if let Some(seed) = config.order_seed {
         kernel.set_order_seed(seed);
@@ -262,16 +227,7 @@ pub fn run_annotated(
         .map(|(bus, clock)| (bus.name.clone(), clock.borrow().transfers()))
         .collect();
 
-    TlmReport {
-        mode,
-        end_time: kernel.time(),
-        sim,
-        outputs,
-        processes,
-        pe_busy,
-        bus_transfers,
-        wall,
-    }
+    TlmReport { end_time: kernel.time(), sim, outputs, processes, pe_busy, bus_transfers, wall }
 }
 
 struct ChanHandle {
@@ -321,9 +277,6 @@ impl ExecHook for AccHook<'_> {
         *self.acc += self.timed.cycles(func, block);
     }
 }
-
-struct NoHook;
-impl ExecHook for NoHook {}
 
 impl TlmProcess {
     /// Applies the accumulated compute delay (honouring granularity) and
@@ -409,7 +362,7 @@ impl Process for TlmProcess {
                             let mut hook = AccHook { timed: &timed, acc: &mut self.acc };
                             self.machine.run_fuel(&mut hook, self.fuel_slice)
                         }
-                        None => self.machine.run_fuel(&mut NoHook, self.fuel_slice),
+                        None => self.machine.run_fuel(&mut NoopHook, self.fuel_slice),
                     };
                     let now = ctx.time();
                     match exec {
@@ -458,6 +411,10 @@ mod tests {
     use tlm_core::library;
     use tlm_desim::StopReason;
 
+    fn timed(p: &Platform, config: &TlmConfig) -> TlmReport {
+        run_annotated(p, Some(&annotate_platform(p).expect("annotates")), config)
+    }
+
     fn module(src: &str) -> tlm_cdfg::ir::Module {
         tlm_cdfg::lower::lower(&tlm_minic::parse(src).expect("parses")).expect("lowers")
     }
@@ -496,7 +453,7 @@ mod tests {
     #[test]
     fn functional_tlm_computes_correctly_in_zero_time() {
         let p = pipeline_platform();
-        let r = run_tlm(&p, TlmMode::Functional, &TlmConfig::default()).expect("runs");
+        let r = run_annotated(&p, None, &TlmConfig::default());
         assert_eq!(r.outputs["consumer"], vec![expected_sum()]);
         assert_eq!(r.end_time, SimTime::ZERO);
         assert!(r.all_finished());
@@ -506,7 +463,7 @@ mod tests {
     #[test]
     fn timed_tlm_is_functionally_identical_and_advances_time() {
         let p = pipeline_platform();
-        let r = run_tlm(&p, TlmMode::Timed, &TlmConfig::default()).expect("runs");
+        let r = timed(&p, &TlmConfig::default());
         assert_eq!(r.outputs["consumer"], vec![expected_sum()]);
         assert!(r.end_time > SimTime::ZERO);
         assert!(r.pe_cycles("cpu").expect("cpu exists") > 0);
@@ -518,8 +475,8 @@ mod tests {
     #[test]
     fn timed_runs_are_deterministic() {
         let p = pipeline_platform();
-        let a = run_tlm(&p, TlmMode::Timed, &TlmConfig::default()).expect("runs");
-        let b = run_tlm(&p, TlmMode::Timed, &TlmConfig::default()).expect("runs");
+        let a = timed(&p, &TlmConfig::default());
+        let b = timed(&p, &TlmConfig::default());
         assert_eq!(a.end_time, b.end_time);
         assert_eq!(a.pe_busy, b.pe_busy);
     }
@@ -527,11 +484,11 @@ mod tests {
     #[test]
     fn order_seed_is_deterministic_and_functionally_invariant() {
         let p = pipeline_platform();
-        let base = run_tlm(&p, TlmMode::Timed, &TlmConfig::default()).expect("runs");
+        let base = timed(&p, &TlmConfig::default());
         for seed in [1u64, 7, 42] {
             let cfg = TlmConfig { order_seed: Some(seed), ..TlmConfig::default() };
-            let a = run_tlm(&p, TlmMode::Timed, &cfg).expect("runs");
-            let b = run_tlm(&p, TlmMode::Timed, &cfg).expect("runs");
+            let a = timed(&p, &cfg);
+            let b = timed(&p, &cfg);
             // Same seed → identical run, down to the timed results.
             assert_eq!(a.end_time, b.end_time, "seed {seed}");
             assert_eq!(a.pe_busy, b.pe_busy, "seed {seed}");
@@ -551,12 +508,8 @@ mod tests {
     #[test]
     fn granularity_preserves_total_computed_cycles() {
         let p = pipeline_platform();
-        let fine =
-            run_tlm(&p, TlmMode::Timed, &TlmConfig { granularity: 1, ..TlmConfig::default() })
-                .expect("runs");
-        let coarse =
-            run_tlm(&p, TlmMode::Timed, &TlmConfig { granularity: 8, ..TlmConfig::default() })
-                .expect("runs");
+        let fine = timed(&p, &TlmConfig { granularity: 1, ..TlmConfig::default() });
+        let coarse = timed(&p, &TlmConfig { granularity: 8, ..TlmConfig::default() });
         // The accumulated-delay invariant: total applied compute cycles per
         // process are identical regardless of when they are applied.
         for name in ["producer", "worker", "consumer"] {
@@ -578,7 +531,7 @@ mod tests {
         b.add_process("producer", &producer, "main", &[], cpu).expect("ok");
         b.add_process("consumer", &consumer, "main", &[], cpu).expect("ok");
         let p = b.build().expect("builds");
-        let r = run_tlm(&p, TlmMode::Timed, &TlmConfig::default()).expect("runs");
+        let r = timed(&p, &TlmConfig::default());
         assert_eq!(r.outputs["consumer"], (0..8).collect::<Vec<i64>>());
         // End time covers both processes' compute (they share the PE).
         let total: u64 = r.pe_busy.iter().map(|&(_, c)| c).sum();
@@ -595,7 +548,7 @@ mod tests {
         b.add_process("bad", &bad, "main", &[], cpu).expect("ok");
         b.add_process("reader", &reader, "main", &[], cpu).expect("ok");
         let p = b.build().expect("builds");
-        let r = run_tlm(&p, TlmMode::Functional, &TlmConfig::default()).expect("runs");
+        let r = run_annotated(&p, None, &TlmConfig::default());
         assert!(!r.processes["bad"].finished);
         assert!(r.processes["bad"].trap.as_deref().is_some_and(|t| t.contains("bounds")));
         // The reader starves (its producer died) and the kernel reports it.
@@ -612,12 +565,10 @@ mod tests {
         b.add_process("spinner", &spinner, "main", &[], cpu).expect("ok");
         b.add_process("sink", &sink, "main", &[], hw).expect("ok");
         let p = b.build().expect("builds");
-        let r = run_tlm(
+        let r = timed(
             &p,
-            TlmMode::Timed,
             &TlmConfig { time_limit: Some(SimTime::from_us(100)), ..TlmConfig::default() },
-        )
-        .expect("runs");
+        );
         assert_eq!(r.sim.stop, StopReason::TimeLimit);
     }
 
@@ -649,8 +600,8 @@ mod tests {
             b.add_process("consumer", &consumer, "main", &[], cpu).expect("ok");
             b.build().expect("builds")
         };
-        let sw = run_tlm(&build(false), TlmMode::Timed, &TlmConfig::default()).expect("runs");
-        let hw = run_tlm(&build(true), TlmMode::Timed, &TlmConfig::default()).expect("runs");
+        let sw = timed(&build(false), &TlmConfig::default());
+        let hw = timed(&build(true), &TlmConfig::default());
         assert_eq!(sw.outputs["consumer"], hw.outputs["consumer"]);
         assert!(hw.end_time < sw.end_time, "hw {} vs sw {}", hw.end_time, sw.end_time);
     }

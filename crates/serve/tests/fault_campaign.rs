@@ -3,10 +3,13 @@
 //!
 //! A 2-worker server under a 24 KiB pipeline byte budget answers a fixed
 //! request mix. The fault-free reference comes first, and every reply
-//! must be `200`. A scripted prelude then forces one worker panic, and
-//! seeds 1..=6 arm [`tlm_faults::install`]'s seeded schedule (worker
-//! panics, delays, short reads, allocator pressure, transient stage
-//! failures). Every trial gates:
+//! must be `200`. A scripted prelude then forces one worker panic, and a
+//! scripted step forces one `serve.response.write` delay. Seeds 1..=6
+//! then arm [`tlm_faults::install`]'s seeded schedule. Those seeds fire
+//! `serve.accept` delays, `serve.parse` short reads, `serve.worker.handle`
+//! allocator pressure and `pipeline.stage.compute` delays and transients;
+//! they draw no worker panic and no response-write delay, which is why
+//! those two sites are scripted. Every trial gates:
 //!
 //! - the degradation ladder: no status outside {200, 500, 503};
 //! - no divergence: a `200` body equals the fault-free reference bytes;
@@ -219,6 +222,20 @@ fn injected_faults_degrade_cleanly_and_leave_no_residue() {
     }
     let health = client::request(addr, "GET /healthz", "").map(|(status, _, _)| status);
     assert_eq!(health, Ok(200), "the service recovered from the panic");
+
+    // Scripted step: one stalled delivery. The first response any worker
+    // completes waits before it reaches the wire; it must still arrive
+    // whole, and every reply must be the reference bytes.
+    tlm_faults::force("serve.response.write", Kind::Delay, 1);
+    let (outcomes, fired) = trial(addr, &reference, "forced response-write delay");
+    assert_eq!(fired, ["serve.response.write=Delay×1"], "the forced delay fires once");
+    for (i, outcome) in outcomes.iter().enumerate() {
+        assert!(
+            matches!(outcome, Ok((200, body)) if *body == reference[i]),
+            "request {i} under a response-write delay is not the reference: {:?}",
+            outcome.as_ref().map(|(status, _)| status)
+        );
+    }
 
     for seed in 1..=6 {
         tlm_faults::install(seed);

@@ -8,9 +8,10 @@
 //! ```
 
 use tlm_apps::designs::CACHE_SWEEP;
-use tlm_apps::{build_mp3_platform, Mp3Design, Mp3Params};
+use tlm_apps::{mp3_design, Mp3Design, Mp3Params};
 use tlm_desim::SimTime;
-use tlm_platform::tlm::{run_tlm, TlmConfig, TlmMode};
+use tlm_pipeline::Pipeline;
+use tlm_platform::tlm::TlmConfig;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let params = Mp3Params { seed: 0x00c0_ffee, frames: 2 };
@@ -23,13 +24,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         design.hw_count() as u32 * 40 + (ic + dc) / 1024
     };
 
+    // One pipeline for the whole sweep: the cache sizes change only the
+    // PUM's statistical models, so every Algorithm 1 schedule is solved
+    // once per datapath and reused at the other four sizes.
+    let pipeline = Pipeline::new();
     println!("design      caches    decode-time   area  meets-deadline");
     let mut best: Option<(Mp3Design, &str, u32)> = None;
     let started = std::time::Instant::now();
     for design in Mp3Design::ALL {
         for (label, ic, dc) in CACHE_SWEEP {
-            let platform = build_mp3_platform(design, params, ic, dc)?;
-            let report = run_tlm(&platform, TlmMode::Timed, &TlmConfig::default())?;
+            let prepared = mp3_design(&pipeline, design, params, ic, dc)?;
+            let report = pipeline.run_timed(&prepared, &TlmConfig::default())?;
             assert!(report.all_finished());
             let meets = report.end_time <= deadline;
             let cost = area(design, ic, dc);

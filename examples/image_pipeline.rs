@@ -7,11 +7,12 @@
 //! cargo run --release --example image_pipeline
 //! ```
 
-use tlm_apps::imagepipe::{build_image_platform, ImageParams};
+use tlm_apps::imagepipe::{build_image_platform, image_design, ImageParams};
 use tlm_bench::{apply_characterization, characterize_cpu_with};
 use tlm_desim::SimTime;
 use tlm_pcam::{run_board, BoardConfig};
-use tlm_platform::tlm::{run_tlm, TlmConfig, TlmMode};
+use tlm_pipeline::Pipeline;
+use tlm_platform::tlm::TlmConfig;
 
 fn cycles(end: SimTime) -> u64 {
     end.cycles(SimTime::from_ns(10))
@@ -33,11 +34,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         chr.mispredict_rate, chr.fetch_expansion
     );
 
+    let pipeline = Pipeline::global();
     for accelerated in [false, true] {
-        let mut platform = build_image_platform(accelerated, params, 8 << 10, 4 << 10)?;
-        apply_characterization(&mut platform, &chr);
-        let tlm = run_tlm(&platform, TlmMode::Timed, &TlmConfig::default())?;
-        let board = run_board(&platform, &BoardConfig::default())?;
+        let mut design = image_design(pipeline, accelerated, params, 8 << 10, 4 << 10)?;
+        apply_characterization(&mut design.platform, &chr);
+        let tlm = pipeline.run_timed(&design, &TlmConfig::default())?;
+        let board = run_board(&design.platform, &BoardConfig::default())?;
         assert_eq!(tlm.outputs["store"], board.outputs["store"], "models agree");
 
         let est = cycles(tlm.end_time);

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use tlm_core::{emit, library};
 use tlm_pipeline::Pipeline;
 use tlm_platform::desc::PlatformBuilder;
-use tlm_platform::tlm::{run_tlm, TlmConfig, TlmMode};
+use tlm_platform::tlm::{annotate_platform, run_annotated, TlmConfig};
 
 const PRODUCER: &str = r#"
 // A tiny DSP-ish producer: generate samples, lowpass them, ship them out.
@@ -78,7 +78,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     builder.add_process_arc("consumer", Arc::clone(consumer.module()), "main", &[], hw)?;
     let platform = builder.build()?;
 
-    let report = run_tlm(&platform, TlmMode::Timed, &TlmConfig::default())?;
+    let annotated = annotate_platform(&platform)?;
+    let report = run_annotated(&platform, Some(&annotated), &TlmConfig::default());
     println!("consumer output: {:?}", report.outputs["consumer"]);
     println!("simulated end time: {}", report.end_time);
     for (pe, cycles) in &report.pe_busy {

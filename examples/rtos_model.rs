@@ -12,7 +12,7 @@ use tlm_core::library;
 use tlm_pipeline::Pipeline;
 use tlm_platform::desc::PlatformBuilder;
 use tlm_platform::rtos::RtosModel;
-use tlm_platform::tlm::{run_tlm, TlmConfig, TlmMode};
+use tlm_platform::tlm::{annotate_platform, run_annotated, TlmConfig};
 
 const PING: &str = r#"
 void main() {
@@ -48,7 +48,8 @@ fn run(
     builder.add_process_arc("ping", Arc::clone(ping.module()), "main", &[], cpu)?;
     builder.add_process_arc("pong", Arc::clone(pong.module()), "main", &[], cpu)?;
     let platform = builder.build()?;
-    Ok(run_tlm(&platform, TlmMode::Timed, &TlmConfig::default())?)
+    let annotated = annotate_platform(&platform)?;
+    Ok(run_annotated(&platform, Some(&annotated), &TlmConfig::default()))
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

@@ -8,6 +8,7 @@ use std::sync::Arc;
 use tlm_apps::kernels;
 use tlm_cdfg::interp::{Exec, Machine, NoopHook};
 use tlm_cdfg::ir::Module;
+use tlm_core::annotate::annotate_uncached;
 use tlm_core::library;
 use tlm_iss::codegen::build_program;
 use tlm_iss::cpu::{Cpu, CpuExec};
@@ -78,8 +79,8 @@ fn annotation_does_not_depend_on_execution() {
     // identical per-block delays.
     let module = lower(&kernels::suite()[0].source);
     let pum = library::microblaze_like(8192, 4096);
-    let a = tlm_core::annotate(&module, &pum).expect("annotates");
-    let b = tlm_core::annotate(&module.clone(), &pum).expect("annotates");
+    let a = annotate_uncached(&module, &pum).expect("annotates");
+    let b = annotate_uncached(&module.clone(), &pum).expect("annotates");
     for (fid, func) in module.functions_iter() {
         for (bid, _) in func.blocks_iter() {
             assert_eq!(a.cycles(fid, bid), b.cycles(fid, bid));
@@ -98,7 +99,7 @@ fn every_kernel_estimates_on_every_library_pum() {
             library::generic_risc(),
             library::superscalar2(),
         ] {
-            let timed = tlm_core::annotate(&module, &pum)
+            let timed = annotate_uncached(&module, &pum)
                 .unwrap_or_else(|e| panic!("{} on {}: {e}", kernel.name, pum.name));
             assert!(timed.total_annotated_blocks() > 0);
         }

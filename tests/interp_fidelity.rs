@@ -30,7 +30,7 @@ use tlm_apps::kernels;
 use tlm_cdfg::interp::{Exec, ExecHook, ExecStats, Machine, Trap};
 use tlm_cdfg::ir::Module;
 use tlm_cdfg::{BlockId, ChanId, FuncId};
-use tlm_core::annotate::annotate_arc;
+use tlm_core::annotate::annotate_uncached;
 use tlm_pipeline::Pipeline;
 use tlm_platform::desc::Platform;
 use tlm_platform::tlm::{run_annotated, TlmConfig};
@@ -219,8 +219,8 @@ fn mp3_designs_match_pinned_fingerprints() {
         let annotated = pipeline.annotate_design(&prepared).expect("annotates");
         let report = run_annotated(platform, Some(&annotated), &TlmConfig::default());
         for (spec, p) in platform.processes.iter().zip(&procs) {
-            let timed = annotate_arc(Arc::clone(&spec.module), &platform.pes[spec.pe.0].pum)
-                .expect("annotates");
+            let timed =
+                annotate_uncached(&spec.module, &platform.pes[spec.pe.0].pum).expect("annotates");
             let tlm = &report.processes[&spec.name];
             assert_eq!(tlm.stats, *p.machine.stats(), "{design} {}", spec.name);
             assert_eq!(tlm.outputs, p.machine.outputs(), "{design} {}", spec.name);

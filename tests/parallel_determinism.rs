@@ -6,19 +6,26 @@
 //! oracles — the per-block path on the production kernel
 //! ([`annotate_uncached`]) and the retained pre-rewrite kernel
 //! ([`annotate_reference`]), which shares nothing with the production
-//! path. A sweep over statistical configurations runs Algorithm 1 **at
-//! most once** per (datapath, block) pair — verified by the cache's
+//! path. The standalone platform annotation ([`annotate_platform`]) and
+//! the pipeline's ([`Pipeline::annotate_design`]) are checked against the
+//! same oracle. A sweep over statistical configurations runs Algorithm 1
+//! **at most once** per (datapath, block) pair — verified by the cache's
 //! hit/miss counters, not by timing.
 
 use std::sync::Arc;
 
 use tlm_apps::imagepipe::{build_image_platform, ImageParams};
-use tlm_apps::{build_mp3_platform, Mp3Design, Mp3Params};
+use tlm_apps::{build_mp3_platform, mp3_design, Mp3Design, Mp3Params};
 use tlm_cdfg::ir::Module;
-use tlm_core::annotate::{annotate_arc_with, annotate_reference, annotate_uncached, TimedModule};
+use tlm_core::annotate::{
+    annotate_in_domain, annotate_reference, annotate_uncached, PreparedModule, TimedModule,
+};
+use tlm_core::cache::ScheduleDomain;
 use tlm_core::pum::SchedulingPolicy;
 use tlm_core::{Pum, ScheduleCache};
+use tlm_pipeline::Pipeline;
 use tlm_platform::desc::Platform;
+use tlm_platform::tlm::annotate_platform;
 
 const POLICIES: [SchedulingPolicy; 4] = [
     SchedulingPolicy::InOrder,
@@ -59,10 +66,16 @@ fn assert_bit_identical(reference: &TimedModule, candidate: &TimedModule, what: 
     }
 }
 
+/// Estimates `module` on `pum` through `cache` with the batched engine.
+fn annotate_cached(module: &Arc<Module>, pum: &Pum, cache: &ScheduleCache) -> TimedModule {
+    let prepared = PreparedModule::new(Arc::clone(module));
+    annotate_in_domain(&prepared, pum, &cache.domain(&ScheduleDomain::of(pum))).expect("annotates")
+}
+
 /// Estimates `module` on `pum` through `cache` and checks the delays
 /// against both oracles.
 fn assert_matches_oracles(module: &Arc<Module>, pum: &Pum, cache: &ScheduleCache, what: &str) {
-    let candidate = annotate_arc_with(Arc::clone(module), pum, Some(cache)).expect("annotates");
+    let candidate = annotate_cached(module, pum, cache);
     let uncached = annotate_uncached(module, pum).expect("annotates");
     assert_bit_identical(&uncached, &candidate, &format!("{what} vs per-block"));
     let reference = annotate_reference(module, pum).expect("annotates");
@@ -75,6 +88,29 @@ fn cached_parallel_engine_matches_reference_for_native_pums() {
     let cache = ScheduleCache::new();
     for (module, pum) in jobs(8 << 10, 4 << 10) {
         assert_matches_oracles(&module, &pum, &cache, &format!("pum={}", pum.name));
+    }
+}
+
+#[test]
+fn standalone_platform_annotation_matches_pipeline_and_reference() {
+    // `annotate_platform` runs through a cache owned by the call; the
+    // pipeline through its `schedules` stage. Both must agree with the
+    // reference kernel on every process of the four MP3 designs.
+    let pipeline = Pipeline::new();
+    for design in Mp3Design::ALL {
+        let prepared =
+            mp3_design(&pipeline, design, Mp3Params::training(), 8 << 10, 4 << 10).expect("builds");
+        let platform = &prepared.platform;
+        let standalone = annotate_platform(platform).expect("annotates");
+        let piped = pipeline.annotate_design(&prepared).expect("annotates");
+        assert_eq!(standalone.timed.len(), platform.processes.len(), "{design}");
+        for (i, proc) in platform.processes.iter().enumerate() {
+            let what = format!("{design} {}", proc.name);
+            let reference =
+                annotate_reference(&proc.module, &platform.pes[proc.pe.0].pum).expect("annotates");
+            assert_bit_identical(&reference, &standalone.timed[i], &format!("{what} standalone"));
+            assert_bit_identical(&reference, &piped.timed[i], &format!("{what} pipeline"));
+        }
     }
 }
 
@@ -104,7 +140,7 @@ fn sweep_runs_algorithm1_at_most_once_per_datapath_block_pair() {
     let mut first_point_misses = None;
     for (ic, dc) in sweep {
         for (module, pum) in jobs(ic, dc) {
-            annotate_arc_with(module, &pum, Some(&cache)).expect("annotates");
+            annotate_cached(&module, &pum, &cache);
         }
         let stats = cache.stats();
         match first_point_misses {
@@ -143,9 +179,9 @@ fn distinct_datapaths_do_not_share_schedules() {
     let mut alap = base;
     alap.execution.policy = SchedulingPolicy::Alap;
 
-    annotate_arc_with(Arc::clone(module), &asap, Some(&cache)).expect("annotates");
+    annotate_cached(module, &asap, &cache);
     let after_first = cache.stats();
-    annotate_arc_with(Arc::clone(module), &alap, Some(&cache)).expect("annotates");
+    annotate_cached(module, &alap, &cache);
     let after_second = cache.stats();
     assert_eq!(
         after_second.misses,

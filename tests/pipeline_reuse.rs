@@ -113,7 +113,7 @@ fn pipelined_timed_tlm_is_bit_identical_to_direct_drive() {
                 Arc::new(annotate_uncached(artifact.module(), pum).expect("annotates"))
             })
             .collect();
-        let annotated = AnnotatedPlatform::from_timed(timed, Duration::ZERO);
+        let annotated = AnnotatedPlatform { timed, annotation_time: Duration::ZERO };
         let direct = run_annotated(&design.platform, Some(&annotated), &config);
 
         assert_eq!(piped.end_time, direct.end_time, "simulated end time diverged");

@@ -8,7 +8,7 @@ use tlm_core::library;
 use tlm_core::pum::MemoryPath;
 use tlm_pcam::{run_board, BoardConfig};
 use tlm_platform::desc::{Platform, PlatformBuilder};
-use tlm_platform::tlm::{run_tlm, TlmConfig, TlmMode};
+use tlm_platform::tlm::{annotate_platform, run_annotated, TlmConfig};
 
 fn worker_source(seed: i32, items: u32) -> String {
     format!(
@@ -69,7 +69,8 @@ fn superscalar_estimate_tracks_dual_issue_board() {
     let mut platform = build(eval_seed, 10, 16 << 10, 16 << 10);
     apply_characterization(&mut platform, &chr);
     let board = run_board(&platform, &BoardConfig::default()).expect("board runs");
-    let tlm = run_tlm(&platform, TlmMode::Timed, &TlmConfig::default()).expect("TLM runs");
+    let annotated = annotate_platform(&platform).expect("annotates");
+    let tlm = run_annotated(&platform, Some(&annotated), &TlmConfig::default());
     assert_eq!(board.outputs["sink"], tlm.outputs["sink"], "functional equivalence");
 
     let est = end_time_cycles(tlm.end_time);

@@ -162,6 +162,45 @@ fn deeply_nested_source_answers_400_and_the_server_keeps_serving() {
     handle.shutdown();
 }
 
+/// Hostile expansion factors in an inline PUM. `1e400` parses to
+/// infinity, which validation rejects by name. `1e300` is finite, but no
+/// CPU block's delay fits in `u64` cycles: a looping process and a
+/// one-block one (no cycle sum to overflow) are both rejected. The
+/// whole-module report (`/estimate`) and the row-spliced one (`/session`)
+/// must both answer `400`; neither may panic (debug builds), wrap or
+/// saturate (release builds).
+#[test]
+fn hostile_expansion_factors_answer_400_on_estimate_and_session() {
+    let handle = start_default();
+    let addr = handle.addr();
+
+    let pum = tlm_core::library::microblaze_like(8 << 10, 4 << 10).to_value().to_compact();
+    let factor = r#""fetch_expansion":1,"#;
+    assert!(pum.contains(factor), "{pum}");
+    let looping = "void main() { int s = 0; for (int i = 0; i < 8; i++) { s = s + i; } out(s); }";
+    let one_block = "void main() { out(1); }";
+    for (literal, source, needle) in [
+        ("1e400", looping, "fetch_expansion"),
+        ("1e300", looping, "u64::MAX"),
+        ("1e300", one_block, "u64::MAX"),
+    ] {
+        let hostile = pum.replace(factor, &format!(r#""fetch_expansion":{literal},"#));
+        let body = format!(
+            r#"{{"platform": {{"name": "hostile", "pes": [{{"name": "cpu", "pum": {hostile}}}],
+                "processes": [{{"name": "main", "pe": "cpu", "source": "{source}"}}]}},
+                "sweep": [{{"icache": 2048, "dcache": 2048}}]}}"#
+        );
+        for line in ["POST /estimate", "POST /session"] {
+            let resp = request(addr, line, &body);
+            assert_eq!(status_of(&resp), 400, "{literal} {line}: {resp}");
+            assert!(body_of(&resp).contains(needle), "{literal} {line}: {}", body_of(&resp));
+        }
+    }
+    assert_eq!(status_of(&request(addr, "GET /healthz", "")), 200);
+
+    handle.shutdown();
+}
+
 #[test]
 fn truncated_body_times_out_with_408() {
     let handle = start(ServerConfig {
