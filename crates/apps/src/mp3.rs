@@ -15,8 +15,6 @@
 
 use std::fmt::Write as _;
 
-/// Samples per granule and channel (32 sub-bands × 18 samples).
-pub const GRANULE_SAMPLES: usize = 576;
 /// Granules per frame.
 pub const GRANULES_PER_FRAME: usize = 2;
 

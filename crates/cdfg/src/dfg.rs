@@ -49,19 +49,6 @@ impl Dfg {
         succs
     }
 
-    /// Length (in ops) of the longest dependence chain; 0 for empty blocks.
-    ///
-    /// This is the lower bound on schedule length for an infinitely wide
-    /// machine with unit-latency ops; used by list-scheduling priorities.
-    pub fn critical_path_len(&self) -> usize {
-        let mut depth = vec![0usize; self.preds.len()];
-        for i in 0..self.preds.len() {
-            // preds are always earlier ops, so one forward pass suffices.
-            depth[i] = self.preds[i].iter().map(|&p| depth[p] + 1).max().unwrap_or(1);
-        }
-        depth.into_iter().max().unwrap_or(0)
-    }
-
     /// Height of each op: the longest chain from this op to any sink,
     /// counting the op itself. Standard list-scheduling priority.
     pub fn heights(&self) -> Vec<usize> {
@@ -73,12 +60,6 @@ impl Dfg {
             height[i] = best;
         }
         height
-    }
-
-    /// Asserts the graph is acyclic-by-construction: every predecessor index
-    /// is smaller than the op depending on it. Returns `true` when intact.
-    pub fn is_topologically_ordered(&self) -> bool {
-        self.preds.iter().enumerate().all(|(i, preds)| preds.iter().all(|&p| p < i))
     }
 }
 
@@ -197,8 +178,6 @@ mod tests {
         ]);
         let dfg = block_dfg(&b);
         assert_eq!(dfg.preds, vec![vec![], vec![], vec![0, 1], vec![2]]);
-        assert_eq!(dfg.critical_path_len(), 3);
-        assert!(dfg.is_topologically_ordered());
     }
 
     #[test]
@@ -276,7 +255,6 @@ mod tests {
     fn empty_block() {
         let dfg = block_dfg(&block(vec![]));
         assert!(dfg.is_empty());
-        assert_eq!(dfg.critical_path_len(), 0);
     }
 
     #[test]

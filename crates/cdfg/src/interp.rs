@@ -673,11 +673,6 @@ impl Machine {
         self.return_value
     }
 
-    /// Whether the machine has finished successfully.
-    pub fn is_finished(&self) -> bool {
-        self.state == State::Finished
-    }
-
     /// The module this machine executes.
     pub fn module(&self) -> &Module {
         &self.module

@@ -4,15 +4,15 @@
 //! CDFG; every basic block's DFG is then scheduled onto the processing unit
 //! model. This crate provides that IR:
 //!
-//! - [`ir`] — the module/function/block/operation data structures,
+//! - [`ir`] — the module/function/block/operation data structures and
+//!   their op census,
 //! - [`lower`] — lowering from the `tlm-minic` AST,
-//! - [`dfg`] — per-basic-block data-dependence edges (the DFG of Alg. 1),
-//! - [`analysis`] — CFG utilities, dominators, natural loops, op census,
+//! - [`dfg`] — per-basic-block data-dependence edges (the DFG of Alg. 1)
+//!   and the canonical schedule key of a block,
 //! - [`passes`] — constant folding and dead-op elimination,
 //! - [`interp`] — a resumable interpreter used as the functional execution
 //!   engine of both the functional and the timed TLM,
-//! - [`profile`] — block-frequency profiling on top of the interpreter,
-//! - [`print`](mod@print) — human-readable IR dumps.
+//! - [`profile`] — block-frequency profiling on top of the interpreter.
 //!
 //! # Example
 //!
@@ -33,13 +33,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod analysis;
 pub mod dfg;
 pub mod interp;
 pub mod ir;
 pub mod lower;
 pub mod passes;
-pub mod print;
 pub mod profile;
 
 pub use ir::{ArrayId, BlockId, ChanId, FuncId, Module, OpClass, OpId, VReg};

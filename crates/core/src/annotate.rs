@@ -15,7 +15,7 @@ use tlm_cdfg::{BlockId, FuncId};
 use tlm_desim::SimTime;
 
 use crate::batch::BatchItem;
-use crate::cache::{DomainHandle, ScheduleDomain};
+use crate::cache::DomainHandle;
 use crate::delay::{block_delay_with_costs, sum_cycles, BlockDelay, MemoryCosts};
 use crate::error::EstimateError;
 use crate::pum::Pum;
@@ -122,9 +122,6 @@ pub struct PreparedModule {
     /// a dependence edge or a terminator kind changes. Shared, so the
     /// pipeline's `rows` entries hold these bytes instead of copies.
     func_keys: Vec<Arc<[u8]>>,
-    /// FNV-1a of `func_keys[f]`, for cheap session-side diffing. Equality
-    /// decisions on cache keys always use the full bytes.
-    func_hashes: Vec<u64>,
 }
 
 impl PreparedModule {
@@ -168,7 +165,6 @@ impl PreparedModule {
         let ops = module.functions.iter().flat_map(|f| &f.blocks).map(|b| b.ops.len()).sum();
         let mut func_ranges = Vec::with_capacity(module.functions.len());
         let mut func_keys = Vec::with_capacity(module.functions.len());
-        let mut func_hashes = Vec::with_capacity(module.functions.len());
         let mut start = 0usize;
         for func in &module.functions {
             let end = start + func.blocks.len();
@@ -182,7 +178,6 @@ impl PreparedModule {
                 fkey.extend_from_slice(&keys[i]);
                 fkey.push(block.term.is_conditional() as u8);
             }
-            func_hashes.push(crate::fingerprint::fnv1a_64(&fkey));
             func_keys.push(Arc::from(fkey));
             func_ranges.push(start..end);
             start = end;
@@ -197,7 +192,6 @@ impl PreparedModule {
             ops,
             func_ranges,
             func_keys,
-            func_hashes,
         }
     }
 
@@ -215,11 +209,6 @@ impl PreparedModule {
     /// flattened work list).
     pub fn total_blocks(&self) -> usize {
         self.work.len()
-    }
-
-    /// Number of functions.
-    pub fn function_count(&self) -> usize {
-        self.func_ranges.len()
     }
 
     /// Number of basic blocks in one function.
@@ -243,23 +232,9 @@ impl PreparedModule {
         &self.func_keys[func.0 as usize]
     }
 
-    /// FNV-1a fingerprint of [`PreparedModule::function_structural_key`] —
-    /// for fast dirty-set diffing only; never used as a cache key.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `func` is out of range.
-    pub fn function_structural_hash(&self, func: FuncId) -> u64 {
-        self.func_hashes[func.0 as usize]
-    }
-
-    /// `(name, structural hash)` of every function, in module order.
-    pub fn function_identities(&self) -> impl Iterator<Item = (&str, u64)> + '_ {
-        self.module
-            .functions
-            .iter()
-            .zip(&self.func_hashes)
-            .map(|(f, &hash)| (f.name.as_str(), hash))
+    /// `(name, structural key)` of every function, in module order.
+    pub fn function_identities(&self) -> impl Iterator<Item = (&str, &Arc<[u8]>)> + '_ {
+        self.module.functions.iter().zip(&self.func_keys).map(|(f, key)| (f.name.as_str(), key))
     }
 }
 
@@ -267,8 +242,8 @@ impl PreparedModule {
 /// returning the per-block delays in block order — the dirty-subset form
 /// incremental (edit-to-estimate) sessions re-estimate with.
 ///
-/// Runs the exact floating-point path of the whole-module engine
-/// ([`annotate_in_domain`]) — same issue table, same batched Algorithm 1
+/// Runs the whole-module engine's batched body ([`annotate_in_domain`])
+/// over the function's blocks — same issue table, same batched Algorithm 1
 /// kernel, same [`block_delay_with_costs`] — so the rows it produces are
 /// bit-identical to the corresponding slice of a full annotation run.
 ///
@@ -286,22 +261,39 @@ pub fn annotate_function_in_domain(
     handle: &DomainHandle<'_>,
     func: FuncId,
 ) -> Result<Vec<BlockDelay>, EstimateError> {
+    pum.validate()?;
+    let costs = MemoryCosts::of(pum)?;
+    let range = prep.func_ranges[func.0 as usize].clone();
+    annotate_batched(prep, pum, &costs, handle, range).into_iter().map(|(delay, _)| delay).collect()
+}
+
+/// Algorithms 1 and 2 over the `work` entries in `range` as one dedup
+/// batch through the cache's domain: one `(delay, served-from-cache)`
+/// pair per entry, in `work` order.
+fn annotate_batched(
+    prep: &PreparedModule,
+    pum: &Pum,
+    costs: &MemoryCosts,
+    handle: &DomainHandle<'_>,
+    range: std::ops::Range<usize>,
+) -> Vec<(Result<BlockDelay, EstimateError>, bool)> {
     debug_assert_eq!(
-        ScheduleDomain::of(pum).fingerprint(),
-        handle.fingerprint(),
+        handle.key(),
+        pum.schedule_domain(),
         "PUM {} does not belong to the resolved schedule domain",
         pum.name
     );
-    pum.validate()?;
-    let costs = MemoryCosts::of(pum)?;
-    let table: Arc<IssueTable> = handle.issue_table(pum);
-    let items = prep.batch_items(prep.func_ranges[func.0 as usize].clone());
+    // Algorithm 1's per-domain facts, precompiled once per domain and
+    // served from the cache's domain entry, so sweeps share one table per
+    // datapath.
+    let table = handle.issue_table(pum);
+    let items = prep.batch_items(range);
     let scheduled = handle.schedule_batch_keyed(&table, &items);
     items
         .iter()
         .zip(scheduled)
-        .map(|(item, (result, _hit))| {
-            result.and_then(|sched| block_delay_with_costs(&costs, item.block, sched.cycles))
+        .map(|(item, (result, hit))| {
+            (result.and_then(|s| block_delay_with_costs(costs, item.block, s.cycles)), hit)
         })
         .collect()
 }
@@ -330,12 +322,6 @@ pub fn annotate_in_domain(
     pum: &Pum,
     handle: &DomainHandle<'_>,
 ) -> Result<TimedModule, EstimateError> {
-    debug_assert_eq!(
-        ScheduleDomain::of(pum).fingerprint(),
-        handle.fingerprint(),
-        "PUM {} does not belong to the resolved schedule domain",
-        pum.name
-    );
     annotate_inner(prep, pum, Engine::Batched(handle))
 }
 
@@ -362,39 +348,25 @@ fn annotate_inner(
     let module = &prep.module;
     // Algorithm 2's block-independent factors, derived once per run.
     let costs = MemoryCosts::of(pum)?;
-    // Algorithm 1's per-domain facts, precompiled once per run (served
-    // from the cache's domain entry on the batched path, so sweeps share a
-    // single table per datapath).
-    let table: Arc<IssueTable> = match engine {
-        Engine::Batched(handle) => handle.issue_table(pum),
-        _ => Arc::new(IssueTable::build(pum)),
-    };
 
     let results: Vec<(Result<BlockDelay, EstimateError>, bool)> = match engine {
-        Engine::Batched(handle) => {
-            let items = prep.batch_items(0..prep.work.len());
-            let scheduled = handle.schedule_batch_keyed(&table, &items);
-            items
+        Engine::Batched(handle) => annotate_batched(prep, pum, &costs, handle, 0..prep.work.len()),
+        Engine::PerBlock => {
+            // Algorithm 1's per-domain facts, precompiled once per run.
+            let table = IssueTable::build(pum);
+            prep.work
                 .iter()
-                .zip(scheduled)
-                .map(|(item, (result, hit))| {
-                    (result.and_then(|s| block_delay_with_costs(&costs, item.block, s.cycles)), hit)
+                .enumerate()
+                .map(|(i, &(fid, bid))| {
+                    let block = &module.functions[fid.0 as usize].blocks[bid.0 as usize];
+                    let sched = with_scratch(|scratch| {
+                        let (dfg, heights) = (&prep.dfgs[i], &prep.heights[i]);
+                        schedule_block_prepared(&table, scratch, block, dfg, heights, fid, bid)
+                    });
+                    (sched.and_then(|s| block_delay_with_costs(&costs, block, s.cycles)), false)
                 })
                 .collect()
         }
-        Engine::PerBlock => prep
-            .work
-            .iter()
-            .enumerate()
-            .map(|(i, &(fid, bid))| {
-                let block = &module.functions[fid.0 as usize].blocks[bid.0 as usize];
-                let sched = with_scratch(|scratch| {
-                    let (dfg, heights) = (&prep.dfgs[i], &prep.heights[i]);
-                    schedule_block_prepared(&table, scratch, block, dfg, heights, fid, bid)
-                });
-                (sched.and_then(|s| block_delay_with_costs(&costs, block, s.cycles)), false)
-            })
-            .collect(),
         #[cfg(feature = "reference-kernel")]
         Engine::Reference => prep
             .work
@@ -489,7 +461,7 @@ impl TimedModule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::ScheduleCache;
+    use crate::cache::{ScheduleCache, ScheduleDomain};
     use crate::library;
 
     /// The batched engine through `cache`, the way a `Pipeline` drives it.
@@ -641,15 +613,15 @@ mod tests {
         assert!(total(&hw) < total(&cpu), "HW estimate beats the soft core");
     }
 
-    /// Structural hash of a named function, straight from source text.
-    fn hash_of(src: &str, name: &str) -> u64 {
+    /// Structural key of a named function, straight from source text.
+    fn key_of(src: &str, name: &str) -> Arc<[u8]> {
         let module = Arc::new(module_of(src));
         let fid = module.function_id(name).expect("function exists");
-        PreparedModule::new(module).function_structural_hash(fid)
+        Arc::clone(PreparedModule::new(module).function_structural_key(fid))
     }
 
     #[test]
-    fn structural_hash_survives_reordering_and_formatting() {
+    fn structural_key_survives_reordering_and_formatting() {
         let base = "
             int helper(int x) { return x * 3 + 1; }
             void main() { out(helper(ch_recv(0))); }
@@ -666,23 +638,23 @@ mod tests {
         ";
         for name in ["helper", "main"] {
             assert_eq!(
-                hash_of(base, name),
-                hash_of(shuffled, name),
+                key_of(base, name),
+                key_of(shuffled, name),
                 "{name} identity must survive reorder + formatting"
             );
         }
     }
 
     #[test]
-    fn structural_hash_tracks_op_and_dependency_edits() {
+    fn structural_key_tracks_op_and_dependency_edits() {
         let base = "int f(int x) { int a = x + 1; int b = x * 2; return a + b; }";
         // Op edit: multiply becomes shift.
         let op_edit = "int f(int x) { int a = x + 1; int b = x << 2; return a + b; }";
         // Dependency edit: same op census, but `b` now consumes `a`.
         let dep_edit = "int f(int x) { int a = x + 1; int b = a * 2; return a + b; }";
-        let h = hash_of(base, "f");
-        assert_ne!(h, hash_of(op_edit, "f"), "op class change must re-key");
-        assert_ne!(h, hash_of(dep_edit, "f"), "dependence change must re-key");
+        let key = key_of(base, "f");
+        assert_ne!(key, key_of(op_edit, "f"), "op class change must re-key");
+        assert_ne!(key, key_of(dep_edit, "f"), "dependence change must re-key");
     }
 
     #[test]
@@ -692,9 +664,8 @@ mod tests {
         let names: Vec<&str> = prep.function_identities().map(|(n, _)| n).collect();
         let expected: Vec<&str> = module.functions.iter().map(|f| f.name.as_str()).collect();
         assert_eq!(names, expected);
-        assert_eq!(prep.function_count(), module.functions.len());
         assert_eq!(
-            (0..prep.function_count())
+            (0..module.functions.len())
                 .map(|f| prep.function_blocks(FuncId(f as u32)))
                 .sum::<usize>(),
             prep.total_blocks()

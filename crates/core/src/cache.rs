@@ -37,7 +37,6 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use crate::batch::{solve_batch, BatchItem};
 use crate::error::EstimateError;
-use crate::fingerprint::fnv1a_64;
 use crate::pum::Pum;
 use crate::schedule::{IssueTable, ScheduleResult};
 use crate::store::{over_budget, Store, StoreStats};
@@ -47,20 +46,12 @@ use crate::store::{over_budget, Store, StoreStats};
 #[derive(Debug, Clone)]
 pub struct ScheduleDomain {
     key: Arc<str>,
-    fingerprint: u64,
 }
 
 impl ScheduleDomain {
     /// Derives the domain of a PUM.
     pub fn of(pum: &Pum) -> ScheduleDomain {
-        let key = pum.schedule_domain();
-        let fingerprint = fnv1a_64(key.as_bytes());
-        ScheduleDomain { key: key.into(), fingerprint }
-    }
-
-    /// 64-bit fingerprint for display/reporting.
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
+        ScheduleDomain { key: pum.schedule_domain().into() }
     }
 }
 
@@ -154,8 +145,10 @@ impl ScheduleCache {
     /// the returned handle makes per-block lookups independent of the
     /// domain encoding's size.
     pub fn domain(&self, domain: &ScheduleDomain) -> DomainHandle<'_> {
-        let entries = Arc::clone(self.lock().entry(Arc::clone(&domain.key)).or_default());
-        DomainHandle { cache: self, entries, fingerprint: domain.fingerprint }
+        let mut domains = self.lock();
+        let entry = domains.entry(Arc::clone(&domain.key));
+        let key = Arc::clone(entry.key());
+        DomainHandle { cache: self, entries: Arc::clone(entry.or_default()), key }
     }
 
     /// Snapshot of the counters, summed over every registered domain (and
@@ -189,13 +182,15 @@ impl ScheduleCache {
 pub struct DomainHandle<'a> {
     cache: &'a ScheduleCache,
     entries: Arc<DomainEntries>,
-    fingerprint: u64,
+    /// The domain encoding this handle was resolved from, shared with the
+    /// domain map.
+    key: Arc<str>,
 }
 
 impl DomainHandle<'_> {
-    /// Fingerprint of the domain this handle was resolved from.
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
+    /// The domain encoding this handle was resolved from.
+    pub(crate) fn key(&self) -> &str {
+        &self.key
     }
 
     /// The domain's precompiled [`IssueTable`], built from `pum` on first
@@ -315,8 +310,8 @@ mod tests {
             b.miss_rate = 0.42;
         }
         assert_eq!(
-            ScheduleDomain::of(&small).fingerprint(),
-            ScheduleDomain::of(&large).fingerprint(),
+            small.schedule_domain(),
+            large.schedule_domain(),
             "schedule domain excludes memory/branch models"
         );
         let module = module_of(SRC);
@@ -333,10 +328,7 @@ mod tests {
         asap.execution.policy = crate::pum::SchedulingPolicy::Asap;
         let mut alap = asap.clone();
         alap.execution.policy = crate::pum::SchedulingPolicy::Alap;
-        assert_ne!(
-            ScheduleDomain::of(&asap).fingerprint(),
-            ScheduleDomain::of(&alap).fingerprint()
-        );
+        assert_ne!(asap.schedule_domain(), alap.schedule_domain());
         let module = module_of(SRC);
         let block = &module.functions[0].blocks[0];
         schedule(&cache, &asap, block).0.expect("schedules");

@@ -32,16 +32,6 @@ pub struct ProfileCounters {
 }
 
 impl ProfileCounters {
-    /// Measured i-cache hit rate; 1.0 when no fetches were observed.
-    pub fn icache_hit_rate(&self) -> f64 {
-        hit_rate(self.ifetches, self.imisses)
-    }
-
-    /// Measured d-cache hit rate; 1.0 when no accesses were observed.
-    pub fn dcache_hit_rate(&self) -> f64 {
-        hit_rate(self.daccesses, self.dmisses)
-    }
-
     /// Measured misprediction ratio; 0.0 when no branches were observed.
     pub fn mispredict_rate(&self) -> f64 {
         if self.branches == 0 {
@@ -49,14 +39,6 @@ impl ProfileCounters {
         } else {
             self.mispredicts as f64 / self.branches as f64
         }
-    }
-}
-
-fn hit_rate(accesses: u64, misses: u64) -> f64 {
-    if accesses == 0 {
-        1.0
-    } else {
-        1.0 - misses.min(accesses) as f64 / accesses as f64
     }
 }
 
@@ -108,23 +90,13 @@ mod tests {
             branches: 200,
             mispredicts: 30,
         };
-        assert!((c.icache_hit_rate() - 0.95).abs() < 1e-12);
-        assert!((c.dcache_hit_rate() - 0.75).abs() < 1e-12);
         assert!((c.mispredict_rate() - 0.15).abs() < 1e-12);
     }
 
     #[test]
     fn empty_counters_are_benign() {
         let c = ProfileCounters::default();
-        assert_eq!(c.icache_hit_rate(), 1.0);
-        assert_eq!(c.dcache_hit_rate(), 1.0);
         assert_eq!(c.mispredict_rate(), 0.0);
-    }
-
-    #[test]
-    fn excess_misses_clamp() {
-        let c = ProfileCounters { ifetches: 10, imisses: 50, ..Default::default() };
-        assert_eq!(c.icache_hit_rate(), 0.0);
     }
 
     #[test]

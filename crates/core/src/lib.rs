@@ -61,7 +61,6 @@ pub mod characterize;
 pub mod delay;
 pub mod emit;
 mod error;
-pub mod fingerprint;
 pub mod library;
 pub mod parallel;
 pub mod pum;

@@ -943,14 +943,6 @@ impl Pum {
         resize(&mut pum.memory.data, dcache_bytes);
         pum
     }
-
-    /// Stable 64-bit fingerprint of [`Pum::schedule_domain`]. Two PUMs with
-    /// equal fingerprints (and equal domains — the schedule cache compares
-    /// the full canonical encoding, never just this hash) produce identical
-    /// Algorithm 1 schedules for every block.
-    pub fn fingerprint(&self) -> u64 {
-        crate::fingerprint::fnv1a_64(self.schedule_domain().as_bytes())
-    }
 }
 
 /// Appends `v` in decimal, as `{}` formats it.
@@ -1278,7 +1270,7 @@ mod tests {
         let base = library::microblaze_like(8 << 10, 4 << 10);
         let swept = base.with_cache_sizes(32 << 10, 16 << 10);
         swept.validate().expect("standard sizes are characterized");
-        assert_eq!(base.fingerprint(), swept.fingerprint(), "schedule domain unchanged");
+        assert_eq!(base.schedule_domain(), swept.schedule_domain(), "schedule domain unchanged");
         match (&swept.memory.ifetch, &swept.memory.data) {
             (MemoryPath::Cached(i), MemoryPath::Cached(d)) => {
                 assert_eq!(i.size, 32 << 10);

@@ -27,7 +27,7 @@
 //! # Kernel data layout
 //!
 //! The cold path (a cache miss, or a novel custom platform whose PUM
-//! fingerprint has never been seen) pays this kernel once per block, so it
+//! schedule domain has never been seen) pays this kernel once per block, so it
 //! is written around flat, reusable data structures instead of per-call
 //! allocation:
 //!

@@ -544,8 +544,9 @@ mod tests {
 
     impl PartKey {
         fn new(head: &[u8], input: &Arc<[u8]>) -> PartKey {
-            let bytes = [head, b"|", input].concat();
-            let hash = crate::fingerprint::fnv1a_64(&bytes);
+            let mut hasher = std::hash::DefaultHasher::new();
+            [head, b"|", input].concat().hash(&mut hasher);
+            let hash = std::hash::Hasher::finish(&hasher);
             PartKey { head: head.to_vec(), input: Arc::clone(input), hash }
         }
 

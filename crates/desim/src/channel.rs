@@ -124,11 +124,6 @@ impl<T> Fifo<T> {
     pub fn is_empty(&self) -> bool {
         self.inner.borrow().queue.is_empty()
     }
-
-    /// The name the channel was registered under.
-    pub fn name(&self) -> String {
-        self.inner.borrow().name.clone()
-    }
 }
 
 impl<T> Clone for Fifo<T> {
@@ -226,7 +221,6 @@ mod tests {
     fn fifo_debug_and_name() {
         let mut k = Kernel::new();
         let ch: Fifo<u8> = Fifo::new(&mut k, "dbg", Some(3));
-        assert_eq!(ch.name(), "dbg");
         let text = format!("{ch:?}");
         assert!(text.contains("dbg"));
         assert!(ch.is_empty());

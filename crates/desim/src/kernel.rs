@@ -36,13 +36,8 @@ pub struct RunReport {
     pub stop: StopReason,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum Action {
-    Wake(ProcessId),
-    Fire(EventId),
-}
-
-type HeapEntry = Reverse<(SimTime, u64, Action)>;
+/// A timed wakeup: `(due time, insertion sequence, process)`.
+type HeapEntry = Reverse<(SimTime, u64, ProcessId)>;
 
 /// One step of the splitmix64 generator.
 fn splitmix64(state: &mut u64) -> u64 {
@@ -122,15 +117,6 @@ impl Kernel {
         id
     }
 
-    /// The registered name of a process.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` does not belong to this kernel.
-    pub fn process_name(&self, id: ProcessId) -> &str {
-        &self.procs[id.index()].as_ref().expect("process is mid-resume").name
-    }
-
     /// Enables seeded wakeup permutation: same-timestamp process wakeups
     /// (and the runnable order within each delta cycle) are permuted by a
     /// splitmix64 stream seeded with `seed`. The permutation is fully
@@ -174,9 +160,8 @@ impl Kernel {
             }
             self.now = t;
             if self.permute.is_some() {
-                // Applying an action never pushes heap entries at the
-                // current timestamp (wakes go to `runnable`, event fires
-                // to `next_delta`), so collecting the batch first and
+                // A wakeup never pushes heap entries (it goes to
+                // `runnable`), so collecting the batch first and
                 // permuting it is equivalent to the direct pop loop up
                 // to same-timestamp order.
                 let mut batch = Vec::new();
@@ -184,23 +169,23 @@ impl Kernel {
                     if t2 != t {
                         break;
                     }
-                    let Reverse((_, _, action)) = self.heap.pop().expect("peeked entry");
-                    batch.push(action);
+                    let Reverse((_, _, pid)) = self.heap.pop().expect("peeked entry");
+                    batch.push(pid);
                 }
                 if let Some(mut state) = self.permute {
                     shuffle(&mut state, &mut batch);
                     self.permute = Some(state);
                 }
-                for action in batch {
-                    self.apply_action(action);
+                for pid in batch {
+                    self.wake(pid);
                 }
             } else {
                 while let Some(&Reverse((t2, _, _))) = self.heap.peek() {
                     if t2 != t {
                         break;
                     }
-                    let Reverse((_, _, action)) = self.heap.pop().expect("peeked entry");
-                    self.apply_action(action);
+                    let Reverse((_, _, pid)) = self.heap.pop().expect("peeked entry");
+                    self.wake(pid);
                 }
             }
         };
@@ -213,17 +198,12 @@ impl Kernel {
         }
     }
 
-    /// Delivers one due action: wakes the process or fires the event.
-    fn apply_action(&mut self, action: Action) {
-        match action {
-            Action::Wake(pid) => {
-                let entry = self.procs[pid.index()].as_mut().expect("process is mid-resume");
-                debug_assert_eq!(entry.state, ProcState::WaitingTime);
-                entry.state = ProcState::Runnable;
-                self.runnable.push_back(pid);
-            }
-            Action::Fire(ev) => self.fire_event(ev),
-        }
+    /// Delivers one due timed wakeup.
+    fn wake(&mut self, pid: ProcessId) {
+        let entry = self.procs[pid.index()].as_mut().expect("process is mid-resume");
+        debug_assert_eq!(entry.state, ProcState::WaitingTime);
+        entry.state = ProcState::Runnable;
+        self.runnable.push_back(pid);
     }
 
     /// Permutes the runnable queue in place when an order seed is set.
@@ -265,8 +245,8 @@ impl Kernel {
                     self.next_delta.push_back(pid);
                     ProcState::Runnable
                 } else {
-                    let at = self.now.saturating_add(span);
-                    self.push_heap(at, Action::Wake(pid));
+                    self.seq += 1;
+                    self.heap.push(Reverse((self.now.saturating_add(span), self.seq, pid)));
                     ProcState::WaitingTime
                 }
             }
@@ -277,11 +257,6 @@ impl Kernel {
             Resume::Finish => ProcState::Done,
         };
         self.procs[pid.index()] = Some(entry);
-    }
-
-    fn push_heap(&mut self, at: SimTime, action: Action) {
-        self.seq += 1;
-        self.heap.push(Reverse((at, self.seq, action)));
     }
 
     fn fire_event(&mut self, ev: EventId) {
@@ -326,16 +301,6 @@ impl Ctx<'_> {
     /// current timestamp, after currently-runnable processes.
     pub fn notify(&mut self, ev: EventId) {
         self.kernel.fire_event(ev);
-    }
-
-    /// Notifies an event after a span of simulated time.
-    pub fn notify_after(&mut self, ev: EventId, delay: SimTime) {
-        if delay.is_zero() {
-            self.notify(ev);
-        } else {
-            let at = self.kernel.now.saturating_add(delay);
-            self.kernel.push_heap(at, Action::Fire(ev));
-        }
     }
 }
 
@@ -383,13 +348,13 @@ mod tests {
                 Resume::Finish
             }
         });
-        let mut fired = false;
+        let mut slept = false;
         k.spawn_fn("notifier", move |ctx| {
-            if !fired {
-                fired = true;
-                ctx.notify_after(ev, SimTime::from_ns(3));
+            if !slept {
+                slept = true;
                 Resume::WaitTime(SimTime::from_ns(3))
             } else {
+                ctx.notify(ev);
                 Resume::Finish
             }
         });
@@ -464,13 +429,6 @@ mod tests {
             ("b", SimTime::from_ns(4)),
         ];
         assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn process_name_lookup() {
-        let mut k = Kernel::new();
-        let id = k.spawn_fn("lookup-me", |_ctx| Resume::Finish);
-        assert_eq!(k.process_name(id), "lookup-me");
     }
 
     /// Runs eight processes that tick at a shared cadence and records

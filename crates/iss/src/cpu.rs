@@ -10,7 +10,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use tlm_cdfg::ir::{GLOBALS_BASE, STACK_BASE};
+use tlm_cdfg::ir::STACK_BASE;
 
 use crate::codegen::Program;
 use crate::isa::{alu_eval, BrCond, Inst, Reg};
@@ -366,21 +366,6 @@ impl Cpu {
         self.pc = next_pc;
         self.stats.instructions += 1;
         Step::Retired(StepInfo { pc, next_pc, inst, mem, taken })
-    }
-
-    /// Reads a word of data memory (diagnostics/tests).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `addr` is out of range or misaligned.
-    pub fn read_word(&self, addr: u32) -> i32 {
-        assert!(addr.is_multiple_of(4) && addr < STACK_BASE, "bad read address {addr:#x}");
-        self.memory[(addr / 4) as usize]
-    }
-
-    /// Base address of the globals region (re-exported for tests).
-    pub fn globals_base() -> u32 {
-        GLOBALS_BASE
     }
 }
 

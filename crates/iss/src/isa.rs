@@ -21,15 +21,10 @@ impl Reg {
     pub const T1: Reg = Reg(9);
     /// Third scratch register.
     pub const T2: Reg = Reg(10);
-    /// First argument register (`r4`..`r7` carry arguments).
-    pub const A0: Reg = Reg(4);
     /// Stack pointer.
     pub const SP: Reg = Reg(29);
     /// Link register written by [`Inst::Jal`].
     pub const RA: Reg = Reg(31);
-
-    /// Number of argument registers.
-    pub const N_ARGS: usize = 4;
 }
 
 /// Three-operand ALU operations.
@@ -189,11 +184,6 @@ impl Inst {
     pub fn is_memory(&self) -> bool {
         matches!(self, Inst::Lw { .. } | Inst::Sw { .. } | Inst::Lwx { .. } | Inst::Swx { .. })
     }
-
-    /// Whether this is a conditional branch.
-    pub fn is_cond_branch(&self) -> bool {
-        matches!(self, Inst::Branch { .. })
-    }
 }
 
 /// Applies an ALU op with 32-bit wrapping semantics.
@@ -248,8 +238,5 @@ mod tests {
     fn classification() {
         assert!(Inst::Lw { rd: Reg(1), base: Reg(2), offset: 0 }.is_memory());
         assert!(!Inst::Halt.is_memory());
-        assert!(
-            Inst::Branch { cond: BrCond::Eq, rs1: Reg(0), rs2: Reg(0), target: 0 }.is_cond_branch()
-        );
     }
 }

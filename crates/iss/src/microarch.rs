@@ -124,12 +124,6 @@ impl MicroArch {
         self.predictor.stats()
     }
 
-    /// Advances the clock for externally-imposed waiting (bus arbitration,
-    /// blocked channels) during platform co-simulation.
-    pub fn advance_cycles(&mut self, n: u64) {
-        self.cycle += n;
-    }
-
     /// Delivers a pending receive; the transfer itself costs one cycle.
     ///
     /// # Panics
@@ -405,14 +399,5 @@ mod tests {
         let scalar = run(1);
         let dual = run(2);
         assert!(dual * 10 >= scalar * 9, "serial chain gains <10%: {dual} vs {scalar}");
-    }
-
-    #[test]
-    fn advance_cycles_adds_idle_time() {
-        let mut board = board_for("void main() { }", 0, 0);
-        board.run(u64::MAX);
-        let before = board.cycles();
-        board.advance_cycles(100);
-        assert_eq!(board.cycles(), before + 100);
     }
 }

@@ -68,11 +68,6 @@ impl IssSim {
         &self.cpu
     }
 
-    /// Mutable access to the wrapped core (for channel completion).
-    pub fn cpu_mut(&mut self) -> &mut Cpu {
-        &mut self.cpu
-    }
-
     /// Runs until halt, suspension, trap or fuel exhaustion, accumulating
     /// the coarse cycle estimate.
     pub fn run(&mut self, mut fuel: u64) -> CpuExec {

@@ -89,6 +89,21 @@ fn input_hash(bytes: &[u8]) -> u64 {
     STATE.get_or_init(RandomState::new).hash_one(bytes)
 }
 
+/// Chaos-build injection point of the annotated and rows computes: a
+/// transient draw fails the compute retryably (the stage drops the slot,
+/// the next demand recomputes); a delay draw just stretches it.
+fn inject_compute_fault() -> Result<(), PipelineError> {
+    if let Some(fault) =
+        tlm_faults::point("pipeline.stage.compute", &[Kind::Transient, Kind::Delay])
+    {
+        fault.fire();
+        if fault.kind() == Kind::Transient {
+            return Err(PipelineError::transient("injected fault at pipeline.stage.compute"));
+        }
+    }
+    Ok(())
+}
+
 /// The canonical key of the module stage: `optimize flag ‖ source
 /// bytes`. It encodes only the stage's true inputs, so it is stable
 /// across [`Pipeline`] instances; every key downstream of the module
@@ -221,6 +236,17 @@ impl ModuleArtifact {
     /// The canonical stage key (optimize flag ‖ source bytes).
     pub fn key(&self) -> &[u8] {
         &self.key.bytes
+    }
+
+    /// The source text the module was lowered from, read back from the
+    /// key.
+    pub fn source(&self) -> &str {
+        std::str::from_utf8(&self.key.bytes[1..]).expect("module keys embed a `&str` source")
+    }
+
+    /// Whether the scalar cleanup passes ran, read back from the key.
+    pub fn optimize(&self) -> bool {
+        self.key.bytes[0] != 0
     }
 }
 
@@ -453,19 +479,7 @@ impl Pipeline {
         pum: &Pum,
     ) -> Result<Arc<TimedModule>, PipelineError> {
         self.annotated.get_or_try(key, || {
-            // Chaos-build injection point: a transient draw fails the
-            // compute retryably (the stage drops the slot, the next demand
-            // recomputes); a delay draw just stretches it.
-            if let Some(fault) =
-                tlm_faults::point("pipeline.stage.compute", &[Kind::Transient, Kind::Delay])
-            {
-                fault.fire();
-                if fault.kind() == Kind::Transient {
-                    return Err(PipelineError::transient(
-                        "injected fault at pipeline.stage.compute",
-                    ));
-                }
-            }
+            inject_compute_fault()?;
             let prepared = self.prepared(artifact)?;
             let handle = self.schedules.domain(&ScheduleDomain::of(pum));
             Ok(Arc::new(annotate_in_domain(&prepared, pum, &handle)?))
@@ -531,18 +545,7 @@ impl Pipeline {
         func: FuncId,
     ) -> Result<Arc<Vec<BlockReport>>, PipelineError> {
         self.rows.get_or_try(key, || {
-            // Same chaos-build injection point as the annotated stage: the
-            // rows compute is retryable under transient faults too.
-            if let Some(fault) =
-                tlm_faults::point("pipeline.stage.compute", &[Kind::Transient, Kind::Delay])
-            {
-                fault.fire();
-                if fault.kind() == Kind::Transient {
-                    return Err(PipelineError::transient(
-                        "injected fault at pipeline.stage.compute",
-                    ));
-                }
-            }
+            inject_compute_fault()?;
             let handle = self.schedules.domain(&ScheduleDomain::of(pum));
             let delays = annotate_function_in_domain(prepared, pum, &handle, func)?;
             Ok(Arc::new(
@@ -669,8 +672,9 @@ impl Pipeline {
     ///
     /// # Errors
     ///
-    /// [`PipelineError::Platform`] naming the offending element, exactly
-    /// as [`tlm_platform::json::platform_from_value`] would.
+    /// [`PipelineError::Platform`] naming the offending element (see
+    /// [`tlm_platform::json::platform_from_value_with`]); a process source
+    /// the front-end rejects is named with its front-end error.
     pub fn design_from_value(&self, value: &Value) -> Result<PreparedDesign, PipelineError> {
         let mut artifacts = Vec::new();
         let platform: Platform = platform_from_value_with(value, &mut |source, what, optimize| {
@@ -726,7 +730,9 @@ mod tests {
         let pipeline = Pipeline::new();
         let optimized = pipeline.frontend_with(source, true).expect("lowers");
         assert_eq!(optimized.key(), [b"\x01".as_slice(), source.as_bytes()].concat());
+        assert_eq!((optimized.source(), optimized.optimize()), (source, true));
         let plain = pipeline.frontend_with(source, false).expect("lowers");
         assert_eq!(plain.key(), [b"\x00".as_slice(), source.as_bytes()].concat());
+        assert_eq!((plain.source(), plain.optimize()), (source, false));
     }
 }

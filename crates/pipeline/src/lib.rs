@@ -4,13 +4,14 @@
 //! The paper's flow is fixed — C source → CDFG → Algorithm 1 schedule →
 //! Algorithm 2 statistical delay → annotated TLM → report — and every
 //! stage is a pure function of its inputs. This crate turns that flow
-//! into one stage graph with typed, fingerprint-keyed artifacts
-//! ([`graph`]). Every stage is a `tlm_core::store::Store` — the same
-//! exactly-once, full-key, second-chance store the Algorithm 1 schedule
-//! cache keeps per domain. A cache-size sweep then reuses everything above
-//! Algorithm 2; a platform edit reuses every untouched process's
-//! artifacts end-to-end; a warm server answers repeat requests from the
-//! report stage without touching any upstream stage.
+//! into one stage graph with typed artifacts, each keyed by the full
+//! canonical bytes of its inputs ([`graph`]). Every stage is a
+//! `tlm_core::store::Store` — the same exactly-once, full-key,
+//! second-chance store the Algorithm 1 schedule cache keeps per domain.
+//! A cache-size sweep then reuses everything above Algorithm 2; a
+//! platform edit reuses every untouched process's artifacts end-to-end; a
+//! warm server answers repeat requests from the report stage without
+//! touching any upstream stage.
 //!
 //! Entry points:
 //! - [`Pipeline`] — the stage graph; [`Pipeline::global`] for the

@@ -19,8 +19,6 @@ pub struct PeClock {
     rtos: Option<RtosModel>,
     /// Index of the process that last occupied the PE.
     last_occupant: Option<usize>,
-    /// Context switches that occurred.
-    switches: u64,
 }
 
 /// A shared handle to a [`PeClock`].
@@ -35,7 +33,6 @@ impl PeClock {
             busy: SimTime::ZERO,
             rtos,
             last_occupant: None,
-            switches: 0,
         }))
     }
 
@@ -48,7 +45,6 @@ impl PeClock {
                 let overhead = SimTime::from_cycles(rtos.context_switch_cycles, self.period);
                 start += overhead;
                 self.busy += overhead;
-                self.switches += 1;
             }
         }
         let span = SimTime::from_cycles(cycles, self.period);
@@ -67,11 +63,6 @@ impl PeClock {
     /// Busy time expressed in PE cycles.
     pub fn busy_cycles(&self) -> u64 {
         self.busy.cycles(self.period)
-    }
-
-    /// Context switches charged by the RTOS model.
-    pub fn context_switches(&self) -> u64 {
-        self.switches
     }
 }
 
@@ -158,11 +149,10 @@ mod tests {
         let pe = PeClock::new(SimTime::from_ns(10), Some(rtos));
         pe.borrow_mut().reserve(SimTime::ZERO, 0, 10);
         // Same process again: no switch.
-        pe.borrow_mut().reserve(SimTime::ZERO, 0, 10);
-        assert_eq!(pe.borrow().context_switches(), 0);
+        let end = pe.borrow_mut().reserve(SimTime::ZERO, 0, 10);
+        assert_eq!(end, SimTime::from_cycles(10 + 10, SimTime::from_ns(10)));
         // Different process: one switch of 50 cycles.
         let end = pe.borrow_mut().reserve(SimTime::ZERO, 1, 10);
-        assert_eq!(pe.borrow().context_switches(), 1);
         assert_eq!(end, SimTime::from_cycles(10 + 10 + 50 + 10, SimTime::from_ns(10)));
     }
 

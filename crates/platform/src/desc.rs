@@ -91,11 +91,6 @@ impl Platform {
     /// PE cycles charged for a same-PE (memory-copy) transaction.
     pub const LOCAL_SYNC_CYCLES: u64 = 4;
 
-    /// Number of PEs.
-    pub fn pe_count(&self) -> usize {
-        self.pes.len()
-    }
-
     /// Looks a process up by name.
     pub fn process(&self, name: &str) -> Option<&ProcessSpec> {
         self.processes.iter().find(|p| p.name == name)

@@ -34,8 +34,9 @@
 //! `true`) runs the scalar cleanup passes, matching how the built-in
 //! designs are lowered.
 //!
-//! Every failure — malformed JSON shape, an unparsable MiniC source, a PUM
-//! that fails validation, a dangling reference — comes back as a
+//! Every failure — malformed JSON shape, an unparsable MiniC source (as
+//! the caller's front-end reports it), a PUM that fails validation, a
+//! dangling reference — comes back as a
 //! [`PlatformError`] with a message naming the offending element, which
 //! the server maps to an HTTP 400. Nothing in this path panics on
 //! untrusted input.
@@ -140,57 +141,24 @@ fn bus_ref(value: &Value, names: &[String], what: &str) -> Result<Option<BusId>,
     }
 }
 
-/// Parses and lowers one MiniC process source.
-fn module_of(source: &str, what: &str, optimize: bool) -> Result<Module, PlatformError> {
-    let program =
-        tlm_minic::parse(source).map_err(|e| err(format!("{what}: source does not parse: {e}")))?;
-    let mut module = tlm_cdfg::lower::lower(&program)
-        .map_err(|e| err(format!("{what}: source does not lower: {e}")))?;
-    if optimize {
-        tlm_cdfg::passes::optimize(&mut module);
-    }
-    Ok(module)
-}
-
-/// Decodes a platform description from JSON text.
-///
-/// # Errors
-///
-/// Returns [`PlatformError`] on malformed JSON or any shape/semantic
-/// problem; see [`platform_from_value`].
-pub fn platform_from_json(text: &str) -> Result<Platform, PlatformError> {
-    let value = tlm_json::parse(text).map_err(|e| err(format!("platform JSON: {e}")))?;
-    platform_from_value(&value)
-}
-
-/// Decodes a platform description from a parsed JSON value.
-///
-/// # Errors
-///
-/// Returns [`PlatformError`] naming the offending element when the shape
-/// is wrong, a PUM fails validation, a MiniC source does not compile, or a
-/// PE/bus/entry reference dangles.
-pub fn platform_from_value(value: &Value) -> Result<Platform, PlatformError> {
-    platform_from_value_with(value, &mut |source, what, optimize| {
-        module_of(source, what, optimize).map(Arc::new)
-    })
-}
-
 /// A caller-supplied MiniC front-end for [`platform_from_value_with`]: maps
 /// `(source, what, optimize)` — the process source, a description of the
 /// offending element for error messages, and the platform's `optimize`
 /// flag — to the lowered module.
 pub type FrontendFn<'a> = &'a mut dyn FnMut(&str, &str, bool) -> Result<Arc<Module>, PlatformError>;
 
-/// [`platform_from_value`] with a caller-supplied MiniC front-end.
+/// Decodes a platform description from a parsed JSON value, lowering every
+/// process source through `frontend`.
 ///
-/// Artifact stores plug their cached front-end in here so repeated
-/// requests for the same source share one module.
+/// The artifact pipeline plugs its cached front-end in here
+/// (`tlm_pipeline::Pipeline::design_from_value`), so repeated requests for
+/// the same source share one module.
 ///
 /// # Errors
 ///
-/// Same as [`platform_from_value`]; front-end failures are whatever the
-/// callback returns.
+/// Returns [`PlatformError`] naming the offending element when the shape
+/// is wrong, a PUM fails validation, or a PE/bus/entry reference dangles;
+/// front-end failures are whatever the callback returns.
 pub fn platform_from_value_with(
     value: &Value,
     frontend: FrontendFn<'_>,
@@ -308,6 +276,21 @@ pub fn platform_from_value_with(
 mod tests {
     use super::*;
 
+    /// Decodes `text` through a plain parse → lower → optimize front-end.
+    fn decode(text: &str) -> Result<Platform, PlatformError> {
+        let value = tlm_json::parse(text).expect("test JSON parses");
+        platform_from_value_with(&value, &mut |source, what, optimize| {
+            let program = tlm_minic::parse(source)
+                .map_err(|e| err(format!("{what}: source does not parse: {e}")))?;
+            let mut module = tlm_cdfg::lower::lower(&program)
+                .map_err(|e| err(format!("{what}: source does not lower: {e}")))?;
+            if optimize {
+                tlm_cdfg::passes::optimize(&mut module);
+            }
+            Ok(Arc::new(module))
+        })
+    }
+
     const TWO_PE: &str = r#"{
         "name": "demo",
         "pes": [
@@ -325,7 +308,7 @@ mod tests {
 
     #[test]
     fn full_description_decodes() {
-        let p = platform_from_json(TWO_PE).expect("decodes");
+        let p = decode(TWO_PE).expect("decodes");
         assert_eq!(p.name, "demo");
         assert_eq!(p.pes.len(), 2);
         assert_eq!(p.processes.len(), 2);
@@ -340,14 +323,13 @@ mod tests {
             r#"{{"name": "hw", "pes": [{{"name": "hw", "pum": {pum}}}],
                 "processes": [{{"name": "p", "pe": 0, "source": "void main() {{ out(1); }}"}}]}}"#
         );
-        let p = platform_from_json(&text).expect("decodes");
+        let p = decode(&text).expect("decodes");
         assert_eq!(p.pes[0].pum.name, "dct");
     }
 
     #[test]
     fn errors_name_the_offending_element() {
         let cases: &[(&str, &str)] = &[
-            ("{", "platform JSON"),
             (r#"{"name": "x", "pes": [], "processes": []}"#, "at least one PE"),
             (
                 r#"{"name": "x", "pes": [{"name": "a", "pum": "nope"}], "processes": []}"#,
@@ -377,7 +359,7 @@ mod tests {
             ),
         ];
         for (text, needle) in cases {
-            let e = platform_from_json(text).expect_err(needle);
+            let e = decode(text).expect_err(needle);
             assert!(e.message.contains(needle), "`{}` not in `{}`", needle, e.message);
         }
     }
@@ -392,7 +374,7 @@ mod tests {
                 "processes": [{{"name": "p", "pe": 0, "source": "void main() {{}}"}}]}}"#,
             pum.to_value().to_compact()
         );
-        let e = platform_from_json(&text).expect_err("invalid PUM");
+        let e = decode(&text).expect_err("invalid PUM");
         assert!(e.message.contains("clock period"), "{}", e.message);
     }
 
@@ -404,7 +386,7 @@ mod tests {
                      "rtos": {"context_switch_cycles": 99}}],
             "processes": [{"name": "p", "pe": 0, "source": "void main() { out(1); }"}]
         }"#;
-        let p = platform_from_json(text).expect("decodes");
+        let p = decode(text).expect("decodes");
         assert_eq!(p.pes[0].rtos, Some(RtosModel { context_switch_cycles: 99 }));
     }
 }

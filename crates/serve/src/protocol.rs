@@ -486,22 +486,11 @@ impl Service {
         Service::with_limits(queue_capacity, u64::MAX, DEFAULT_SESSION_BUDGET, DEFAULT_SESSION_TTL)
     }
 
-    /// A service whose artifact pipeline evicts down to roughly
-    /// `cache_budget` resident key bytes (see
-    /// [`tlm_pipeline::Pipeline::with_budget`]); responses stay
-    /// bit-identical across evictions, only recompute cost varies.
-    pub fn with_cache_budget(queue_capacity: usize, cache_budget: u64) -> Service {
-        Service::with_limits(
-            queue_capacity,
-            cache_budget,
-            DEFAULT_SESSION_BUDGET,
-            DEFAULT_SESSION_TTL,
-        )
-    }
-
     /// Every knob explicit: pipeline cache budget, session resident-byte
     /// budget, session idle TTL. `u64::MAX` disables the respective
-    /// budget.
+    /// budget. The pipeline evicts down to roughly `cache_budget` resident
+    /// key bytes ([`Pipeline::with_budget`]); responses stay bit-identical
+    /// across evictions, only recompute cost varies.
     pub fn with_limits(
         queue_capacity: usize,
         cache_budget: u64,
@@ -695,7 +684,9 @@ impl Service {
                     Response::error(404, &format!("no session {id}"))
                 }
             }
-            (_, None) => Response::error(405, "use GET or DELETE").with_header("Allow", "GET"),
+            (_, None) => {
+                Response::error(405, "use GET or DELETE").with_header("Allow", "GET, DELETE")
+            }
             ("POST", Some("edit")) => self.session_edit(id, body, max_body),
             (_, Some("edit")) => {
                 Response::error(405, "use POST /session/{id}/edit").with_header("Allow", "POST")

@@ -33,7 +33,7 @@ use std::time::{Duration, Instant};
 
 use tlm_faults::Kind;
 use tlm_serve::client;
-use tlm_serve::protocol::Service;
+use tlm_serve::protocol::{Service, DEFAULT_SESSION_BUDGET, DEFAULT_SESSION_TTL};
 use tlm_serve::server::{Server, ServerConfig};
 
 const WORKERS: u64 = 2;
@@ -180,7 +180,12 @@ fn injected_faults_degrade_cleanly_and_leave_no_residue() {
         io_timeout: Duration::from_secs(30),
         ..ServerConfig::default()
     };
-    let service = Service::with_cache_budget(config.queue, CACHE_BUDGET);
+    let service = Service::with_limits(
+        config.queue,
+        CACHE_BUDGET,
+        DEFAULT_SESSION_BUDGET,
+        DEFAULT_SESSION_TTL,
+    );
     let handle = Server::start(config, service).expect("server starts");
     let addr = handle.addr();
 

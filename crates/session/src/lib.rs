@@ -5,11 +5,13 @@
 //! stateless server re-keys whole-module artifacts on every byte of a
 //! source edit. A session is the stateful counterpart: it holds the
 //! last accepted source of every process plus per-function *structural
-//! identities* ([`tlm_core::annotate::PreparedModule`]'s schedule-key
-//! digest), and on an edit it diffs the new front-end output against the
-//! cached identities, computes the dirty set (structurally changed
-//! functions → their blocks), and re-estimates **only** the dirty
-//! functions through the pipeline's per-function `rows` stage
+//! identities* (the full structural keys of
+//! [`tlm_core::annotate::PreparedModule::function_identities`], the keys
+//! the pipeline's `rows` stage is keyed by), and on an edit it diffs the
+//! new front-end output against the cached identities, computes the
+//! dirty set (structurally changed functions → their blocks), and
+//! re-estimates **only** the dirty functions through the pipeline's
+//! per-function `rows` stage
 //! ([`tlm_pipeline::Pipeline::report_from_rows`]). Untouched functions
 //! splice into the fresh report from retained rows — bit-identical to a
 //! cold full run, because rows and full annotation bottom out in the same
@@ -25,7 +27,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -63,7 +65,7 @@ pub enum SourceEdit<'a> {
 
 /// What an edit changed, in structural-identity terms.
 ///
-/// Counts come from diffing function identities (name → structural hash)
+/// Counts come from diffing function identities (name → structural key)
 /// between the old and new front-end outputs. They are the session's
 /// *claim* about the dirty set; the pipeline's `rows` stage counters are
 /// the ground truth of what actually recomputed (a dirty function whose
@@ -72,10 +74,10 @@ pub enum SourceEdit<'a> {
 pub struct EditReport {
     /// The process that was edited.
     pub process: String,
-    /// Functions present before and after whose structural hash changed,
+    /// Functions present before and after whose structural key changed,
     /// plus functions added by the edit.
     pub dirty_functions: usize,
-    /// Functions present before and after with an unchanged hash.
+    /// Functions present before and after with an unchanged key.
     pub clean_functions: usize,
     /// Basic blocks of the dirty functions (the re-estimation bound).
     pub dirty_blocks: usize,
@@ -176,6 +178,9 @@ impl SessionError {
     }
 }
 
+/// `(name, structural key, block count)` of one function.
+type Identity = (String, Arc<[u8]>, usize);
+
 /// One process's session state: the accepted artifact plus function
 /// identities, in module function order (index = `FuncId`).
 #[derive(Debug)]
@@ -184,8 +189,7 @@ struct ProcessState {
     /// Index of the PE the process is mapped to.
     pe: usize,
     artifact: ModuleArtifact,
-    /// `(name, structural hash, block count)` per function.
-    identities: Vec<(String, u64, usize)>,
+    identities: Vec<Identity>,
 }
 
 /// One live session.
@@ -210,16 +214,20 @@ struct Session {
 
 impl Session {
     /// Approximate resident bytes: artifact keys (each embeds the full
-    /// source), identity tables, the retained report rows (with their
-    /// rendered JSON when the session shows per-block rows), plus a fixed
-    /// overhead. The charge depends only on the session's own state, so a
+    /// source), identity tables (each function's name and structural key),
+    /// the retained report rows (with their rendered JSON when the session
+    /// shows per-block rows), plus a fixed overhead. The charge depends only on the session's own state, so a
     /// view (of this session, or of a report it shares with the pipeline)
     /// never moves it.
     fn resident_bytes(&self) -> u64 {
         let mut bytes = 512u64;
         for p in &self.processes {
             bytes += p.artifact.key().len() as u64;
-            bytes += p.identities.iter().map(|(n, _, _)| n.len() as u64 + 24).sum::<u64>();
+            bytes += p
+                .identities
+                .iter()
+                .map(|(name, key, _)| (name.len() + key.len()) as u64 + 24)
+                .sum::<u64>();
         }
         let row = std::mem::size_of::<tlm_pipeline::report::BlockReport>() as u64;
         for view in &self.views {
@@ -261,12 +269,14 @@ impl Session {
 fn identities_of(
     pipeline: &Pipeline,
     artifact: &ModuleArtifact,
-) -> Result<Vec<(String, u64, usize)>, PipelineError> {
+) -> Result<Vec<Identity>, PipelineError> {
     let prep = pipeline.prepared(artifact)?;
     Ok(prep
         .function_identities()
         .enumerate()
-        .map(|(f, (name, hash))| (name.to_owned(), hash, prep.function_blocks(FuncId(f as u32))))
+        .map(|(f, (name, key))| {
+            (name.to_owned(), Arc::clone(key), prep.function_blocks(FuncId(f as u32)))
+        })
         .collect())
 }
 
@@ -495,11 +505,7 @@ impl SessionStore {
             .position(|p| p.name == process)
             .ok_or_else(|| SessionError::UnknownProcess(process.to_owned()))?;
         let old = &session.processes[proc_idx];
-        // The artifact key is `optimize flag ‖ source bytes`: the session
-        // recovers both without storing the source twice.
-        let old_key = old.artifact.key();
-        let optimize = old_key[0] != 0;
-        let current = std::str::from_utf8(&old_key[1..]).expect("session sources are UTF-8");
+        let current = old.artifact.source();
         let source = match *edit {
             SourceEdit::Full(source) => source.to_owned(),
             SourceEdit::Patch { find, replace } => {
@@ -510,14 +516,13 @@ impl SessionStore {
                 current.replacen(find, replace, 1)
             }
         };
-        let artifact = pipeline.frontend_with(&source, optimize)?;
+        let artifact = pipeline.frontend_with(&source, old.artifact.optimize())?;
         let identities = identities_of(pipeline, &artifact)?;
 
         // Dirty-set diff, by function name.
-        let old_by_name: HashMap<&str, u64> =
-            old.identities.iter().map(|(n, h, _)| (n.as_str(), *h)).collect();
-        let new_names: HashMap<&str, ()> =
-            identities.iter().map(|(n, _, _)| (n.as_str(), ())).collect();
+        let old_by_name: HashMap<&str, &[u8]> =
+            old.identities.iter().map(|(n, k, _)| (n.as_str(), &k[..])).collect();
+        let new_names: HashSet<&str> = identities.iter().map(|(n, _, _)| n.as_str()).collect();
         let mut report = EditReport {
             process: process.to_owned(),
             dirty_functions: 0,
@@ -526,9 +531,9 @@ impl SessionStore {
             added_functions: 0,
             removed_functions: 0,
         };
-        for (name, hash, blocks) in &identities {
+        for (name, key, blocks) in &identities {
             match old_by_name.get(name.as_str()) {
-                Some(old_hash) if old_hash == hash => report.clean_functions += 1,
+                Some(&old_key) if old_key == &key[..] => report.clean_functions += 1,
                 Some(_) => {
                     report.dirty_functions += 1;
                     report.dirty_blocks += blocks;
@@ -541,7 +546,7 @@ impl SessionStore {
             }
         }
         report.removed_functions =
-            old.identities.iter().filter(|(n, _, _)| !new_names.contains_key(n.as_str())).count();
+            old.identities.iter().filter(|(n, _, _)| !new_names.contains(n.as_str())).count();
 
         // Build the candidate state and estimate its column *before*
         // mutating the session: a failed edit (bad source, transient
@@ -563,11 +568,11 @@ impl SessionStore {
         // entirely (structure present before, absent after — deleted or
         // rewritten with no structurally identical survivor). Renames and
         // moves keep their rows; reverts of *this* edit recompute.
-        let surviving: HashMap<u64, ()> =
-            session.processes[proc_idx].identities.iter().map(|(_, h, _)| (*h, ())).collect();
+        let surviving: HashSet<&[u8]> =
+            session.processes[proc_idx].identities.iter().map(|(_, k, _)| &k[..]).collect();
         let pe = session.processes[proc_idx].pe;
-        for (fid, (_, hash, _)) in old_identities.iter().enumerate() {
-            if surviving.contains_key(hash) {
+        for (fid, (_, key, _)) in old_identities.iter().enumerate() {
+            if surviving.contains(&key[..]) {
                 continue;
             }
             for point in &session.sweep {
@@ -664,6 +669,7 @@ mod tests {
     use super::*;
     use tlm_apps::designs::{mp3_design, Mp3Design, Mp3Params};
     use tlm_apps::mp3;
+    use tlm_pipeline::DesignBuilder;
 
     fn store() -> SessionStore {
         SessionStore::new(u64::MAX, Duration::from_secs(3600))
@@ -733,6 +739,34 @@ mod tests {
             store.edit(&pipeline, id, "sink", &SourceEdit::Full(&source)).expect("edits");
         assert_eq!(report.dirty_functions, 0, "comment-only edit is structurally clean");
         assert_eq!(pipeline.stats().rows.misses, before.misses, "nothing recomputed");
+    }
+
+    #[test]
+    fn renaming_a_function_keeps_its_rows() {
+        const SOURCE: &str = "int helper(int x) { return x * 3 + 1; }
+            void main() { int s = 0; for (int i = 0; i < 8; i++) { s = s + helper(i); } out(s); }";
+        let pipeline = Pipeline::new();
+        let store = store();
+        let mut builder = DesignBuilder::new(&pipeline, "rename");
+        let pe = builder.add_pe("cpu", tlm_core::library::microblaze_like(8 << 10, 4 << 10));
+        builder.add_process("p", SOURCE, "main", &[], pe).expect("lowers");
+        let design = builder.build().expect("builds");
+        let (id, _) = store.create(&pipeline, &design, sweep_one(), false).expect("creates");
+        // Rename `helper` and its call site, then rename it back. The
+        // report diffs by name, so it claims one function removed and one
+        // added (and dirty); the schedule keys encode op classes, not
+        // names, so neither edit recomputes a row.
+        for source in [SOURCE.replace("helper", "renamed"), SOURCE.to_owned()] {
+            let before = pipeline.stats().rows.misses;
+            let (report, _) =
+                store.edit(&pipeline, id, "p", &SourceEdit::Full(&source)).expect("edits");
+            assert_eq!(
+                (report.added_functions, report.removed_functions, report.dirty_functions),
+                (1, 1, 1),
+                "{report:?}"
+            );
+            assert_eq!(pipeline.stats().rows.misses, before, "a rename keeps its rows");
+        }
     }
 
     #[test]

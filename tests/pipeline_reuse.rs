@@ -433,15 +433,15 @@ fn session_edit_recomputes_exactly_the_dirty_set() {
             .iter()
             .position(|p| p.name == case.process)
             .expect("process exists");
-        let key = design.artifacts()[proc_idx].key();
-        let source = std::str::from_utf8(&key[1..]).expect("utf8 source");
-        let edited = source.replacen(case.find, case.replace, 1);
+        let artifact = &design.artifacts()[proc_idx];
+        let edited = artifact.source().replacen(case.find, case.replace, 1);
         let pe = design.platform.processes[proc_idx].pe;
         let pum = design.platform.pes[pe.0].pum.with_cache_sizes(8 << 10, 4 << 10);
 
         let cold_pipeline = Pipeline::new();
-        let cold_artifact =
-            cold_pipeline.frontend_with(&edited, key[0] != 0).expect("edited source builds");
+        let cold_artifact = cold_pipeline
+            .frontend_with(&edited, artifact.optimize())
+            .expect("edited source builds");
         let cold = cold_pipeline.process_report(&cold_artifact, &pum).expect("estimates");
         let spliced = &view.sweep[0].processes[proc_idx].report;
         assert_eq!(

@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 
 use tlm_serve::client;
 use tlm_serve::http::HttpLimits;
-use tlm_serve::protocol::Service;
+use tlm_serve::protocol::{Service, DEFAULT_SESSION_BUDGET, DEFAULT_SESSION_TTL};
 use tlm_serve::server::{Server, ServerConfig, ServerHandle};
 
 /// The kernel batch counters on `/metrics` are process-wide, so every
@@ -376,6 +376,13 @@ fn unknown_endpoints_and_wrong_methods() {
     let resp = request(addr, "POST /metrics", "{}");
     assert_eq!(status_of(&resp), 405, "got: {resp}");
     assert!(resp.contains("Allow: GET"), "got: {resp}");
+
+    // `Allow` lists every method the resource answers (RFC 9110 §15.5.6).
+    for (head, allow) in [("PUT /session/1", "GET, DELETE"), ("GET /session/1/edit", "POST")] {
+        let resp = request(addr, head, "");
+        assert_eq!(status_of(&resp), 405, "{head} got: {resp}");
+        assert!(resp.contains(&format!("\r\nAllow: {allow}\r\n")), "{head} got: {resp}");
+    }
 
     handle.shutdown();
 }
@@ -915,8 +922,8 @@ fn cache_budget_evicts_without_changing_a_byte() {
     let twin = start_default();
     let config =
         ServerConfig { addr: "127.0.0.1:0".to_string(), workers: 2, ..ServerConfig::default() };
-    let budgeted =
-        Server::start(config, Service::with_cache_budget(16, BUDGET)).expect("server starts");
+    let service = Service::with_limits(16, BUDGET, DEFAULT_SESSION_BUDGET, DEFAULT_SESSION_TTL);
+    let budgeted = Server::start(config, service).expect("server starts");
 
     for pass in 1..=2 {
         for design in ["mp3:sw", "mp3:sw+1", "mp3:sw+2", "mp3:sw+4", "image:sw", "image:hw"] {
