@@ -10,6 +10,11 @@
 //! reproduced claim: annotation stays in seconds and grows with the number
 //! of custom HW units, timed TLM simulation costs about the same as
 //! functional TLM, and ISS/PCAM are orders of magnitude slower.
+//!
+//! A single run of a TLM varies widely on a shared host, so each TLM cell
+//! is the median of [`TLM_RUNS`] runs, functional and timed interleaved
+//! after one functional run that sets the expected outputs, and the
+//! `timed/func` column is the ratio of the two medians.
 
 use std::time::Duration;
 
@@ -18,6 +23,14 @@ use tlm_bench::TextTable;
 use tlm_pcam::{run_board, run_iss, BoardConfig};
 use tlm_pipeline::Pipeline;
 use tlm_platform::tlm::{run_annotated, TlmConfig};
+
+/// Runs per TLM cell.
+const TLM_RUNS: usize = 5;
+
+fn median(mut runs: Vec<Duration>) -> Duration {
+    runs.sort();
+    runs[runs.len() / 2]
+}
 
 fn fmt(d: Duration) -> String {
     if d.as_secs_f64() < 0.1 {
@@ -36,6 +49,7 @@ fn main() {
         "Anno.".into(),
         "TLM func".into(),
         "TLM timed".into(),
+        "timed/func".into(),
         "ISS".into(),
         "PCAM".into(),
     ]);
@@ -50,9 +64,19 @@ fn main() {
         let platform = &prepared.platform;
 
         let annotated = pipeline.annotate_design(&prepared).expect("annotation succeeds");
+        // One functional run first: the outputs every other run must match.
         let func = run_annotated(platform, None, &config);
-        let timed = run_annotated(platform, Some(&annotated), &config);
-        assert_eq!(func.outputs, timed.outputs, "timing must not change behaviour");
+        let mut walls = [Vec::new(), Vec::new()];
+        for round in 0..TLM_RUNS {
+            // Alternate which kind runs first, so neither always follows
+            // the other.
+            for timed in [round % 2 == 1, round % 2 == 0] {
+                let report = run_annotated(platform, timed.then_some(&annotated), &config);
+                assert_eq!(report.outputs, func.outputs, "timing must not change behaviour");
+                walls[usize::from(timed)].push(report.wall);
+            }
+        }
+        let [func_wall, timed_wall] = walls.map(median);
 
         let iss_cell = match run_iss(platform, &BoardConfig::default()) {
             Ok(report) => {
@@ -68,14 +92,18 @@ fn main() {
         table.row(vec![
             design.to_string(),
             fmt(annotated.annotation_time),
-            fmt(func.wall),
-            fmt(timed.wall),
+            fmt(func_wall),
+            fmt(timed_wall),
+            format!("{:.2}", timed_wall.as_secs_f64() / func_wall.as_secs_f64()),
             iss_cell,
             fmt(board.wall),
         ]);
     }
 
-    println!("Table 1 — annotation and simulation time ({} frames)", params.frames);
+    println!(
+        "Table 1 — annotation and simulation time ({} frames; TLM cells: median of {TLM_RUNS} runs)",
+        params.frames
+    );
     println!("{}", table.render());
     println!(
         "Note: this reproduction's TLMs are interpreted, not native-compiled,\n\

@@ -8,8 +8,12 @@
 //! the machine state, no coroutines required.
 //!
 //! Execution hooks observe block entries, branches and memory accesses, so
-//! the timed TLM can accumulate annotated basic-block delays and profilers
-//! can gather statistics without touching the interpreter core.
+//! profilers and reference models can gather statistics without touching
+//! the interpreter core. The timed TLM needs no hook: given each block's
+//! annotated cycles ([`Machine::set_block_cycles`]), the machine adds them
+//! up itself at every block entry, the `wait()` counter the paper's §4.3
+//! compiles into the generated code, and [`Machine::take_cycles`] hands
+//! the total over.
 //!
 //! The machine does not walk the IR. [`Machine::from_arc`] decodes every
 //! function once into one flat array of small `Copy` instructions: each
@@ -235,6 +239,9 @@ enum Inst {
     Jump {
         pc: u32,
         block: u32,
+        /// A copy of `block`'s annotated cycles, low word first: two
+        /// words keep `Inst` at 4-byte alignment and its 28-byte stride.
+        cycles: [u32; 2],
     },
     /// Leave block `from` for `then_bb` or `else_bb` on `cond != 0`.
     Branch {
@@ -288,6 +295,10 @@ fn fuse(insts: &mut [Inst]) {
 #[derive(Debug)]
 struct FuncCode {
     insts: Vec<Inst>,
+    /// Annotated cycles of each block, added up on every entry; all zero
+    /// unless [`Machine::set_block_cycles`] filled them. A `Jump` carries
+    /// its target's entry inline.
+    cycles: Vec<u64>,
     /// Argument register lists of the calls, see [`Inst::Call`].
     call_args: Vec<u32>,
     params: Vec<u32>,
@@ -357,7 +368,7 @@ impl FuncCode {
             }
             insts.push(match block.term {
                 Terminator::Jump(target) => {
-                    Inst::Jump { pc: starts[target.0 as usize], block: target.0 }
+                    Inst::Jump { pc: starts[target.0 as usize], block: target.0, cycles: [0; 2] }
                 }
                 Terminator::Branch { cond, then_bb, else_bb } => Inst::Branch {
                     cond: cond.0,
@@ -380,6 +391,7 @@ impl FuncCode {
         }
         FuncCode {
             insts,
+            cycles: vec![0; func.blocks.len()],
             call_args,
             params: func.params.iter().map(|&VReg(r)| r).collect(),
             num_vregs: func.num_vregs as usize,
@@ -403,6 +415,14 @@ struct Frame {
     pending_result: Option<u32>,
 }
 
+/// The machine's counters: the public ones, and the annotated cycles of
+/// the blocks entered since the last [`Machine::take_cycles`].
+#[derive(Debug, Clone, Copy, Default)]
+struct Counters {
+    stats: ExecStats,
+    cycles: u64,
+}
+
 /// Why [`run_frame`] handed control back to the machine.
 enum Stop {
     OutOfFuel,
@@ -421,14 +441,18 @@ fn total(op: BinOp, l: i64, r: i64) -> i64 {
     eval_binop(op, l, r).expect("only division and remainder trap")
 }
 
-/// Resolves the conditional branch `branch` on `taken`; returns the pc of
-/// the block it enters.
+/// Resolves the conditional branch `branch` on `taken`, adding the cycles
+/// of the block it enters to `acc`; returns that block's pc. The entry
+/// counts in `stats.blocks` when [`run_frame`] returns: every branch enters
+/// one block.
 #[inline(always)]
 fn branch(
+    cycles: &[u64],
     func: FuncId,
     branch: Inst,
     taken: bool,
     st: &mut ExecStats,
+    acc: &mut u64,
     hook: &mut impl ExecHook,
 ) -> usize {
     let Inst::Branch { from, then_pc, then_bb, else_pc, else_bb, .. } = branch else {
@@ -437,7 +461,7 @@ fn branch(
     let (target, block) = if taken { (then_pc, then_bb) } else { (else_pc, else_bb) };
     st.branches += 1;
     st.branches_taken += u64::from(taken);
-    st.blocks += 1;
+    *acc += cycles[block as usize];
     hook.on_branch(func, BlockId(from), taken);
     hook.on_block(func, BlockId(block));
     target as usize
@@ -447,7 +471,8 @@ fn branch(
 /// channel, traps or runs out of fuel; `frame.pc` is then the instruction
 /// that stopped it. Every executed operation costs one unit of fuel and
 /// counts in `stats.ops`; terminators are free but, like operations, only
-/// run while fuel is left. A stopping instruction has not executed yet.
+/// run while fuel is left. Every block the frame enters adds its cycles
+/// to `counters.cycles`. A stopping instruction has not executed yet.
 /// A fused form runs whole only when the fuel its split form would use is
 /// left, one unit per operation plus one if it ends in a terminator;
 /// otherwise it runs its `Const` alone and leaves the rest to the split
@@ -457,7 +482,7 @@ fn run_frame(
     frame: &mut Frame,
     globals: &mut [i64],
     outputs: &mut Vec<i64>,
-    stats: &mut ExecStats,
+    counters: &mut Counters,
     hook: &mut impl ExecHook,
     fuel: &mut u64,
 ) -> Stop {
@@ -468,7 +493,10 @@ fn run_frame(
     let insts = &code.insts[..];
     let mut pc = frame.pc as usize;
     let mut left = *fuel;
-    let mut st = *stats;
+    // The statistics are counted in a copy; the cycles go straight to
+    // `counters`, which keeps one more value out of the loop's registers.
+    let mut st = counters.stats;
+    let acc = &mut counters.cycles;
     let stop = loop {
         if left == 0 {
             break Stop::OutOfFuel;
@@ -539,14 +567,15 @@ fn run_frame(
             Inst::Call { callee, dst, args, argc } => break Stop::Call { callee, dst, args, argc },
             Inst::Recv { chan, .. } => break Stop::Recv(chan),
             Inst::Send { chan, src } => break Stop::Send(chan, regs[src as usize]),
-            Inst::Jump { pc: target, block } => {
+            Inst::Jump { pc: target, block, cycles } => {
                 pc = target as usize;
                 st.blocks += 1;
+                *acc += u64::from(cycles[0]) | u64::from(cycles[1]) << 32;
                 hook.on_block(func, BlockId(block));
                 continue;
             }
             inst @ Inst::Branch { cond, .. } => {
-                pc = branch(func, inst, regs[cond as usize] != 0, &mut st, hook);
+                pc = branch(&code.cycles, func, inst, regs[cond as usize] != 0, &mut st, acc, hook);
                 continue;
             }
             Inst::Return { value } => break Stop::Return(value.map(|r| regs[r as usize])),
@@ -562,7 +591,7 @@ fn run_frame(
                 let lt = total(BinOp::Lt, regs[f.a as usize], i64::from(f.value));
                 regs[f.dst as usize] = lt;
                 left -= 2;
-                pc = branch(func, insts[pc + 2], lt != 0, &mut st, hook);
+                pc = branch(&code.cycles, func, insts[pc + 2], lt != 0, &mut st, acc, hook);
                 continue;
             }
             // Too little fuel for the whole form: its `Const` alone.
@@ -574,7 +603,9 @@ fn run_frame(
         pc += 1;
     };
     st.ops += *fuel - left;
-    *stats = st;
+    // Every branch entered a block; `branch` leaves that count to here.
+    st.blocks += st.branches - counters.stats.branches;
+    counters.stats = st;
     *fuel = left;
     frame.pc = pc as u32;
     stop
@@ -601,7 +632,7 @@ pub struct Machine {
     frames: Vec<Frame>,
     state: State,
     outputs: Vec<i64>,
-    stats: ExecStats,
+    counters: Counters,
     return_value: Option<i64>,
     /// True until the entry block's `on_block` hook has fired.
     entry_pending: bool,
@@ -650,7 +681,7 @@ impl Machine {
             frames: Vec::new(),
             state: State::Running,
             outputs: Vec::new(),
-            stats: ExecStats::default(),
+            counters: Counters::default(),
             return_value: None,
             entry_pending: true,
         };
@@ -665,7 +696,31 @@ impl Machine {
 
     /// Execution counters so far.
     pub fn stats(&self) -> &ExecStats {
-        &self.stats
+        &self.counters.stats
+    }
+
+    /// Sets the annotated cycles of every block: from now on, each entry
+    /// into block `b` of function `f` adds `cycles(f, b)` to the total
+    /// [`Machine::take_cycles`] hands over. A fresh machine counts zero
+    /// cycles per block.
+    pub fn set_block_cycles(&mut self, cycles: impl Fn(FuncId, BlockId) -> u64) {
+        for (f, code) in self.code.iter_mut().enumerate() {
+            for (b, c) in code.cycles.iter_mut().enumerate() {
+                *c = cycles(FuncId(f as u32), BlockId(b as u32));
+            }
+            for inst in &mut code.insts {
+                if let Inst::Jump { block, cycles, .. } = inst {
+                    let c = code.cycles[*block as usize];
+                    *cycles = [c as u32, (c >> 32) as u32];
+                }
+            }
+        }
+    }
+
+    /// The annotated cycles of the blocks entered since the last call,
+    /// which resets the total to zero.
+    pub fn take_cycles(&mut self) -> u64 {
+        std::mem::take(&mut self.counters.cycles)
     }
 
     /// The entry function's return value once [`Exec::Done`] was reached.
@@ -701,7 +756,7 @@ impl Machine {
             frame.vregs[dst as usize] = wrap_i32(value);
         }
         frame.pc += 1;
-        self.stats.ops += 1;
+        self.counters.stats.ops += 1;
         self.state = State::Running;
     }
 
@@ -716,7 +771,7 @@ impl Machine {
         };
         let frame = self.frames.last_mut().expect("awaiting machine has a frame");
         frame.pc += 1;
-        self.stats.ops += 1;
+        self.counters.stats.ops += 1;
         self.state = State::Running;
     }
 
@@ -744,7 +799,8 @@ impl Machine {
         if self.entry_pending {
             self.entry_pending = false;
             let frame = self.frames.last().expect("machine has an entry frame");
-            self.stats.blocks += 1;
+            self.counters.stats.blocks += 1;
+            self.counters.cycles += self.code[frame.func.0 as usize].cycles[0];
             hook.on_block(frame.func, BlockId(0));
         }
         loop {
@@ -755,7 +811,7 @@ impl Machine {
                 frame,
                 &mut self.globals,
                 &mut self.outputs,
-                &mut self.stats,
+                &mut self.counters,
                 hook,
                 &mut fuel,
             );
@@ -783,10 +839,11 @@ impl Machine {
                         return self.trap(Trap::StackOverflow);
                     }
                     fuel -= 1;
-                    self.stats.ops += 1;
-                    self.stats.calls += 1;
+                    self.counters.stats.ops += 1;
+                    self.counters.stats.calls += 1;
                     self.push_frame(FuncId(callee), &args);
-                    self.stats.blocks += 1;
+                    self.counters.stats.blocks += 1;
+                    self.counters.cycles += self.code[callee as usize].cycles[0];
                     hook.on_block(FuncId(callee), BlockId(0));
                 }
                 Stop::Return(ret) => {
@@ -1216,5 +1273,52 @@ mod tests {
             }
             assert_eq!(fused.outputs(), split.outputs());
         }
+    }
+
+    #[test]
+    fn block_cycles_add_up_exactly_under_every_fuel_slice() {
+        let src = "int t[64];
+             int dot(int j) {
+                int s = 0;
+                for (int i = 0; i < 8; i++) s += t[i * 8 + j];
+                return s;
+             }
+             void main() {
+                for (int j = 0; j < 8; j++) { t[j * 9] = j + 3; out(dot(j)); }
+             }";
+        // Distinct per block, so a block counted under another's id shows.
+        let cycles = |f: FuncId, b: BlockId| u64::from(f.0) * 1000 + u64::from(b.0) * 7 + 1;
+        // Each `run_fuel` call's total is the cycles of the blocks whose
+        // `on_block` fired in that call; returns the run's grand total.
+        let sliced = |fuel: u64| {
+            let mut m = machine(src, "main", &[]);
+            m.set_block_cycles(cycles);
+            let mut total = 0;
+            loop {
+                let mut events = Events::default();
+                let exec = m.run_fuel(&mut events, fuel);
+                let entered: u64 = events
+                    .0
+                    .iter()
+                    .filter(|&&(kind, ..)| kind == 0)
+                    .map(|&(_, f, b)| cycles(FuncId(f), BlockId(b)))
+                    .sum();
+                assert_eq!(m.take_cycles(), entered, "fuel {fuel}");
+                assert_eq!(m.take_cycles(), 0, "taking resets the total");
+                total += entered;
+                if exec == Exec::Done {
+                    return total;
+                }
+            }
+        };
+        let whole = sliced(u64::MAX);
+        assert!(whole > 0);
+        for fuel in 1..=8 {
+            assert_eq!(sliced(fuel), whole, "fuel {fuel}");
+        }
+        // A machine given no cycles counts none.
+        let mut m = machine(src, "main", &[]);
+        assert_eq!(m.run(&mut NoopHook), Exec::Done);
+        assert_eq!(m.take_cycles(), 0);
     }
 }

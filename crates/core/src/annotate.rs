@@ -27,11 +27,6 @@ pub struct TimedModule {
     module: Arc<Module>,
     /// `delays[func][block]`.
     delays: Vec<Vec<BlockDelay>>,
-    /// `cycles[func][block]`: each delay's whole cycles, which every read
-    /// of a block's cycles goes through. The timed TLM reads one per block
-    /// it enters; 8 bytes apart instead of a `BlockDelay` apart, they stay
-    /// in cache.
-    cycles: Vec<Vec<u64>>,
     pum_name: String,
     clock_period: SimTime,
     report: AnnotationReport,
@@ -400,11 +395,9 @@ fn annotate_inner(
     report.blocks = prep.work.len();
     report.ops = prep.ops;
     report.elapsed = start.elapsed();
-    let cycles = delays.iter().map(|f| f.iter().map(|d| d.cycles).collect()).collect();
     Ok(TimedModule {
         module: Arc::clone(module),
         delays,
-        cycles,
         pum_name: pum.name.clone(),
         clock_period: SimTime::from_ps(pum.clock_period_ps),
         report,
@@ -442,9 +435,8 @@ impl TimedModule {
     /// # Panics
     ///
     /// Panics if the ids are out of range for the module.
-    #[inline]
     pub fn cycles(&self, func: FuncId, block: BlockId) -> u64 {
-        self.cycles[func.0 as usize][block.0 as usize]
+        self.delay(func, block).cycles
     }
 
     /// Number of annotated basic blocks.

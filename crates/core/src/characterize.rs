@@ -8,39 +8,11 @@
 //! separation is what makes Tables 2/3 a genuine accuracy experiment.
 //!
 //! This module is deliberately independent of where the numbers come from:
-//! it consumes plain counters.
+//! it consumes plain measured rates.
 
 use std::collections::BTreeMap;
 
 use crate::pum::{MemoryPath, Pum};
-
-/// Counters measured on a reference execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ProfileCounters {
-    /// Instruction fetches issued.
-    pub ifetches: u64,
-    /// Instruction fetches that missed the i-cache.
-    pub imisses: u64,
-    /// Data accesses issued.
-    pub daccesses: u64,
-    /// Data accesses that missed the d-cache.
-    pub dmisses: u64,
-    /// Conditional branches executed.
-    pub branches: u64,
-    /// Conditional branches mispredicted.
-    pub mispredicts: u64,
-}
-
-impl ProfileCounters {
-    /// Measured misprediction ratio; 0.0 when no branches were observed.
-    pub fn mispredict_rate(&self) -> f64 {
-        if self.branches == 0 {
-            0.0
-        } else {
-            self.mispredicts as f64 / self.branches as f64
-        }
-    }
-}
 
 /// A characterized table: cache size in bytes → measured average hit rate.
 pub type HitRateTable = BTreeMap<u32, f64>;
@@ -79,25 +51,6 @@ fn apply_rates(path: &mut MemoryPath, rates: &HitRateTable) {
 mod tests {
     use super::*;
     use crate::library;
-
-    #[test]
-    fn counter_rates() {
-        let c = ProfileCounters {
-            ifetches: 1000,
-            imisses: 50,
-            daccesses: 400,
-            dmisses: 100,
-            branches: 200,
-            mispredicts: 30,
-        };
-        assert!((c.mispredict_rate() - 0.15).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_counters_are_benign() {
-        let c = ProfileCounters::default();
-        assert_eq!(c.mispredict_rate(), 0.0);
-    }
 
     #[test]
     fn apply_measurements_overrides_placeholders() {

@@ -64,7 +64,7 @@ fn shuffle<T>(state: &mut u64, items: &mut [T]) {
 pub struct Kernel {
     now: SimTime,
     seq: u64,
-    procs: Vec<Option<ProcessEntry>>,
+    procs: Vec<ProcessEntry>,
     events: Vec<EventState>,
     runnable: VecDeque<ProcessId>,
     next_delta: VecDeque<ProcessId>,
@@ -91,12 +91,12 @@ impl Kernel {
     /// Registers a process; it becomes runnable at the current time.
     pub fn spawn(&mut self, name: impl Into<String>, body: impl Process + 'static) -> ProcessId {
         let id = ProcessId(u32::try_from(self.procs.len()).expect("too many processes"));
-        self.procs.push(Some(ProcessEntry {
+        self.procs.push(ProcessEntry {
             name: name.into(),
-            body: Box::new(body),
+            body: Some(Box::new(body)),
             state: ProcState::Runnable,
             resumes: 0,
-        }));
+        });
         self.runnable.push_back(id);
         id
     }
@@ -200,7 +200,8 @@ impl Kernel {
 
     /// Delivers one due timed wakeup.
     fn wake(&mut self, pid: ProcessId) {
-        let entry = self.procs[pid.index()].as_mut().expect("process is mid-resume");
+        let entry = &mut self.procs[pid.index()];
+        assert!(entry.body.is_some(), "process is mid-resume");
         debug_assert_eq!(entry.state, ProcState::WaitingTime);
         entry.state = ProcState::Runnable;
         self.runnable.push_back(pid);
@@ -220,7 +221,6 @@ impl Kernel {
         let starved: Vec<String> = self
             .procs
             .iter()
-            .flatten()
             .filter(|p| matches!(p.state, ProcState::WaitingEvent(_)))
             .map(|p| p.name.clone())
             .collect();
@@ -232,14 +232,14 @@ impl Kernel {
     }
 
     fn resume_process(&mut self, pid: ProcessId) {
-        let mut entry = self.procs[pid.index()].take().expect("process resumed re-entrantly");
+        // Only the body leaves the table while it runs: the kernel it
+        // borrows through `Ctx` owns the table.
+        let entry = &mut self.procs[pid.index()];
+        let mut body = entry.body.take().expect("process resumed re-entrantly");
         entry.resumes += 1;
         self.resumes += 1;
-        let resume = {
-            let mut ctx = Ctx { kernel: self, current: pid };
-            entry.body.resume(&mut ctx)
-        };
-        entry.state = match resume {
+        let resume = body.resume(&mut Ctx { kernel: self });
+        let state = match resume {
             Resume::WaitTime(span) => {
                 if span.is_zero() {
                     self.next_delta.push_back(pid);
@@ -256,21 +256,27 @@ impl Kernel {
             }
             Resume::Finish => ProcState::Done,
         };
-        self.procs[pid.index()] = Some(entry);
+        let entry = &mut self.procs[pid.index()];
+        entry.state = state;
+        entry.body = Some(body);
     }
 
     fn fire_event(&mut self, ev: EventId) {
         let state = &mut self.events[ev.index()];
         state.fired += 1;
         self.events_fired += 1;
-        let waiters = std::mem::take(&mut state.waiters);
-        for pid in waiters {
-            if let Some(entry) = self.procs[pid.index()].as_mut() {
+        let mut waiters = std::mem::take(&mut state.waiters);
+        for &pid in &waiters {
+            let entry = &mut self.procs[pid.index()];
+            if entry.body.is_some() {
                 debug_assert_eq!(entry.state, ProcState::WaitingEvent(ev));
                 entry.state = ProcState::Runnable;
                 self.next_delta.push_back(pid);
             }
         }
+        // Hand the emptied list back, so the next wait reuses its buffer.
+        waiters.clear();
+        self.events[ev.index()].waiters = waiters;
     }
 }
 
@@ -282,18 +288,12 @@ impl Kernel {
 #[derive(Debug)]
 pub struct Ctx<'a> {
     kernel: &'a mut Kernel,
-    current: ProcessId,
 }
 
 impl Ctx<'_> {
     /// Current simulated time.
     pub fn time(&self) -> SimTime {
         self.kernel.now
-    }
-
-    /// The process this context belongs to.
-    pub fn current(&self) -> ProcessId {
-        self.current
     }
 
     /// Notifies an event one delta cycle from now (SystemC's

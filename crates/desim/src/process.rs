@@ -87,7 +87,8 @@ where
 /// Book-keeping for one process inside the kernel.
 pub(crate) struct ProcessEntry {
     pub(crate) name: String,
-    pub(crate) body: Box<dyn Process>,
+    /// `None` while the kernel is resuming the process.
+    pub(crate) body: Option<Box<dyn Process>>,
     pub(crate) state: ProcState,
     pub(crate) resumes: u64,
 }

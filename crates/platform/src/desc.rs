@@ -90,11 +90,6 @@ pub struct Platform {
 impl Platform {
     /// PE cycles charged for a same-PE (memory-copy) transaction.
     pub const LOCAL_SYNC_CYCLES: u64 = 4;
-
-    /// Looks a process up by name.
-    pub fn process(&self, name: &str) -> Option<&ProcessSpec> {
-        self.processes.iter().find(|p| p.name == name)
-    }
 }
 
 /// Errors from platform construction.

@@ -6,8 +6,9 @@
 //! transaction-level model on the `tlm-desim` kernel:
 //!
 //! - a **functional TLM** executes processes and channels with no timing;
-//! - a **timed TLM** additionally accumulates each process's annotated
-//!   basic-block delays ([`tlm_core::TimedModule`]) and applies them to
+//! - a **timed TLM** additionally hands each process's interpreter the
+//!   annotated basic-block cycles ([`tlm_core::TimedModule`]), which the
+//!   decoded code adds up at every block entry, and applies the total to
 //!   simulated time at inter-process transaction boundaries — the paper's
 //!   `wait()`/`sc_wait()` mechanism, with user-controllable granularity.
 //!

@@ -8,23 +8,26 @@
 //! Given no annotation the TLM is functional: transactions synchronize in
 //! zero simulated time. Given an [`AnnotatedPlatform`] — from
 //! `tlm_pipeline::Pipeline::annotate_design`, or from [`annotate_platform`]
-//! outside a pipeline — it is timed: each process accumulates the
-//! annotated delay of every basic block it executes (the generated `wait()` calls of the
-//! paper) and applies the accumulated total to simulated time at
-//! inter-process transaction boundaries via the PE clock — `sc_wait` is too
-//! expensive to call per block, so the paper applies it per transaction,
-//! with user-controllable granularity ([`TlmConfig::granularity`]).
+//! outside a pipeline — it is timed: each process's interpreter is given
+//! the annotated cycles of every basic block and adds them up as it enters
+//! blocks (the generated `wait()` counter of the paper, kept inside the
+//! decoded code rather than in an execution hook). The process collects
+//! that total after every interpreter slice and applies it to simulated
+//! time at inter-process transaction boundaries via the PE clock —
+//! `sc_wait` is too expensive to call per block, so the paper applies it
+//! per transaction, with user-controllable granularity
+//! ([`TlmConfig::granularity`]).
 //! Channel transfers additionally reserve their bus (or charge the PE-local
 //! copy cost).
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use tlm_cdfg::interp::{Exec, ExecHook, ExecStats, Machine, NoopHook};
-use tlm_cdfg::{BlockId, ChanId, FuncId};
+use tlm_cdfg::interp::{Exec, ExecStats, Machine, NoopHook};
+use tlm_cdfg::ChanId;
 use tlm_core::annotate::{annotate_in_domain, PreparedModule, TimedModule};
 use tlm_core::cache::{ScheduleCache, ScheduleDomain};
 use tlm_core::EstimateError;
@@ -160,37 +163,32 @@ pub fn run_annotated(
         .map(|bus| BusClock::new(bus.period, bus.sync_overhead, bus.cycles_per_word))
         .collect();
 
-    let mut fifos: HashMap<ChanId, Fifo<i64>> = HashMap::new();
-    for (&chan, binding) in &platform.channels {
-        fifos.insert(chan, Fifo::new(&mut kernel, format!("{chan}"), Some(binding.capacity)));
-    }
+    // Sorted by channel id, like `platform.channels`.
+    let chans: Rc<[(ChanId, ChanHandle)]> = platform
+        .channels
+        .iter()
+        .map(|(&chan, binding)| {
+            let fifo = Fifo::new(&mut kernel, format!("{chan}"), Some(binding.capacity));
+            (chan, ChanHandle { fifo, bus: binding.bus.map(|b| bus_clocks[b.0].clone()) })
+        })
+        .collect();
 
     let mut outcomes: Vec<Rc<RefCell<ProcessReport>>> = Vec::new();
     for (index, proc) in platform.processes.iter().enumerate() {
         let outcome = Rc::new(RefCell::new(ProcessReport::default()));
         outcomes.push(outcome.clone());
-        let delays = annotated.map(|a| a.timed[index].clone());
-        let machine = Machine::from_arc(proc.module.clone(), proc.entry, &proc.args);
-        let chans: HashMap<u32, ChanHandle> = platform
-            .channels
-            .iter()
-            .map(|(&chan, binding)| {
-                (
-                    chan.0,
-                    ChanHandle {
-                        fifo: fifos[&chan].clone(),
-                        bus: binding.bus.map(|b| bus_clocks[b.0].clone()),
-                    },
-                )
-            })
-            .collect();
+        let mut machine = Machine::from_arc(proc.module.clone(), proc.entry, &proc.args);
+        if let Some(annotated) = annotated {
+            let timed = &annotated.timed[index];
+            machine.set_block_cycles(|func, block| timed.cycles(func, block));
+        }
         let body = TlmProcess {
             index,
             machine,
-            delays,
+            timed: annotated.is_some(),
             acc: 0,
             pe: pe_clocks[proc.pe.0].clone(),
-            chans,
+            chans: Rc::clone(&chans),
             granularity: config.granularity.max(1),
             boundaries: 0,
             fuel_slice: config.fuel_slice.max(1),
@@ -235,30 +233,34 @@ struct ChanHandle {
     bus: Option<SharedBus>,
 }
 
-/// What to do once a wait elapses.
+/// What to do once a wait elapses. A channel is named by its index in
+/// [`TlmProcess::chans`].
 #[derive(Debug, Clone, Copy)]
 enum After {
-    Recv(u32),
-    Send(u32, i64),
+    Recv(usize),
+    Send(usize, i64),
     Finish,
 }
 
 enum Phase {
     Run,
     Wait { until: SimTime, after: After },
-    BlockedRecv(u32),
-    BlockedSend(u32, i64),
+    BlockedRecv(usize),
+    BlockedSend(usize, i64),
     Done,
 }
 
 struct TlmProcess {
     index: usize,
     machine: Machine,
-    delays: Option<Arc<TimedModule>>,
-    /// Accumulated, not-yet-applied cycles (the paper's `wait()` counter).
+    /// Whether the machine carries annotated block cycles.
+    timed: bool,
+    /// Accumulated, not-yet-applied cycles (the paper's `wait()` counter),
+    /// collected from the machine after every slice.
     acc: u64,
     pe: SharedPe,
-    chans: HashMap<u32, ChanHandle>,
+    /// Every channel of the platform, sorted by id.
+    chans: Rc<[(ChanId, ChanHandle)]>,
     granularity: u32,
     boundaries: u32,
     fuel_slice: u64,
@@ -266,36 +268,22 @@ struct TlmProcess {
     outcome: Rc<RefCell<ProcessReport>>,
 }
 
-/// Accumulates annotated block delays while the interpreter runs.
-struct AccHook<'a> {
-    timed: &'a TimedModule,
-    acc: &'a mut u64,
-}
-
-impl ExecHook for AccHook<'_> {
-    fn on_block(&mut self, func: FuncId, block: BlockId) {
-        *self.acc += self.timed.cycles(func, block);
-    }
-}
-
 impl TlmProcess {
     /// Applies the accumulated compute delay (honouring granularity) and
     /// any transfer cost, returning the simulated time the transaction may
     /// proceed at.
-    fn boundary(&mut self, now: SimTime, transfer: Option<u32>, last: bool) -> SimTime {
+    fn boundary(&mut self, now: SimTime, transfer: Option<usize>, last: bool) -> SimTime {
         self.boundaries += 1;
         let mut at = now;
-        let apply =
-            self.delays.is_some() && (last || self.boundaries.is_multiple_of(self.granularity));
+        let apply = self.timed && (last || self.boundaries.is_multiple_of(self.granularity));
         if apply && self.acc > 0 {
             at = self.pe.borrow_mut().reserve(at, self.index, self.acc);
             self.outcome.borrow_mut().computed_cycles += self.acc;
             self.acc = 0;
         }
-        if self.delays.is_some() {
+        if self.timed {
             if let Some(chan) = transfer {
-                let handle = &self.chans[&chan];
-                at = match &handle.bus {
+                at = match &self.chans[chan].1.bus {
                     Some(bus) => bus.borrow_mut().reserve(at, 1),
                     None => {
                         self.pe.borrow_mut().reserve(at, self.index, Platform::LOCAL_SYNC_CYCLES)
@@ -304,6 +292,11 @@ impl TlmProcess {
             }
         }
         at
+    }
+
+    /// The index of `chan` in [`TlmProcess::chans`].
+    fn chan(&self, chan: ChanId) -> usize {
+        self.chans.binary_search_by_key(&chan, |&(id, _)| id).expect("every channel is bound")
     }
 
     fn finish(&mut self, trap: Option<String>) {
@@ -336,7 +329,7 @@ impl Process for TlmProcess {
                     };
                 }
                 Phase::BlockedRecv(ch) => {
-                    let fifo = self.chans[&ch].fifo.clone();
+                    let fifo = &self.chans[ch].1.fifo;
                     match fifo.try_recv(ctx) {
                         Some(v) => {
                             self.machine.complete_recv(v);
@@ -346,7 +339,7 @@ impl Process for TlmProcess {
                     }
                 }
                 Phase::BlockedSend(ch, v) => {
-                    let fifo = self.chans[&ch].fifo.clone();
+                    let fifo = &self.chans[ch].1.fifo;
                     match fifo.try_send(ctx, v) {
                         Ok(()) => {
                             self.machine.complete_send();
@@ -356,14 +349,8 @@ impl Process for TlmProcess {
                     }
                 }
                 Phase::Run => {
-                    let exec = match &self.delays {
-                        Some(timed) => {
-                            let timed = timed.clone();
-                            let mut hook = AccHook { timed: &timed, acc: &mut self.acc };
-                            self.machine.run_fuel(&mut hook, self.fuel_slice)
-                        }
-                        None => self.machine.run_fuel(&mut NoopHook, self.fuel_slice),
-                    };
+                    let exec = self.machine.run_fuel(&mut NoopHook, self.fuel_slice);
+                    self.acc += self.machine.take_cycles();
                     let now = ctx.time();
                     match exec {
                         Exec::Done => {
@@ -375,19 +362,21 @@ impl Process for TlmProcess {
                             }
                         }
                         Exec::RecvPending(chan) => {
+                            let chan = self.chan(chan);
                             let until = self.boundary(now, None, false);
                             self.phase = if until > now {
-                                Phase::Wait { until, after: After::Recv(chan.0) }
+                                Phase::Wait { until, after: After::Recv(chan) }
                             } else {
-                                Phase::BlockedRecv(chan.0)
+                                Phase::BlockedRecv(chan)
                             };
                         }
                         Exec::SendPending(chan, value) => {
-                            let until = self.boundary(now, Some(chan.0), false);
+                            let chan = self.chan(chan);
+                            let until = self.boundary(now, Some(chan), false);
                             self.phase = if until > now {
-                                Phase::Wait { until, after: After::Send(chan.0, value) }
+                                Phase::Wait { until, after: After::Send(chan, value) }
                             } else {
-                                Phase::BlockedSend(chan.0, value)
+                                Phase::BlockedSend(chan, value)
                             };
                         }
                         Exec::Trap(trap) => {

@@ -31,7 +31,7 @@ use tlm_cdfg::interp::{Exec, ExecHook, ExecStats, Machine, Trap};
 use tlm_cdfg::ir::Module;
 use tlm_cdfg::{BlockId, ChanId, FuncId};
 use tlm_core::annotate::annotate_uncached;
-use tlm_pipeline::Pipeline;
+use tlm_pipeline::{Pipeline, PreparedDesign};
 use tlm_platform::desc::Platform;
 use tlm_platform::tlm::{run_annotated, TlmConfig};
 
@@ -184,6 +184,31 @@ fn fingerprint_platform(procs: Vec<ProcessRun>) -> u64 {
     fold.0
 }
 
+/// The timed TLM sees the same executions as `run_platform`:
+/// per-process counters and outputs agree, and the cycles each process
+/// applied are the annotated delays of exactly the blocks its interpreter
+/// entered, read from an uncached annotation.
+fn assert_timed_tlm_sees_the_same_runs(
+    pipeline: &Pipeline,
+    prepared: &PreparedDesign,
+    procs: &[ProcessRun],
+    label: &str,
+) {
+    let platform = &prepared.platform;
+    let annotated = pipeline.annotate_design(prepared).expect("annotates");
+    let report = run_annotated(platform, Some(&annotated), &TlmConfig::default());
+    for (spec, p) in platform.processes.iter().zip(procs) {
+        let timed =
+            annotate_uncached(&spec.module, &platform.pes[spec.pe.0].pum).expect("annotates");
+        let tlm = &report.processes[&spec.name];
+        assert_eq!(tlm.stats, *p.machine.stats(), "{label} {}", spec.name);
+        assert_eq!(tlm.outputs, p.machine.outputs(), "{label} {}", spec.name);
+        let expected: u64 =
+            p.hook.blocks.iter().map(|(&(f, b), &n)| n * timed.delay(f, b).cycles).sum();
+        assert_eq!(tlm.computed_cycles, expected, "{label} {}", spec.name);
+    }
+}
+
 const MP3_CACHES: (u32, u32) = (8 << 10, 4 << 10);
 
 /// One frame of the evaluation bitstream keeps the debug-build test quick.
@@ -210,25 +235,8 @@ fn mp3_designs_match_pinned_fingerprints() {
     for design in Mp3Design::ALL {
         let prepared = mp3_design(&pipeline, design, mp3_params(), MP3_CACHES.0, MP3_CACHES.1)
             .expect("builds");
-        let platform = &prepared.platform;
-        let procs = run_platform(platform);
-
-        // The timed TLM sees the same executions: per-process counters
-        // agree, and the cycles it applied are the annotated delays of
-        // exactly the blocks the interpreter entered.
-        let annotated = pipeline.annotate_design(&prepared).expect("annotates");
-        let report = run_annotated(platform, Some(&annotated), &TlmConfig::default());
-        for (spec, p) in platform.processes.iter().zip(&procs) {
-            let timed =
-                annotate_uncached(&spec.module, &platform.pes[spec.pe.0].pum).expect("annotates");
-            let tlm = &report.processes[&spec.name];
-            assert_eq!(tlm.stats, *p.machine.stats(), "{design} {}", spec.name);
-            assert_eq!(tlm.outputs, p.machine.outputs(), "{design} {}", spec.name);
-            let expected: u64 =
-                p.hook.blocks.iter().map(|(&(f, b), &n)| n * timed.delay(f, b).cycles).sum();
-            assert_eq!(tlm.computed_cycles, expected, "{design} {}", spec.name);
-        }
-
+        let procs = run_platform(&prepared.platform);
+        assert_timed_tlm_sees_the_same_runs(&pipeline, &prepared, &procs, &design.to_string());
         got.push((design.to_string(), fingerprint_platform(procs)));
     }
     check_pins(&got, &[PIN_MP3; 4]);
@@ -242,7 +250,9 @@ fn image_designs_match_pinned_fingerprints() {
         let prepared = image_design(&pipeline, accelerated, ImageParams::small(), 8 << 10, 4 << 10)
             .expect("builds");
         let label = if accelerated { "image:hw" } else { "image:sw" };
-        got.push((label.to_string(), fingerprint_platform(run_platform(&prepared.platform))));
+        let procs = run_platform(&prepared.platform);
+        assert_timed_tlm_sees_the_same_runs(&pipeline, &prepared, &procs, label);
+        got.push((label.to_string(), fingerprint_platform(procs)));
     }
     check_pins(&got, &[PIN_IMAGE_SW, PIN_IMAGE_HW]);
 }
