@@ -14,7 +14,9 @@
 //! A single run of a TLM varies widely on a shared host, so each TLM cell
 //! is the median of [`TLM_RUNS`] runs, functional and timed interleaved
 //! after one functional run that sets the expected outputs, and the
-//! `timed/func` column is the ratio of the two medians.
+//! `timed/func` column is the ratio of the two medians. `threads` is the
+//! most interpreter threads any of those runs used (the calling thread plus
+//! its helpers, bounded by the host's available parallelism).
 
 use std::time::Duration;
 
@@ -50,6 +52,7 @@ fn main() {
         "TLM func".into(),
         "TLM timed".into(),
         "timed/func".into(),
+        "threads".into(),
         "ISS".into(),
         "PCAM".into(),
     ]);
@@ -67,6 +70,7 @@ fn main() {
         // One functional run first: the outputs every other run must match.
         let func = run_annotated(platform, None, &config);
         let mut walls = [Vec::new(), Vec::new()];
+        let mut threads = func.threads;
         for round in 0..TLM_RUNS {
             // Alternate which kind runs first, so neither always follows
             // the other.
@@ -74,6 +78,7 @@ fn main() {
                 let report = run_annotated(platform, timed.then_some(&annotated), &config);
                 assert_eq!(report.outputs, func.outputs, "timing must not change behaviour");
                 walls[usize::from(timed)].push(report.wall);
+                threads = threads.max(report.threads);
             }
         }
         let [func_wall, timed_wall] = walls.map(median);
@@ -95,6 +100,7 @@ fn main() {
             fmt(func_wall),
             fmt(timed_wall),
             format!("{:.2}", timed_wall.as_secs_f64() / func_wall.as_secs_f64()),
+            threads.to_string(),
             iss_cell,
             fmt(board.wall),
         ]);

@@ -95,7 +95,6 @@ impl Kernel {
             name: name.into(),
             body: Some(Box::new(body)),
             state: ProcState::Runnable,
-            resumes: 0,
         });
         self.runnable.push_back(id);
         id
@@ -236,7 +235,6 @@ impl Kernel {
         // borrows through `Ctx` owns the table.
         let entry = &mut self.procs[pid.index()];
         let mut body = entry.body.take().expect("process resumed re-entrantly");
-        entry.resumes += 1;
         self.resumes += 1;
         let resume = body.resume(&mut Ctx { kernel: self });
         let state = match resume {

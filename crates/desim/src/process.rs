@@ -90,7 +90,6 @@ pub(crate) struct ProcessEntry {
     /// `None` while the kernel is resuming the process.
     pub(crate) body: Option<Box<dyn Process>>,
     pub(crate) state: ProcState,
-    pub(crate) resumes: u64,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,7 +109,6 @@ impl fmt::Debug for ProcessEntry {
         f.debug_struct("ProcessEntry")
             .field("name", &self.name)
             .field("state", &self.state)
-            .field("resumes", &self.resumes)
             .finish_non_exhaustive()
     }
 }

@@ -14,7 +14,10 @@
 //!
 //! Both run through [`tlm::run_annotated`]; the annotation comes from
 //! `tlm_pipeline::Pipeline::annotate_design` (which caches it) or, outside
-//! a pipeline, from [`tlm::annotate_platform`].
+//! a pipeline, from [`tlm::annotate_platform`]. A run interprets its
+//! processes ahead of simulated time on every available core and replays
+//! their transactions on one desim kernel, so its results do not depend
+//! on the thread count (see the [`tlm`] module docs).
 //!
 //! Processes mapped to the same PE serialize on a shared [`clock::PeClock`]
 //! (cooperative scheduling; the optional [`rtos`] model adds

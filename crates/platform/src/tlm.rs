@@ -2,7 +2,7 @@
 //!
 //! [`run_annotated`] turns a [`Platform`] into a running simulation on the
 //! `tlm-desim` kernel. Every application process becomes a kernel process
-//! wrapping a resumable CDFG interpreter; channels become FIFOs; PEs and
+//! driven by a resumable CDFG interpreter; channels become FIFOs; PEs and
 //! buses become shared clocks.
 //!
 //! Given no annotation the TLM is functional: transactions synchronize in
@@ -19,14 +19,52 @@
 //! ([`TlmConfig::granularity`]).
 //! Channel transfers additionally reserve their bus (or charge the PE-local
 //! copy cost).
+//!
+//! # Interpretation runs ahead, the kernel replays
+//!
+//! The processes form a Kahn network: MiniC's only intrinsics are a
+//! blocking `ch_recv`, `ch_send` and `out`, and none of them reads time, so
+//! what a process computes does not depend on timing. A run is therefore
+//! split in two halves that share one process table:
+//!
+//! - **Worker threads** — the calling thread plus up to
+//!   `available_parallelism() − 1` helpers, spawned at the first phase with
+//!   more than one process to run — interpret each process ahead of
+//!   simulated time. They log one step per interpreter slice
+//!   ([`TlmConfig::fuel_slice`]): the annotated cycles it entered and how it
+//!   ended (out of fuel, a receive, a send — completed at once —, done or
+//!   trapped). A process logs at most a fixed lookahead of 1024 steps
+//!   beyond what the kernel has taken.
+//! - **The kernel**, on the calling thread, replays each process's steps
+//!   against simulated time: PE and bus reservations, FIFOs and the
+//!   per-process phase machine are exactly those of interpreting inline.
+//!   When a process has no step logged, every thread runs every unfinished
+//!   process ahead (a *phase*) until each one is finished, has a full log,
+//!   or waits for a value; then the kernel pops again.
+//!
+//! A receive takes its value straight from the sender's worker when the
+//! channel has exactly one sending and one receiving process: its values
+//! arrive in send order whatever the timing. On any other channel the
+//! timed FIFO decides which value goes where, so the worker stops at the
+//! receive and the kernel hands the value over when the FIFO delivers it.
+//!
+//! After a phase the step the kernel pops always exists: simulated time
+//! reached it only by replaying the receive before it, which needed the
+//! matching send replayed, so that send was logged with its value. Every
+//! [`TlmReport`] field but `wall` and `threads` is therefore the one
+//! inline interpretation gives, on any number of threads
+//! (`tests/tlm_report_pins.rs` pins them).
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
+use std::panic::{self, AssertUnwindSafe};
 use std::rc::Rc;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use tlm_cdfg::interp::{Exec, ExecStats, Machine, NoopHook};
+use tlm_cdfg::ir::OpKind;
 use tlm_cdfg::ChanId;
 use tlm_core::annotate::{annotate_in_domain, PreparedModule, TimedModule};
 use tlm_core::cache::{ScheduleCache, ScheduleDomain};
@@ -44,8 +82,14 @@ pub struct TlmConfig {
     pub granularity: u32,
     /// Simulated-time limit; `None` runs to completion.
     pub time_limit: Option<SimTime>,
-    /// Interpreter operations executed per kernel resumption (a process
-    /// yields between slices so runaway loops cannot wedge the kernel).
+    /// Interpreter operations per slice; one slice is one logged step. The
+    /// kernel yields a delta cycle when it replays a slice that ran out of
+    /// fuel, so runaway loops cannot wedge it. Computed cycles, busy
+    /// cycles, transfers and outputs do not depend on the slice. On designs
+    /// whose processes share a PE the end time can: the extra delta lets
+    /// another process reach a same-time boundary first and reserve the PE
+    /// (image:hw ends at 4,972,050 ns unsliced and 4,972,110 ns at every
+    /// slice from 1 to 64).
     pub fuel_slice: u64,
     /// When set, the kernel permutes same-timestamp process wakeups from
     /// this splitmix64 seed ([`Kernel::set_order_seed`]). Deterministic:
@@ -92,6 +136,9 @@ pub struct TlmReport {
     pub bus_transfers: Vec<(String, u64)>,
     /// Wall-clock time of the simulation itself.
     pub wall: Duration,
+    /// Threads that interpreted the processes: the calling thread plus the
+    /// helpers the run spawned. Like `wall`, it depends on the host.
+    pub threads: usize,
 }
 
 impl TlmReport {
@@ -142,6 +189,12 @@ pub fn annotate_platform(platform: &Platform) -> Result<AnnotatedPlatform, Estim
 }
 
 /// Runs a TLM given a pre-annotated platform (`None` = functional).
+///
+/// The processes' interpreters run ahead of simulated time on the calling
+/// thread and, when a phase has more than one process to run, on up to
+/// `available_parallelism() − 1` helper threads; the kernel replays their
+/// logged steps on the calling thread (see the module docs). Every helper
+/// is joined before this returns, whatever stopped the run.
 pub fn run_annotated(
     platform: &Platform,
     annotated: Option<&AnnotatedPlatform>,
@@ -163,35 +216,45 @@ pub fn run_annotated(
         .map(|bus| BusClock::new(bus.period, bus.sync_overhead, bus.cycles_per_word))
         .collect();
 
-    // Sorted by channel id, like `platform.channels`.
-    let chans: Rc<[(ChanId, ChanHandle)]> = platform
+    // Indexed like `platform.channels`, which is sorted by channel id.
+    let chans: Rc<[ChanHandle]> = platform
         .channels
         .iter()
-        .map(|(&chan, binding)| {
-            let fifo = Fifo::new(&mut kernel, format!("{chan}"), Some(binding.capacity));
-            (chan, ChanHandle { fifo, bus: binding.bus.map(|b| bus_clocks[b.0].clone()) })
+        .map(|(&chan, binding)| ChanHandle {
+            fifo: Fifo::new(&mut kernel, format!("{chan}"), Some(binding.capacity)),
+            bus: binding.bus.map(|b| bus_clocks[b.0].clone()),
         })
         .collect();
+
+    let machines = platform
+        .processes
+        .iter()
+        .enumerate()
+        .map(|(index, proc)| {
+            let mut machine = Machine::from_arc(proc.module.clone(), proc.entry, &proc.args);
+            if let Some(annotated) = annotated {
+                let timed = &annotated.timed[index];
+                machine.set_block_cycles(|func, block| timed.cycles(func, block));
+            }
+            machine
+        })
+        .collect();
+    let workers = Rc::new(Workers::new(Table::new(platform, machines, config.fuel_slice)));
 
     let mut outcomes: Vec<Rc<RefCell<ProcessReport>>> = Vec::new();
     for (index, proc) in platform.processes.iter().enumerate() {
         let outcome = Rc::new(RefCell::new(ProcessReport::default()));
         outcomes.push(outcome.clone());
-        let mut machine = Machine::from_arc(proc.module.clone(), proc.entry, &proc.args);
-        if let Some(annotated) = annotated {
-            let timed = &annotated.timed[index];
-            machine.set_block_cycles(|func, block| timed.cycles(func, block));
-        }
         let body = TlmProcess {
             index,
-            machine,
+            workers: Rc::clone(&workers),
+            replay: VecDeque::new(),
             timed: annotated.is_some(),
             acc: 0,
             pe: pe_clocks[proc.pe.0].clone(),
             chans: Rc::clone(&chans),
             granularity: config.granularity.max(1),
             boundaries: 0,
-            fuel_slice: config.fuel_slice.max(1),
             phase: Phase::Run,
             outcome,
         };
@@ -204,6 +267,8 @@ pub fn run_annotated(
         None => kernel.run(),
     };
     let wall = wall_start.elapsed();
+    let (helpers, panicked) = workers.stop();
+    assert!(!panicked, "{PANICKED}");
 
     let mut outputs = BTreeMap::new();
     let mut processes = BTreeMap::new();
@@ -225,7 +290,342 @@ pub fn run_annotated(
         .map(|(bus, clock)| (bus.name.clone(), clock.borrow().transfers()))
         .collect();
 
-    TlmReport { end_time: kernel.time(), sim, outputs, processes, pe_busy, bus_transfers, wall }
+    TlmReport {
+        end_time: kernel.time(),
+        sim,
+        outputs,
+        processes,
+        pe_busy,
+        bus_transfers,
+        wall,
+        threads: 1 + helpers,
+    }
+}
+
+/// Steps one process's interpreter may log ahead of the kernel's replay.
+/// The kernel takes a whole log at a time, so a process holds at most
+/// twice this many unreplayed steps (24 bytes each).
+const LOOKAHEAD: usize = 1024;
+
+/// How one interpreter slice ended. A channel is named by its index in
+/// `platform.channels`.
+#[derive(Debug, Clone, Copy)]
+enum Event {
+    OutOfFuel,
+    /// Blocked on a receive; the machine waits for the value.
+    Recv(u32),
+    /// Sent a value; the machine has already moved past the send.
+    Send(u32, i64),
+    /// Returned from the entry function.
+    Done,
+    /// Trapped; the message is in [`Slot::trap`].
+    Trap,
+}
+
+/// One logged `run_fuel` call: the cycles of the blocks it entered and how
+/// it ended.
+#[derive(Debug, Clone, Copy)]
+struct Step {
+    cycles: u64,
+    event: Event,
+}
+
+const _: () = assert!(std::mem::size_of::<Step>() == 24);
+
+/// One process's interpreter and the steps it ran ahead.
+struct Slot {
+    machine: Machine,
+    log: VecDeque<Step>,
+    /// The channel of the logged receive the machine still waits on.
+    awaiting: Option<usize>,
+    trap: Option<String>,
+}
+
+/// A channel with one sending and one receiving process: its values in
+/// send order, which is the order the receiver takes them in whatever the
+/// timing.
+struct Direct {
+    values: VecDeque<i64>,
+    receiver: usize,
+    /// The receiver stopped on an empty queue and waits to be readied.
+    parked: bool,
+}
+
+/// Which processes the workers may run.
+#[derive(Default)]
+struct Sched {
+    ready: VecDeque<usize>,
+    queued: Vec<bool>,
+    finished: Vec<bool>,
+    /// Workers running a process.
+    busy: usize,
+    /// A worker panicked; the run cannot complete.
+    failed: bool,
+    shutdown: bool,
+}
+
+impl Sched {
+    fn enqueue(&mut self, process: usize) {
+        if !self.queued[process] && !self.finished[process] {
+            self.queued[process] = true;
+            self.ready.push_back(process);
+        }
+    }
+}
+
+/// The process table the interpreter threads and the kernel share.
+struct Table {
+    slots: Box<[Mutex<Slot>]>,
+    /// The channel ids, sorted (the index of a channel is its position).
+    chan_ids: Box<[ChanId]>,
+    /// `Some` for channels whose values go straight from sender to receiver.
+    direct: Box<[Option<Mutex<Direct>>]>,
+    fuel_slice: u64,
+    sched: Mutex<Sched>,
+    /// Signals a ready process, the end of a phase, or shutdown.
+    wake: Condvar,
+}
+
+const PANICKED: &str = "a TLM interpreter thread panicked";
+
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().expect(PANICKED)
+}
+
+impl Table {
+    fn new(platform: &Platform, machines: Vec<Machine>, fuel_slice: u64) -> Table {
+        let chan_ids: Box<[ChanId]> = platform.channels.keys().copied().collect();
+        let index = |chan: ChanId| chan_ids.binary_search(&chan).expect("every channel is bound");
+        // Which processes send and receive on each channel.
+        let mut senders = vec![Vec::new(); chan_ids.len()];
+        let mut receivers = vec![Vec::new(); chan_ids.len()];
+        for (process, proc) in platform.processes.iter().enumerate() {
+            let ops = proc.module.functions.iter().flat_map(|f| &f.blocks).flat_map(|b| &b.ops);
+            for op in ops {
+                let (ends, chan) = match op.kind {
+                    OpKind::ChanSend { chan } => (&mut senders, chan),
+                    OpKind::ChanRecv { chan } => (&mut receivers, chan),
+                    _ => continue,
+                };
+                let ends: &mut Vec<usize> = &mut ends[index(chan)];
+                if !ends.contains(&process) {
+                    ends.push(process);
+                }
+            }
+        }
+        let direct = senders
+            .iter()
+            .zip(&receivers)
+            .map(|(s, r)| match (s.as_slice(), r.as_slice()) {
+                ([_], &[receiver]) => {
+                    Some(Mutex::new(Direct { values: VecDeque::new(), receiver, parked: false }))
+                }
+                _ => None,
+            })
+            .collect();
+        let processes = machines.len();
+        let slots = machines
+            .into_iter()
+            .map(|machine| {
+                Mutex::new(Slot { machine, log: VecDeque::new(), awaiting: None, trap: None })
+            })
+            .collect();
+        let sched = Sched {
+            queued: vec![false; processes],
+            finished: vec![false; processes],
+            ..Sched::default()
+        };
+        Table {
+            slots,
+            chan_ids,
+            direct,
+            fuel_slice: fuel_slice.max(1),
+            sched: Mutex::new(sched),
+            wake: Condvar::new(),
+        }
+    }
+
+    fn chan(&self, chan: ChanId) -> usize {
+        self.chan_ids.binary_search(&chan).expect("every channel is bound")
+    }
+
+    /// Runs ready processes until none is left and no worker is busy (the
+    /// kernel's thread), or until shutdown (a helper).
+    fn work(&self, helper: bool) {
+        let mut sched = lock(&self.sched);
+        loop {
+            if sched.failed {
+                drop(sched);
+                assert!(helper, "{PANICKED}");
+                return;
+            }
+            if helper && sched.shutdown {
+                return;
+            }
+            if let Some(process) = sched.ready.pop_front() {
+                sched.queued[process] = false;
+                sched.busy += 1;
+                drop(sched);
+                let run = panic::catch_unwind(AssertUnwindSafe(|| self.drive(process)));
+                sched = lock(&self.sched);
+                sched.busy -= 1;
+                match run {
+                    Ok(finished) => sched.finished[process] |= finished,
+                    Err(payload) => {
+                        sched.failed = true;
+                        drop(sched);
+                        self.wake.notify_all();
+                        if helper {
+                            return;
+                        }
+                        panic::resume_unwind(payload);
+                    }
+                }
+                if sched.busy == 0 && sched.ready.is_empty() {
+                    self.wake.notify_all();
+                }
+            } else if !helper && sched.busy == 0 {
+                return;
+            } else {
+                sched = self.wake.wait(sched).expect(PANICKED);
+            }
+        }
+    }
+
+    /// Runs `process` ahead, logging one step per `run_fuel` call, until it
+    /// finishes (returns `true`), fills its log, or waits for a value that
+    /// is not there yet.
+    fn drive(&self, process: usize) -> bool {
+        let mut slot = lock(&self.slots[process]);
+        let slot = &mut *slot;
+        loop {
+            if let Some(chan) = slot.awaiting {
+                // On any other channel the kernel delivers the value.
+                let Some(direct) = &self.direct[chan] else { return false };
+                let mut direct = lock(direct);
+                let Some(value) = direct.values.pop_front() else {
+                    direct.parked = true;
+                    return false;
+                };
+                drop(direct);
+                slot.machine.complete_recv(value);
+                slot.awaiting = None;
+            }
+            if slot.log.len() >= LOOKAHEAD {
+                return false;
+            }
+            let exec = slot.machine.run_fuel(&mut NoopHook, self.fuel_slice);
+            let cycles = slot.machine.take_cycles();
+            let event = match exec {
+                Exec::OutOfFuel => Event::OutOfFuel,
+                Exec::RecvPending(chan) => {
+                    let chan = self.chan(chan);
+                    slot.awaiting = Some(chan);
+                    Event::Recv(chan as u32)
+                }
+                Exec::SendPending(chan, value) => {
+                    let chan = self.chan(chan);
+                    slot.machine.complete_send();
+                    if let Some(direct) = &self.direct[chan] {
+                        let mut direct = lock(direct);
+                        direct.values.push_back(value);
+                        if std::mem::take(&mut direct.parked) {
+                            let receiver = direct.receiver;
+                            drop(direct);
+                            lock(&self.sched).enqueue(receiver);
+                            self.wake.notify_all();
+                        }
+                    }
+                    Event::Send(chan as u32, value)
+                }
+                Exec::Done => Event::Done,
+                Exec::Trap(trap) => {
+                    slot.trap = Some(trap.to_string());
+                    Event::Trap
+                }
+            };
+            slot.log.push_back(Step { cycles, event });
+            if matches!(event, Event::Done | Event::Trap) {
+                return true;
+            }
+        }
+    }
+
+    /// Hands a value the kernel's FIFO delivered on `chan` to `process`'s
+    /// machine, unless it took the value from its sender already.
+    fn deliver(&self, process: usize, chan: usize, value: i64) {
+        if self.direct[chan].is_none() {
+            let mut slot = lock(&self.slots[process]);
+            slot.machine.complete_recv(value);
+            slot.awaiting = None;
+        }
+    }
+}
+
+/// The interpreter threads of one run, owned by the kernel's thread: the
+/// thread itself, plus helpers spawned at the first phase with more than
+/// one process to run.
+struct Workers {
+    table: Arc<Table>,
+    helpers: RefCell<Option<Vec<JoinHandle<()>>>>,
+}
+
+impl Workers {
+    fn new(table: Table) -> Workers {
+        Workers { table: Arc::new(table), helpers: RefCell::new(None) }
+    }
+
+    /// Runs every unfinished process ahead until each one is finished,
+    /// has a full log, or waits for a value.
+    fn phase(&self) {
+        let many = {
+            let mut sched = lock(&self.table.sched);
+            (0..self.table.slots.len()).for_each(|process| sched.enqueue(process));
+            sched.ready.len() > 1
+        };
+        if many {
+            self.spawn_helpers();
+            self.table.wake.notify_all();
+        }
+        self.table.work(false);
+    }
+
+    fn spawn_helpers(&self) {
+        let mut helpers = self.helpers.borrow_mut();
+        if helpers.is_some() {
+            return;
+        }
+        let threads = thread::available_parallelism().map_or(1, usize::from);
+        let spawned = (1..threads.min(self.table.slots.len()))
+            .map_while(|_| {
+                let table = Arc::clone(&self.table);
+                thread::Builder::new()
+                    .name("tlm-interp".into())
+                    .spawn(move || table.work(true))
+                    .ok()
+            })
+            .collect();
+        *helpers = Some(spawned);
+    }
+
+    /// Stops and joins the helpers, returning how many there were and
+    /// whether any of them panicked.
+    fn stop(&self) -> (usize, bool) {
+        let Some(helpers) = self.helpers.borrow_mut().take() else { return (0, false) };
+        // Raising a flag is sound on any state, even one a panic left.
+        self.table.sched.lock().unwrap_or_else(PoisonError::into_inner).shutdown = true;
+        self.table.wake.notify_all();
+        let spawned = helpers.len();
+        let panicked = helpers.into_iter().map(JoinHandle::join).any(|joined| joined.is_err());
+        (spawned, panicked)
+    }
+}
+
+impl Drop for Workers {
+    /// Joins the helpers of a run that is unwinding.
+    fn drop(&mut self) {
+        let _ = self.stop();
+    }
 }
 
 struct ChanHandle {
@@ -250,20 +650,23 @@ enum Phase {
     Done,
 }
 
+/// One process on the kernel: it replays the steps its interpreter logged
+/// against simulated time.
 struct TlmProcess {
     index: usize,
-    machine: Machine,
+    workers: Rc<Workers>,
+    /// Logged steps taken from the process's slot, not yet replayed.
+    replay: VecDeque<Step>,
     /// Whether the machine carries annotated block cycles.
     timed: bool,
     /// Accumulated, not-yet-applied cycles (the paper's `wait()` counter),
-    /// collected from the machine after every slice.
+    /// collected from every replayed step.
     acc: u64,
     pe: SharedPe,
     /// Every channel of the platform, sorted by id.
-    chans: Rc<[(ChanId, ChanHandle)]>,
+    chans: Rc<[ChanHandle]>,
     granularity: u32,
     boundaries: u32,
-    fuel_slice: u64,
     phase: Phase,
     outcome: Rc<RefCell<ProcessReport>>,
 }
@@ -283,7 +686,7 @@ impl TlmProcess {
         }
         if self.timed {
             if let Some(chan) = transfer {
-                at = match &self.chans[chan].1.bus {
+                at = match &self.chans[chan].bus {
                     Some(bus) => bus.borrow_mut().reserve(at, 1),
                     None => {
                         self.pe.borrow_mut().reserve(at, self.index, Platform::LOCAL_SYNC_CYCLES)
@@ -294,17 +697,35 @@ impl TlmProcess {
         at
     }
 
-    /// The index of `chan` in [`TlmProcess::chans`].
-    fn chan(&self, chan: ChanId) -> usize {
-        self.chans.binary_search_by_key(&chan, |&(id, _)| id).expect("every channel is bound")
+    /// The process's next logged step. With none logged, every process
+    /// runs ahead first: simulated time reached this step only after the
+    /// sends it depends on were replayed, so they were logged, and the
+    /// step can be logged too.
+    fn next_step(&mut self) -> Step {
+        if let Some(step) = self.replay.pop_front() {
+            return step;
+        }
+        for ahead in [false, true] {
+            if ahead {
+                self.workers.phase();
+            }
+            let mut slot = lock(&self.workers.table.slots[self.index]);
+            if !slot.log.is_empty() {
+                std::mem::swap(&mut self.replay, &mut slot.log);
+                drop(slot);
+                return self.replay.pop_front().expect("the log was not empty");
+            }
+        }
+        unreachable!("running ahead logs the step simulated time waits for")
     }
 
-    fn finish(&mut self, trap: Option<String>) {
+    fn finish(&mut self) {
+        let slot = lock(&self.workers.table.slots[self.index]);
         let mut outcome = self.outcome.borrow_mut();
-        outcome.outputs = self.machine.outputs().to_vec();
-        outcome.stats = *self.machine.stats();
-        outcome.finished = trap.is_none();
-        outcome.trap = trap;
+        outcome.outputs = slot.machine.outputs().to_vec();
+        outcome.stats = *slot.machine.stats();
+        outcome.finished = slot.trap.is_none();
+        outcome.trap.clone_from(&slot.trap);
         self.phase = Phase::Done;
     }
 }
@@ -323,46 +744,43 @@ impl Process for TlmProcess {
                         After::Recv(ch) => Phase::BlockedRecv(ch),
                         After::Send(ch, v) => Phase::BlockedSend(ch, v),
                         After::Finish => {
-                            self.finish(None);
+                            self.finish();
                             continue;
                         }
                     };
                 }
                 Phase::BlockedRecv(ch) => {
-                    let fifo = &self.chans[ch].1.fifo;
+                    let fifo = &self.chans[ch].fifo;
                     match fifo.try_recv(ctx) {
                         Some(v) => {
-                            self.machine.complete_recv(v);
+                            self.workers.table.deliver(self.index, ch, v);
                             self.phase = Phase::Run;
                         }
                         None => return Resume::WaitEvent(fifo.readable_event()),
                     }
                 }
                 Phase::BlockedSend(ch, v) => {
-                    let fifo = &self.chans[ch].1.fifo;
+                    let fifo = &self.chans[ch].fifo;
                     match fifo.try_send(ctx, v) {
-                        Ok(()) => {
-                            self.machine.complete_send();
-                            self.phase = Phase::Run;
-                        }
+                        Ok(()) => self.phase = Phase::Run,
                         Err(_) => return Resume::WaitEvent(fifo.writable_event()),
                     }
                 }
                 Phase::Run => {
-                    let exec = self.machine.run_fuel(&mut NoopHook, self.fuel_slice);
-                    self.acc += self.machine.take_cycles();
+                    let Step { cycles, event } = self.next_step();
+                    self.acc += cycles;
                     let now = ctx.time();
-                    match exec {
-                        Exec::Done => {
+                    match event {
+                        Event::Done => {
                             let until = self.boundary(now, None, true);
                             if until > now {
                                 self.phase = Phase::Wait { until, after: After::Finish };
                             } else {
-                                self.finish(None);
+                                self.finish();
                             }
                         }
-                        Exec::RecvPending(chan) => {
-                            let chan = self.chan(chan);
+                        Event::Recv(chan) => {
+                            let chan = chan as usize;
                             let until = self.boundary(now, None, false);
                             self.phase = if until > now {
                                 Phase::Wait { until, after: After::Recv(chan) }
@@ -370,8 +788,8 @@ impl Process for TlmProcess {
                                 Phase::BlockedRecv(chan)
                             };
                         }
-                        Exec::SendPending(chan, value) => {
-                            let chan = self.chan(chan);
+                        Event::Send(chan, value) => {
+                            let chan = chan as usize;
                             let until = self.boundary(now, Some(chan), false);
                             self.phase = if until > now {
                                 Phase::Wait { until, after: After::Send(chan, value) }
@@ -379,10 +797,8 @@ impl Process for TlmProcess {
                                 Phase::BlockedSend(chan, value)
                             };
                         }
-                        Exec::Trap(trap) => {
-                            self.finish(Some(trap.to_string()));
-                        }
-                        Exec::OutOfFuel => {
+                        Event::Trap => self.finish(),
+                        Event::OutOfFuel => {
                             // Yield a delta so other processes make progress.
                             return Resume::WaitTime(SimTime::ZERO);
                         }

@@ -1,4 +1,5 @@
-//! Pins every field of the TLM's [`TlmReport`] except `wall`.
+//! Pins every field of the TLM's [`TlmReport`] except the host-dependent
+//! `wall` and `threads`.
 //!
 //! Each pin is a 64-bit FNV-1a fingerprint, folded over one platform's runs
 //! in one mode (functional or timed) across a matrix of configurations:
