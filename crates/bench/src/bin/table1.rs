@@ -16,7 +16,10 @@
 //! after one functional run that sets the expected outputs, and the
 //! `timed/func` column is the ratio of the two medians. `threads` is the
 //! most interpreter threads any of those runs used (the calling thread plus
-//! its helpers, bounded by the host's available parallelism).
+//! its helpers, bounded by the host's available parallelism). `interp` and
+//! `stall` split the timed runs' wall time on the calling thread: the
+//! median time it spent interpreting, and waiting for steps a helper was
+//! interpreting; the rest is the kernel's replay.
 
 use std::time::Duration;
 
@@ -53,6 +56,8 @@ fn main() {
         "TLM timed".into(),
         "timed/func".into(),
         "threads".into(),
+        "interp".into(),
+        "stall".into(),
         "ISS".into(),
         "PCAM".into(),
     ]);
@@ -70,6 +75,7 @@ fn main() {
         // One functional run first: the outputs every other run must match.
         let func = run_annotated(platform, None, &config);
         let mut walls = [Vec::new(), Vec::new()];
+        let (mut interp, mut stall) = (Vec::new(), Vec::new());
         let mut threads = func.threads;
         for round in 0..TLM_RUNS {
             // Alternate which kind runs first, so neither always follows
@@ -78,6 +84,10 @@ fn main() {
                 let report = run_annotated(platform, timed.then_some(&annotated), &config);
                 assert_eq!(report.outputs, func.outputs, "timing must not change behaviour");
                 walls[usize::from(timed)].push(report.wall);
+                if timed {
+                    interp.push(report.interp);
+                    stall.push(report.stall);
+                }
                 threads = threads.max(report.threads);
             }
         }
@@ -101,6 +111,8 @@ fn main() {
             fmt(timed_wall),
             format!("{:.2}", timed_wall.as_secs_f64() / func_wall.as_secs_f64()),
             threads.to_string(),
+            fmt(median(interp)),
+            fmt(median(stall)),
             iss_cell,
             fmt(board.wall),
         ]);

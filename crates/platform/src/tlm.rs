@@ -51,11 +51,11 @@
 //! After a phase the step the kernel pops always exists: simulated time
 //! reached it only by replaying the receive before it, which needed the
 //! matching send replayed, so that send was logged with its value. Every
-//! [`TlmReport`] field but `wall` and `threads` is therefore the one
-//! inline interpretation gives, on any number of threads
-//! (`tests/tlm_report_pins.rs` pins them).
+//! [`TlmReport`] field but the host-dependent `wall`, `threads`, `interp`
+//! and `stall` is therefore the one inline interpretation gives, on any
+//! number of threads (`tests/tlm_report_pins.rs` pins them).
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
 use std::rc::Rc;
@@ -84,7 +84,13 @@ pub struct TlmConfig {
     pub time_limit: Option<SimTime>,
     /// Interpreter operations per slice; one slice is one logged step. The
     /// kernel yields a delta cycle when it replays a slice that ran out of
-    /// fuel, so runaway loops cannot wedge it. Computed cycles, busy
+    /// fuel, so other processes due at the same simulated time run between
+    /// two slices of a long computation. That does not stop a runaway
+    /// loop: the cycles of a slice reach simulated time only at the
+    /// process's next transaction, so a process that never reaches one
+    /// spins the kernel through zero-time deltas forever, and
+    /// [`TlmConfig::time_limit`] never stops it (ROADMAP, "Simulated time
+    /// is a function of the model alone"). Computed cycles, busy
     /// cycles, transfers and outputs do not depend on the slice. On designs
     /// whose processes share a PE the end time can: the extra delta lets
     /// another process reach a same-time boundary first and reserve the PE
@@ -139,6 +145,12 @@ pub struct TlmReport {
     /// Threads that interpreted the processes: the calling thread plus the
     /// helpers the run spawned. Like `wall`, it depends on the host.
     pub threads: usize,
+    /// Part of `wall` the calling thread spent interpreting processes.
+    pub interp: Duration,
+    /// Part of `wall` the calling thread spent waiting for steps another
+    /// thread was interpreting. The rest of `wall` is the kernel's replay.
+    /// Like `wall`, `interp` and `stall` depend on the host.
+    pub stall: Duration,
 }
 
 impl TlmReport {
@@ -299,6 +311,8 @@ pub fn run_annotated(
         bus_transfers,
         wall,
         threads: 1 + helpers,
+        interp: workers.interp.get(),
+        stall: workers.stall.get(),
     }
 }
 
@@ -450,8 +464,9 @@ impl Table {
     }
 
     /// Runs ready processes until none is left and no worker is busy (the
-    /// kernel's thread), or until shutdown (a helper).
-    fn work(&self, helper: bool) {
+    /// kernel's thread), or until shutdown (a helper). Adds the time spent
+    /// interpreting and waiting to `spent`.
+    fn work(&self, helper: bool, spent: &mut [Duration; 2]) {
         let mut sched = lock(&self.sched);
         loop {
             if sched.failed {
@@ -466,7 +481,9 @@ impl Table {
                 sched.queued[process] = false;
                 sched.busy += 1;
                 drop(sched);
+                let start = Instant::now();
                 let run = panic::catch_unwind(AssertUnwindSafe(|| self.drive(process)));
+                spent[0] += start.elapsed();
                 sched = lock(&self.sched);
                 sched.busy -= 1;
                 match run {
@@ -487,7 +504,9 @@ impl Table {
             } else if !helper && sched.busy == 0 {
                 return;
             } else {
+                let start = Instant::now();
                 sched = self.wake.wait(sched).expect(PANICKED);
+                spent[1] += start.elapsed();
             }
         }
     }
@@ -568,11 +587,19 @@ impl Table {
 struct Workers {
     table: Arc<Table>,
     helpers: RefCell<Option<Vec<JoinHandle<()>>>>,
+    /// The kernel's thread's time interpreting and waiting for helpers.
+    interp: Cell<Duration>,
+    stall: Cell<Duration>,
 }
 
 impl Workers {
     fn new(table: Table) -> Workers {
-        Workers { table: Arc::new(table), helpers: RefCell::new(None) }
+        Workers {
+            table: Arc::new(table),
+            helpers: RefCell::new(None),
+            interp: Cell::new(Duration::ZERO),
+            stall: Cell::new(Duration::ZERO),
+        }
     }
 
     /// Runs every unfinished process ahead until each one is finished,
@@ -587,7 +614,10 @@ impl Workers {
             self.spawn_helpers();
             self.table.wake.notify_all();
         }
-        self.table.work(false);
+        let mut spent = [Duration::ZERO; 2];
+        self.table.work(false, &mut spent);
+        self.interp.set(self.interp.get() + spent[0]);
+        self.stall.set(self.stall.get() + spent[1]);
     }
 
     fn spawn_helpers(&self) {
@@ -601,7 +631,7 @@ impl Workers {
                 let table = Arc::clone(&self.table);
                 thread::Builder::new()
                     .name("tlm-interp".into())
-                    .spawn(move || table.work(true))
+                    .spawn(move || table.work(true, &mut [Duration::ZERO; 2]))
                     .ok()
             })
             .collect();

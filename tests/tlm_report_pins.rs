@@ -1,5 +1,5 @@
 //! Pins every field of the TLM's [`TlmReport`] except the host-dependent
-//! `wall` and `threads`.
+//! `wall`, `threads`, `interp` and `stall`.
 //!
 //! Each pin is a 64-bit FNV-1a fingerprint, folded over one platform's runs
 //! in one mode (functional or timed) across a matrix of configurations:
@@ -17,7 +17,10 @@
 //! on one side: two senders feeding one receiver, and one sender feeding
 //! two receivers. On those two the value a receiver gets depends on the
 //! simulated order of the transfers, so they are run under eight order
-//! seeds.
+//! seeds. Two more platforms saturate the interpreter's lookahead: a
+//! producer sends well over twice the 1024 steps a process may log ahead
+//! of the kernel to a consumer that computes heavily per value, once on a
+//! channel of its own and once on a channel another sender shares.
 //!
 //! On a mismatch the test prints the whole table as computed, in the
 //! syntax of [`PINS`].
@@ -34,7 +37,9 @@ const GRANULARITIES: [u32; 3] = [1, 8, 64];
 const FUEL_SLICES: [u64; 4] = [1, 7, 64, 16_000_000];
 const ORDER_SEEDS: [Option<u64>; 5] = [None, Some(1), Some(2), Some(3), Some(4)];
 
-/// `(platform, mode, fingerprint)`, recorded on the sequential TLM engine.
+/// `(platform, mode, fingerprint)`, recorded on the sequential TLM engine;
+/// the `flood:*` pins were recorded later, on the first run-ahead engine
+/// (fork-join phases), and the sequential engine computes the same four.
 const PINS: &[(&str, &str, u64)] = &[
     ("crc32", "functional", 0x6ab5077c00cff023),
     ("crc32", "timed", 0x80b642c0399ef309),
@@ -44,6 +49,10 @@ const PINS: &[(&str, &str, u64)] = &[
     ("fan-in", "timed", 0x05ff4063e2f5207f),
     ("fan-out", "functional", 0x764cc191ae441ebb),
     ("fan-out", "timed", 0x8bbd9e533b7969e3),
+    ("flood:direct", "functional", 0x13008e7e48f824f2),
+    ("flood:direct", "timed", 0xb31cb16f82148568),
+    ("flood:fan-in", "functional", 0x0869285bfd0da3c4),
+    ("flood:fan-in", "timed", 0x56ea5d3f98f8ee2f),
     ("fir64", "functional", 0xc486c869b4b5ab57),
     ("fir64", "timed", 0x7a98eab6bbc73565),
     ("image:hw", "functional", 0xd0987364cf4709ec),
@@ -98,7 +107,8 @@ impl Fnv {
     }
 }
 
-/// Folds every field of `r` but `wall` into `h`.
+/// Folds every field of `r` but the host-dependent `wall`, `threads`,
+/// `interp` and `stall` into `h`.
 fn fold_report(h: &mut Fnv, r: &TlmReport) {
     h.u64(r.end_time.ps());
     h.u64(r.sim.end_time.ps());
@@ -254,6 +264,29 @@ fn fan_out_platform() -> Platform {
     b.build().expect("builds")
 }
 
+/// Values the flooding producer sends: well over twice the 1024 steps a
+/// process may log ahead of the kernel, so its log fills again and again.
+const FLOOD: u32 = 3000;
+
+/// A producer that sends [`FLOOD`] values with little work between them to
+/// a consumer that computes heavily per value. On its own channel
+/// (`fan_in` false) the values go straight from producer to consumer, and
+/// the consumer keeps emptying the queue and waiting for the next send; on
+/// a channel a second, slower sender shares, the kernel delivers each one.
+fn flood_platform(fan_in: bool) -> Platform {
+    let mut b = PlatformBuilder::new("flood");
+    let cpu = b.add_pe("cpu", tlm_core::library::microblaze_like(8 << 10, 4 << 10));
+    let hw = b.add_pe("hw", tlm_core::library::custom_hw("hw", 2, 1));
+    b.add_process("producer", &sender(0, FLOOD, 1), "main", &[], cpu).expect("ok");
+    let extra = if fan_in { 8 } else { 0 };
+    if fan_in {
+        b.add_process("trickle", &sender(10_000, extra, 50), "main", &[], hw).expect("ok");
+    }
+    b.add_process("consumer", &receiver(FLOOD + extra, 12), "main", &[], hw).expect("ok");
+    b.bind_channel(tlm_cdfg::ChanId(0), None, 4);
+    b.build().expect("builds")
+}
+
 /// Every (granularity, fuel slice, order seed) combination.
 fn full_matrix() -> Vec<TlmConfig> {
     let mut configs = Vec::new();
@@ -379,5 +412,19 @@ fn shared_channels_are_pinned_under_eight_order_seeds() {
         (1..=8).map(|seed| TlmConfig { order_seed: Some(seed), ..TlmConfig::default() }).collect();
     let computed = [("fan-in", fan_in_platform()), ("fan-out", fan_out_platform())]
         .map(|(name, p)| (name.to_string(), fingerprints(&p, &configs, true)));
+    check(&computed);
+}
+
+#[test]
+fn lookahead_saturating_channels_are_pinned() {
+    let mut configs = Vec::new();
+    for fuel_slice in [1, TlmConfig::default().fuel_slice] {
+        for order_seed in ORDER_SEEDS {
+            configs.push(TlmConfig { fuel_slice, order_seed, ..TlmConfig::default() });
+        }
+    }
+    let computed = [("flood:direct", false), ("flood:fan-in", true)].map(|(name, fan_in)| {
+        (name.to_string(), fingerprints(&flood_platform(fan_in), &configs, true))
+    });
     check(&computed);
 }
