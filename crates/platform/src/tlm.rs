@@ -28,19 +28,25 @@
 //! split in two halves that share one process table:
 //!
 //! - **Worker threads** — the calling thread plus up to
-//!   `available_parallelism() − 1` helpers, spawned at the first phase with
-//!   more than one process to run — interpret each process ahead of
-//!   simulated time. They log one step per interpreter slice
-//!   ([`TlmConfig::fuel_slice`]): the annotated cycles it entered and how it
-//!   ended (out of fuel, a receive, a send — completed at once —, done or
-//!   trapped). A process logs at most a fixed lookahead of 1024 steps
-//!   beyond what the kernel has taken.
+//!   `available_parallelism() − 1` helpers, which start with the run —
+//!   interpret each process ahead of simulated time. They log one step per
+//!   interpreter slice ([`TlmConfig::fuel_slice`]): the annotated cycles it
+//!   entered and how it ended (out of fuel, a receive, a send — completed
+//!   at once —, done or trapped). A process logs at most a fixed lookahead
+//!   of 1024 steps beyond what the kernel has taken. Helpers keep driving
+//!   whichever process is *ready*: it has room in its log and does not
+//!   wait for a value.
 //! - **The kernel**, on the calling thread, replays each process's steps
 //!   against simulated time: PE and bus reservations, FIFOs and the
 //!   per-process phase machine are exactly those of interpreting inline.
-//!   When a process has no step logged, every thread runs every unfinished
-//!   process ahead (a *phase*) until each one is finished, has a full log,
-//!   or waits for a value; then the kernel pops again.
+//!   It takes a process's whole log at once, while helpers keep logging.
+//!   When the log is empty it drives the process itself if it is ready, or
+//!   else waits for the helper driving it, which wakes it at its first
+//!   logged step and leaves the process to it.
+//!
+//! A process is ready again when the kernel drains its full log, when a
+//! send gives it the value it stopped for, or when the kernel delivers a
+//! value to it.
 //!
 //! A receive takes its value straight from the sender's worker when the
 //! channel has exactly one sending and one receiving process: its values
@@ -48,9 +54,10 @@
 //! timed FIFO decides which value goes where, so the worker stops at the
 //! receive and the kernel hands the value over when the FIFO delivers it.
 //!
-//! After a phase the step the kernel pops always exists: simulated time
-//! reached it only by replaying the receive before it, which needed the
-//! matching send replayed, so that send was logged with its value. Every
+//! The step the kernel waits for always comes: simulated time reached it
+//! only by replaying the receive before it, which needed the matching send
+//! replayed, so that send was logged with its value, and the process is
+//! logged, being driven or ready. Every
 //! [`TlmReport`] field but the host-dependent `wall`, `threads`, `interp`
 //! and `stall` is therefore the one inline interpretation gives, on any
 //! number of threads (`tests/tlm_report_pins.rs` pins them).
@@ -59,6 +66,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
 use std::rc::Rc;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -203,7 +211,7 @@ pub fn annotate_platform(platform: &Platform) -> Result<AnnotatedPlatform, Estim
 /// Runs a TLM given a pre-annotated platform (`None` = functional).
 ///
 /// The processes' interpreters run ahead of simulated time on the calling
-/// thread and, when a phase has more than one process to run, on up to
+/// thread and, when there is more than one process, on up to
 /// `available_parallelism() − 1` helper threads; the kernel replays their
 /// logged steps on the calling thread (see the module docs). Every helper
 /// is joined before this returns, whatever stopped the run.
@@ -274,6 +282,7 @@ pub fn run_annotated(
     }
 
     let wall_start = Instant::now();
+    workers.spawn_helpers();
     let sim = match config.time_limit {
         Some(limit) => kernel.run_until(limit),
         None => kernel.run(),
@@ -346,10 +355,13 @@ struct Step {
 
 const _: () = assert!(std::mem::size_of::<Step>() == 24);
 
-/// One process's interpreter and the steps it ran ahead.
+/// Interpreter operations a helper may run ahead of its last logged step.
+const BATCH_FUEL: u64 = 256;
+
+/// One process's interpreter. Its step log has a lock of its own
+/// ([`Table::logs`]), so the kernel can take steps while a worker drives.
 struct Slot {
     machine: Machine,
-    log: VecDeque<Step>,
     /// The channel of the logged receive the machine still waits on.
     awaiting: Option<usize>,
     trap: Option<String>,
@@ -369,10 +381,13 @@ struct Direct {
 #[derive(Default)]
 struct Sched {
     ready: VecDeque<usize>,
+    /// Waiting for a thread to drive it: in `ready`, unless a helper left
+    /// it to the kernel.
     queued: Vec<bool>,
-    finished: Vec<bool>,
-    /// Workers running a process.
-    busy: usize,
+    /// Threads driving each process. A process is queued again once its
+    /// driver decides to stop, which can be before that driver lets go of
+    /// it, so a second thread may already wait to drive it.
+    driving: Vec<u32>,
     /// A worker panicked; the run cannot complete.
     failed: bool,
     shutdown: bool,
@@ -380,8 +395,7 @@ struct Sched {
 
 impl Sched {
     fn enqueue(&mut self, process: usize) {
-        if !self.queued[process] && !self.finished[process] {
-            self.queued[process] = true;
+        if !std::mem::replace(&mut self.queued[process], true) {
             self.ready.push_back(process);
         }
     }
@@ -390,17 +404,28 @@ impl Sched {
 /// The process table the interpreter threads and the kernel share.
 struct Table {
     slots: Box<[Mutex<Slot>]>,
+    /// Each process's logged steps, not yet taken by the kernel.
+    logs: Box<[Mutex<VecDeque<Step>>]>,
     /// The channel ids, sorted (the index of a channel is its position).
     chan_ids: Box<[ChanId]>,
     /// `Some` for channels whose values go straight from sender to receiver.
     direct: Box<[Option<Mutex<Direct>>]>,
     fuel_slice: u64,
+    /// Steps a helper logs at once: as many slices as [`BATCH_FUEL`]
+    /// operations fill.
+    batch: usize,
     sched: Mutex<Sched>,
-    /// Signals a ready process, the end of a phase, or shutdown.
+    /// Signals the helpers a ready process, a failure or shutdown.
     wake: Condvar,
+    /// The process whose step the kernel waits for ([`NOBODY`] if none).
+    wanted: AtomicUsize,
+    /// Signals the kernel a first step logged or a driver stopped for
+    /// `wanted`, or a failure.
+    kernel_wake: Condvar,
 }
 
 const PANICKED: &str = "a TLM interpreter thread panicked";
+const NOBODY: usize = usize::MAX;
 
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().expect(PANICKED)
@@ -440,22 +465,26 @@ impl Table {
         let processes = machines.len();
         let slots = machines
             .into_iter()
-            .map(|machine| {
-                Mutex::new(Slot { machine, log: VecDeque::new(), awaiting: None, trap: None })
-            })
+            .map(|machine| Mutex::new(Slot { machine, awaiting: None, trap: None }))
             .collect();
+        // Every process starts ready.
         let sched = Sched {
-            queued: vec![false; processes],
-            finished: vec![false; processes],
+            ready: (0..processes).collect(),
+            queued: vec![true; processes],
+            driving: vec![0; processes],
             ..Sched::default()
         };
         Table {
             slots,
+            logs: (0..processes).map(|_| Mutex::default()).collect(),
             chan_ids,
             direct,
             fuel_slice: fuel_slice.max(1),
+            batch: usize::try_from(BATCH_FUEL / fuel_slice.max(1)).unwrap_or(0),
             sched: Mutex::new(sched),
             wake: Condvar::new(),
+            wanted: AtomicUsize::new(NOBODY),
+            kernel_wake: Condvar::new(),
         }
     }
 
@@ -463,75 +492,71 @@ impl Table {
         self.chan_ids.binary_search(&chan).expect("every channel is bound")
     }
 
-    /// Runs ready processes until none is left and no worker is busy (the
-    /// kernel's thread), or until shutdown (a helper). Adds the time spent
-    /// interpreting and waiting to `spent`.
-    fn work(&self, helper: bool, spent: &mut [Duration; 2]) {
+    /// A helper's loop: drives ready processes until shutdown or a failure.
+    fn work(&self) {
         let mut sched = lock(&self.sched);
-        loop {
-            if sched.failed {
-                drop(sched);
-                assert!(helper, "{PANICKED}");
-                return;
-            }
-            if helper && sched.shutdown {
-                return;
-            }
-            if let Some(process) = sched.ready.pop_front() {
-                sched.queued[process] = false;
-                sched.busy += 1;
-                drop(sched);
-                let start = Instant::now();
-                let run = panic::catch_unwind(AssertUnwindSafe(|| self.drive(process)));
-                spent[0] += start.elapsed();
-                sched = lock(&self.sched);
-                sched.busy -= 1;
-                match run {
-                    Ok(finished) => sched.finished[process] |= finished,
-                    Err(payload) => {
-                        sched.failed = true;
-                        drop(sched);
-                        self.wake.notify_all();
-                        if helper {
-                            return;
-                        }
-                        panic::resume_unwind(payload);
-                    }
-                }
-                if sched.busy == 0 && sched.ready.is_empty() {
-                    self.wake.notify_all();
-                }
-            } else if !helper && sched.busy == 0 {
-                return;
-            } else {
-                let start = Instant::now();
-                sched = self.wake.wait(sched).expect(PANICKED);
-                spent[1] += start.elapsed();
-            }
+        while !sched.failed && !sched.shutdown {
+            sched = match sched.ready.pop_front() {
+                Some(process) => self.run(sched, process, false),
+                None => self.wake.wait(sched).expect(PANICKED),
+            };
         }
     }
 
+    /// Drives `process`, just taken off the ready queue, on a helper or on
+    /// the `kernel`'s thread, without holding the scheduler lock, and takes
+    /// the lock back. A panic marks the run failed and wakes every thread
+    /// before it unwinds.
+    fn run<'t>(
+        &'t self,
+        mut sched: MutexGuard<'t, Sched>,
+        process: usize,
+        kernel: bool,
+    ) -> MutexGuard<'t, Sched> {
+        sched.queued[process] = false;
+        sched.driving[process] += 1;
+        drop(sched);
+        let run = panic::catch_unwind(AssertUnwindSafe(|| self.drive(process, kernel)));
+        // Taken even from a panicked holder, so a failure still wakes all.
+        let mut sched = self.sched.lock().unwrap_or_else(PoisonError::into_inner);
+        sched.driving[process] -= 1;
+        if let Err(payload) = run {
+            sched.failed = true;
+            drop(sched);
+            self.wake.notify_all();
+            self.kernel_wake.notify_all();
+            panic::resume_unwind(payload);
+        }
+        if self.wanted.load(Ordering::SeqCst) == process {
+            self.kernel_wake.notify_one();
+        }
+        sched
+    }
+
     /// Runs `process` ahead, logging one step per `run_fuel` call, until it
-    /// finishes (returns `true`), fills its log, or waits for a value that
-    /// is not there yet.
-    fn drive(&self, process: usize) -> bool {
+    /// finishes, fills its log, or waits for a value that is not there
+    /// yet.
+    fn drive(&self, process: usize, kernel: bool) {
         let mut slot = lock(&self.slots[process]);
         let slot = &mut *slot;
+        // Steps not yet moved to the log, and the log's length at the last
+        // move (the kernel may have taken some since). Nobody reads the log
+        // while the kernel drives; a helper moves its steps in batches of
+        // short slices, so they cost no lock each.
+        let (mut batch, mut logged) = (Vec::new(), lock(&self.logs[process]).len());
+        let limit = if kernel { LOOKAHEAD } else { self.batch };
         loop {
             if let Some(chan) = slot.awaiting {
                 // On any other channel the kernel delivers the value.
-                let Some(direct) = &self.direct[chan] else { return false };
+                let Some(direct) = &self.direct[chan] else { return };
                 let mut direct = lock(direct);
                 let Some(value) = direct.values.pop_front() else {
                     direct.parked = true;
-                    return false;
+                    return;
                 };
                 drop(direct);
                 slot.machine.complete_recv(value);
                 slot.awaiting = None;
-            }
-            if slot.log.len() >= LOOKAHEAD {
-                return false;
             }
             let exec = slot.machine.run_fuel(&mut NoopHook, self.fuel_slice);
             let cycles = slot.machine.take_cycles();
@@ -552,7 +577,7 @@ impl Table {
                             let receiver = direct.receiver;
                             drop(direct);
                             lock(&self.sched).enqueue(receiver);
-                            self.wake.notify_all();
+                            self.wake.notify_one();
                         }
                     }
                     Event::Send(chan as u32, value)
@@ -563,27 +588,56 @@ impl Table {
                     Event::Trap
                 }
             };
-            slot.log.push_back(Step { cycles, event });
-            if matches!(event, Event::Done | Event::Trap) {
-                return true;
+            batch.push(Step { cycles, event });
+            // A receive may stop the driver, so it is logged at once.
+            if matches!(event, Event::OutOfFuel | Event::Send(..))
+                && batch.len() < limit
+                && logged + batch.len() < LOOKAHEAD
+                && self.wanted.load(Ordering::SeqCst) != process
+            {
+                continue;
+            }
+            // Whether to stop is decided under the log's lock, so a kernel
+            // that drains a full log knows this driver stopped.
+            let mut log = lock(&self.logs[process]);
+            let first = log.is_empty();
+            log.extend(batch.drain(..));
+            logged = log.len();
+            drop(log);
+            let (full, last) = (logged >= LOOKAHEAD, matches!(event, Event::Done | Event::Trap));
+            // The kernel set `wanted` before it found the log empty: wake
+            // it and leave the process to it, queued but not where a
+            // helper takes it, so the kernel runs it ahead in one batch
+            // instead of waiting for it step by step.
+            if first && self.wanted.load(Ordering::SeqCst) == process {
+                let mut sched = lock(&self.sched);
+                sched.queued[process] |= !last;
+                self.kernel_wake.notify_one();
+                return;
+            }
+            if full || last {
+                return;
             }
         }
     }
 
     /// Hands a value the kernel's FIFO delivered on `chan` to `process`'s
-    /// machine, unless it took the value from its sender already.
+    /// machine, unless it took the value from its sender already, and
+    /// queues the process again.
     fn deliver(&self, process: usize, chan: usize, value: i64) {
         if self.direct[chan].is_none() {
             let mut slot = lock(&self.slots[process]);
             slot.machine.complete_recv(value);
             slot.awaiting = None;
+            drop(slot);
+            // The kernel wants its next step at once and drives it itself.
+            lock(&self.sched).enqueue(process);
         }
     }
 }
 
 /// The interpreter threads of one run, owned by the kernel's thread: the
-/// thread itself, plus helpers spawned at the first phase with more than
-/// one process to run.
+/// thread itself, plus helpers spawned when the run starts.
 struct Workers {
     table: Arc<Table>,
     helpers: RefCell<Option<Vec<JoinHandle<()>>>>,
@@ -602,40 +656,57 @@ impl Workers {
         }
     }
 
-    /// Runs every unfinished process ahead until each one is finished,
-    /// has a full log, or waits for a value.
-    fn phase(&self) {
-        let many = {
-            let mut sched = lock(&self.table.sched);
-            (0..self.table.slots.len()).for_each(|process| sched.enqueue(process));
-            sched.ready.len() > 1
-        };
-        if many {
-            self.spawn_helpers();
-            self.table.wake.notify_all();
-        }
-        let mut spent = [Duration::ZERO; 2];
-        self.table.work(false, &mut spent);
-        self.interp.set(self.interp.get() + spent[0]);
-        self.stall.set(self.stall.get() + spent[1]);
-    }
-
     fn spawn_helpers(&self) {
-        let mut helpers = self.helpers.borrow_mut();
-        if helpers.is_some() {
-            return;
-        }
         let threads = thread::available_parallelism().map_or(1, usize::from);
         let spawned = (1..threads.min(self.table.slots.len()))
             .map_while(|_| {
                 let table = Arc::clone(&self.table);
-                thread::Builder::new()
-                    .name("tlm-interp".into())
-                    .spawn(move || table.work(true, &mut [Duration::ZERO; 2]))
-                    .ok()
+                thread::Builder::new().name("tlm-interp".into()).spawn(move || table.work()).ok()
             })
             .collect();
-        *helpers = Some(spawned);
+        *self.helpers.borrow_mut() = Some(spawned);
+    }
+
+    /// The next logged step of `process`. With none logged, the kernel
+    /// drives the process itself if it is queued, or else waits for the
+    /// thread driving it: simulated time reached this step only after the
+    /// sends it depends on were replayed, so they were logged, and the
+    /// step can be logged too.
+    fn take(&self, process: usize, replay: &mut VecDeque<Step>) -> Step {
+        let table = &*self.table;
+        let mut sched = lock(&table.sched);
+        loop {
+            assert!(!sched.failed, "{PANICKED}");
+            // Checked under the scheduler lock: a driver that stops after
+            // this check is still counted in `driving`.
+            table.wanted.store(process, Ordering::SeqCst);
+            let mut log = lock(&table.logs[process]);
+            if let Some(&last) = log.back() {
+                let full = log.len() >= LOOKAHEAD;
+                std::mem::swap(replay, &mut log);
+                drop(log);
+                table.wanted.store(NOBODY, Ordering::SeqCst);
+                // The driver stopped at a full log; run the process ahead
+                // again unless that was its last step.
+                if full && !matches!(last.event, Event::Done | Event::Trap) {
+                    sched.enqueue(process);
+                    table.wake.notify_one();
+                }
+                return replay.pop_front().expect("the log was not empty");
+            }
+            drop(log);
+            let start = Instant::now();
+            if sched.queued[process] {
+                table.wanted.store(NOBODY, Ordering::SeqCst);
+                sched.ready.retain(|&p| p != process);
+                sched = table.run(sched, process, true);
+                self.interp.set(self.interp.get() + start.elapsed());
+            } else {
+                assert!(sched.driving[process] > 0, "a process with no step logged is driven");
+                sched = table.kernel_wake.wait(sched).expect(PANICKED);
+                self.stall.set(self.stall.get() + start.elapsed());
+            }
+        }
     }
 
     /// Stops and joins the helpers, returning how many there were and
@@ -727,26 +798,12 @@ impl TlmProcess {
         at
     }
 
-    /// The process's next logged step. With none logged, every process
-    /// runs ahead first: simulated time reached this step only after the
-    /// sends it depends on were replayed, so they were logged, and the
-    /// step can be logged too.
+    /// The process's next logged step (see [`Workers::take`]).
     fn next_step(&mut self) -> Step {
-        if let Some(step) = self.replay.pop_front() {
-            return step;
+        match self.replay.pop_front() {
+            Some(step) => step,
+            None => self.workers.take(self.index, &mut self.replay),
         }
-        for ahead in [false, true] {
-            if ahead {
-                self.workers.phase();
-            }
-            let mut slot = lock(&self.workers.table.slots[self.index]);
-            if !slot.log.is_empty() {
-                std::mem::swap(&mut self.replay, &mut slot.log);
-                drop(slot);
-                return self.replay.pop_front().expect("the log was not empty");
-            }
-        }
-        unreachable!("running ahead logs the step simulated time waits for")
     }
 
     fn finish(&mut self) {

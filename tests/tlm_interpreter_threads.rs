@@ -1,8 +1,8 @@
 //! The TLM's interpreter helper threads live only inside `run_annotated`.
 //!
-//! A run spawns its helpers (named `tlm-interp`) at its first phase with
-//! more than one process to run, at most `available_parallelism() − 1` of
-//! them, and joins them before it returns, whatever stopped the run:
+//! A run of more than one process spawns its helpers (named `tlm-interp`)
+//! when it starts, at most `available_parallelism() − 1` of them, and
+//! joins them before it returns, whatever stopped the run:
 //! completion, starvation after a trap, or a time limit. The thread list
 //! of this process (`/proc/self/task`) is the witness; this file holds a
 //! single test so no other test's runs share it.
