@@ -20,15 +20,17 @@
 //! | rows       | len(PUM) ‖ canonical PUM ‖ function structural key |
 //!
 //! The three PUM-keyed stages (`annotated`, `report`, `rows`) hold those
-//! same canonical bytes in two parts: the PUM encoding
-//! ([`Pum::estimate_domain`], encoded once per [`PumReports`] handle for
-//! the module-keyed stages) and the input — the module key or the
-//! structural key — shared by `Arc` with the artifact it came from,
-//! together with a keyed hash of it computed once per artifact. A lookup
-//! therefore hashes the PUM encoding and one `u64`, and compares the
-//! input by pointer before falling back to a full byte compare; entries
-//! are charged the length of the flat encoding, so budgets and
-//! `resident_bytes` are those of the table above. The `prepared` stage
+//! same canonical bytes in two parts, each shared by `Arc` and carrying a
+//! keyed hash computed once where its bytes were made: the PUM encoding
+//! ([`Pum::estimate_domain`], made once per [`EncodedPum`], or once per
+//! [`PumReports`] handle of a bare `&Pum`) and the input — the module key
+//! or the structural key — of the artifact it came from. A lookup
+//! therefore hashes two `u64`s, and compares each part by pointer before
+//! falling back to a full byte compare; entries are charged the length of
+//! the flat encoding, so budgets and `resident_bytes` are those of the
+//! table above. Holders that estimate under the same PUMs again and again
+//! (the serving catalog's sweep points, a session's) keep [`EncodedPum`]s,
+//! so their lookups clone, encode and hash no PUM. The `prepared` stage
 //! keys by the same shared module key and precomputed hash, so a lookup
 //! there hashes one `u64` instead of the whole source.
 //!
@@ -161,28 +163,28 @@ impl StoreKey for InputKey {
 
 /// The key of the PUM-keyed stages: the canonical bytes
 /// `len(PUM) ‖ PUM ‖ input`, held as the PUM encoding plus the input
-/// shared with its artifact. Equality compares every byte; the hash
-/// covers the PUM bytes and the input's precomputed hash.
+/// shared with its artifact, each with its precomputed hash. Equality
+/// compares every byte; the hash covers the two precomputed hashes.
 #[derive(Debug, Clone)]
 struct EstimateKey {
-    pum: Arc<str>,
+    pum: InputKey,
     input: InputKey,
 }
 
 impl EstimateKey {
     /// The annotated/report key of a module under an encoded PUM; built
     /// only by [`PumReports::key`], which holds the PUM it encodes.
-    fn module(pum: &Arc<str>, artifact: &ModuleArtifact) -> EstimateKey {
-        EstimateKey { pum: Arc::clone(pum), input: artifact.key.clone() }
+    fn module(pum: &InputKey, artifact: &ModuleArtifact) -> EstimateKey {
+        EstimateKey { pum: pum.clone(), input: artifact.key.clone() }
     }
 
     /// The rows key of one function under an encoded PUM. The function
     /// *name* is deliberately excluded — renaming a function, moving it,
     /// or pasting a structurally identical copy into another source all
     /// hit the same rows.
-    fn function(pum: &Arc<str>, prepared: &PreparedModule, func: FuncId) -> EstimateKey {
+    fn function(pum: &InputKey, prepared: &PreparedModule, func: FuncId) -> EstimateKey {
         let input = InputKey::new(Arc::clone(prepared.function_structural_key(func)));
-        EstimateKey { pum: Arc::clone(pum), input }
+        EstimateKey { pum: pum.clone(), input }
     }
 }
 
@@ -210,7 +212,7 @@ impl StoreKey for EstimateKey {
 
     /// The length of the flat `len(PUM) ‖ PUM ‖ input` encoding.
     fn charge(&self) -> u64 {
-        8 + self.pum.len() as u64 + self.input.charge()
+        8 + self.pum.charge() + self.input.charge()
     }
 }
 
@@ -250,7 +252,41 @@ impl ModuleArtifact {
     }
 }
 
-/// Report demands under one PUM, from [`Pipeline::reports_for`].
+/// The PUM part of an estimate-stage key: [`Pum::estimate_domain`] with
+/// its keyed hash. The only place a PUM is encoded for a stage key.
+fn encode_pum(pum: &Pum) -> InputKey {
+    InputKey::new(pum.estimate_domain().into_bytes().into())
+}
+
+/// A PUM with its estimate-domain encoding ([`Pum::estimate_domain`]) and
+/// the keyed hash of that encoding, both computed once, here.
+///
+/// Holders that demand estimates under the same PUM again and again — the
+/// serving catalog's sweep points, a session's — keep one and demand
+/// through [`Pipeline::reports_for_encoded`], so their lookups clone,
+/// encode and hash no PUM. The PUM cannot be changed after encoding, so
+/// the encoding always describes the models it travels with.
+#[derive(Debug, Clone)]
+pub struct EncodedPum {
+    pum: Pum,
+    domain: InputKey,
+}
+
+impl EncodedPum {
+    /// Encodes `pum` and hashes the encoding.
+    pub fn new(pum: Pum) -> EncodedPum {
+        let domain = encode_pum(&pum);
+        EncodedPum { pum, domain }
+    }
+
+    /// The length of the encoding, in bytes.
+    pub fn encoded_len(&self) -> usize {
+        self.domain.bytes.len()
+    }
+}
+
+/// Report demands under one PUM, from [`Pipeline::reports_for`] or
+/// [`Pipeline::reports_for_encoded`].
 ///
 /// The handle holds the PUM together with its encoded estimate domain, so
 /// a stage key can never pair one PUM's encoding with another PUM's
@@ -259,7 +295,7 @@ impl ModuleArtifact {
 pub struct PumReports<'a> {
     pipeline: &'a Pipeline,
     pum: &'a Pum,
-    domain: Arc<str>,
+    domain: InputKey,
 }
 
 impl PumReports<'_> {
@@ -280,6 +316,95 @@ impl PumReports<'_> {
             let timed = self.pipeline.annotated_keyed(&key, artifact, self.pum)?;
             Ok(Arc::new(EstimateReport::of(&timed)))
         })
+    }
+
+    /// `Function structure × PUM → block delay rows`: Algorithms 1 and 2
+    /// over the blocks of one function, keyed by the function's structural
+    /// identity. Demanded per function by [`PumReports::report_from_rows`];
+    /// after an edit, only structurally changed functions miss.
+    fn function_rows(
+        &self,
+        prepared: &PreparedModule,
+        func: FuncId,
+    ) -> Result<Arc<Vec<BlockReport>>, PipelineError> {
+        let key = EstimateKey::function(&self.domain, prepared, func);
+        self.pipeline.rows.get_or_try(&key, || {
+            inject_compute_fault()?;
+            let handle = self.pipeline.schedules.domain(&ScheduleDomain::of(self.pum));
+            let delays = annotate_function_in_domain(prepared, self.pum, &handle, func)?;
+            Ok(Arc::new(
+                delays
+                    .iter()
+                    .enumerate()
+                    .map(|(block, d)| BlockReport {
+                        block: block as u32,
+                        sched: d.sched,
+                        branch: d.branch,
+                        ifetch: d.ifetch,
+                        data: d.data,
+                        cycles: d.cycles,
+                    })
+                    .collect(),
+            ))
+        })
+    }
+
+    /// Assembles the full [`EstimateReport`] from per-function rows: the
+    /// incremental-session path. Bit-identical to [`PumReports::report`]
+    /// on the same inputs — both bottom out in the same Algorithm 1/2
+    /// floating-point path — but keyed per function, so after a source
+    /// edit only the structurally dirty functions recompute and the rest
+    /// of the report is spliced from retained rows.
+    ///
+    /// Does not populate the whole-module `report` stage: the assembled
+    /// report is rebuilt from rows on every demand (cheap — it is a
+    /// concatenation), keeping the dirty-set accounting observable.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Pipeline::annotated`].
+    pub fn report_from_rows(
+        &self,
+        artifact: &ModuleArtifact,
+    ) -> Result<Arc<EstimateReport>, PipelineError> {
+        let prepared = self.pipeline.prepared(artifact)?;
+        let module = prepared.module();
+        let mut functions = Vec::with_capacity(module.functions.len());
+        for (fid, func) in module.functions_iter() {
+            let rows = self.function_rows(&prepared, fid)?;
+            functions.push(FunctionReport { name: func.name.clone(), blocks: (*rows).clone() });
+        }
+        let total_cycles =
+            sum_cycles(functions.iter().flat_map(|f| f.blocks.iter().map(|b| b.cycles)))?;
+        Ok(Arc::new(EstimateReport::new(
+            prepared.total_blocks(),
+            prepared.ops(),
+            total_cycles,
+            functions,
+        )))
+    }
+
+    /// Drops the rows entry of one function under this PUM — the targeted
+    /// invalidation sessions use when a function's identity disappears
+    /// from the design (deleted or structurally replaced with no surviving
+    /// twin). Returns whether an entry was resident.
+    ///
+    /// # Errors
+    ///
+    /// Never fails for a well-formed artifact; typed for uniformity
+    /// (resolving the prepared module can, in principle, be a miss that
+    /// recomputes).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `func` is out of range for the artifact's module.
+    pub fn invalidate_function_rows(
+        &self,
+        artifact: &ModuleArtifact,
+        func: FuncId,
+    ) -> Result<bool, PipelineError> {
+        let prepared = self.pipeline.prepared(artifact)?;
+        Ok(self.pipeline.rows.remove(&EstimateKey::function(&self.domain, &prepared, func)))
     }
 }
 
@@ -504,77 +629,20 @@ impl Pipeline {
 
     /// A handle demanding reports of any number of modules under `pum`,
     /// with the PUM's estimate domain ([`Pum::estimate_domain`]) encoded
-    /// once, here, instead of once per [`Pipeline::process_report`] call.
-    /// Callers that estimate every process of a platform at one sweep
-    /// point build one handle per PE.
+    /// and hashed once, here, instead of once per
+    /// [`Pipeline::process_report`] call. Callers that estimate every
+    /// process of a platform at one sweep point build one handle per PE.
     pub fn reports_for<'a>(&'a self, pum: &'a Pum) -> PumReports<'a> {
-        PumReports { pipeline: self, pum, domain: pum.estimate_domain().into() }
+        PumReports { pipeline: self, pum, domain: encode_pum(pum) }
     }
 
-    /// `Function structure × PUM → block delay rows`: Algorithms 1 and 2
-    /// over the blocks of one function, keyed by the function's structural
-    /// identity. Demanded per function by [`Pipeline::report_from_rows`];
-    /// after an edit, only structurally changed functions miss.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Pipeline::annotated`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `func` is out of range for the artifact's module.
-    pub fn function_rows(
-        &self,
-        artifact: &ModuleArtifact,
-        pum: &Pum,
-        func: FuncId,
-    ) -> Result<Arc<Vec<BlockReport>>, PipelineError> {
-        let prepared = self.prepared(artifact)?;
-        let key = EstimateKey::function(&pum.estimate_domain().into(), &prepared, func);
-        self.function_rows_keyed(&key, &prepared, pum, func)
+    /// [`Pipeline::reports_for`] under a PUM encoded earlier: the handle
+    /// shares the encoding and its hash instead of making them.
+    pub fn reports_for_encoded<'a>(&'a self, pum: &'a EncodedPum) -> PumReports<'a> {
+        PumReports { pipeline: self, pum: &pum.pum, domain: pum.domain.clone() }
     }
 
-    /// [`Pipeline::function_rows`] with the prepared module resolved and
-    /// the key encoded — the report-assembly form (one `prepared` lookup
-    /// and one PUM encoding per report instead of one per function).
-    fn function_rows_keyed(
-        &self,
-        key: &EstimateKey,
-        prepared: &PreparedModule,
-        pum: &Pum,
-        func: FuncId,
-    ) -> Result<Arc<Vec<BlockReport>>, PipelineError> {
-        self.rows.get_or_try(key, || {
-            inject_compute_fault()?;
-            let handle = self.schedules.domain(&ScheduleDomain::of(pum));
-            let delays = annotate_function_in_domain(prepared, pum, &handle, func)?;
-            Ok(Arc::new(
-                delays
-                    .iter()
-                    .enumerate()
-                    .map(|(block, d)| BlockReport {
-                        block: block as u32,
-                        sched: d.sched,
-                        branch: d.branch,
-                        ifetch: d.ifetch,
-                        data: d.data,
-                        cycles: d.cycles,
-                    })
-                    .collect(),
-            ))
-        })
-    }
-
-    /// Assembles the full [`EstimateReport`] from per-function rows: the
-    /// incremental-session path. Bit-identical to
-    /// [`Pipeline::process_report`] on the same inputs — both bottom out in
-    /// the same Algorithm 1/2 floating-point path — but keyed per function,
-    /// so after a source edit only the structurally dirty functions
-    /// recompute and the rest of the report is spliced from retained rows.
-    ///
-    /// Does not populate the whole-module `report` stage: the assembled
-    /// report is rebuilt from rows on every demand (cheap — it is a
-    /// concatenation), keeping the dirty-set accounting observable.
+    /// [`PumReports::report_from_rows`] under a bare PUM, encoded here.
     ///
     /// # Errors
     ///
@@ -584,48 +652,7 @@ impl Pipeline {
         artifact: &ModuleArtifact,
         pum: &Pum,
     ) -> Result<Arc<EstimateReport>, PipelineError> {
-        let prepared = self.prepared(artifact)?;
-        let module = prepared.module();
-        let mut functions = Vec::with_capacity(module.functions.len());
-        let pum_bytes: Arc<str> = pum.estimate_domain().into();
-        for (fid, func) in module.functions_iter() {
-            let key = EstimateKey::function(&pum_bytes, &prepared, fid);
-            let rows = self.function_rows_keyed(&key, &prepared, pum, fid)?;
-            functions.push(FunctionReport { name: func.name.clone(), blocks: (*rows).clone() });
-        }
-        let total_cycles =
-            sum_cycles(functions.iter().flat_map(|f| f.blocks.iter().map(|b| b.cycles)))?;
-        Ok(Arc::new(EstimateReport::new(
-            prepared.total_blocks(),
-            prepared.ops(),
-            total_cycles,
-            functions,
-        )))
-    }
-
-    /// Drops the rows entry of one function under one PUM — the targeted
-    /// invalidation sessions use when a function's identity disappears
-    /// from the design (deleted or structurally replaced with no surviving
-    /// twin). Returns whether an entry was resident.
-    ///
-    /// # Errors
-    ///
-    /// Never fails for a well-formed artifact; typed for uniformity
-    /// (resolving the prepared module can, in principle, be a miss that
-    /// recomputes).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `func` is out of range for the artifact's module.
-    pub fn invalidate_function_rows(
-        &self,
-        artifact: &ModuleArtifact,
-        pum: &Pum,
-        func: FuncId,
-    ) -> Result<bool, PipelineError> {
-        let prepared = self.prepared(artifact)?;
-        let key = EstimateKey::function(&pum.estimate_domain().into(), &prepared, func);
-        Ok(self.rows.remove(&key))
+        self.reports_for(pum).report_from_rows(artifact)
     }
 
     /// Annotates every process of a design with its PE's PUM, through the
@@ -721,6 +748,65 @@ impl Pipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const SOURCE: &str =
+        "void main() { int s = 0; for (int i = 0; i < 8; i++) { if (i > 3) { s = s + i; } } out(s); }";
+
+    fn cpu() -> Pum {
+        tlm_core::library::microblaze_like(8 << 10, 4 << 10)
+    }
+
+    /// A PUM built separately from the one a reused [`EncodedPum`] holds
+    /// — equal encodings in different allocations — hits the entries that
+    /// the reused key inserted, on the report and the rows stages.
+    #[test]
+    fn separately_built_pum_hits_the_entry_a_reused_key_inserted() {
+        let pipeline = Pipeline::new();
+        let artifact = pipeline.frontend(SOURCE).expect("lowers");
+        let encoded = EncodedPum::new(cpu());
+        let reused = pipeline.reports_for_encoded(&encoded);
+        let inserted = reused.report(&artifact).expect("estimates");
+        let rows = reused.report_from_rows(&artifact).expect("splices");
+
+        let twin = cpu();
+        let separate = pipeline.reports_for(&twin);
+        let (a, b) = (reused.key(&artifact), separate.key(&artifact));
+        assert!(!Arc::ptr_eq(&a.pum.bytes, &b.pum.bytes), "two encodings");
+        assert!(a == b, "equal bytes are equal keys");
+        let before = pipeline.stats();
+        let hit = pipeline.process_report(&artifact, &twin).expect("estimates");
+        assert!(Arc::ptr_eq(&inserted, &hit), "the separate PUM reads the reused key's entry");
+        assert_eq!(*pipeline.report_from_rows(&artifact, &twin).expect("splices"), *rows);
+        let after = pipeline.stats();
+        assert_eq!(after.report.hits, before.report.hits + 1);
+        assert_eq!(after.report.misses, before.report.misses);
+        assert_eq!(after.rows.misses, before.rows.misses, "every function's rows hit");
+        assert!(after.rows.hits > before.rows.hits);
+    }
+
+    /// Keys compare encodings, not values: a branch miss rate of `0.0`
+    /// and one of `-0.0` are equal PUMs whose encodings differ in the
+    /// float's bits, and each gets its own entry.
+    #[test]
+    fn encodings_differing_only_in_a_float_sign_get_distinct_entries() {
+        let pipeline = Pipeline::new();
+        let artifact = pipeline.frontend(SOURCE).expect("lowers");
+        let mut positive = cpu();
+        positive.branch.as_mut().expect("cpu has a branch model").miss_rate = 0.0;
+        let mut negative = positive.clone();
+        negative.branch.as_mut().expect("cpu has a branch model").miss_rate = -0.0;
+        assert_eq!(positive, negative, "equal as values");
+        assert_ne!(positive.estimate_domain(), negative.estimate_domain());
+
+        let a = pipeline.process_report(&artifact, &positive).expect("estimates");
+        let b = pipeline.reports_for_encoded(&EncodedPum::new(negative)).report(&artifact);
+        let b = b.expect("estimates");
+        assert!(!Arc::ptr_eq(&a, &b), "distinct entries");
+        assert_eq!(*a, *b, "with equal contents");
+        let stats = pipeline.stats();
+        assert_eq!((stats.report.misses, stats.report.entries), (2, 2));
+        assert_eq!((stats.annotated.misses, stats.annotated.entries), (2, 2));
+    }
 
     /// The module key's bytes are pinned: every downstream stage key and
     /// the charged `resident_bytes` depend on them.

@@ -31,7 +31,7 @@ pub mod report;
 
 pub use design::{DesignBuilder, PreparedDesign};
 pub use error::PipelineError;
-pub use graph::{ModuleArtifact, Pipeline, PipelineStats, PumReports};
+pub use graph::{EncodedPum, ModuleArtifact, Pipeline, PipelineStats, PumReports};
 pub use observe::set_stage_observer;
 pub use report::EstimateReport;
 pub use tlm_core::store::StoreStats;
@@ -43,6 +43,7 @@ const _: () = {
     assert_send_sync::<Pipeline>();
     assert_send_sync::<ModuleArtifact>();
     assert_send_sync::<PumReports<'static>>();
+    assert_send_sync::<EncodedPum>();
     assert_send_sync::<PreparedDesign>();
     assert_send_sync::<PipelineError>();
     assert_send_sync::<EstimateReport>();

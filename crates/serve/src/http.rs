@@ -4,8 +4,9 @@
 //! The build environment is offline, so there is no hyper/axum to lean on;
 //! this module hand-rolls the subset the service needs: an incremental
 //! request parser ([`RequestParser`]) for request-line + header parsing,
-//! `Content-Length` bodies, keep-alive and pipelining, plus response
-//! serialization ([`Response::write_to`]). The parser never touches a
+//! `Content-Length` bodies, keep-alive and pipelining, plus the response
+//! head (`Response::head`; the event loop writes the body after it from
+//! the response's own buffer). The parser never touches a
 //! socket: the event loop pushes whatever bytes arrived and asks whether
 //! a request is complete. It never buffers more than the configured
 //! limits allow:
@@ -22,8 +23,6 @@
 //!
 //! Time limits (stalled uploads, slowloris drips) are the event loop's
 //! job: the parser has no clock.
-
-use std::io::{self, Write};
 
 use tlm_faults::Kind;
 
@@ -347,7 +346,7 @@ impl Response {
     }
 
     /// The serialized status line and headers, terminator included.
-    fn head(&self, keep_alive: bool) -> String {
+    pub(crate) fn head(&self, keep_alive: bool) -> String {
         let mut head = format!(
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
             self.status,
@@ -364,17 +363,6 @@ impl Response {
         }
         head.push_str("\r\n");
         head
-    }
-
-    /// Serializes the response onto a stream.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket write errors.
-    pub fn write_to(&self, stream: &mut impl Write, keep_alive: bool) -> io::Result<()> {
-        stream.write_all(self.head(keep_alive).as_bytes())?;
-        stream.write_all(&self.body)?;
-        stream.flush()
     }
 }
 
@@ -485,12 +473,8 @@ mod tests {
 
     #[test]
     fn response_serializes_with_framing() {
-        let mut out = Vec::new();
-        Response::json(200, "{}")
-            .with_header("Retry-After", "1")
-            .write_to(&mut out, false)
-            .expect("writes");
-        let text = String::from_utf8(out).expect("utf8");
+        let resp = Response::json(200, "{}").with_header("Retry-After", "1");
+        let text = resp.head(false) + std::str::from_utf8(&resp.body).expect("utf8");
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Content-Length: 2\r\n"));
         assert!(text.contains("Connection: close\r\n"));

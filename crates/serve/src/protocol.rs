@@ -30,9 +30,12 @@
 //! report stage, which short-circuits the whole graph on a hit, so a warm
 //! server answers repeat sweeps without re-running any stage at all. The
 //! built-in designs additionally share their [`PreparedDesign`]s through a
-//! [`Catalog`]. Per-stage hit/miss/entry counters are exported on
-//! `/metrics`.
+//! [`Catalog`], together with every PE's PUM at every [`CACHE_SWEEP`]
+//! point, resized and encoded once per design: a warm read of those points
+//! clones, encodes and hashes no PUM. Per-stage hit/miss/entry counters
+//! are exported on `/metrics`.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::convert::Infallible;
 use std::sync::{Arc, Mutex};
@@ -40,9 +43,8 @@ use std::time::Duration;
 
 use tlm_apps::designs::{mp3_design, Mp3Design, Mp3Params, CACHE_SWEEP};
 use tlm_apps::imagepipe::{image_design, ImageParams};
-use tlm_core::Pum;
 use tlm_json::{ArrayWriter, ObjectBuilder, ObjectWriter, ParseLimits, Value};
-use tlm_pipeline::{EstimateReport, Pipeline, PreparedDesign, PumReports};
+use tlm_pipeline::{EncodedPum, EstimateReport, Pipeline, PreparedDesign, PumReports};
 use tlm_session::{EditReport, SessionError, SessionStore, SessionView, SourceEdit};
 
 use crate::http::{Request, Response};
@@ -67,7 +69,7 @@ pub const BUILTIN_DESIGNS: [&str; 6] =
 
 /// Default cache sizes the built-in platforms are constructed with; each
 /// sweep point re-derives the PUMs from these via
-/// [`Pum::with_cache_sizes`], so the value only matters as a starting
+/// [`tlm_core::Pum::with_cache_sizes`], so the value only matters as a starting
 /// point that *is* cached (size 0 would drop the cache models entirely).
 const BASE_CACHES: (u32, u32) = (8 << 10, 4 << 10);
 
@@ -95,16 +97,48 @@ fn build_builtin(pipeline: &Pipeline, name: &str) -> Option<Result<PreparedDesig
     Some(mp3_design(pipeline, design, Mp3Params::evaluation(), ic, dc).map_err(|e| e.to_string()))
 }
 
+/// Every PE's PUM resized to one sweep point and encoded, indexed by PE.
+fn encode_sweep_point(design: &PreparedDesign, icache: u32, dcache: u32) -> Vec<EncodedPum> {
+    // `with_cache_sizes` is a no-op on custom-HW PEs, whose memory paths
+    // are hardwired.
+    let pes = design.platform.pes.iter();
+    pes.map(|pe| EncodedPum::new(pe.pum.with_cache_sizes(icache, dcache))).collect()
+}
+
+/// A design a job runs, with the encoded PUMs of the sweep points it was
+/// built with.
+#[derive(Debug)]
+struct Design {
+    prepared: Arc<PreparedDesign>,
+    /// Per [`CACHE_SWEEP`] point, [`encode_sweep_point`]'s PUMs; empty for
+    /// an inline platform.
+    table: Vec<Vec<EncodedPum>>,
+}
+
+impl Design {
+    /// Every PE's encoded PUM at a sweep point: the table's row when the
+    /// sizes are a [`CACHE_SWEEP`] point it holds, else encoded now.
+    fn sweep_pums(&self, icache: u32, dcache: u32) -> Cow<'_, [EncodedPum]> {
+        let point = CACHE_SWEEP.iter().position(|&(_, ic, dc)| (ic, dc) == (icache, dcache));
+        match point.and_then(|i| self.table.get(i)) {
+            Some(row) => Cow::Borrowed(row),
+            None => Cow::Owned(encode_sweep_point(&self.prepared, icache, dcache)),
+        }
+    }
+}
+
 /// Lazily-built, process-lifetime cache of the built-in designs.
 ///
 /// The pipeline already memoizes each process's parse/lower by source;
 /// the catalog additionally caches the assembled [`PreparedDesign`]
 /// (platform wiring plus artifact list) per name, so repeat requests do
-/// not even re-walk the builders. The first request for each name pays
-/// the build; everyone after shares the `Arc`.
+/// not even re-walk the builders, and with it every PE's PUM at every
+/// [`CACHE_SWEEP`] point, resized and encoded. The first request for each
+/// name pays the build; everyone after shares the `Arc`. Only built-in
+/// names are ever entered, so the catalog never grows past them.
 #[derive(Debug, Default)]
 pub struct Catalog {
-    entries: Mutex<HashMap<String, Arc<PreparedDesign>>>,
+    entries: Mutex<HashMap<String, Arc<Design>>>,
 }
 
 impl Catalog {
@@ -126,6 +160,11 @@ impl Catalog {
         pipeline: &Pipeline,
         name: &str,
     ) -> Result<Option<Arc<PreparedDesign>>, String> {
+        Ok(self.design(pipeline, name)?.map(|design| Arc::clone(&design.prepared)))
+    }
+
+    /// [`Catalog::builtin`] with the design's sweep table.
+    fn design(&self, pipeline: &Pipeline, name: &str) -> Result<Option<Arc<Design>>, String> {
         if let Some(hit) = self.entries.lock().expect("catalog poisoned").get(name) {
             return Ok(Some(Arc::clone(hit)));
         }
@@ -134,7 +173,10 @@ impl Catalog {
         let Some(built) = build_builtin(pipeline, name) else {
             return Ok(None);
         };
-        let design = Arc::new(built?);
+        let prepared = built?;
+        let table =
+            CACHE_SWEEP.iter().map(|&(_, ic, dc)| encode_sweep_point(&prepared, ic, dc)).collect();
+        let design = Arc::new(Design { prepared: Arc::new(prepared), table });
         let mut entries = self.entries.lock().expect("catalog poisoned");
         let entry = entries.entry(name.to_string()).or_insert_with(|| Arc::clone(&design));
         Ok(Some(Arc::clone(entry)))
@@ -161,7 +203,7 @@ enum ReportKind {
 /// One decoded estimation job.
 #[derive(Debug)]
 struct Job {
-    design: Arc<PreparedDesign>,
+    design: Arc<Design>,
     sweep: Vec<SweepPoint>,
     report: ReportKind,
 }
@@ -229,7 +271,7 @@ fn decode_job(
 ) -> Result<Job, JobError> {
     let platform = value.get("platform").ok_or_else(|| format!("{what}: missing `platform`"))?;
     let design = match platform {
-        Value::String(name) => catalog.builtin(pipeline, name)?.ok_or_else(|| {
+        Value::String(name) => catalog.design(pipeline, name)?.ok_or_else(|| {
             format!(
                 "{what}: unknown design `{name}` (known: {}; or pass a platform object)",
                 BUILTIN_DESIGNS.join(", ")
@@ -244,7 +286,7 @@ fn decode_job(
                     JobError::Transient(message)
                 }
             })?;
-            Arc::new(custom)
+            Arc::new(Design { prepared: Arc::new(custom), table: Vec::new() })
         }
         _ => {
             return Err(JobError::Client(format!(
@@ -369,24 +411,19 @@ fn render_platform<E>(
 /// Runs one job and renders its report into `out`. On error `out` holds
 /// a partial object the caller discards.
 fn run_job(pipeline: &Pipeline, job: &Job, out: &mut String) -> Result<(), JobError> {
-    let platform = &job.design.platform;
+    let design = &job.design.prepared;
+    let platform = &design.platform;
     let blocks = job.report == ReportKind::Blocks;
     render_platform(out, &platform.name, platform.pes.len(), platform.processes.len(), |sweep| {
         for point in &job.sweep {
-            // One resized PUM per PE; processes mapped to the same PE
-            // share it, its encoded domain and, inside the pipeline, its
-            // schedule domain. `with_cache_sizes` is a no-op on custom-HW
-            // PEs, whose memory paths are hardwired.
-            let pums: Vec<Pum> = platform
-                .pes
-                .iter()
-                .map(|pe| pe.pum.with_cache_sizes(point.icache, point.dcache))
-                .collect();
+            // One encoded PUM per PE; processes mapped to the same PE
+            // share it and, inside the pipeline, its schedule domain.
+            let pums = job.design.sweep_pums(point.icache, point.dcache);
             let reports: Vec<PumReports<'_>> =
-                pums.iter().map(|pum| pipeline.reports_for(pum)).collect();
+                pums.iter().map(|pum| pipeline.reports_for_encoded(pum)).collect();
             let (label, ic, dc) = (&point.label, point.icache, point.dcache);
             render_sweep_row::<JobError>(sweep.item(), label, ic, dc, |rows| {
-                for (proc, artifact) in platform.processes.iter().zip(job.design.artifacts()) {
+                for (proc, artifact) in platform.processes.iter().zip(design.artifacts()) {
                     let report = reports[proc.pe.0].report(artifact).map_err(|e| {
                         let message = format!(
                             "sweep `{}`, process `{}`: estimation failed: {e}",
@@ -601,7 +638,7 @@ impl Service {
             })
             .collect();
         let detail = job.report == ReportKind::Blocks;
-        match self.sessions.create(&self.pipeline, &job.design, sweep, detail) {
+        match self.sessions.create(&self.pipeline, &job.design.prepared, sweep, detail) {
             Ok((id, view)) => session_response(id, None, &view),
             Err(e) => session_error_response(&e),
         }
@@ -1155,6 +1192,7 @@ mod tests {
     /// byte-identity oracle for the streamed bodies.
     mod oracle {
         use super::*;
+        use tlm_core::Pum;
 
         pub fn render_process_row(
             process: &str,
@@ -1222,8 +1260,11 @@ mod tests {
                 .build()
         }
 
-        pub fn run_job(pipeline: &Pipeline, job: &Job) -> Value {
-            let platform = &job.design.platform;
+        /// The clone-and-encode path: every PE's PUM resized per point
+        /// and encoded per `process_report` call.
+        pub fn run_job(pipeline: &Pipeline, job: &Job) -> Result<Value, String> {
+            let design = &job.design.prepared;
+            let platform = &design.platform;
             let mut sweep_rows = Vec::new();
             for point in &job.sweep {
                 let pums: Vec<Pum> = platform
@@ -1232,9 +1273,14 @@ mod tests {
                     .map(|pe| pe.pum.with_cache_sizes(point.icache, point.dcache))
                     .collect();
                 let mut rows = Vec::new();
-                for (proc, artifact) in platform.processes.iter().zip(job.design.artifacts()) {
+                for (proc, artifact) in platform.processes.iter().zip(design.artifacts()) {
                     let report =
-                        pipeline.process_report(artifact, &pums[proc.pe.0]).expect("estimates");
+                        pipeline.process_report(artifact, &pums[proc.pe.0]).map_err(|e| {
+                            format!(
+                                "sweep `{}`, process `{}`: estimation failed: {e}",
+                                point.label, proc.name
+                            )
+                        })?;
                     rows.push(render_process_row(
                         &proc.name,
                         &platform.pes[proc.pe.0].name,
@@ -1244,12 +1290,12 @@ mod tests {
                 }
                 sweep_rows.push(render_sweep_row(&point.label, point.icache, point.dcache, rows));
             }
-            render_platform(
+            Ok(render_platform(
                 &platform.name,
                 platform.pes.len(),
                 platform.processes.len(),
                 sweep_rows,
-            )
+            ))
         }
 
         pub fn render_session_view(view: &SessionView) -> Value {
@@ -1295,12 +1341,16 @@ mod tests {
                 let job = decode_job(value, &svc.pipeline, &svc.catalog, "request").expect("job");
                 run_job(&svc.pipeline, &job)
             };
-            body(match root.get("jobs").and_then(Value::as_array) {
-                Some(jobs) => ObjectBuilder::new()
-                    .field("results", Value::Array(jobs.iter().map(run).collect()))
-                    .build(),
+            let answer = match root.get("jobs").and_then(Value::as_array) {
+                Some(jobs) => jobs.iter().map(run).collect::<Result<Vec<_>, _>>().map(|results| {
+                    ObjectBuilder::new().field("results", Value::Array(results)).build()
+                }),
                 None => run(&root),
-            })
+            };
+            match answer {
+                Ok(value) => body(value),
+                Err(message) => Response::error(400, &message).body,
+            }
         }
     }
 
@@ -1379,7 +1429,8 @@ mod tests {
                 })
                 .collect();
             let detail = job.report == ReportKind::Blocks;
-            twin.sessions.create(&twin.pipeline, &job.design, sweep, detail).expect("creates")
+            let design = &job.design.prepared;
+            twin.sessions.create(&twin.pipeline, design, sweep, detail).expect("creates")
         };
         let envelope = |id: u64, edit: Option<&EditReport>, view: &SessionView| {
             let mut obj = ObjectBuilder::new().field("session", id);
@@ -1421,6 +1472,107 @@ mod tests {
                 view_twice(id, "after an edit");
             }
         }
+    }
+
+    /// A platform object that describes `design` exactly: the same names,
+    /// PUMs (as interchange objects), sources, entries and arguments.
+    fn inline_platform(design: &PreparedDesign) -> Value {
+        let platform = &design.platform;
+        let pes = platform.pes.iter().map(|pe| {
+            ObjectBuilder::new().field("name", pe.name.as_str()).field("pum", pe.pum.to_value())
+        });
+        let processes = platform.processes.iter().zip(design.artifacts()).map(|(proc, art)| {
+            let args = proc.args.iter().map(|&a| Value::from(a as f64)).collect();
+            ObjectBuilder::new()
+                .field("name", proc.name.as_str())
+                .field("pe", proc.pe.0)
+                .field("source", art.source())
+                .field("entry", proc.module.function(proc.entry).name.as_str())
+                .field("args", Value::Array(args))
+                .build()
+        });
+        ObjectBuilder::new()
+            .field("name", platform.name.as_str())
+            .field("pes", Value::Array(pes.map(ObjectBuilder::build).collect()))
+            .field("processes", Value::Array(processes.collect()))
+            .field("optimize", design.artifacts()[0].optimize())
+            .build()
+    }
+
+    /// Every built-in answers the oracle's bytes whether its sweep points
+    /// come from the catalog table (labels, or objects with the same
+    /// sizes and labels) or are encoded per request (uncharacterized
+    /// sizes, an inline platform describing the same design); the table
+    /// and per-request encodings answer the same bodies.
+    #[test]
+    fn table_and_per_request_encodings_match_the_oracle() {
+        let svc = service();
+        let labels = sweep_labels(CACHE_SWEEP.len());
+        let objects: Vec<String> = CACHE_SWEEP
+            .iter()
+            .map(|(label, ic, dc)| {
+                format!(r#"{{"icache": {ic}, "dcache": {dc}, "label": "{label}"}}"#)
+            })
+            .collect();
+        let objects = objects.join(", ");
+        for name in BUILTIN_DESIGNS {
+            let design = svc.catalog.builtin(&svc.pipeline, name).expect("builds").expect("known");
+            let inline = inline_platform(&design).to_compact();
+            let by_label = format!(r#"{{"platform": "{name}", "sweep": [{labels}]}}"#);
+            let by_object = format!(r#"{{"platform": "{name}", "sweep": [{objects}]}}"#);
+            let by_inline = format!(r#"{{"platform": {inline}, "sweep": [{labels}]}}"#);
+            let uncharacterized = format!(
+                r#"{{"platform": "{name}", "sweep": ["0k/0k", {{"icache": 12345, "dcache": 0}}]}}"#
+            );
+            let answer = |body: &str| {
+                let resp = svc.estimate(body.as_bytes(), 1 << 20);
+                assert!(resp.body == oracle::estimate(&svc, body), "{name}: {body}");
+                (resp.status, resp.body)
+            };
+            let (status, labelled) = answer(&by_label);
+            assert_eq!(status, 200, "{name}");
+            assert!(answer(&by_object) == (200, labelled.clone()), "{name}: object form");
+            assert!(answer(&by_inline) == (200, labelled), "{name}: inline platform");
+            assert_eq!(answer(&uncharacterized).0, 400, "{name}: uncharacterized sizes");
+        }
+    }
+
+    /// Sweep points outside the table are encoded per request and never
+    /// entered: the table keeps one row per [`CACHE_SWEEP`] point.
+    #[test]
+    fn custom_sizes_leave_the_catalog_table_at_the_sweep_points() {
+        let svc = service();
+        let tables = || {
+            let entries = svc.catalog.entries.lock().expect("catalog");
+            let mut tables: Vec<(String, usize, Vec<usize>)> = entries
+                .iter()
+                .map(|(name, d)| {
+                    let pes = d.prepared.platform.pes.len();
+                    (name.clone(), pes, d.table.iter().map(Vec::len).collect())
+                })
+                .collect();
+            tables.sort();
+            tables
+        };
+        for i in 0..1000u32 {
+            let name = BUILTIN_DESIGNS[i as usize % BUILTIN_DESIGNS.len()];
+            let body = format!(
+                r#"{{"platform": "{name}", "sweep": [{{"icache": {}, "dcache": 0}}]}}"#,
+                1 + i
+            );
+            let resp = svc.estimate(body.as_bytes(), 1 << 20);
+            assert!(matches!(resp.status, 200 | 400), "{name}: {}", resp.status);
+        }
+        let after = tables();
+        assert_eq!(after.len(), BUILTIN_DESIGNS.len());
+        for (name, pes, rows) in &after {
+            assert_eq!(rows, &vec![*pes; CACHE_SWEEP.len()], "{name}: one row per sweep point");
+        }
+        let design = svc.catalog.design(&svc.pipeline, "mp3:sw").expect("builds").expect("known");
+        let (_, ic, dc) = CACHE_SWEEP[2];
+        assert!(matches!(design.sweep_pums(ic, dc), Cow::Borrowed(_)), "table row");
+        assert!(matches!(design.sweep_pums(ic, 12345), Cow::Owned(_)), "encoded per request");
+        assert_eq!(tables(), after, "reading a point outside the table enters nothing");
     }
 
     #[test]

@@ -41,7 +41,7 @@
 //!   sides).
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
@@ -339,7 +339,11 @@ struct Completion {
 
 /// In-flight response bytes and how the connection continues after them.
 struct WriteState {
-    buf: Vec<u8>,
+    /// The serialized status line and headers.
+    head: Vec<u8>,
+    /// The response's own body buffer, written after the head uncopied.
+    body: Vec<u8>,
+    /// Bytes of `head ‖ body` already written.
     off: usize,
     keep: bool,
     /// Whether the request's total budget applies to this write (normal
@@ -736,20 +740,17 @@ impl EventLoop {
         }
     }
 
-    /// Serializes a response onto the connection and starts writing it.
+    /// Serializes a response's head onto the connection and starts
+    /// writing it, followed by the body, which is moved, not copied.
     /// Counts the response; callers must not double-count.
     fn queue_response(&mut self, token: u64, resp: Response, keep: bool, enforce_deadline: bool) {
         self.metrics.response(resp.status);
         let Some(conn) = self.conns.get_mut(&token) else { return };
-        let mut buf = Vec::with_capacity(resp.body.len() + 256);
-        let _ = resp.write_to(&mut buf, keep); // Vec<u8> writes are infallible
+        let head = resp.head(keep).into_bytes();
         conn.last_io = Instant::now();
         let interest = if conn.half_closed { EPOLLOUT } else { EPOLLOUT | EPOLLRDHUP };
-        transition(
-            &self.metrics,
-            conn,
-            ConnState::Writing(WriteState { buf, off: 0, keep, enforce_deadline }),
-        );
+        let write = WriteState { head, body: resp.body, off: 0, keep, enforce_deadline };
+        transition(&self.metrics, conn, ConnState::Writing(write));
         if !self.set_interest(token, interest) {
             self.close(token);
             return;
@@ -776,10 +777,17 @@ impl EventLoop {
                 After::Close
             } else {
                 loop {
-                    if w.off >= w.buf.len() {
+                    // The head's rest and the body in one call while any
+                    // of the head is left, then the body's rest.
+                    let written = if w.off < w.head.len() {
+                        let parts = [IoSlice::new(&w.head[w.off..]), IoSlice::new(&w.body)];
+                        conn.stream.write_vectored(&parts)
+                    } else if w.off < w.head.len() + w.body.len() {
+                        conn.stream.write(&w.body[w.off - w.head.len()..])
+                    } else {
                         break After::Done;
-                    }
-                    match conn.stream.write(&w.buf[w.off..]) {
+                    };
+                    match written {
                         Ok(0) => break After::Close,
                         Ok(n) => {
                             w.off += n;

@@ -34,8 +34,9 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use tlm_cdfg::FuncId;
-use tlm_core::Pum;
-use tlm_pipeline::{EstimateReport, ModuleArtifact, Pipeline, PipelineError, PreparedDesign};
+use tlm_pipeline::{
+    EncodedPum, EstimateReport, ModuleArtifact, Pipeline, PipelineError, PreparedDesign,
+};
 
 /// One cache configuration a session's reports sweep over.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -197,8 +198,10 @@ struct ProcessState {
 struct Session {
     platform: String,
     pe_names: Vec<String>,
-    /// Base (un-swept) PUM per PE.
-    pums: Vec<Pum>,
+    /// Per sweep point, every PE's PUM resized to it and encoded, built
+    /// once at creation: edits and invalidations clone, encode and hash
+    /// no PUM.
+    pums: Vec<Vec<EncodedPum>>,
     processes: Vec<ProcessState>,
     sweep: Vec<SweepPoint>,
     detail_blocks: bool,
@@ -215,8 +218,9 @@ struct Session {
 impl Session {
     /// Approximate resident bytes: artifact keys (each embeds the full
     /// source), identity tables (each function's name and structural key),
-    /// the retained report rows (with their rendered JSON when the session
-    /// shows per-block rows), plus a fixed overhead. The charge depends only on the session's own state, so a
+    /// the encoded sweep-point PUMs, the retained report rows (with their
+    /// rendered JSON when the session shows per-block rows), plus a fixed
+    /// overhead. The charge depends only on the session's own state, so a
     /// view (of this session, or of a report it shares with the pipeline)
     /// never moves it.
     fn resident_bytes(&self) -> u64 {
@@ -229,6 +233,7 @@ impl Session {
                 .map(|(name, key, _)| (name.len() + key.len()) as u64 + 24)
                 .sum::<u64>();
         }
+        bytes += self.pums.iter().flatten().map(|pum| pum.encoded_len() as u64).sum::<u64>();
         let row = std::mem::size_of::<tlm_pipeline::report::BlockReport>() as u64;
         for view in &self.views {
             for proc in &view.processes {
@@ -438,7 +443,17 @@ impl SessionStore {
         let mut session = Session {
             platform: platform.name.clone(),
             pe_names: platform.pes.iter().map(|pe| pe.name.clone()).collect(),
-            pums: platform.pes.iter().map(|pe| pe.pum.clone()).collect(),
+            pums: sweep
+                .iter()
+                .map(|point| {
+                    let (ic, dc) = (point.icache, point.dcache);
+                    platform
+                        .pes
+                        .iter()
+                        .map(|pe| EncodedPum::new(pe.pum.with_cache_sizes(ic, dc)))
+                        .collect()
+                })
+                .collect(),
             processes,
             sweep,
             detail_blocks,
@@ -575,9 +590,9 @@ impl SessionStore {
             if surviving.contains(&key[..]) {
                 continue;
             }
-            for point in &session.sweep {
-                let pum = session.pums[pe].with_cache_sizes(point.icache, point.dcache);
-                let _ = pipeline.invalidate_function_rows(&old_artifact, &pum, FuncId(fid as u32));
+            for pums in &session.pums {
+                let reports = pipeline.reports_for_encoded(&pums[pe]);
+                let _ = reports.invalidate_function_rows(&old_artifact, FuncId(fid as u32));
             }
         }
 
@@ -645,12 +660,13 @@ fn process_column(
     proc: &ProcessState,
 ) -> Result<Vec<ProcessView>, PipelineError> {
     let mut column = Vec::with_capacity(session.sweep.len());
-    for point in &session.sweep {
-        let pum = session.pums[proc.pe].with_cache_sizes(point.icache, point.dcache);
+    for pums in &session.pums {
         column.push(ProcessView {
             process: proc.name.clone(),
             pe: session.pe_names[proc.pe].clone(),
-            report: pipeline.report_from_rows(&proc.artifact, &pum)?,
+            report: pipeline
+                .reports_for_encoded(&pums[proc.pe])
+                .report_from_rows(&proc.artifact)?,
         });
     }
     Ok(column)
