@@ -300,14 +300,17 @@ fn annotate_batched(
 /// run solved it. Obtain the handle with
 /// `cache.domain(&ScheduleDomain::of(pum))`.
 ///
-/// Resolving a domain encodes the PUM's scheduling sub-models and hashes
-/// the encoding into the cache's domain map: about 1.3 µs for the
-/// 300-byte MicroBlaze domain on a 2-core Xeon VM, which is more than
-/// annotating a small module from a warm cache. A sweep
-/// driver that varies only the statistical models (cache sizes, branch
-/// rates) resolves the handle **once per datapath** and passes it to every
-/// sweep point. The caller asserts that `pum` belongs to the handle's
-/// domain; debug builds verify it.
+/// Resolving a domain that way encodes the PUM's scheduling sub-models
+/// and hashes the encoding into the cache's domain map: 1.2 µs for the
+/// 300-byte MicroBlaze domain on a 2-core Xeon VM, 0.8–0.9 µs of it the
+/// encoding, which is more than annotating a small module from a warm
+/// cache. A holder of the PUM's estimate-domain encoding resolves from
+/// its suffix instead, in about 0.25 µs
+/// ([`ScheduleDomain::from_encoding`](crate::cache::ScheduleDomain::from_encoding)).
+/// A sweep driver that varies only the statistical models (cache sizes,
+/// branch rates) resolves the handle **once per datapath** and passes it
+/// to every sweep point. The caller asserts that `pum` belongs
+/// to the handle's domain; debug builds verify it.
 ///
 /// # Errors
 ///

@@ -51,7 +51,16 @@ pub struct ScheduleDomain {
 impl ScheduleDomain {
     /// Derives the domain of a PUM.
     pub fn of(pum: &Pum) -> ScheduleDomain {
-        ScheduleDomain { key: pum.schedule_domain().into() }
+        ScheduleDomain::from_encoding(&pum.schedule_domain())
+    }
+
+    /// The domain whose encoding is `schedule_domain`: the bytes
+    /// [`Pum::schedule_domain`] returns, such as the suffix of an
+    /// [`Pum::estimate_domain_split`] encoding at its offset. The caller
+    /// asserts they are the bytes of the PUM it annotates with; debug
+    /// builds check that whenever the domain's handle annotates.
+    pub fn from_encoding(schedule_domain: &str) -> ScheduleDomain {
+        ScheduleDomain { key: schedule_domain.into() }
     }
 }
 

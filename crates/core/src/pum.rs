@@ -865,6 +865,15 @@ impl Pum {
     /// digits straight into one buffer, without `std::fmt` and with the
     /// schedule domain appended in place.
     pub fn estimate_domain(&self) -> String {
+        self.estimate_domain_split().0
+    }
+
+    /// [`Pum::estimate_domain`] together with the byte offset at which its
+    /// [`Pum::schedule_domain`] suffix starts, so a holder of the encoding
+    /// resolves the schedule domain
+    /// ([`ScheduleDomain::from_encoding`](crate::cache::ScheduleDomain::from_encoding))
+    /// without encoding the PUM a second time.
+    pub fn estimate_domain_split(&self) -> (String, usize) {
         fn path(out: &mut String, p: &MemoryPath) {
             match p {
                 MemoryPath::Hardwired => out.push('h'),
@@ -911,8 +920,9 @@ impl Pum {
         push_hex16(&mut out, self.memory.fetch_expansion.to_bits());
         push_hex16(&mut out, self.memory.data_expansion.to_bits());
         out.push('#');
+        let at = out.len();
         self.push_schedule_domain(&mut out);
-        out
+        (out, at)
     }
 
     /// The PUM re-pointed at different statistical cache sizes — the sweep
@@ -1096,6 +1106,8 @@ mod tests {
     fn assert_matches_oracle(pum: &Pum, what: &str) {
         assert_eq!(pum.schedule_domain(), oracle::schedule_domain(pum), "{what}: schedule domain");
         assert_eq!(pum.estimate_domain(), oracle::estimate_domain(pum), "{what}: estimate domain");
+        let (encoding, at) = pum.estimate_domain_split();
+        assert_eq!(encoding[at..], pum.schedule_domain(), "{what}: schedule-domain suffix");
     }
 
     /// Every library PUM and every checked-in model, each as built and at
